@@ -8,7 +8,7 @@ modes, and optimizes trajectories by projected gradient descent.
 
 from .model import AgentSpec, InfoMode, Numerics, Scenario, ScenarioError, Target
 from .policy import AgentParams, project_params
-from .sim import SimRecord, Simulator, cost, simulate
+from .sim import SimRecord, Simulator, simulate
 from .gradient import GradientVector, agent_gradient, full_gradient
 from .visibility import mode_gradients, neighborhoods, visible_events
 from .descent import OptimizerConfig, OptRun, optimize
@@ -17,7 +17,7 @@ from .fdcheck import FdReport, fd_gradient, grad_check
 __all__ = [
     "AgentSpec", "InfoMode", "Numerics", "Scenario", "ScenarioError", "Target",
     "AgentParams", "project_params",
-    "SimRecord", "Simulator", "cost", "simulate",
+    "SimRecord", "Simulator", "simulate",
     "GradientVector", "agent_gradient", "full_gradient",
     "mode_gradients", "neighborhoods", "visible_events",
     "OptimizerConfig", "OptRun", "optimize",

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -21,7 +23,7 @@ import numpy as np
 from .descent import OptimizerConfig, optimize
 from .fdcheck import grad_check
 from .model import (AgentSpec, InfoMode, Numerics, Scenario, ScenarioError,
-                    Target)
+                    Target, require_finite)
 from .policy import AgentParams
 from .sim import SimRecord, simulate
 from .visibility import mode_gradients, visible_events
@@ -40,6 +42,12 @@ def _need(doc: dict, key: str, path: str):
     if key not in doc:
         raise ScenarioError(f"{path}.{key}", "missing required field")
     return doc[key]
+
+
+def _int(value, path: str) -> int:
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioError(path, f"{value} is not finite")
+    return int(value)
 
 
 def load_scenario(path: str | Path) -> tuple[Scenario, list[AgentParams], OptimizerConfig]:
@@ -65,10 +73,11 @@ def load_scenario(path: str | Path) -> tuple[Scenario, list[AgentParams], Optimi
                               decay=float(_need(td, "B", f"targets[{i}]")),
                               r0=float(_need(td, "R0", f"targets[{i}]"))))
     r_comm = float(doc.get("r_c", 0.0))
+    require_finite("", r_c=r_comm)
     agents, params = [], []
     for j, ad in enumerate(_need(doc, "agents", "")):
         agents.append(AgentSpec(index=j, s0=float(_need(ad, "s0", f"agents[{j}]")),
-                                u0=int(ad.get("u0", 1)),
+                                u0=_int(ad.get("u0", 1), f"agents[{j}].u0"),
                                 r=float(_need(ad, "r", f"agents[{j}]")),
                                 r_comm=float(ad.get("r_c", r_comm))))
         theta = np.asarray(ad.get("theta0", []), dtype=float)
@@ -92,17 +101,17 @@ def load_scenario(path: str | Path) -> tuple[Scenario, list[AgentParams], Optimi
                         local_reentry_reset=bool(doc.get("local_reentry_reset", True)))
     scenario.validate()
     for j, p in enumerate(params):
-        try:
-            p.validate(L, path=f"agents[{j}]")
-        except ValueError as exc:
-            raise ScenarioError(f"agents[{j}]", str(exc))
+        p.validate(L, path=f"agents[{j}]", keys=("theta0", "w0"))
 
     od = doc.get("optimizer", {})
     opt = OptimizerConfig(a_theta=float(od.get("a_theta", 0.2)),
                           a_w=float(od.get("a_w", 0.2)),
                           eta=float(od.get("eta", 0.6)),
                           epsilon=float(od.get("epsilon", 1e-4)),
-                          max_iters=int(od.get("max_iters", 200)))
+                          max_iters=_int(od.get("max_iters", 200), "optimizer.max_iters"))
+    # the Python API may take epsilon=inf (stop after one step); a file may not
+    require_finite("optimizer", a_theta=opt.a_theta, a_w=opt.a_w, eta=opt.eta,
+                   epsilon=opt.epsilon)
     return scenario, params, opt
 
 
@@ -130,7 +139,7 @@ def dump_params(params, path: str | Path) -> None:
            "agents": [{"theta": [float(v) + 0.0 for v in p.theta],
                        "w": [float(v) + 0.0 for v in p.w]} for p in params]}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -186,7 +195,7 @@ def _gradient_block(record: SimRecord, mode: InfoMode) -> list[dict]:
 
 def write_summary(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -195,7 +204,7 @@ def write_summary(path: Path, payload: dict) -> None:
 def cmd_simulate(args) -> int:
     scenario, params, _ = load_scenario(args.scenario)
     if args.mode:
-        scenario = _with_mode(scenario, InfoMode[args.mode])
+        scenario = dataclasses.replace(scenario, mode=InfoMode[args.mode])
     if args.params:
         params = load_params(args.params, scenario)
     out = Path(args.out)
@@ -223,19 +232,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _with_mode(scenario: Scenario, mode: InfoMode) -> Scenario:
-    return Scenario(L=scenario.L, T=scenario.T, targets=scenario.targets,
-                    agents=scenario.agents, mode=mode, numerics=scenario.numerics,
-                    local_reentry_reset=scenario.local_reentry_reset)
-
-
 def cmd_optimize(args) -> int:
     scenario, params, opt = load_scenario(args.scenario)
     if args.mode:
-        scenario = _with_mode(scenario, InfoMode[args.mode])
+        scenario = dataclasses.replace(scenario, mode=InfoMode[args.mode])
     if args.iters is not None:
-        opt = OptimizerConfig(a_theta=opt.a_theta, a_w=opt.a_w, eta=opt.eta,
-                              epsilon=opt.epsilon, max_iters=args.iters)
+        opt = dataclasses.replace(opt, max_iters=args.iters)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt_dir = out / "checkpoints"
@@ -305,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True)
     sim.add_argument("--mode", choices=modes)
     sim.add_argument("--audit-events", action="store_true")
-    sim.add_argument("--seed", type=int, help="reserved")
     sim.set_defaults(fn=cmd_simulate)
 
     opt = sub.add_parser("optimize", help="gradient descent over trajectory parameters")
@@ -315,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--iters", type=int)
     opt.add_argument("--checkpoint-every", type=int, default=50)
     opt.add_argument("--audit-events", action="store_true")
-    opt.add_argument("--seed", type=int, help="reserved")
     opt.set_defaults(fn=cmd_optimize)
 
     gc = sub.add_parser("gradcheck", help="validate gradients against finite differences")
@@ -325,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--tol", type=float, default=1e-2)
     gc.add_argument("--threshold", type=float, default=0.95,
                     help="required pass rate on smooth coordinates")
-    gc.add_argument("--seed", type=int, help="reserved")
     gc.set_defaults(fn=cmd_gradcheck)
     return ap
 

@@ -10,8 +10,6 @@ as the value under test.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .gradient import full_gradient
@@ -22,13 +20,6 @@ from .sim import simulate
 REL_FLOOR = 1e-8        # denominator floor for relative errors
 SMOOTH_RTOL = 0.05      # two-step agreement required to call a coordinate smooth
 ZERO_EPS = 1e-7         # below this, both sides agree the coordinate is inert
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("PERSIMON_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -92,7 +83,7 @@ class FdReport:
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(self.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
 
@@ -150,21 +141,9 @@ def grad_check(scenario: Scenario, params, tol: float = 1e-2,
               for j in range(scenario.n_agents)
               for kind in ("theta", "w")
               for idx in range(params[j].n_points)]
-
-    def one(coord):
-        j, kind, idx = coord
+    for j, kind, idx in coords:
         fd1 = fd_gradient(scenario, params, j, kind, idx, deltas[0])
         fd2 = fd_gradient(scenario, params, j, kind, idx, deltas[1])
-        return fd1, fd2
-
-    workers = _thread_count()
-    if workers > 1 and len(coords) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fd_pairs = list(pool.map(one, coords))
-    else:
-        fd_pairs = [one(c) for c in coords]
-
-    for (j, kind, idx), (fd1, fd2) in zip(coords, fd_pairs):
         analytic = float(grads[j].theta[idx] if kind == "theta" else grads[j].w[idx])
         if fd1 is None or fd2 is None:
             report.coords.append(CoordCheck(j, kind, idx, analytic, fd1, fd2,

@@ -17,7 +17,6 @@ centralized gradient.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,16 +86,14 @@ class Replica:
     """
 
     def __init__(self, record: SimRecord, agent: int, events: list[EventRecord],
-                 strict: bool = True, reentry_reset: bool = False,
-                 check_holds: bool = True):
+                 strict: bool = True, reentry_reset: bool = False):
         self.record = record
         self.agent = agent
         self.strict = strict
         self.reentry_reset = reentry_reset
-        self.check_holds = check_holds
         sc = record.scenario
         self.M = sc.n_targets
-        self.B = np.array([t.decay for t in sc.targets])
+        self.B = sc.B
         self.params = record.params[agent]
         self.s0 = sc.agents[agent].s0
         ext = np.concatenate([[self.s0], self.params.theta])
@@ -111,9 +108,6 @@ class Replica:
         self._outside = np.zeros(self.M, dtype=bool)
         self._frozen_t: np.ndarray | None = None
         self._frozen_w: np.ndarray | None = None
-        # test hook: scales the reported gradient so the finite-difference
-        # check has a working negative control
-        self._corrupt = float(os.environ.get("PERSIMON_CORRUPT_IPA", "0") or 0.0)
 
     # -- interval update -------------------------------------------------
 
@@ -204,7 +198,7 @@ class Replica:
                         "!= 0: integration bug")
                 st.dR_dtheta[i, :] = 0.0
                 st.dR_dw[i, :] = 0.0
-            elif self._in_range_now(ev):
+            elif self.record.event_membership[ev.interval_index + 1, i, self.agent]:
                 # locally observed floor-leave: the reset rule applies even
                 # to a stale value
                 st.dR_dtheta[i, :] = 0.0
@@ -227,43 +221,34 @@ class Replica:
                     st.dR_dw[i, :] = 0.0
         # sensing/observer-set/cross/horizon events leave derivatives unchanged
 
-    def _in_range_now(self, ev: EventRecord) -> bool:
-        if ev.interval_index < 0:
-            iv = self.record.intervals[0]
-            s = iv.s0[self.agent]
-        else:
-            iv = self.record.intervals[ev.interval_index]
-            s = iv.s1[self.agent]
-        sc = self.record.scenario
-        return abs(sc.targets[ev.target].x - s) <= sc.agents[self.agent].r
-
     # -- hold checker ------------------------------------------------------
 
     def _check_holds(self, iv: Interval) -> None:
         """Out of sensing range a target's derivative may not move.
 
         Verified bitwise between consecutive intervals; delivered floor-hit
-        events legitimately reset the frozen value to zero.
+        events legitimately reset the frozen value to zero. A target out of
+        range on both sides whose derivative moved counts one violation and
+        refreshes its frozen copy; a target in range before refreshes it too.
         """
+        st = self.state
         outside_now = ~iv.in_range[:, self.agent]
         if self._frozen_t is None:
-            self._frozen_t = self.state.dR_dtheta.copy()
-            self._frozen_w = self.state.dR_dw.copy()
+            self._frozen_t = st.dR_dtheta.copy()
+            self._frozen_w = st.dR_dw.copy()
         else:
-            for i in range(self.M):
-                if self._outside[i] and outside_now[i]:
-                    if not (np.array_equal(self.state.dR_dtheta[i], self._frozen_t[i])
-                            and np.array_equal(self.state.dR_dw[i], self._frozen_w[i])):
-                        self.diag.hold_violations += 1
-                        if len(self.diag.notes) < 8:
-                            self.diag.notes.append(
-                                f"target {i} derivative moved out of range in "
-                                f"[{iv.t0}, {iv.t1}]")
-                        self._frozen_t[i] = self.state.dR_dtheta[i]
-                        self._frozen_w[i] = self.state.dR_dw[i]
-                elif not self._outside[i]:
-                    self._frozen_t[i] = self.state.dR_dtheta[i]
-                    self._frozen_w[i] = self.state.dR_dw[i]
+            # != also flags NaN, as np.array_equal did
+            moved = self._outside & outside_now & (
+                (st.dR_dtheta != self._frozen_t).any(axis=1)
+                | (st.dR_dw != self._frozen_w).any(axis=1))
+            bad = np.flatnonzero(moved)
+            self.diag.hold_violations += bad.size
+            for i in bad[:max(0, 8 - len(self.diag.notes))]:
+                self.diag.notes.append(
+                    f"target {i} derivative moved out of range in [{iv.t0}, {iv.t1}]")
+            refresh = moved | ~self._outside
+            self._frozen_t[refresh] = st.dR_dtheta[refresh]
+            self._frozen_w[refresh] = st.dR_dw[refresh]
         self._outside = outside_now
 
     # -- full pass ----------------------------------------------------------
@@ -277,15 +262,11 @@ class Replica:
                 at, aw = self.interval_update(iv)
                 acc_t += at
                 acc_w += aw
-                if self.check_holds:
-                    self._check_holds(iv)
+                self._check_holds(iv)
             for ev in self._by_interval.get(idx, ()):
                 self.apply_event(ev)
         T = self.record.scenario.T
         grad = GradientVector(theta=acc_t / T, w=acc_w / T)
-        if self._corrupt:
-            grad = GradientVector(theta=grad.theta * (1.0 + self._corrupt),
-                                  w=grad.w * (1.0 + self._corrupt))
         if not (np.isfinite(grad.theta).all() and np.isfinite(grad.w).all()):
             raise RuntimeError(f"agent {self.agent}: non-finite gradient")
         return grad

@@ -4,6 +4,11 @@ Targets sit at fixed points of a mission segment [0, L]; their uncertainty
 grows at a constant rate while unobserved and is driven down when one or
 more agents sense them. Agents move at unit speed with a finite-range
 sensor whose detection probability decays linearly with distance.
+
+The sensing geometry lives here once, as two vectorised kernels:
+``detection`` (per-pair miss factors and the joint detection probability)
+and ``membership`` (inclusive sensing-range membership and the sensing
+gradient). Every other module calls them.
 """
 
 from __future__ import annotations
@@ -11,7 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 
 class ScenarioError(ValueError):
@@ -20,6 +28,14 @@ class ScenarioError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+def require_finite(path: str, **fields: float) -> None:
+    """Reject the first non-finite value, naming it by ``path.field``."""
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ScenarioError(f"{path}.{name}" if path else name,
+                                f"{value} is not finite")
 
 
 class InfoMode(Enum):
@@ -47,6 +63,7 @@ class Target:
 
     def validate(self, L: float) -> None:
         path = f"targets[{self.index}]"
+        require_finite(path, x=self.x, A=self.growth, B=self.decay, R0=self.r0)
         if not 0.0 <= self.x <= L:
             raise ScenarioError(path, f"position x={self.x} outside mission space [0, {L}]")
         if self.growth <= 0.0:
@@ -70,6 +87,7 @@ class AgentSpec:
 
     def validate(self, L: float) -> None:
         path = f"agents[{self.index}]"
+        require_finite(path, s0=self.s0, u0=self.u0, r=self.r, r_c=self.r_comm)
         if not 0.0 <= self.s0 <= L:
             raise ScenarioError(path, f"initial position s0={self.s0} outside [0, {L}]")
         if self.u0 not in (-1, 0, 1):
@@ -90,6 +108,8 @@ class Numerics:
     sample_dt: float = 0.1    # output sampling resolution
 
     def validate(self) -> None:
+        require_finite("numerics", h=self.h, eps_event=self.eps_event,
+                       sample_dt=self.sample_dt)
         if self.h <= 0.0:
             raise ScenarioError("numerics.h", f"step h={self.h} must be > 0")
         if self.eps_event <= 0.0 or self.eps_event >= self.h:
@@ -115,6 +135,7 @@ class Scenario:
     local_reentry_reset: bool = True
 
     def validate(self) -> None:
+        require_finite("mission", L=self.L, T=self.T)
         if self.L <= 0.0:
             raise ScenarioError("mission.L", f"mission length L={self.L} must be > 0")
         if self.T <= 0.0:
@@ -133,52 +154,83 @@ class Scenario:
     def n_targets(self) -> int:
         return len(self.targets)
 
+    # per-target and per-agent arrays the kernels take, built once
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        return _frozen([t.x for t in self.targets])
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        return _frozen([t.growth for t in self.targets])
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        return _frozen([t.decay for t in self.targets])
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        return _frozen([a.r for a in self.agents])
+
+
+def _frozen(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+def detection(x: np.ndarray, s: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Miss factors and joint detection probability of targets ``x`` (M,).
+
+    ``s`` holds agent positions with the agents on its last axis (shape
+    ``(..., N)``) and ``r`` their sensing ranges (N,). The miss factor of a
+    pair is ``q = clip(|x - s| / r, 0, 1)``, one minus the linearly decaying
+    detection probability, so an agent out of range contributes exactly 1.
+    Independent observers give ``P = 1 - prod_j q``. Returns ``q`` with
+    shape ``(..., M, N)`` and ``P`` with shape ``(..., M)``.
+    """
+    q = np.clip(np.abs(x[:, None] - s[..., None, :]) / r, 0.0, 1.0)
+    return q, 1.0 - np.prod(q, axis=-1)
+
+
+def membership(x: np.ndarray, s: np.ndarray, r: np.ndarray,
+               last_dir=0) -> tuple[np.ndarray, np.ndarray]:
+    """Sensing-range membership and sensing gradient of targets ``x`` (M,).
+
+    Shapes as in ``detection``. Membership is inclusive, ``|x - s| <= r``.
+    The gradient ``dp/ds`` of the detection probability is ``sign(x - s)/r``
+    strictly inside the range and 0 at or beyond its boundary; an agent
+    parked exactly on a target takes ``-last_dir / r``, its last motion
+    direction resolving the kink (``last_dir`` broadcasts over agents).
+    """
+    diff = x[:, None] - s[..., None, :]
+    d = np.abs(diff)
+    dp = np.where(d < r, np.sign(diff) / r, 0.0)
+    dp = np.where(d == 0.0, -np.asarray(last_dir) / r, dp)
+    return d <= r, dp
+
 
 def sensing_prob(x: float, s: float, r: float) -> float:
-    """Detection probability of a point at ``x`` by an agent at ``s``.
-
-    Linear decay over the sensing range: 1 at zero distance, 0 at or
-    beyond distance ``r``. Clamped to [0, 1] against float artifacts.
-    """
-    p = 1.0 - abs(x - s) / r
-    if p < 0.0:
-        return 0.0
-    if p > 1.0:
-        return 1.0
-    return p
+    """Detection probability of a point at ``x`` by an agent at ``s``."""
+    q, _ = detection(np.array([x]), np.array([s]), np.array([r]))
+    return float(1.0 - q[0, 0])
 
 
 def sensing_grad(x: float, s: float, r: float, direction: int = 0) -> float:
     """Derivative of ``sensing_prob`` with respect to the agent position.
 
-    Piecewise constant in {0, +1/r, -1/r}. At the two kinks the convention
-    is: exactly at the range boundary the gradient is 0; exactly on the
-    target it is -direction/r, where ``direction`` is the agent's motion
-    sign (0 when unknown, giving 0).
+    Exactly at the range boundary the gradient is 0; exactly on the target
+    it is -direction/r (0 when the motion direction is unknown).
     """
-    d = abs(x - s)
-    if d >= r:
-        return 0.0
-    if d == 0.0:
-        return -direction / r
-    return math.copysign(1.0 / r, x - s)
+    _, dp = membership(np.array([x]), np.array([s]), np.array([r]), direction)
+    return float(dp[0, 0])
 
 
 def joint_detection(x: float, positions: Sequence[float], ranges: Sequence[float]) -> float:
-    """Joint detection probability of independent observers at ``positions``.
-
-    Agents out of range contribute a factor of 1 and may be included or
-    dropped without changing the value.
-    """
-    miss = 1.0
-    for s, r in zip(positions, ranges):
-        miss *= 1.0 - sensing_prob(x, s, r)
-    p = 1.0 - miss
-    if p < 0.0:
-        return 0.0
-    if p > 1.0:
-        return 1.0
-    return p
+    """Joint detection probability of independent observers at ``positions``."""
+    _, P = detection(np.array([x]), np.asarray(positions, dtype=float),
+                     np.asarray(ranges, dtype=float))
+    return float(P[0])
 
 
 def uncertainty_rate(R: float, P: float, growth: float, decay: float) -> float:

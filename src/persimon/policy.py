@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import AgentSpec
+from .model import AgentSpec, ScenarioError
 
 log = logging.getLogger(__name__)
 
@@ -47,11 +47,18 @@ class AgentParams:
     def n_points(self) -> int:
         return int(self.theta.size)
 
-    def validate(self, L: float, path: str = "params") -> None:
+    def validate(self, L: float, path: str = "params",
+                 keys: tuple[str, str] = ("theta", "w")) -> None:
+        """Check the box constraints; ``keys`` name the two vectors in ``path``."""
+        for key, values in zip(keys, (self.theta, self.w)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                k = int(bad[0])
+                raise ScenarioError(f"{path}.{key}[{k}]", f"{values[k]} is not finite")
         if self.theta.size and (self.theta.min() < 0.0 or self.theta.max() > L):
-            raise ValueError(f"{path}: switching points must lie in [0, {L}]")
+            raise ScenarioError(path, f"switching points must lie in [0, {L}]")
         if self.w.size and self.w.min() < 0.0:
-            raise ValueError(f"{path}: dwell times must be >= 0")
+            raise ScenarioError(path, "dwell times must be >= 0")
 
 
 def project_params(params: AgentParams, L: float) -> AgentParams:
@@ -192,22 +199,6 @@ def resolve_boundary(phase: PhaseState, s: float, t: float,
     return Boundary(tau, (Transition("departure", point, 0, u_next),), nxt)
 
 
-def next_phase_boundary(phase: PhaseState, s: float, t: float,
-                        params: AgentParams, horizon: float):
-    """Time and transitions of the next control-program boundary, or None."""
-    b = resolve_boundary(phase, s, t, params, horizon)
-    if b is None:
-        return None
-    return b.time, b.transitions
-
-
-def advance_phase(phase: PhaseState, boundary: Boundary) -> PhaseState:
-    """Step the phase across a boundary produced by ``resolve_boundary``."""
-    if boundary.next_phase.point < phase.point and phase.mode is not PhaseMode.EXHAUSTED:
-        raise ValueError("boundary does not belong to this phase")
-    return boundary.next_phase
-
-
 def position_schedule(spec: AgentSpec, params: AgentParams,
                       horizon: float) -> list[tuple[float, float, int]]:
     """Breakpoints (t, s, u-after) of the piecewise-linear trajectory.
@@ -225,7 +216,7 @@ def position_schedule(spec: AgentSpec, params: AgentParams,
         t = b.time
         if phase.mode is PhaseMode.TRANSIT:
             s = float(params.theta[phase.point - 1])
-        phase = advance_phase(phase, b)
+        phase = b.next_phase
         pts.append((t, s, control_value(phase)))
     return pts
 

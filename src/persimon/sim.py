@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .events import EventKind, EventRecord, control_kind, order_batch
-from .model import Scenario
+from .model import Scenario, detection, membership
 from .policy import (AgentParams, Boundary, PhaseMode, PhaseState,
                      control_value, initial_phase, resolve_boundary)
 
@@ -97,13 +98,17 @@ class SimRecord:
             counts[ev.kind.value] += 1
         return counts
 
+    @cached_property
+    def event_membership(self) -> np.ndarray:
+        """Sensing-range membership at every event instant, (K + 1, M, N).
 
-def cost(record: SimRecord) -> float:
-    """Mission cost: time-averaged total uncertainty over the horizon."""
-    total = 0.0
-    for iv in record.intervals:
-        total += float(iv.int_R.sum())
-    return total / record.scenario.T
+        Row ``k + 1`` holds the positions at the end of interval ``k``, where
+        the events with ``interval_index == k`` happen; row 0 holds the
+        initial positions, for events logged before any interval.
+        """
+        S = np.array([self.intervals[0].s0] + [iv.s1 for iv in self.intervals])
+        sc = self.scenario
+        return membership(sc.x, S, sc.r)[0]
 
 
 @dataclass
@@ -112,6 +117,8 @@ class _Window:
 
     t0: float
     t_end: float
+    s0: np.ndarray                # (N,) positions at t0
+    on_floor: np.ndarray          # (M,) floor flags, fixed over the window
     u: np.ndarray                 # (N,) controls, constant over the window
     ts: np.ndarray                # (K,)
     S: np.ndarray                 # (K, N)
@@ -150,10 +157,7 @@ class Simulator:
             p.validate(scenario.L, path=f"agents[{j}].params")
         self.scenario = scenario
         self.params = tuple(params)
-        self.x = np.array([t.x for t in scenario.targets], dtype=float)
-        self.A = np.array([t.growth for t in scenario.targets], dtype=float)
-        self.B = np.array([t.decay for t in scenario.targets], dtype=float)
-        self.r = np.array([a.r for a in scenario.agents], dtype=float)
+        self.x, self.A, self.B, self.r = scenario.x, scenario.A, scenario.B, scenario.r
         self.h = scenario.numerics.h
         self.eps = scenario.numerics.eps_event
         # a genuinely missed floor crossing shows up at the h * rate scale,
@@ -168,15 +172,9 @@ class Simulator:
         s = np.array([a.s0 for a in sc.agents], dtype=float)
         R = np.array([t.r0 for t in sc.targets], dtype=float)
         phases = [initial_phase(a, p) for a, p in zip(sc.agents, self.params)]
-        P0 = self._joint(s)
+        _, P0 = detection(self.x, s, self.r)
         on_floor = (R == 0.0) & (self.A - self.B * P0 <= 0.0)
         return SimState(t=0.0, s=s, R=R, phases=phases, on_floor=on_floor)
-
-    def _joint(self, s: np.ndarray) -> np.ndarray:
-        if s.size == 0:
-            return np.zeros(self.x.size)
-        p = np.clip(1.0 - np.abs(self.x[:, None] - s[None, :]) / self.r[None, :], 0.0, 1.0)
-        return 1.0 - np.prod(1.0 - p, axis=1)
 
     # -- guard window --------------------------------------------------------
 
@@ -190,37 +188,36 @@ class Simulator:
                 nfull = 0
             ts = np.concatenate([t0 + self.h * np.arange(nfull + 1), [t_end]])
         S = state.s[None, :] + u[None, :] * (ts[:, None] - t0)
-        if S.shape[1]:
-            q = np.clip(np.abs(self.x[None, :, None] - S[:, None, :]) / self.r[None, None, :],
-                        0.0, 1.0)
-        else:
-            q = np.ones((ts.size, self.x.size, 0))
-        P = 1.0 - np.prod(q, axis=2)
+        q, P = detection(self.x, S, self.r)
         gro = self.A[None, :] - self.B[None, :] * P
         rate = np.where(state.on_floor[None, :], 0.0, gro)
         R = state.R[None, :] + _cumtrapz(rate, ts)
-        return _Window(t0=t0, t_end=t_end, u=u, ts=ts, S=S, q=q, P=P, gro=gro,
-                       rate=rate, R=R)
+        return _Window(t0=t0, t_end=t_end, s0=state.s.copy(), on_floor=state.on_floor.copy(), u=u,
+                       ts=ts, S=S, q=q, P=P, gro=gro, rate=rate, R=R)
 
-    def _row_at(self, state: SimState, win: _Window, k: int, tau: float):
-        """Rate and R at tau in (ts[k], ts[k+1]], by one partial trapezoid step."""
-        S = state.s + win.u * (tau - win.t0)
-        if S.size:
-            q = np.clip(np.abs(self.x[:, None] - S[None, :]) / self.r[None, :], 0.0, 1.0)
-        else:
-            q = np.ones((self.x.size, 0))
-        P = 1.0 - np.prod(q, axis=1)
+    def _row_at(self, win: _Window, k: int, tau: float):
+        """Positions, miss factors, P, rates and R at tau in [ts[k], ts[k+1]],
+        R by one partial trapezoid step from the grid point ts[k]."""
+        S = win.s0 + win.u * (tau - win.t0)
+        q, P = detection(self.x, S, self.r)
         gro = self.A - self.B * P
-        rate = np.where(state.on_floor, 0.0, gro)
+        rate = np.where(win.on_floor, 0.0, gro)
         R = win.R[k] + 0.5 * (win.rate[k] + rate) * (tau - win.ts[k])
         return S, q, P, gro, rate, R
 
-    def _guard_at(self, state: SimState, win: _Window, k: int, tau: float,
-                  i: int, falling: bool) -> float:
-        """Scalar guard value at tau: R_i (falling) or its raw rate (rising)."""
+    def _guard_at(self, win: _Window, k: int, tau: float, i: int, falling: bool) -> float:
+        """Scalar guard value at tau: R_i (falling) or its raw rate (rising).
+
+        A scalar copy of ``model.detection`` for one target, as ``_row_at``
+        evaluates it: bisection calls this thousands of times per run, where
+        the array kernel's overhead would dominate. Out-of-range factors are
+        exactly 1 and skipped, and the product runs over agents in order, so
+        the value equals ``_row_at``'s ``gro[i]`` (rising) or ``R[i]``
+        (falling, off the floor) bit for bit; a test pins the two together.
+        """
         miss = 1.0
         xi = self.x[i]
-        s, u = state.s, win.u
+        s, u = win.s0, win.u
         for j in range(s.size):
             dr = abs(xi - (s[j] + u[j] * (tau - win.t0))) / self.r[j]
             if dr < 1.0:
@@ -230,13 +227,13 @@ class Simulator:
             return gro
         return win.R[k, i] + 0.5 * (win.rate[k, i] + gro) * (tau - win.ts[k])
 
-    def _bisect(self, state: SimState, win: _Window, i: int, k: int, falling: bool) -> float:
+    def _bisect(self, win: _Window, i: int, k: int, falling: bool) -> float:
         a, b = float(win.ts[k]), float(win.ts[k + 1])
         for _ in range(200):
             if b - a <= self.eps:
                 return b
             mid = 0.5 * (a + b)
-            val = self._guard_at(state, win, k, mid, i, falling)
+            val = self._guard_at(win, k, mid, i, falling)
             hit = (val <= 0.0) if falling else (val > 0.0)
             if hit:
                 b = mid
@@ -289,7 +286,7 @@ class Simulator:
                     g = win.gro[:, i]
                     ks = np.flatnonzero((g[:-1] <= 0.0) & (g[1:] > 0.0))
                     if ks.size:
-                        rho.append((self._bisect(state, win, i, int(ks[0]), falling=False),
+                        rho.append((self._bisect(win, i, int(ks[0]), falling=False),
                                     False, i))
                 else:
                     # brackets demand a strictly positive left edge, so a
@@ -298,7 +295,7 @@ class Simulator:
                     Ri = win.R[:, i]
                     ks = np.flatnonzero((Ri[:-1] > 0.0) & (Ri[1:] <= 0.0))
                     if ks.size:
-                        rho.append((self._bisect(state, win, i, int(ks[0]), falling=True),
+                        rho.append((self._bisect(win, i, int(ks[0]), falling=True),
                                     True, i))
 
         tau_next = win_end
@@ -375,7 +372,7 @@ class Simulator:
             ts, S, q, rate, R = win.ts, win.S, win.q, win.rate, win.R
         else:
             k = int(np.searchsorted(win.ts, t1, side="right")) - 1
-            S_r, q_r, _, _, rate_r, R_r = self._row_at(state, win, k, t1)
+            S_r, q_r, _, _, rate_r, R_r = self._row_at(win, k, t1)
             ts = np.concatenate([win.ts[:k + 1], [t1]])
             S = np.concatenate([win.S[:k + 1], S_r[None, :]])
             q = np.concatenate([win.q[:k + 1], q_r[None, :, :]])
@@ -420,16 +417,9 @@ class Simulator:
 
     def _membership(self, state: SimState, t_mid: float, u: np.ndarray):
         """Pair membership and sensing gradient constants at a mid-interval time."""
-        M, N = self.scenario.n_targets, self.scenario.n_agents
         s_mid = state.s + u * (t_mid - state.t)
-        d = np.abs(self.x[:, None] - s_mid[None, :])
-        in_range = d <= self.r[None, :]
-        dp = np.where(d < self.r[None, :],
-                      np.sign(self.x[:, None] - s_mid[None, :]) / self.r[None, :], 0.0)
-        # parked exactly on a target: resolve the kink by the last motion direction
-        for i, j in zip(*np.nonzero(d == 0.0)):
-            dp[i, j] = -state.phases[j].last_dir / self.r[j]
-        return in_range, dp
+        last_dir = np.array([ph.last_dir for ph in state.phases], dtype=int)
+        return membership(self.x, s_mid, self.r, last_dir)
 
     # -- event application ---------------------------------------------------
 
@@ -445,7 +435,7 @@ class Simulator:
             if rec.kind is EventKind.R_HIT_ZERO:
                 i = rec.target
                 state.R[i] = 0.0
-                g = float(self.A[i] - self.B[i] * self._joint(state.s)[i])
+                g = float(self.A[i] - self.B[i] * detection(self.x, state.s, self.r)[1][i])
                 out.append(rec)
                 if g <= 0.0:
                     state.on_floor[i] = True
@@ -478,7 +468,7 @@ class Simulator:
         sample_s[0] = state.s
         sample_u[0] = state.controls()
         sample_R[0] = state.R
-        sample_P[0] = self._joint(state.s)
+        sample_P[0] = detection(self.x, state.s, self.r)[1]
         next_samp = 1
 
         intervals: list[Interval] = []
@@ -486,7 +476,6 @@ class Simulator:
         guard = 0
         while True:
             det = self.next_event(state)
-            pre_floor = state.on_floor.copy()
             iv = self.advance(state, det)
             idx = len(intervals)
             intervals.append(iv)
@@ -494,17 +483,11 @@ class Simulator:
             while (next_samp < n_samp and sample_t[next_samp] <= iv.t1
                    and iv.t1 > iv.t0):
                 tq = float(sample_t[next_samp])
-                srow = iv.s0 + iv.u * (tq - iv.t0)
+                k = int(np.searchsorted(win.ts, tq, side="right")) - 1
+                srow, _, Prow, _, _, Rrow = self._row_at(win, k, tq)
                 sample_s[next_samp] = srow
                 sample_u[next_samp] = iv.u
-                Prow = self._joint(srow)
                 sample_P[next_samp] = Prow
-                k = int(np.searchsorted(win.ts, tq, side="right")) - 1
-                if win.ts[k] == tq:
-                    Rrow = win.R[k]
-                else:
-                    grow = np.where(pre_floor, 0.0, self.A - self.B * Prow)
-                    Rrow = win.R[k] + 0.5 * (win.rate[k] + grow) * (tq - win.ts[k])
                 sample_R[next_samp] = np.maximum(Rrow, 0.0)
                 next_samp += 1
             recs = self.apply_events(state, det)
@@ -536,8 +519,3 @@ def simulate(scenario: Scenario, params: list[AgentParams] | tuple[AgentParams, 
     """
     return Simulator(scenario, params).run(with_samples=with_samples)
 
-
-def detect_next_event(sim: Simulator, state: SimState):
-    """Earliest guard crossing strictly after state.t (or the horizon)."""
-    det = sim.next_event(state)
-    return det.tau, det.records

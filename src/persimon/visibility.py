@@ -21,7 +21,7 @@ import numpy as np
 
 from .events import CONTROL_KINDS, EventKind, EventRecord
 from .gradient import GradientVector, Replica, ReplicaDiagnostics
-from .model import InfoMode, Scenario
+from .model import InfoMode, Scenario, membership
 from .sim import SimRecord
 
 
@@ -41,19 +41,14 @@ class NeighborSnapshot:
 def neighborhoods(positions, scenario: Scenario, t: float = 0.0) -> NeighborSnapshot:
     """Membership by distance thresholds, boundaries inclusive."""
     s = np.asarray(positions, dtype=float)
-    x = np.array([tg.x for tg in scenario.targets])
-    r = np.array([a.r for a in scenario.agents])
     rc = np.array([a.r_comm for a in scenario.agents])
-    N, M = s.size, x.size
+    inr, _ = membership(scenario.x, s, scenario.r)
+    M, N = inr.shape
     agent_nb = tuple(
         frozenset(k for k in range(N) if k != j and abs(s[k] - s[j]) <= rc[j])
         for j in range(N))
-    tgt_nb = tuple(
-        frozenset(i for i in range(M) if abs(x[i] - s[j]) <= r[j])
-        for j in range(N))
-    obs = tuple(
-        frozenset(j for j in range(N) if abs(x[i] - s[j]) <= r[j])
-        for i in range(M))
+    tgt_nb = tuple(frozenset(np.flatnonzero(inr[:, j]).tolist()) for j in range(N))
+    obs = tuple(frozenset(np.flatnonzero(inr[i]).tolist()) for i in range(M))
     return NeighborSnapshot(t=t, agent_neighbors=agent_nb,
                             target_neighbors=tgt_nb, observers=obs)
 
@@ -63,21 +58,6 @@ _TARGET_KINDS = frozenset({
     EventKind.SENSE_OFF, EventKind.OBS_JOIN, EventKind.OBS_LEAVE,
     EventKind.CROSS,
 })
-
-
-def _event_positions(record: SimRecord, interval_index: int) -> np.ndarray:
-    if interval_index < 0:
-        return record.intervals[0].s0
-    return record.intervals[interval_index].s1
-
-
-def _in_range_matrix(record: SimRecord, positions: np.ndarray) -> np.ndarray:
-    sc = record.scenario
-    x = np.array([tg.x for tg in sc.targets])
-    r = np.array([a.r for a in sc.agents])
-    if positions.size == 0:
-        return np.zeros((x.size, 0), dtype=bool)
-    return np.abs(x[:, None] - positions[None, :]) <= r[None, :]
 
 
 def visible_events(record: SimRecord, agent: int,
@@ -91,38 +71,29 @@ def visible_events(record: SimRecord, agent: int,
     """
     if mode is InfoMode.CENTRALIZED:
         return [(ev, "all") for ev in record.events]
+    # per event instant (rows as in SimRecord.event_membership)
+    inr = record.event_membership                     # (K + 1, M, N)
+    mine = inr[:, :, agent]
+    # collaborators: other agents sharing at least one sensed target
+    collab = (inr & mine[:, :, None]).any(axis=1)
+    collab[:, agent] = False
+    # targets visible through a collaborator's own neighborhood
+    tvis = mine | (inr & collab[:, None, :]).any(axis=2)
     out: list[tuple[EventRecord, str]] = []
-    cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for ev in record.events:
-        idx = ev.interval_index
-        if idx not in cache:
-            inr = _in_range_matrix(record, _event_positions(record, idx))
-            if inr.shape[1]:
-                mine = inr[:, agent]
-                # collaborators: other agents sharing at least one sensed target
-                collab = (inr & mine[:, None]).any(axis=0)
-                collab[agent] = False
-                # targets visible through a collaborator's own neighborhood
-                tvis = mine | (inr[:, collab].any(axis=1) if collab.any()
-                               else np.zeros_like(mine))
-            else:
-                mine = np.zeros(inr.shape[0], dtype=bool)
-                collab = np.zeros(0, dtype=bool)
-                tvis = mine
-            cache[idx] = (mine, collab, tvis)
-        mine, collab, tvis = cache[idx]
+        row = ev.interval_index + 1
         if ev.kind is EventKind.HORIZON:
             out.append((ev, "all"))
         elif ev.kind in CONTROL_KINDS:
             if ev.agent == agent:
                 out.append((ev, "own"))
-            elif ev.agent is not None and ev.agent < collab.size and collab[ev.agent]:
+            elif collab[row, ev.agent]:
                 out.append((ev, "collab"))
         elif ev.kind in _TARGET_KINDS:
             i = ev.target
-            if mine[i]:
+            if mine[row, i]:
                 out.append((ev, "target"))
-            elif tvis[i]:
+            elif tvis[row, i]:
                 out.append((ev, "collab"))
             elif mode is InfoMode.ALMOST and ev.kind is EventKind.R_HIT_ZERO:
                 out.append((ev, "global"))
@@ -132,10 +103,8 @@ def visible_events(record: SimRecord, agent: int,
 def check_floor_hits_observed(record: SimRecord) -> None:
     """Every floor hit must be witnessed by at least one sensing agent."""
     for ev in record.events:
-        if ev.kind is not EventKind.R_HIT_ZERO:
-            continue
-        inr = _in_range_matrix(record, _event_positions(record, ev.interval_index))
-        if inr.shape[1] and not inr[ev.target].any():
+        if (ev.kind is EventKind.R_HIT_ZERO
+                and not record.event_membership[ev.interval_index + 1, ev.target].any()):
             raise RuntimeError(
                 f"floor hit of target {ev.target} at t={ev.time} observed by no agent")
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from persimon.gradient import GradientVector, Replica
 from persimon.model import AgentSpec, InfoMode, Numerics, Scenario, Target
 from persimon.policy import AgentParams
 
@@ -33,6 +34,17 @@ def random_scenario(rng, n_agents=2, n_targets=3, T=20.0, n_points=4,
     ps = [params(rng.uniform(2.0, L - 2.0, size=n_points),
                  rng.uniform(w_min, 1.8, size=n_points)) for _ in range(n_agents)]
     return sc, ps
+
+
+def scale_gradient(monkeypatch, factor):
+    """Corrupt every analytic gradient by ``factor``: the FD check's negative control."""
+    run = Replica.run
+
+    def scaled(self):
+        g = run(self)
+        return GradientVector(theta=g.theta * factor, w=g.w * factor)
+
+    monkeypatch.setattr(Replica, "run", scaled)
 
 
 @pytest.fixture

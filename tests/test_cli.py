@@ -1,10 +1,13 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from persimon.cli import dump_params, load_scenario, main
+
+from conftest import scale_gradient
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "persimon" / "data"
 
@@ -56,6 +59,33 @@ class TestLoad:
         write_scenario(f, doc)
         rc = main(["simulate", "--scenario", str(f), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", [
+        "mission.L", "mission.T", "r_c",
+        "targets[1].x", "targets[1].A", "targets[1].B", "targets[1].R0",
+        "agents[0].s0", "agents[0].u0", "agents[0].r", "agents[0].r_c",
+        "agents[0].theta0[1]", "agents[0].w0[1]",
+        "numerics.h", "numerics.eps_event", "numerics.sample_dt",
+        "optimizer.a_theta", "optimizer.a_w", "optimizer.eta",
+        "optimizer.epsilon", "optimizer.max_iters",
+    ])
+    def test_non_finite_number_names_field(self, tmp_path, capsys, field, value):
+        doc = small_doc()
+        *parents, leaf = re.findall(r"\w+|\[\d+\]", field)
+        node = doc
+        for key in parents:
+            node = node[int(key[1:-1])] if key.startswith("[") else node[key]
+        if leaf.startswith("["):
+            node[int(leaf[1:-1])] = value
+        else:
+            node[leaf] = value
+        f = tmp_path / "nonfinite.scenario"
+        write_scenario(f, doc)
+        rc = main(["simulate", "--scenario", str(f), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"invalid scenario: {field}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_syntax_error_reports_line(self, tmp_path, capsys):
         f = tmp_path / "broken.scenario"
@@ -147,7 +177,7 @@ class TestGradcheckCmd:
         assert any(abs(c["analytic"]) > 1e-3 for c in report["coords"])
 
     def test_corrupted_build_fails(self, scenario_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("PERSIMON_CORRUPT_IPA", "0.5")
+        scale_gradient(monkeypatch, 1.5)
         out = tmp_path / "gc_bad"
         rc = main(["gradcheck", "--scenario", str(scenario_file), "--out", str(out)])
         assert rc == 1

@@ -3,7 +3,7 @@ import pytest
 from persimon.fdcheck import fd_gradient, grad_check
 from persimon.sim import simulate
 
-from conftest import make_scenario, params, random_scenario
+from conftest import make_scenario, params, random_scenario, scale_gradient
 
 
 class TestFdGradient:
@@ -51,7 +51,7 @@ class TestGradCheck:
         assert report.pass_rate() == 1.0
 
     def test_corrupted_gradient_detected(self, monkeypatch):
-        monkeypatch.setenv("PERSIMON_CORRUPT_IPA", "0.5")
+        scale_gradient(monkeypatch, 1.5)
         sc = make_scenario([(10.0, 1.0, 5.0, 10.0)], [(4.0, 1, 3.0)], T=10.0)
         report = grad_check(sc, (params([12.0], [2.0]),), tol=1e-2)
         assert report.pass_rate() < 0.95
@@ -64,14 +64,6 @@ class TestGradCheck:
         text = out.read_text()
         assert '"pass_rate"' in text
         assert report.table()
-
-    def test_thread_pool_matches_sequential(self, monkeypatch):
-        sc = make_scenario([(10.0, 1.0, 5.0, 10.0)], [(4.0, 1, 3.0)], T=8.0)
-        ps = (params([12.0, 6.0], [1.0, 1.5]),)
-        seq = grad_check(sc, ps, tol=1e-2)
-        monkeypatch.setenv("PERSIMON_THREADS", "3")
-        par = grad_check(sc, ps, tol=1e-2)
-        assert [c.__dict__ for c in seq.coords] == [c.__dict__ for c in par.coords]
 
     def test_oracle_independent_of_gradient_module(self):
         import ast, inspect

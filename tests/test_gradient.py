@@ -96,6 +96,39 @@ class TestIntervalUpdate:
         assert rep.state.dR_dtheta[0, 0] == pytest.approx(-5.0 * (1 / 3.0) * 2.0)
 
 
+class TestHoldCheck:
+    def _rep(self, n_targets):
+        sc = make_scenario([(10.0 + i, 1.0, 5.0, 6.0) for i in range(n_targets)],
+                           [(2.0, 1, 3.0)], T=5.0)
+        return replica_for(simulate(sc, [params([4.0], [1.0])]))
+
+    def test_moved_derivative_counts_once_and_notes_cap(self):
+        rep = self._rep(10)
+        out = blank_interval(0.0, 1.0, 10, 1, in_range=np.zeros((10, 1), dtype=bool))
+        rep._check_holds(out)                  # freezes the reference copy
+        rep.state.dR_dw[:, 0] = 0.5
+        rep._check_holds(out)
+        assert rep.diag.hold_violations == 10
+        assert rep.diag.notes == [
+            f"target {i} derivative moved out of range in [0.0, 1.0]" for i in range(8)]
+        rep._check_holds(out)                  # the frozen copy was refreshed
+        assert rep.diag.hold_violations == 10
+
+    def test_moves_while_in_range_are_allowed(self):
+        rep = self._rep(2)
+        inside = blank_interval(0.0, 1.0, 2, 1,
+                                in_range=np.array([[True], [False]]))
+        outside = blank_interval(1.0, 2.0, 2, 1, in_range=np.zeros((2, 1), dtype=bool))
+        rep._check_holds(inside)
+        rep.state.dR_dtheta[0, 0] = 0.3        # target 0 was in range: refreshed
+        rep._check_holds(outside)
+        assert rep.diag.hold_violations == 0
+        rep.state.dR_dtheta[1, 0] = np.nan     # target 1 stayed out of range
+        rep._check_holds(outside)
+        assert rep.diag.hold_violations == 1
+        assert rep.diag.notes == ["target 1 derivative moved out of range in [1.0, 2.0]"]
+
+
 class TestEventUpdates:
     def _rep(self, n_targets=1, n_points=2):
         sc = make_scenario([(10.0, 1.0, 5.0, 6.0)] * n_targets,
@@ -220,7 +253,6 @@ class TestGradientAccumulation:
         rec = simulate(sc, [params([4.0], [1.0])])
         rep = replica_for(rec)
         rep.state.dR_dtheta[0, 0] = 0.3
-        rep.check_holds = False
         acc = np.zeros(1)
         for idx, iv in enumerate(rec.intervals):
             if iv.dt > 0:

@@ -1,9 +1,90 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from persimon.model import (AgentSpec, InfoMode, Numerics, Scenario, ScenarioError,
-                            Target, joint_detection, sensing_grad, sensing_prob,
-                            uncertainty_rate)
+                            Target, detection, joint_detection, membership,
+                            sensing_grad, sensing_prob, uncertainty_rate)
+
+
+class TestDetectionKernel:
+    def test_shapes_and_values(self):
+        x = np.array([10.0, 20.0])
+        q, P = detection(x, np.array([11.5, 30.0]), np.array([3.0, 3.0]))
+        assert q.shape == (2, 2) and P.shape == (2,)
+        assert q[0, 0] == 0.5 and q[0, 1] == 1.0 and q[1, 0] == 1.0
+        assert P[0] == 0.5 and P[1] == 0.0
+
+    def test_batched_positions(self):
+        x = np.array([10.0, 20.0, 30.0])
+        S = np.array([[10.0, 21.0], [12.0, 33.0], [0.0, 40.0], [25.0, 5.0]])
+        r = np.array([3.0, 4.0])
+        q, P = detection(x, S, r)
+        assert q.shape == (4, 3, 2) and P.shape == (4, 3)
+        for k in range(4):
+            qk, Pk = detection(x, S[k], r)
+            assert np.array_equal(q[k], qk) and np.array_equal(P[k], Pk)
+
+    def test_no_agents(self):
+        q, P = detection(np.array([10.0, 20.0]), np.zeros(0), np.zeros(0))
+        assert q.shape == (2, 0)
+        assert np.array_equal(P, [0.0, 0.0])
+
+    @given(st.lists(st.tuples(st.floats(0, 40), st.floats(0.1, 10)), min_size=1, max_size=6),
+           st.floats(0, 40))
+    def test_matches_scalar_loop_bitwise(self, agents, x):
+        s = np.array([a[0] for a in agents])
+        r = np.array([a[1] for a in agents])
+        q, P = detection(np.array([x]), s, r)
+        miss = 1.0
+        for j, (sj, rj) in enumerate(agents):
+            qj = min(abs(x - sj) / rj, 1.0)
+            assert q[0, j] == qj
+            miss *= qj
+        assert P[0] == 1.0 - miss
+
+
+class TestMembershipKernel:
+    def test_boundary_inclusive_gradient_zero(self):
+        inr, dp = membership(np.array([10.0]), np.array([13.0, 7.0, 14.0]),
+                             np.array([3.0, 3.0, 3.0]))
+        assert inr.tolist() == [[True, True, False]]
+        assert dp.tolist() == [[0.0, 0.0, 0.0]]
+
+    def test_gradient_sign_inside_range(self):
+        _, dp = membership(np.array([10.0]), np.array([8.0, 11.0]), np.array([3.0, 3.0]))
+        assert dp[0, 0] == 1.0 / 3.0 and dp[0, 1] == -1.0 / 3.0
+
+    def test_parked_on_target_uses_last_direction(self):
+        x, s, r = np.array([10.0, 10.0]), np.array([10.0, 10.0, 10.0]), np.array([2.0, 4.0, 5.0])
+        inr, dp = membership(x, s, r, np.array([1, -1, 0]))
+        assert inr.all()
+        assert dp[0].tolist() == [-0.5, 0.25, 0.0]
+        assert np.array_equal(dp[0], dp[1])
+
+    def test_batched_positions(self):
+        x = np.array([5.0, 10.0])
+        S = np.array([[5.0, 12.0], [8.0, 10.0]])
+        r = np.array([3.0, 2.0])
+        inr, dp = membership(x, S, r, np.array([1, 1]))
+        assert inr.shape == dp.shape == (2, 2, 2)
+        for k in range(2):
+            ik, dk = membership(x, S[k], r, np.array([1, 1]))
+            assert np.array_equal(inr[k], ik) and np.array_equal(dp[k], dk)
+
+
+class TestScenarioArrays:
+    def test_built_once_and_read_only(self):
+        sc = Scenario(L=40.0, T=10.0,
+                      targets=(Target(0, 10.0, 1.0, 5.0, 1.0), Target(1, 20.0, 2.0, 6.0, 1.0)),
+                      agents=(AgentSpec(0, 5.0, 1, 3.0, 6.0),))
+        assert sc.x is sc.x
+        assert sc.x.tolist() == [10.0, 20.0] and sc.A.tolist() == [1.0, 2.0]
+        assert sc.B.tolist() == [5.0, 6.0] and sc.r.tolist() == [3.0]
+        with pytest.raises(ValueError):
+            sc.x[0] = 1.0
 
 
 class TestSensingProb:
@@ -118,6 +199,17 @@ class TestValidation:
     def test_numerics(self):
         with pytest.raises(ScenarioError):
             Numerics(h=1e-3, eps_event=1e-2).validate()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_with_field_path(self, bad):
+        with pytest.raises(ScenarioError, match=r"targets\[0\]\.A"):
+            Target(0, 10.0, bad, 5.0, 1.0).validate(40.0)
+        with pytest.raises(ScenarioError, match=r"agents\[0\]\.r_c"):
+            AgentSpec(0, 5.0, 1, 3.0, bad).validate(40.0)
+        with pytest.raises(ScenarioError, match=r"numerics\.sample_dt"):
+            Numerics(sample_dt=bad).validate()
+        with pytest.raises(ScenarioError, match=r"mission\.T"):
+            Scenario(L=40.0, T=bad, targets=(), agents=()).validate()
 
     def test_valid_scenario_passes(self):
         sc = Scenario(L=40.0, T=10.0,

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from persimon.model import AgentSpec
-from persimon.policy import (AgentParams, PhaseMode, PhaseState, advance_phase,
-                             control_value, initial_phase, next_phase_boundary,
-                             position_at, position_schedule, project_params,
-                             resolve_boundary)
+from persimon.policy import (AgentParams, PhaseMode, PhaseState, control_value,
+                             initial_phase, position_at, position_schedule,
+                             project_params, resolve_boundary)
 
 
 def ap(theta, w):
@@ -31,18 +30,18 @@ class TestBoundaries:
     def test_transit_arrival_time_exact(self):
         p = ap([15.0], [1.0])
         ph = PhaseState(1, PhaseMode.TRANSIT, u=1, last_dir=1)
-        tau, transitions = next_phase_boundary(ph, 10.0, 2.0, p, horizon=100.0)
-        assert tau == 7.0
-        assert transitions[0].kind == "arrival"
-        assert transitions[0].u_before == 1 and transitions[0].u_after == 0
+        b = resolve_boundary(ph, 10.0, 2.0, p, horizon=100.0)
+        assert b.time == 7.0
+        assert b.transitions[0].kind == "arrival"
+        assert b.transitions[0].u_before == 1 and b.transitions[0].u_after == 0
 
     def test_dwell_deadline_departs_downward(self):
         p = ap([15.0, 9.0], [1.0, 0.0])
         ph = PhaseState(1, PhaseMode.DWELL, u=0, dwell_until=9.0, last_dir=1)
-        tau, transitions = next_phase_boundary(ph, 15.0, 8.5, p, horizon=100.0)
-        assert tau == 9.0
-        assert transitions[0].kind == "departure"
-        assert transitions[0].u_after == -1
+        b = resolve_boundary(ph, 15.0, 8.5, p, horizon=100.0)
+        assert b.time == 9.0
+        assert b.transitions[0].kind == "departure"
+        assert b.transitions[0].u_after == -1
 
     def test_last_point_dwell_end_exhausts(self):
         p = ap([15.0], [1.0])
@@ -54,7 +53,7 @@ class TestBoundaries:
     def test_boundary_beyond_horizon_is_none(self):
         p = ap([15.0], [1.0])
         ph = PhaseState(1, PhaseMode.TRANSIT, u=1, last_dir=1)
-        assert next_phase_boundary(ph, 10.0, 2.0, p, horizon=5.0) is None
+        assert resolve_boundary(ph, 10.0, 2.0, p, horizon=5.0) is None
 
     def test_zero_dwell_reversal_is_single_transition(self):
         p = ap([15.0, 5.0], [0.0, 1.0])
@@ -76,11 +75,9 @@ class TestBoundaries:
     def test_advance_phase_transitions(self):
         p = ap([15.0, 5.0], [0.5, 1.0])
         ph = PhaseState(1, PhaseMode.TRANSIT, u=1, last_dir=1)
-        b = resolve_boundary(ph, 10.0, 0.0, p, horizon=100.0)
-        nxt = advance_phase(ph, b)
+        nxt = resolve_boundary(ph, 10.0, 0.0, p, horizon=100.0).next_phase
         assert nxt.mode is PhaseMode.DWELL and nxt.dwell_until == pytest.approx(5.5)
-        b2 = resolve_boundary(nxt, 15.0, 5.0, p, horizon=100.0)
-        nxt2 = advance_phase(nxt, b2)
+        nxt2 = resolve_boundary(nxt, 15.0, 5.0, p, horizon=100.0).next_phase
         assert nxt2.mode is PhaseMode.TRANSIT and nxt2.point == 2 and nxt2.u == -1
 
 

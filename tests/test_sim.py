@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from persimon.events import EventKind
 from persimon.model import Numerics
-from persimon.sim import Simulator, cost, detect_next_event, simulate
+from persimon.sim import Simulator, simulate
 
 from conftest import make_scenario, params, random_scenario
 
@@ -50,16 +50,15 @@ class TestDetection:
         sc = make_scenario([(30.0, 1.0, 5.0, 5.0)], [(10.0, 1, 3.0)], T=40.0)
         sim = Simulator(sc, [params([15.0], [1.0])])
         state = sim.initial_state()
-        tau, records = detect_next_event(sim, state)
-        assert tau == 5.0
-        assert records[0].payload["transition"] == "arrival"
+        det = sim.next_event(state)
+        assert det.tau == 5.0
+        assert det.records[0].payload["transition"] == "arrival"
 
     def test_floor_hit_linear_root(self):
         sc = make_scenario([(10.0, 1.0, 5.0, 1.0)], [(10.0, 0, 3.0)], T=5.0)
         sim = Simulator(sc, [params([10.0], [9.0])])
         state = sim.initial_state()
-        tau, records = detect_next_event(sim, state)  # the t=0 arrival batch
-        assert tau == 0.0
+        assert sim.next_event(state).tau == 0.0  # the t=0 arrival batch
         iv = sim.advance(state, sim.next_event(state))
         sim.apply_events(state, sim.next_event(state))
         det = sim.next_event(state)
@@ -69,9 +68,9 @@ class TestDetection:
     def test_horizon_when_quiet(self):
         sc = make_scenario([(10.0, 1.0, 5.0, 5.0)], [], T=7.0)
         sim = Simulator(sc, [])
-        tau, records = detect_next_event(sim, sim.initial_state())
-        assert tau == 7.0
-        assert records[0].kind is EventKind.HORIZON
+        det = sim.next_event(sim.initial_state())
+        assert det.tau == 7.0
+        assert det.records[0].kind is EventKind.HORIZON
 
 
 class TestIntervalIntegration:
@@ -116,7 +115,21 @@ class TestRecordInvariants:
         assert total == pytest.approx(sc.T, abs=1e-6)
         times = [ev.time for ev in rec.events]
         assert all(t2 >= t1 for t1, t2 in zip(times, times[1:]))
-        assert cost(rec) == rec.J
+        # J is the time average of the integrated uncertainty
+        assert rec.J == sum(float(iv.int_R.sum()) for iv in rec.intervals) / sc.T
+
+    def test_event_membership_matches_distance_loop(self):
+        rng = np.random.default_rng(4)
+        sc, ps = random_scenario(rng, n_agents=3, n_targets=4, T=12.0)
+        rec = simulate(sc, ps)
+        inr = rec.event_membership
+        assert inr.shape == (len(rec.intervals) + 1, sc.n_targets, sc.n_agents)
+        ends = [rec.intervals[0].s0] + [iv.s1 for iv in rec.intervals]
+        for row, s in zip(inr, ends):
+            for i, tg in enumerate(sc.targets):
+                for j, ag in enumerate(sc.agents):
+                    assert row[i, j] == (abs(tg.x - s[j]) <= ag.r)
+        assert inr.any() and not inr.all()
 
     def test_determinism_bitwise(self):
         rng = np.random.default_rng(7)
