@@ -45,8 +45,11 @@ def _need(doc: dict, key: str, path: str):
 
 
 def _int(value, path: str) -> int:
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ScenarioError(path, f"{value} is not finite")
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ScenarioError(path, f"{value} is not finite")
+        if not value.is_integer():
+            raise ScenarioError(path, f"{value} is not an integer")
     return int(value)
 
 
@@ -93,8 +96,9 @@ def load_scenario(path: str | Path) -> tuple[Scenario, list[AgentParams], Optimi
     except KeyError:
         raise ScenarioError("mode", f"unknown information mode {mode_name!r}")
     nd = doc.get("numerics", {})
-    numerics = Numerics(h=float(nd.get("h", 1e-3)),
-                        eps_event=float(nd.get("eps_event", 1e-9)),
+    # guards are localized exactly, so a grid step is accepted and ignored
+    require_finite("numerics", h=float(nd.get("h", 0.0)))
+    numerics = Numerics(eps_event=float(nd.get("eps_event", 1e-9)),
                         sample_dt=float(nd.get("sample_dt", 0.1)))
     scenario = Scenario(L=L, T=T, targets=tuple(targets), agents=tuple(agents),
                         mode=mode, numerics=numerics,
@@ -112,6 +116,7 @@ def load_scenario(path: str | Path) -> tuple[Scenario, list[AgentParams], Optimi
     # the Python API may take epsilon=inf (stop after one step); a file may not
     require_finite("optimizer", a_theta=opt.a_theta, a_w=opt.a_w, eta=opt.eta,
                    epsilon=opt.epsilon)
+    opt.validate()
     return scenario, params, opt
 
 
@@ -271,6 +276,9 @@ def cmd_optimize(args) -> int:
         "J_final": float(run.costs[-1]) + 0.0,
         "cost_recorded_before_update": True,
         "step_schedule": {"a_theta": opt.a_theta, "a_w": opt.a_w, "eta": opt.eta},
+        "hold_violations": run.hold_violations,
+        "floor_leave_max_dev": float(run.floor_leave_max_dev) + 0.0,
+        "reentry_resets": run.reentry_resets,
     }
     write_summary(out / "summary.json", summary)
     print(f"{run.termination} after {run.iterations} iterations: "

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gradient import GradientVector
-from .model import InfoMode, Scenario
+from .model import InfoMode, Scenario, ScenarioError
 from .policy import AgentParams, project_params
 from .sim import SimRecord, simulate
 from .visibility import mode_gradients
@@ -32,14 +32,15 @@ class OptimizerConfig:
     mode: InfoMode | None = None   # None: use the scenario's mode
 
     def validate(self) -> None:
-        if self.a_theta <= 0.0 or self.a_w <= 0.0:
-            raise ValueError("step scales must be positive")
-        if not 0.5 < self.eta <= 1.0:
-            raise ValueError(f"decay exponent eta={self.eta} must lie in (0.5, 1]")
-        if self.epsilon <= 0.0:
-            raise ValueError("tolerance epsilon must be positive")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
+        """Range checks, each naming its field as ``optimizer.<field>``."""
+        for name, ok, rule in (("a_theta", self.a_theta > 0.0, "> 0"),
+                               ("a_w", self.a_w > 0.0, "> 0"),
+                               ("eta", 0.5 < self.eta <= 1.0, "in (0.5, 1]"),
+                               ("epsilon", self.epsilon > 0.0, "> 0"),
+                               ("max_iters", self.max_iters >= 0, ">= 0")):
+            if not ok:
+                raise ScenarioError(f"optimizer.{name}",
+                                    f"{name}={getattr(self, name)} must be {rule}")
 
 
 @dataclass
@@ -48,8 +49,8 @@ class OptRun:
 
     ``costs[l]`` is the cost of the parameters *before* update ``l``; the
     last entry evaluates the final parameters, so there are at most
-    ``max_iters + 1`` entries. ``hold_violations`` and
-    ``floor_leave_max_dev`` aggregate the derivative-consistency
+    ``max_iters + 1`` entries. ``hold_violations``, ``floor_leave_max_dev``
+    and ``reentry_resets`` aggregate the derivative-consistency
     diagnostics over every replica of every iteration.
     """
 
@@ -62,6 +63,7 @@ class OptRun:
     final_record: SimRecord | None = None
     hold_violations: int = 0
     floor_leave_max_dev: float = 0.0
+    reentry_resets: int = 0
 
 
 def step_size(l: int, scale: float, eta: float) -> float:
@@ -98,6 +100,7 @@ def optimize(scenario: Scenario, initial: list[AgentParams] | tuple[AgentParams,
             run.hold_violations += d.hold_violations
             run.floor_leave_max_dev = max(run.floor_leave_max_dev,
                                           d.floor_leave_max_dev)
+            run.reentry_resets += d.reentry_resets
         return grads
 
     for l in range(config.max_iters):

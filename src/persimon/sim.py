@@ -1,17 +1,17 @@
-"""Hybrid-system simulator with event localization.
+"""Hybrid-system simulator with exact event localization.
 
-Integrates the coupled agent/target dynamics over [0, T], cutting the
-horizon into inter-event intervals: agent motion and control-program
-boundaries are solved in closed form (everything is piecewise linear in
-time), while uncertainty-driven guards (a target hitting or leaving its
-zero floor) are bracketed on a fixed step grid and bisected. Within an
-interval no guard changes sign, so downstream derivative propagation can
-treat sensing gradients and observer sets as constants.
-
-State integrals (cost and collaboration factors) use the trapezoid rule
-on the same grid that brackets the guards, with a final partial step to
-the localized event time, which keeps detection and integration bitwise
-consistent.
+Cuts [0, T] into inter-event intervals at control switches and motion
+events (a sensing range entered or left, a target crossed), so inside an
+interval every miss factor is linear in time (``model.miss_factors``). A
+target's miss product, its uncertainty rate ``A - B P`` and its
+uncertainty are then polynomials, and the cost, the collaboration
+integrals G and GG and the end state are their integrals in closed form.
+The floor guards (a target's uncertainty reaching zero, or its rate
+turning positive on the floor) are first roots of these polynomials,
+logged on the hit side at most ``eps_event`` after the root; events
+within ``eps_event`` of the earliest one share its instant. Within an
+interval no guard changes sign, so derivative propagation can treat
+sensing gradients and observer sets as constants.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .events import EventKind, EventRecord, control_kind, order_batch
-from .model import Scenario, detection, membership
+from .model import Scenario, detection, membership, miss_factors
 from .policy import (AgentParams, Boundary, PhaseMode, PhaseState,
                      control_value, initial_phase, resolve_boundary)
 
@@ -34,16 +35,18 @@ class SimulationError(RuntimeError):
 
 @dataclass
 class SimState:
-    """Mutable integration state between events."""
+    """Mutable integration state between events; ``u`` to ``bound_t`` are
+    per-agent caches of ``phases``, kept by ``Simulator._enter_phase``."""
 
     t: float
     s: np.ndarray                 # (N,) agent positions
     R: np.ndarray                 # (M,) target uncertainties
     phases: list[PhaseState]
     on_floor: np.ndarray          # (M,) bool: uncertainty held at 0
-
-    def controls(self) -> np.ndarray:
-        return np.array([control_value(ph) for ph in self.phases], dtype=float)
+    u: np.ndarray                 # (N,) controls
+    last_dir: np.ndarray          # (N,) int
+    bounds: list[Boundary | None]
+    bound_t: np.ndarray           # (N,) boundary times, inf for none
 
 
 @dataclass
@@ -112,36 +115,94 @@ class SimRecord:
 
 
 @dataclass
-class _Window:
-    """Grid evaluation of the dynamics over a trial window [t0, t_end]."""
-
-    t0: float
-    t_end: float
-    s0: np.ndarray                # (N,) positions at t0
-    on_floor: np.ndarray          # (M,) floor flags, fixed over the window
-    u: np.ndarray                 # (N,) controls, constant over the window
-    ts: np.ndarray                # (K,)
-    S: np.ndarray                 # (K, N)
-    q: np.ndarray                 # (K, M, N) per-pair miss probability 1 - p
-    P: np.ndarray                 # (K, M)
-    gro: np.ndarray               # (K, M) raw rate A - B*P
-    rate: np.ndarray              # (K, M) floor-aware rate
-    R: np.ndarray                 # (K, M)
-
-
-@dataclass
 class _Detection:
+    """The next event batch and the polynomials of the interval up to it:
+    target ``i``'s miss product ``prod_d (C0[i, d] + C1[i, d] tau)`` over
+    the agents ``slots[i]`` (factors not identically 1 first), its ascending
+    coefficients ``Q`` and those of the floor-aware rate ``rate``."""
+
     tau: float
     records: list[EventRecord]
     bounds: dict[int, Boundary]
-    window: _Window
     done: bool
+    u: np.ndarray                 # (N,)
+    slots: np.ndarray             # (M, D)
+    C0: np.ndarray                # (M, D)
+    C1: np.ndarray                # (M, D)
+    Q: np.ndarray                 # (M, D + 1)
+    rate: np.ndarray              # (M, D + 1)
 
 
-def _cumtrapz(y: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    dt = np.diff(ts).reshape((-1,) + (1,) * (y.ndim - 1))
-    out = np.zeros_like(y)
-    np.cumsum(0.5 * (y[1:] + y[:-1]) * dt, axis=0, out=out[1:])
+def _products(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of ``prod_k (c0[..., k] + c1[..., k] tau)``."""
+    out = np.zeros(c0.shape[:-1] + (c0.shape[-1] + 1,))
+    out[..., 0] = 1.0
+    for k in range(c0.shape[-1]):
+        out[..., 1:] = out[..., 1:] * c0[..., k, None] + out[..., :-1] * c1[..., k, None]
+        out[..., 0] *= c0[..., k]
+    return out
+
+
+def _integrals(dt, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights mapping ascending coefficients ``p_0 .. p_{n-1}`` to
+    ``int_0^dt p`` and ``int_0^dt (dt - tau) p``; ``dt`` may be an array
+    of spans, one row of weights each."""
+    k = np.arange(1, n + 1)
+    w1 = np.asarray(dt)[..., None] ** k / k
+    return w1, w1 * (np.asarray(dt)[..., None] / (k + 1))
+
+
+def _root_parts(coef: np.ndarray) -> np.ndarray:
+    """Real parts of the roots of each row polynomial (ascending
+    coefficients, (K, n)), padded with 0 to (K, n - 1), as eigenvalues of
+    the companion matrices of the rows of each degree (a 1 x 1 companion
+    is its own eigenvalue)."""
+    K, n = coef.shape
+    nz = coef != 0.0
+    deg = np.where(nz.any(axis=1), n - 1 - np.argmax(nz[:, ::-1], axis=1), 0)
+    roots = np.zeros((K, n - 1))
+    for d in sorted(set(deg.tolist()) - {0}):
+        rows = np.flatnonzero(deg == d)
+        comp = np.zeros((rows.size, d, d))
+        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        comp[:, :, -1] = -coef[rows, :d] / coef[rows, d, None]
+        roots[rows, :d] = np.linalg.eigvals(comp).real if d > 1 else comp[:, 0]
+    return roots
+
+
+def _first_crossings(coef: np.ndarray, span: float, rising: np.ndarray,
+                     eps: float) -> np.ndarray:
+    """First entry of each row polynomial (ascending coefficients, (K, n))
+    into its hit side, ``f > 0`` where ``rising`` and ``f <= 0`` elsewhere,
+    from the other side in ``(0, span]``. Between 0, ``span``, the roots'
+    real parts and their neighbours at ``eps / 2`` the sign changes at most
+    once, so the first hit point after a miss point brackets the crossing;
+    bisection narrows a wider bracket to ``eps``. Returns the bracket's hit
+    end, or inf."""
+    roots = _root_parts(coef)
+    K, half = coef.shape[0], 0.5 * eps
+    pts = np.concatenate([np.zeros((K, 1)), np.full((K, 1), span),
+                          roots - half, roots, roots + half], axis=1)
+    pts = np.sort(np.clip(pts, 0.0, span), axis=1)
+    f = polyval(pts, coef.T[:, :, None], tensor=False)
+    hit = np.where(rising[:, None], f > 0.0, f <= 0.0)
+    cross = hit[:, 1:] & ~hit[:, :-1]
+    rows = np.flatnonzero(cross.any(axis=1))
+    out = np.full(K, np.inf)
+    if rows.size:
+        k = np.argmax(cross[rows], axis=1)
+        a, b = pts[rows, k], pts[rows, k + 1]
+        c, up = coef[rows], rising[rows]
+        for _ in range(100):   # capped: eps may lie below the time resolution
+            wide = b - a > eps
+            if not wide.any():
+                break
+            mid = 0.5 * (a + b)
+            fm = polyval(mid, c.T, tensor=False)
+            inside = wide & np.where(up, fm > 0.0, fm <= 0.0)
+            b = np.where(inside, mid, b)
+            a = np.where(wide & ~inside, mid, a)
+        out[rows] = b
     return out
 
 
@@ -158,171 +219,107 @@ class Simulator:
         self.scenario = scenario
         self.params = tuple(params)
         self.x, self.A, self.B, self.r = scenario.x, scenario.A, scenario.B, scenario.r
-        self.h = scenario.numerics.h
         self.eps = scenario.numerics.eps_event
-        # a genuinely missed floor crossing shows up at the h * rate scale,
-        # far above the bisection residue this threshold tolerates
-        rate_scale = float((self.A + self.B).max()) if scenario.n_targets else 1.0
-        self.miss_tol = 100.0 * self.eps * rate_scale
+        # (N, M, 3) motion event positions: lower and upper range edges, target
+        self.edges = self.x[None, :, None] + self.r[:, None, None] * np.array([-1.0, 1.0, 0.0])
+        self.rows = np.arange(scenario.n_targets)[:, None]
 
     # -- state construction -------------------------------------------------
 
     def initial_state(self) -> SimState:
         sc = self.scenario
+        N = sc.n_agents
         s = np.array([a.s0 for a in sc.agents], dtype=float)
         R = np.array([t.r0 for t in sc.targets], dtype=float)
-        phases = [initial_phase(a, p) for a, p in zip(sc.agents, self.params)]
         _, P0 = detection(self.x, s, self.r)
         on_floor = (R == 0.0) & (self.A - self.B * P0 <= 0.0)
-        return SimState(t=0.0, s=s, R=R, phases=phases, on_floor=on_floor)
+        state = SimState(t=0.0, s=s, R=R, phases=[None] * N, on_floor=on_floor,
+                         u=np.zeros(N), last_dir=np.zeros(N, dtype=int),
+                         bounds=[None] * N, bound_t=np.full(N, np.inf))
+        for j, (spec, p) in enumerate(zip(sc.agents, self.params)):
+            self._enter_phase(state, j, initial_phase(spec, p))
+        return state
 
-    # -- guard window --------------------------------------------------------
-
-    def _build_window(self, state: SimState, t_end: float, u: np.ndarray) -> _Window:
-        t0 = state.t
-        if t_end <= t0:
-            ts = np.array([t0])
-        else:
-            nfull = int(np.floor((t_end - t0) / self.h - 1e-9))
-            if nfull < 0:
-                nfull = 0
-            ts = np.concatenate([t0 + self.h * np.arange(nfull + 1), [t_end]])
-        S = state.s[None, :] + u[None, :] * (ts[:, None] - t0)
-        q, P = detection(self.x, S, self.r)
-        gro = self.A[None, :] - self.B[None, :] * P
-        rate = np.where(state.on_floor[None, :], 0.0, gro)
-        R = state.R[None, :] + _cumtrapz(rate, ts)
-        return _Window(t0=t0, t_end=t_end, s0=state.s.copy(), on_floor=state.on_floor.copy(), u=u,
-                       ts=ts, S=S, q=q, P=P, gro=gro, rate=rate, R=R)
-
-    def _row_at(self, win: _Window, k: int, tau: float):
-        """Positions, miss factors, P, rates and R at tau in [ts[k], ts[k+1]],
-        R by one partial trapezoid step from the grid point ts[k]."""
-        S = win.s0 + win.u * (tau - win.t0)
-        q, P = detection(self.x, S, self.r)
-        gro = self.A - self.B * P
-        rate = np.where(win.on_floor, 0.0, gro)
-        R = win.R[k] + 0.5 * (win.rate[k] + rate) * (tau - win.ts[k])
-        return S, q, P, gro, rate, R
-
-    def _guard_at(self, win: _Window, k: int, tau: float, i: int, falling: bool) -> float:
-        """Scalar guard value at tau: R_i (falling) or its raw rate (rising).
-
-        A scalar copy of ``model.detection`` for one target, as ``_row_at``
-        evaluates it: bisection calls this thousands of times per run, where
-        the array kernel's overhead would dominate. Out-of-range factors are
-        exactly 1 and skipped, and the product runs over agents in order, so
-        the value equals ``_row_at``'s ``gro[i]`` (rising) or ``R[i]``
-        (falling, off the floor) bit for bit; a test pins the two together.
-        """
-        miss = 1.0
-        xi = self.x[i]
-        s, u = win.s0, win.u
-        for j in range(s.size):
-            dr = abs(xi - (s[j] + u[j] * (tau - win.t0))) / self.r[j]
-            if dr < 1.0:
-                miss *= dr
-        gro = self.A[i] - self.B[i] * (1.0 - miss)
-        if not falling:
-            return gro
-        return win.R[k, i] + 0.5 * (win.rate[k, i] + gro) * (tau - win.ts[k])
-
-    def _bisect(self, win: _Window, i: int, k: int, falling: bool) -> float:
-        a, b = float(win.ts[k]), float(win.ts[k + 1])
-        for _ in range(200):
-            if b - a <= self.eps:
-                return b
-            mid = 0.5 * (a + b)
-            val = self._guard_at(win, k, mid, i, falling)
-            hit = (val <= 0.0) if falling else (val > 0.0)
-            if hit:
-                b = mid
-            else:
-                a = mid
-        raise SimulationError(
-            f"guard bisection failed to converge for target {i} in [{a}, {b}]")
+    def _enter_phase(self, state: SimState, j: int, phase: PhaseState) -> None:
+        """Put agent ``j`` into ``phase`` at the state's time and position,
+        and resolve the boundary that ends it."""
+        state.phases[j] = phase
+        state.u[j] = control_value(phase)
+        state.last_dir[j] = phase.last_dir
+        b = resolve_boundary(phase, float(state.s[j]), state.t, self.params[j],
+                             self.scenario.T)
+        state.bounds[j] = b
+        state.bound_t[j] = np.inf if b is None else b.time
 
     # -- event detection -----------------------------------------------------
 
     def next_event(self, state: SimState) -> _Detection:
-        sc, t0, eps = self.scenario, state.t, self.eps
-        bounds: dict[int, Boundary] = {}
-        tau_sched = sc.T
-        for j, ph in enumerate(state.phases):
-            b = resolve_boundary(ph, float(state.s[j]), t0, self.params[j], sc.T)
-            if b is not None:
-                bounds[j] = b
-                if b.time < tau_sched:
-                    tau_sched = b.time
+        sc, t0, eps, u = self.scenario, state.t, self.eps, state.u
+        tau_sched = min(sc.T, float(state.bound_t.min(initial=np.inf)))
 
-        # motion-driven guards: closed form while controls stay constant
-        u = state.controls()
-        motion: list[tuple[float, str, int, int]] = []
-        for j in range(sc.n_agents):
-            if u[j] == 0.0:
-                continue
-            for i in range(sc.n_targets):
-                xi, rj, sj = self.x[i], self.r[j], state.s[j]
-                for v, what in ((xi - rj, "edge"), (xi + rj, "edge"), (xi, "cross")):
-                    tau = t0 + (v - sj) / u[j]
-                    if t0 + eps < tau <= tau_sched + eps:
-                        if what == "edge":
-                            entering = (u[j] > 0.0) == (v < xi)
-                            motion.append((tau, "on" if entering else "off", i, j))
-                        else:
-                            motion.append((tau, "cross", i, j))
+        # motion guards in closed form while controls stay constant; u is
+        # -1, 0 or 1, so multiplying by it divides by it, and a parked
+        # agent's candidates all land on t0
+        tau_m = t0 + (self.edges - state.s[:, None, None]) * u[:, None, None]
+        motion = (tau_m > t0 + eps) & (tau_m <= tau_sched + eps)
+        win_end = min(tau_sched, float(tau_m[motion].min(initial=np.inf)))
 
-        # the batch cannot extend past the earliest scheduled candidate, so
-        # the guard-scan grid stops there too
-        win_end = tau_sched
-        for tau, *_ in motion:
-            if tau < win_end:
-                win_end = tau
-        win = self._build_window(state, win_end, u)
-        rho: list[tuple[float, bool, int]] = []   # (tau, falling, target)
-        if win.ts.size > 1:
-            for i in range(sc.n_targets):
-                if state.on_floor[i]:
-                    g = win.gro[:, i]
-                    ks = np.flatnonzero((g[:-1] <= 0.0) & (g[1:] > 0.0))
-                    if ks.size:
-                        rho.append((self._bisect(win, i, int(ks[0]), falling=False),
-                                    False, i))
-                else:
-                    # brackets demand a strictly positive left edge, so a
-                    # target sitting exactly at zero and growing is not
-                    # re-triggered, but a dip later in the window is caught
-                    Ri = win.R[:, i]
-                    ks = np.flatnonzero((Ri[:-1] > 0.0) & (Ri[1:] <= 0.0))
-                    if ks.size:
-                        rho.append((self._bisect(win, i, int(ks[0]), falling=True),
-                                    True, i))
+        # miss products over the window, with each target's factors that
+        # are not identically 1 gathered into its first slots
+        span = win_end - t0
+        c0, c1 = miss_factors(self.x, state.s, u, self.r, span)
+        live = (c0 != 1.0) | (c1 != 0.0)
+        D = int(live.sum(axis=1).max(initial=0))
+        slots = np.argsort(~live, axis=1, kind="stable")[:, :D]
+        C0, C1 = c0[self.rows, slots], c1[self.rows, slots]
+        Q = _products(C0, C1)
+        A, B = self.A, self.B
+        gro = B[:, None] * Q
+        gro[:, 0] = A - B * (1.0 - Q[:, 0])
+        rate = np.where(state.on_floor[:, None], 0.0, gro)
 
-        tau_next = win_end
-        for tau, *_ in rho:
-            tau_next = min(tau_next, tau)
-        tau_next = max(tau_next, t0)
+        # floor guards: a hit needs R to reach 0, which a lower bound on the
+        # rate rules out for most targets; a leave needs the raw rate above
+        # 0, which an upper bound on the miss product rules out. A hit needs
+        # R > 0 first, so a target just released at 0 is not re-triggered.
+        ends = C0 + C1 * span
+        q_lo = np.minimum(C0, ends).prod(axis=1)
+        q_hi = np.maximum(C0, ends).prod(axis=1)
+        falling = ~state.on_floor & (
+            state.R + np.minimum(A - B + B * q_lo, 0.0) * span <= 0.0)
+        rising = state.on_floor & (A - B + B * q_hi > 0.0)
+        cand = np.flatnonzero(falling | rising)
+        tau_g = np.full(cand.size, np.inf)
+        if cand.size:
+            # R's coefficients for a hit, the raw rate's for a leave
+            g, up = gro[cand], rising[cand]
+            coef = np.zeros((cand.size, D + 2))
+            coef[~up, 0] = state.R[cand[~up]]
+            coef[~up, 1:] = g[~up] / np.arange(1, D + 2)
+            coef[up, :-1] = g[up]
+            tau_g = t0 + _first_crossings(coef, span, up, eps)
 
+        tau_next = max(min(win_end, float(tau_g.min(initial=np.inf))), t0)
+        limit = tau_next + eps
         records: list[EventRecord] = []
         in_batch: dict[int, Boundary] = {}
-        for j in sorted(bounds):
-            b = bounds[j]
-            if b.time <= tau_next + eps:
-                in_batch[j] = b
-                for tr in b.transitions:
-                    records.append(self._control_record(tau_next, j, tr, state.phases[j]))
-        for tau, what, i, j in motion:
-            if tau <= tau_next + eps:
-                records.extend(self._motion_records(tau_next, what, i, j, sc.n_agents))
-        for tau, falling, i in rho:
-            if tau <= tau_next + eps:
-                kind = EventKind.R_HIT_ZERO if falling else EventKind.R_LEFT_ZERO
-                records.append(EventRecord(tau_next, kind, target=i))
-        done = sc.T <= tau_next + eps
+        for j in np.flatnonzero(state.bound_t <= limit).tolist():
+            b = state.bounds[j]
+            in_batch[j] = b
+            for tr in b.transitions:
+                records.append(self._control_record(tau_next, j, tr, state.phases[j]))
+        for j, i, k in zip(*(a.tolist() for a in np.nonzero(motion & (tau_m <= limit)))):
+            records.extend(self._motion_records(tau_next, k, u[j] > 0.0, i, j,
+                                                sc.n_agents))
+        for i in cand[tau_g <= limit].tolist():
+            kind = EventKind.R_HIT_ZERO if falling[i] else EventKind.R_LEFT_ZERO
+            records.append(EventRecord(tau_next, kind, target=i))
+        done = sc.T <= limit
         if done:
             records.append(EventRecord(tau_next, EventKind.HORIZON))
-        return _Detection(tau=tau_next, records=order_batch(records),
-                          bounds=in_batch, window=win, done=done)
+        return _Detection(tau=tau_next, records=order_batch(records), bounds=in_batch,
+                          done=done, u=u.copy(), slots=slots, C0=C0, C1=C1, Q=Q,
+                          rate=rate)
 
     def _control_record(self, tau: float, j: int, tr, phase: PhaseState) -> EventRecord:
         payload = {"transition": tr.kind, "point": tr.point,
@@ -338,11 +335,13 @@ class Simulator:
             kind = control_kind(tr.u_before, tr.u_after)
         return EventRecord(tau, kind, agent=j, payload=payload)
 
-    def _motion_records(self, tau: float, what: str, i: int, j: int,
+    def _motion_records(self, tau: float, edge: int, moving_up: bool, i: int, j: int,
                         n_agents: int) -> list[EventRecord]:
-        if what == "cross":
+        """Records of agent ``j`` reaching candidate ``edge`` of target ``i``:
+        its lower range edge (0), its upper range edge (1) or the target (2)."""
+        if edge == 2:
             return [EventRecord(tau, EventKind.CROSS, agent=j, target=i)]
-        if what == "on":
+        if moving_up == (edge == 0):
             recs = [EventRecord(tau, EventKind.SENSE_ON, agent=j, target=i)]
             join = EventKind.OBS_JOIN
         else:
@@ -357,58 +356,25 @@ class Simulator:
     # -- interval integration ------------------------------------------------
 
     def advance(self, state: SimState, det: _Detection) -> Interval:
-        t0, t1, win = state.t, det.tau, det.window
-        u = win.u
-        M, N = self.scenario.n_targets, self.scenario.n_agents
-        if t1 <= t0:
-            iv = Interval(t0=t0, t1=t0, u=u, s0=state.s.copy(), s1=state.s.copy(),
-                          R0=state.R.copy(), R1=state.R.copy(), int_R=np.zeros(M),
-                          on_floor=state.on_floor.copy(),
-                          in_range=self._membership(state, t0, u)[0],
-                          dp_ds=np.zeros((M, N)), G=np.zeros((M, N)), GG=np.zeros((M, N)))
-            return iv
-
-        if t1 == win.t_end:
-            ts, S, q, rate, R = win.ts, win.S, win.q, win.rate, win.R
-        else:
-            k = int(np.searchsorted(win.ts, t1, side="right")) - 1
-            S_r, q_r, _, _, rate_r, R_r = self._row_at(win, k, t1)
-            ts = np.concatenate([win.ts[:k + 1], [t1]])
-            S = np.concatenate([win.S[:k + 1], S_r[None, :]])
-            q = np.concatenate([win.q[:k + 1], q_r[None, :, :]])
-            rate = np.concatenate([win.rate[:k + 1], rate_r[None, :]])
-            R = np.concatenate([win.R[:k + 1], R_r[None, :]])
-
-        if R.size and float(R.min()) < -self.miss_tol:
-            i_bad = int(np.argmin(R.min(axis=0)))
-            raise SimulationError(
-                f"uncertainty of target {i_bad} went negative in [{t0}, {t1}]: "
-                "a floor crossing was missed")
-
-        dts = np.diff(ts)[:, None]
-        int_R = (0.5 * (R[1:] + R[:-1]) * dts).sum(axis=0)
-        G = np.zeros((M, N))
-        GG = np.zeros((M, N))
-        for j in range(N):
-            if N == 1:
-                w = np.ones((ts.size, M))
-            elif N == 2:
-                w = q[:, :, 1 - j]
-            else:
-                others = [g for g in range(N) if g != j]
-                w = np.prod(q[:, :, others], axis=2)
-            steps = 0.5 * (w[1:] + w[:-1]) * dts
-            cum = np.cumsum(steps, axis=0)
-            G[:, j] = cum[-1]
-            # trapezoid of the running integral, whose grid values are
-            # [0, cum[0], ..., cum[-1]]
-            lower = np.concatenate([np.zeros((1, M)), cum[:-1]])
-            GG[:, j] = (0.5 * (cum + lower) * dts).sum(axis=0)
+        t0, t1, u = state.t, det.tau, det.u
+        dt, D = t1 - t0, det.C0.shape[1]
+        w1, w2 = _integrals(dt, D + 1)
+        # a pair outside a target's miss product integrates all of it; an
+        # observer integrates the product of the other factors
+        N = self.scenario.n_agents
+        G = np.repeat((det.Q @ w1)[:, None], N, axis=1)
+        GG = np.repeat((det.Q @ w2)[:, None], N, axis=1)
+        if D:
+            k = np.arange(D - 1)
+            others = k + (k >= np.arange(D)[:, None])       # (D, D - 1) other slots
+            loo = _products(det.C0[:, others], det.C1[:, others])   # (M, D, D)
+            G[self.rows, det.slots] = loo @ w1[:D]
+            GG[self.rows, det.slots] = loo @ w2[:D]
 
         in_range, dp_ds = self._membership(state, 0.5 * (t0 + t1), u)
-        iv = Interval(t0=t0, t1=t1, u=u, s0=state.s.copy(), s1=S[-1].copy(),
-                      R0=state.R.copy(), R1=np.maximum(R[-1], 0.0),
-                      int_R=int_R, on_floor=state.on_floor.copy(),
+        iv = Interval(t0=t0, t1=t1, u=u, s0=state.s.copy(), s1=state.s + u * dt,
+                      R0=state.R.copy(), R1=np.maximum(state.R + det.rate @ w1, 0.0),
+                      int_R=state.R * dt + det.rate @ w2, on_floor=state.on_floor.copy(),
                       in_range=in_range, dp_ds=dp_ds, G=G, GG=GG)
         state.t = t1
         state.s = iv.s1.copy()
@@ -418,18 +384,25 @@ class Simulator:
     def _membership(self, state: SimState, t_mid: float, u: np.ndarray):
         """Pair membership and sensing gradient constants at a mid-interval time."""
         s_mid = state.s + u * (t_mid - state.t)
-        last_dir = np.array([ph.last_dir for ph in state.phases], dtype=int)
-        return membership(self.x, s_mid, self.r, last_dir)
+        return membership(self.x, s_mid, self.r, state.last_dir)
+
+    def _samples(self, iv: Interval, det: _Detection, t: np.ndarray):
+        """Positions, detection probabilities and uncertainties at times
+        ``t`` inside the interval."""
+        tau = t - iv.t0
+        S = iv.s0 + iv.u * tau[:, None]
+        _, P = detection(self.x, S, self.r)
+        w1, _ = _integrals(tau, det.rate.shape[1])
+        return S, P, np.maximum(iv.R0 + w1 @ det.rate.T, 0.0)
 
     # -- event application ---------------------------------------------------
 
     def apply_events(self, state: SimState, det: _Detection) -> list[EventRecord]:
         for j in sorted(det.bounds):
-            b = det.bounds[j]
             ph = state.phases[j]
             if ph.mode is PhaseMode.TRANSIT:
                 state.s[j] = float(self.params[j].theta[ph.point - 1])
-            state.phases[j] = b.next_phase
+            self._enter_phase(state, j, det.bounds[j].next_phase)
         out: list[EventRecord] = []
         for rec in det.records:
             if rec.kind is EventKind.R_HIT_ZERO:
@@ -466,7 +439,7 @@ class Simulator:
         sample_R = np.zeros((n_samp, sc.n_targets))
         sample_P = np.zeros((n_samp, sc.n_targets))
         sample_s[0] = state.s
-        sample_u[0] = state.controls()
+        sample_u[0] = state.u
         sample_R[0] = state.R
         sample_P[0] = detection(self.x, state.s, self.r)[1]
         next_samp = 1
@@ -479,17 +452,13 @@ class Simulator:
             iv = self.advance(state, det)
             idx = len(intervals)
             intervals.append(iv)
-            win = det.window
-            while (next_samp < n_samp and sample_t[next_samp] <= iv.t1
-                   and iv.t1 > iv.t0):
-                tq = float(sample_t[next_samp])
-                k = int(np.searchsorted(win.ts, tq, side="right")) - 1
-                srow, _, Prow, _, _, Rrow = self._row_at(win, k, tq)
-                sample_s[next_samp] = srow
-                sample_u[next_samp] = iv.u
-                sample_P[next_samp] = Prow
-                sample_R[next_samp] = np.maximum(Rrow, 0.0)
-                next_samp += 1
+            if iv.t1 > iv.t0 and next_samp < n_samp and sample_t[next_samp] <= iv.t1:
+                stop = int(np.searchsorted(sample_t, iv.t1, side="right"))
+                rows = slice(next_samp, stop)
+                sample_s[rows], sample_P[rows], sample_R[rows] = self._samples(
+                    iv, det, sample_t[rows])
+                sample_u[rows] = iv.u
+                next_samp = stop
             recs = self.apply_events(state, det)
             for r in recs:
                 r.interval_index = idx
@@ -500,14 +469,11 @@ class Simulator:
             if guard > 10_000_000:
                 raise SimulationError("event loop failed to reach the horizon")
 
-        total = 0.0
-        for iv in intervals:
-            total += float(iv.int_R.sum())
-        rec = SimRecord(scenario=sc, params=self.params, intervals=intervals,
-                        events=events, sample_t=sample_t, sample_s=sample_s,
-                        sample_u=sample_u, sample_R=sample_R, sample_P=sample_P,
-                        J=total / sc.T)
-        return rec
+        total = sum(float(iv.int_R.sum()) for iv in intervals)
+        return SimRecord(scenario=sc, params=self.params, intervals=intervals,
+                         events=events, sample_t=sample_t, sample_s=sample_s,
+                         sample_u=sample_u, sample_R=sample_R, sample_P=sample_P,
+                         J=total / sc.T)
 
 
 def simulate(scenario: Scenario, params: list[AgentParams] | tuple[AgentParams, ...],
@@ -518,4 +484,3 @@ def simulate(scenario: Scenario, params: list[AgentParams] | tuple[AgentParams, 
     callers that only need the cost (finite-difference probes) can spare.
     """
     return Simulator(scenario, params).run(with_samples=with_samples)
-

@@ -37,6 +37,18 @@ def small_doc(**over):
     return doc
 
 
+def set_field(doc, field, value):
+    """Set the field at a JSON path such as ``agents[0].theta0[1]``."""
+    *parents, leaf = re.findall(r"\w+|\[\d+\]", field)
+    node = doc
+    for key in parents:
+        node = node[int(key[1:-1])] if key.startswith("[") else node[key]
+    if leaf.startswith("["):
+        node[int(leaf[1:-1])] = value
+    else:
+        node[leaf] = value
+
+
 @pytest.fixture
 def scenario_file(tmp_path):
     f = tmp_path / "small.scenario"
@@ -72,20 +84,52 @@ class TestLoad:
     ])
     def test_non_finite_number_names_field(self, tmp_path, capsys, field, value):
         doc = small_doc()
-        *parents, leaf = re.findall(r"\w+|\[\d+\]", field)
-        node = doc
-        for key in parents:
-            node = node[int(key[1:-1])] if key.startswith("[") else node[key]
-        if leaf.startswith("["):
-            node[int(leaf[1:-1])] = value
-        else:
-            node[leaf] = value
+        set_field(doc, field, value)
         f = tmp_path / "nonfinite.scenario"
         write_scenario(f, doc)
         rc = main(["simulate", "--scenario", str(f), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert f"invalid scenario: {field}:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("field,value,why", [
+        ("agents[0].u0", 0.5, "not an integer"),
+        ("optimizer.max_iters", 2.5, "not an integer"),
+        ("optimizer.eta", 0.4, "must be in (0.5, 1]"),
+        ("optimizer.a_theta", 0.0, "must be > 0"),
+        ("optimizer.max_iters", -1, "must be >= 0"),
+    ])
+    def test_bad_value_names_field(self, tmp_path, capsys, field, value, why):
+        doc = small_doc()
+        set_field(doc, field, value)
+        f = tmp_path / "bad.scenario"
+        write_scenario(f, doc)
+        rc = main(["simulate", "--scenario", str(f), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"invalid scenario: {field}:" in err and why in err
+        assert not (tmp_path / "o").exists()
+
+    def test_integral_floats_accepted(self, tmp_path):
+        doc = small_doc()
+        set_field(doc, "agents[0].u0", 1.0)
+        set_field(doc, "optimizer.max_iters", 3.0)
+        f = tmp_path / "floats.scenario"
+        write_scenario(f, doc)
+        sc, _, opt = load_scenario(f)
+        assert sc.agents[0].u0 == 1 and opt.max_iters == 3
+
+    def test_step_h_accepted_and_ignored(self, tmp_path):
+        outs = []
+        for h in (1e-3, 0.5, -1.0):
+            doc = small_doc()
+            set_field(doc, "numerics.h", h)
+            f = tmp_path / f"h{h}.scenario"
+            write_scenario(f, doc)
+            out = tmp_path / f"out{h}"
+            assert main(["simulate", "--scenario", str(f), "--out", str(out)]) == 0
+            outs.append([(out / n).read_bytes() for n in ("events.csv", "summary.json")])
+        assert outs[0] == outs[1] == outs[2]
 
     def test_syntax_error_reports_line(self, tmp_path, capsys):
         f = tmp_path / "broken.scenario"
@@ -141,6 +185,9 @@ class TestOptimizeCmd:
         assert (out / "checkpoints" / "params_iter0000.json").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["termination"] in ("TOL", "MAX_ITERS")
+        assert summary["hold_violations"] == 0
+        assert 0.0 <= summary["floor_leave_max_dev"] <= 1e-9
+        assert summary["reentry_resets"] == 0
 
     def test_zero_iters_returns_initial_params(self, scenario_file, tmp_path):
         out = tmp_path / "opt0"

@@ -7,7 +7,7 @@ from persimon.descent import OptimizerConfig, gd_iterate, optimize, step_size
 from persimon.gradient import GradientVector
 from persimon.model import InfoMode
 
-from conftest import params, random_scenario
+from conftest import make_scenario, params, random_scenario
 
 
 class TestStepSize:
@@ -50,6 +50,16 @@ class TestGdIterate:
 
 
 class TestOptimize:
+    def test_reentry_resets_aggregated(self):
+        # the LOCAL re-acquisition case of test_visibility: one inferred reset
+        sc = make_scenario([(6.0, 1.0, 5.0, 2.0), (30.0, 1.0, 5.0, 8.0)],
+                           [(24.0, 1, 3.0, 6.0), (40.0, -1, 3.0, 6.0)], T=30.0,
+                           mode=InfoMode.LOCAL)
+        ps = [params([28.5, 20.0, 28.0], [1.0, 2.0, 5.0]),
+              params([30.0, 36.0], [18.0, 9.0])]
+        run = optimize(sc, ps, OptimizerConfig(max_iters=0))
+        assert run.reentry_resets == 1
+
     def test_infinite_tolerance_stops_after_one_iteration(self):
         sc, ps = random_scenario(np.random.default_rng(2), T=8.0)
         cfg = OptimizerConfig(epsilon=math.inf, max_iters=50)

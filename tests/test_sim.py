@@ -1,16 +1,28 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from persimon.cli import load_scenario
 from persimon.events import EventKind
-from persimon.model import Numerics
 from persimon.sim import Simulator, simulate
 
 from conftest import make_scenario, params, random_scenario
+from grid_oracle import GridSimulator
+
+SMOKE = Path(__file__).resolve().parents[1] / "src" / "persimon" / "data" / "smoke.scenario"
 
 
 def kinds(record):
     return [ev.kind for ev in record.events]
+
+
+def two_observers():
+    """A parked observer at distance 1.5 (miss 1/2) and one closing in from
+    the range edge (miss 1 - t/3): R = 2 - 1.5 t - 5 t^2 / 12 until its floor."""
+    sc = make_scenario([(10.0, 1.0, 5.0, 2.0)], [(11.5, 0, 3.0), (7.0, 1, 3.0)], T=2.0)
+    return sc, simulate(sc, [params([11.5], [10.0]), params([10.0], [1.0])])
 
 
 class TestClosedForms:
@@ -64,6 +76,28 @@ class TestDetection:
         det = sim.next_event(state)
         assert det.tau == pytest.approx(0.25, abs=1e-7)
         assert det.records[0].kind is EventKind.R_HIT_ZERO
+
+    def test_two_observer_floor_hit_quadratic_root(self):
+        sc, rec = two_observers()
+        a, b, c = 5.0 / 12.0, 1.5, -2.0
+        root = (-b + np.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+        hits = [ev for ev in rec.events if ev.kind is EventKind.R_HIT_ZERO]
+        assert len(hits) == 1
+        # returned on the hit side, up to rounding of R near its root
+        assert -1e-12 <= hits[0].time - root <= sc.numerics.eps_event
+
+    def test_two_observer_integrals_closed_form(self):
+        # up to the floor hit, G of the parked observer integrates the
+        # mover's miss 1 - t/3 and the mover's G the constant 1/2
+        _, rec = two_observers()
+        iv = next(iv for iv in rec.intervals if iv.dt > 0.0)
+        d = iv.dt
+        assert iv.G[0, 0] == pytest.approx(d - d * d / 6.0, rel=1e-13)
+        assert iv.GG[0, 0] == pytest.approx(d * d / 2.0 - d ** 3 / 18.0, rel=1e-13)
+        assert iv.G[0, 1] == pytest.approx(0.5 * d, rel=1e-13)
+        assert iv.GG[0, 1] == pytest.approx(0.25 * d * d, rel=1e-13)
+        assert iv.int_R[0] == pytest.approx(2.0 * d - 0.75 * d * d - 5.0 * d ** 3 / 36.0,
+                                            rel=1e-13)
 
     def test_horizon_when_quiet(self):
         sc = make_scenario([(10.0, 1.0, 5.0, 5.0)], [], T=7.0)
@@ -171,17 +205,27 @@ class TestRecordInvariants:
                 assert last.get(ev.target) is EventKind.R_HIT_ZERO
                 last[ev.target] = ev.kind
 
-    def test_cost_consistency_under_step_halving(self):
-        sc, ps = random_scenario(np.random.default_rng(11), T=10.0)
-        fine = make_scenario(
-            [(t.x, t.growth, t.decay, t.r0) for t in sc.targets],
-            [(a.s0, a.u0, a.r, a.r_comm) for a in sc.agents],
-            T=sc.T, numerics=Numerics(h=5e-4))
-        J1 = simulate(sc, ps).J
-        J2 = simulate(fine, ps).J
-        bound = 10 * sc.numerics.h * sc.T * sum(t.growth for t in sc.targets)
-        assert abs(J1 - J2) < bound
-        assert abs(J1 - J2) / max(abs(J2), 1e-12) < 1e-4
+    def test_cost_matches_grid_oracle(self):
+        # the fixed-step trapezoid integrator converges to the closed forms
+        smoke, smoke_params, _ = load_scenario(SMOKE)
+        cases = [(smoke, smoke_params)] + [
+            random_scenario(np.random.default_rng(seed), T=10.0) for seed in (11, 12, 13)]
+        for sc, ps in cases:
+            J = simulate(sc, ps).J
+            J_grid = GridSimulator(sc, ps, h=2e-4).run(with_samples=False).J
+            assert abs(J - J_grid) <= 1e-7 * J
+
+    def test_interval_integrals_match_grid_oracle(self):
+        sc, ps = random_scenario(np.random.default_rng(5), n_agents=3, n_targets=4, T=12.0)
+        rec = simulate(sc, ps)
+        grid = GridSimulator(sc, ps, h=2e-4).run(with_samples=False)
+        assert ([(e.kind, e.agent, e.target) for e in rec.events]
+                == [(e.kind, e.agent, e.target) for e in grid.events])
+        assert any(ev.kind is EventKind.R_HIT_ZERO for ev in rec.events)
+        for a, b in zip(rec.intervals, grid.intervals):
+            assert a.t1 == pytest.approx(b.t1, abs=1e-6)
+            for name in ("R1", "int_R", "G", "GG"):
+                assert np.allclose(getattr(a, name), getattr(b, name), rtol=0, atol=1e-6)
 
     def test_all_zero_dwell_only_reversal_or_passthrough(self):
         sc = make_scenario([(10.0, 1.0, 5.0, 3.0)], [(2.0, 1, 3.0)], T=30.0)
