@@ -9,7 +9,7 @@ modes, and optimizes trajectories by projected gradient descent.
 from .model import AgentSpec, InfoMode, Numerics, Scenario, ScenarioError, Target
 from .policy import AgentParams, project_params
 from .sim import SimRecord, Simulator, simulate
-from .gradient import GradientVector, agent_gradient, full_gradient
+from .gradient import GradientVector, full_gradient
 from .visibility import mode_gradients, neighborhoods, visible_events
 from .descent import OptimizerConfig, OptRun, optimize
 from .fdcheck import FdReport, fd_gradient, grad_check
@@ -18,7 +18,7 @@ __all__ = [
     "AgentSpec", "InfoMode", "Numerics", "Scenario", "ScenarioError", "Target",
     "AgentParams", "project_params",
     "SimRecord", "Simulator", "simulate",
-    "GradientVector", "agent_gradient", "full_gradient",
+    "GradientVector", "full_gradient",
     "mode_gradients", "neighborhoods", "visible_events",
     "OptimizerConfig", "OptRun", "optimize",
     "FdReport", "fd_gradient", "grad_check",

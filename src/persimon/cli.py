@@ -24,7 +24,7 @@ from .descent import OptimizerConfig, optimize
 from .fdcheck import grad_check
 from .model import (AgentSpec, InfoMode, Numerics, Scenario, ScenarioError,
                     Target, require_finite)
-from .policy import AgentParams
+from .policy import AgentParams, warn_u0_conflict
 from .sim import SimRecord, simulate
 from .visibility import mode_gradients, visible_events
 
@@ -117,6 +117,8 @@ def load_scenario(path: str | Path) -> tuple[Scenario, list[AgentParams], Optimi
     require_finite("optimizer", a_theta=opt.a_theta, a_w=opt.a_w, eta=opt.eta,
                    epsilon=opt.epsilon)
     opt.validate()
+    for spec, p in zip(scenario.agents, params):
+        warn_u0_conflict(spec, p)
     return scenario, params, opt
 
 

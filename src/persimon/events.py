@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
+
+import numpy as np
 
 
 class EventKind(Enum):
@@ -97,3 +100,32 @@ class EventRecord:
 def order_batch(records: list[EventRecord]) -> list[EventRecord]:
     """Deterministic processing order for simultaneous events (stable)."""
     return sorted(records, key=EventRecord.sort_key)
+
+
+KINDS = tuple(EventKind)                 # kind codes index this tuple
+_CODE = {kind: code for code, kind in enumerate(KINDS)}
+
+
+def kind_table(kinds) -> np.ndarray:
+    """Boolean lookup over kind codes, True for the kinds in ``kinds``."""
+    return np.array([kind in kinds for kind in KINDS])
+
+
+class EventColumns(NamedTuple):
+    """A time-ordered event log as arrays, one entry per event."""
+
+    kind: np.ndarray              # (E,) index into KINDS
+    agent: np.ndarray             # (E,) -1 where the event has none
+    target: np.ndarray            # (E,) -1 where the event has none
+    row: np.ndarray               # (E,) interval_index + 1
+
+
+def event_columns(events: list[EventRecord]) -> EventColumns:
+    n = len(events)
+    return EventColumns(
+        kind=np.fromiter((_CODE[ev.kind] for ev in events), np.intp, n),
+        agent=np.fromiter((-1 if ev.agent is None else ev.agent for ev in events),
+                          np.intp, n),
+        target=np.fromiter((-1 if ev.target is None else ev.target for ev in events),
+                           np.intp, n),
+        row=np.fromiter((ev.interval_index + 1 for ev in events), np.intp, n))

@@ -10,9 +10,12 @@ observer-set changes leave everything continuous. Integrating the
 uncertainty derivatives over time and dividing by the horizon gives the
 exact gradient of the time-averaged cost.
 
-A ``Replica`` is one agent's derivative ledger driven by the subset of
-events that agent gets to see; feeding it the full stream reproduces the
-centralized gradient.
+Each agent keeps its own derivative ledger and moves it only on the
+events delivered to it, so its gradient follows from its own event stream.
+``Replica`` advances all agents' ledgers in lockstep, one pass over the
+record's intervals: agent ``j`` is row ``j`` of every derivative array,
+and each event is applied to the rows of the agents it reaches. Delivering
+every event to every agent gives the centralized gradient.
 """
 
 from __future__ import annotations
@@ -21,39 +24,64 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import CONTROL_KINDS, EventKind, EventRecord
+from .events import CONTROL_KINDS, EventKind, EventRecord, kind_table
 from .sim import Interval, SimRecord
 
 FLOOR_RESET_TOL = 1e-9   # a floor-leave event must find derivatives already zero
 
+# kinds that move a derivative; observer-set changes, target crossings,
+# lost sensing and the horizon leave every ledger as it is (a crossing's
+# sign flip of the sensing gradient is in the next interval's dp_ds)
+_MOVING = kind_table(CONTROL_KINDS | {EventKind.R_HIT_ZERO, EventKind.R_LEFT_ZERO,
+                                      EventKind.SENSE_ON})
+
 
 @dataclass
-class AgentDerivatives:
-    """Derivative state of one agent: position and uncertainty sensitivities.
+class Derivatives:
+    """Derivative state of every agent: position and uncertainty sensitivities.
 
-    ``switch_index`` is the 1-based index of the most recently reached
-    switching point. Entries for points not yet reached are structurally
-    zero.
+    Row ``j`` is agent ``j``. The last axis of ``ds`` and ``dR`` holds the
+    switching-point block and then the dwell block, each padded to the
+    longest program ``P``; padded entries and entries of points not yet
+    reached are structurally zero. ``switch_index[j]`` is the 1-based index
+    of agent ``j``'s most recently reached switching point.
     """
 
-    ds_dtheta: np.ndarray     # (n_points,)
-    ds_dw: np.ndarray         # (n_points,)
-    dR_dtheta: np.ndarray     # (n_targets, n_points)
-    dR_dw: np.ndarray         # (n_targets, n_points)
-    switch_index: int = 0
+    ds: np.ndarray                # (N, 2P)
+    dR: np.ndarray                # (N, M, 2P)
+    switch_index: np.ndarray      # (N,)
+
+    @property
+    def P(self) -> int:
+        return self.ds.shape[-1] // 2
+
+    @property
+    def ds_dtheta(self) -> np.ndarray:
+        return self.ds[:, :self.P]
+
+    @property
+    def ds_dw(self) -> np.ndarray:
+        return self.ds[:, self.P:]
+
+    @property
+    def dR_dtheta(self) -> np.ndarray:
+        return self.dR[:, :, :self.P]
+
+    @property
+    def dR_dw(self) -> np.ndarray:
+        return self.dR[:, :, self.P:]
 
 
-def init_derivatives(n_targets: int, n_points: int) -> AgentDerivatives:
+def init_derivatives(n_agents: int, n_targets: int, n_points: int) -> Derivatives:
     """All-zero state: initial positions and uncertainties are constants."""
-    return AgentDerivatives(
-        ds_dtheta=np.zeros(n_points), ds_dw=np.zeros(n_points),
-        dR_dtheta=np.zeros((n_targets, n_points)),
-        dR_dw=np.zeros((n_targets, n_points)))
+    return Derivatives(ds=np.zeros((n_agents, 2 * n_points)),
+                       dR=np.zeros((n_agents, n_targets, 2 * n_points)),
+                       switch_index=np.zeros(n_agents, dtype=int))
 
 
 @dataclass
 class GradientVector:
-    """Cost gradient blocks of one agent."""
+    """Cost gradient blocks: one agent's vectors, or (N, P) rows of all agents."""
 
     theta: np.ndarray
     w: np.ndarray
@@ -67,7 +95,7 @@ class GradientVector:
 
 @dataclass
 class ReplicaDiagnostics:
-    """Consistency counters collected along one derivative pass."""
+    """Consistency counters of one agent's ledger along a derivative pass."""
 
     hold_violations: int = 0          # out-of-range derivative moved without cause
     floor_leave_max_dev: float = 0.0  # worst |derivative| found at a floor-leave
@@ -76,215 +104,207 @@ class ReplicaDiagnostics:
 
 
 class Replica:
-    """Gradient evaluation of one agent from its delivered event stream.
+    """Gradient evaluation of every agent from its delivered event stream.
 
-    ``events`` must be the time-ordered subset of the record's events this
-    agent is entitled to see (always including its own control switches).
-    ``strict`` enables the consistency assertions that are theorems under
-    full event delivery; disable it for purely local information where
-    derivative state is allowed to go stale.
+    ``deliver`` is an (E, N) array over ``record.events``, nonzero where an
+    event reaches an agent (``visibility.delivery``); an agent's own control
+    switches reach it in every mode. ``None`` delivers every event to every
+    agent, the centralized evaluation. ``strict`` enables the consistency
+    assertions that are theorems under full floor-hit delivery; disable it
+    for purely local information where derivative state is allowed to go
+    stale. ``reentry_reset`` lets an agent that re-acquires a target at
+    zero uncertainty infer the floor hit it missed.
     """
 
-    def __init__(self, record: SimRecord, agent: int, events: list[EventRecord],
+    def __init__(self, record: SimRecord, deliver: np.ndarray | None = None,
                  strict: bool = True, reentry_reset: bool = False):
         self.record = record
-        self.agent = agent
         self.strict = strict
-        self.reentry_reset = reentry_reset
         sc = record.scenario
-        self.M = sc.n_targets
-        self.B = sc.B
-        self.params = record.params[agent]
-        self.s0 = sc.agents[agent].s0
-        ext = np.concatenate([[self.s0], self.params.theta])
-        self.steps = np.sign(np.diff(ext))   # travel direction into each point
-        self.state = init_derivatives(self.M, self.params.n_points)
-        self.diag = ReplicaDiagnostics()
-        self._by_interval: dict[int, list[EventRecord]] = {}
-        for ev in events:
-            self._by_interval.setdefault(ev.interval_index, [])
-            self._by_interval[ev.interval_index].append(ev)
-        # hold-checker state: frozen derivative copies while out of range
-        self._outside = np.zeros(self.M, dtype=bool)
-        self._frozen_t: np.ndarray | None = None
-        self._frozen_w: np.ndarray | None = None
+        N, M = sc.n_agents, sc.n_targets
+        self.n_points = [p.n_points for p in record.params]
+        P = max(self.n_points, default=0)
+        self.B = sc.B[:, None]        # (M, 1)
+        # travel direction into each switching point
+        self.steps = np.zeros((N, P))
+        for j, (spec, p) in enumerate(zip(sc.agents, record.params)):
+            self.steps[j, :p.n_points] = np.sign(np.diff(np.concatenate([[spec.s0], p.theta])))
+        self.state = init_derivatives(N, M, P)
+        self.diags = [ReplicaDiagnostics() for _ in range(N)]
+        self._leave_dev = np.zeros(N)
+        # hold-checker state: range status and derivatives at the last check
+        self._outside = np.zeros((N, M), dtype=bool)
+        self._frozen = np.zeros_like(self.state.dR)
+        self._by_interval = self._schedule(deliver, reentry_reset)
+
+    def _schedule(self, deliver, reentry_reset: bool) -> dict:
+        """The events that move a derivative, grouped by interval, each with
+        the agents whose ledgers it moves: an index array, a slice for all
+        agents or, for control switches, the switching agent."""
+        rec, cols = self.record, self.record.event_columns
+        out: dict[int, list] = {}
+        for e in np.flatnonzero(_MOVING[cols.kind]).tolist():
+            ev = rec.events[e]
+            if ev.kind in CONTROL_KINDS:
+                agents = ev.agent
+            elif ev.kind is EventKind.SENSE_ON:
+                # LOCAL inference: the target re-enters with zero uncertainty,
+                # so a floor hit provably happened while it was out of sight
+                if not (reentry_reset and ev.interval_index >= 0
+                        and rec.intervals[ev.interval_index].R1[ev.target] == 0.0
+                        and (deliver is None or deliver[e, ev.agent])):
+                    continue
+                agents = ev.agent
+            else:
+                sel = None if deliver is None else deliver[e] != 0
+                if ev.kind is EventKind.R_LEFT_ZERO and not self.strict:
+                    # only a locally observed floor-leave resets; a relayed
+                    # one of an out-of-range target leaves stale values held
+                    inr = rec.event_membership[ev.interval_index + 1, ev.target]
+                    sel = inr if sel is None else sel & inr
+                if sel is None or sel.all():
+                    agents = slice(None)
+                else:
+                    agents = np.flatnonzero(sel)
+                    if not agents.size:
+                        continue
+            out.setdefault(ev.interval_index, []).append((ev, agents))
+        return out
 
     # -- interval update -------------------------------------------------
 
-    def interval_update(self, iv: Interval) -> tuple[np.ndarray, np.ndarray]:
-        """Advance derivatives across one interval; return its gradient integrals.
+    def interval_update(self, iv: Interval) -> np.ndarray:
+        """Advance every ledger across one interval; return its gradient integrals.
 
         On a floor arc the uncertainty derivatives hold; otherwise each
         in-range pair drifts by decay * dp/ds * G with the sensing gradient
         and position derivatives frozen at their start-of-interval values.
-        The returned vectors are the time integrals of the uncertainty
-        derivatives over the interval (undivided by T).
+        Returns the time integrals of the uncertainty derivatives over the
+        interval (undivided by T), (N, 2P).
         """
-        st, j = self.state, self.agent
-        dt = iv.dt
-        acc_t = dt * st.dR_dtheta.sum(axis=0)
-        acc_w = dt * st.dR_dw.sum(axis=0)
-        coef = np.where(iv.on_floor, 0.0, self.B * iv.dp_ds[:, j])
-        gg = float((coef * iv.GG[:, j]).sum())
-        acc_t -= gg * st.ds_dtheta
-        acc_w -= gg * st.ds_dw
-        drift = coef * iv.G[:, j]
-        st.dR_dtheta -= drift[:, None] * st.ds_dtheta[None, :]
-        st.dR_dw -= drift[:, None] * st.ds_dw[None, :]
-        return acc_t, acc_w
+        st = self.state
+        coef = np.where(iv.on_floor[:, None], 0.0, self.B * iv.dp_ds)   # (M, N)
+        acc = iv.dt * st.dR.sum(axis=1)
+        acc -= (coef * iv.GG).sum(axis=0)[:, None] * st.ds
+        st.dR -= (coef * iv.G).T[:, :, None] * st.ds[:, None, :]
+        return acc
 
     # -- event updates -----------------------------------------------------
 
-    def _arrival(self, point: int) -> None:
+    def _switch(self, j: int, payload: dict) -> None:
+        """Position-derivative jump of agent ``j`` at its own control switch."""
         st = self.state
-        st.switch_index = point
-        st.ds_dtheta[:] = 0.0
-        st.ds_dtheta[point - 1] = 1.0
-        st.ds_dw[:] = 0.0
+        kind, point = payload["transition"], payload["point"]
+        d_theta, d_w = st.ds_dtheta[j], st.ds_dw[j]
+        if kind == "arrival":
+            st.switch_index[j] = point
+            st.ds[j] = 0.0
+            d_theta[point - 1] = 1.0
+        elif kind == "departure":
+            if point != st.switch_index[j]:
+                raise RuntimeError(
+                    f"agent {j}: departure from point {point} but current "
+                    f"switch index is {st.switch_index[j]}")
+            u, steps = float(payload["u_out"]), self.steps[j]
+            d_theta[point - 1] -= u * steps[point - 1]
+            if point >= 2:
+                d_theta[:point - 1] -= u * (steps[:point - 1] - steps[1:point])
+            d_w[:point] = -u
+        elif kind == "reversal":
+            # a zero dwell fuses arrival and departure at one instant: the
+            # reached point gets sensitivity 2, earlier points flip sign, and
+            # every passed dwell now delays the outgoing leg
+            st.switch_index[j] = point
+            d_theta[point - 1] = 2.0
+            d_theta[:point - 1] = -d_theta[:point - 1]
+            d_w[:point] = -float(payload["u_out"])
+        else:
+            raise RuntimeError(f"unknown control transition {kind!r}")
 
-    def _departure(self, point: int, u_out: int) -> None:
-        st = self.state
-        if point != st.switch_index:
-            raise RuntimeError(
-                f"agent {self.agent}: departure from point {point} but current "
-                f"switch index is {st.switch_index}")
-        u = float(u_out)
-        st.ds_dtheta[point - 1] -= u * self.steps[point - 1]
-        if point >= 2:
-            st.ds_dtheta[:point - 1] -= u * (self.steps[:point - 1] - self.steps[1:point])
-        st.ds_dw[:point] = -u
-
-    def apply_event(self, ev: EventRecord) -> None:
+    def apply_event(self, ev: EventRecord, agents) -> None:
+        """Apply one event to the ledgers of ``agents`` (as scheduled)."""
         st = self.state
         if ev.kind in CONTROL_KINDS:
-            if ev.agent != self.agent:
-                return
-            kind = ev.payload["transition"]
-            if kind == "arrival":
-                self._arrival(ev.payload["point"])
-            elif kind == "departure":
-                self._departure(ev.payload["point"], ev.payload["u_out"])
-            elif kind == "reversal":
-                # a zero dwell fuses arrival and departure at one instant:
-                # the reached point gets sensitivity 2, earlier points flip
-                # sign, and every passed dwell now delays the outgoing leg
-                point = ev.payload["point"]
-                u_out = float(ev.payload["u_out"])
-                st.switch_index = point
-                st.ds_dtheta[point - 1] = 2.0
-                st.ds_dtheta[:point - 1] = -st.ds_dtheta[:point - 1]
-                st.ds_dw[:point] = -u_out
-            else:
-                raise RuntimeError(f"unknown control transition {kind!r}")
-        elif ev.kind is EventKind.R_HIT_ZERO:
+            self._switch(agents, ev.payload)
+        elif ev.kind is EventKind.SENSE_ON:
+            # the LOCAL re-entry inference, scheduled only where it applies
             i = ev.target
-            st.dR_dtheta[i, :] = 0.0
-            st.dR_dw[i, :] = 0.0
-            if self._outside[i] and self._frozen_t is not None:
-                self._frozen_t[i, :] = 0.0
-                self._frozen_w[i, :] = 0.0
-        elif ev.kind is EventKind.R_LEFT_ZERO:
+            if st.dR[agents, i].any():
+                self.diags[agents].reentry_resets += 1
+            st.dR[agents, i] = 0.0
+        elif ev.kind is EventKind.R_LEFT_ZERO and self.strict:
+            # under full floor-hit delivery the state here is provably
+            # already zero; the explicit write is defense in depth
             i = ev.target
-            if self.strict:
-                # under full floor-hit delivery the state here is provably
-                # already zero; the explicit write is defense in depth
-                dev = max(float(np.abs(st.dR_dtheta[i]).max(initial=0.0)),
-                          float(np.abs(st.dR_dw[i]).max(initial=0.0)))
-                self.diag.floor_leave_max_dev = max(self.diag.floor_leave_max_dev,
-                                                    dev)
-                if dev > FLOOR_RESET_TOL:
-                    raise RuntimeError(
-                        f"target {i} leaves its floor with derivative {dev:.3e} "
-                        "!= 0: integration bug")
-                st.dR_dtheta[i, :] = 0.0
-                st.dR_dw[i, :] = 0.0
-            elif self.record.event_membership[ev.interval_index + 1, i, self.agent]:
-                # locally observed floor-leave: the reset rule applies even
-                # to a stale value
-                st.dR_dtheta[i, :] = 0.0
-                st.dR_dw[i, :] = 0.0
-                if self._outside[i] and self._frozen_t is not None:
-                    self._frozen_t[i, :] = 0.0
-                    self._frozen_w[i, :] = 0.0
-            # a relayed floor-leave of an out-of-range target changes
-            # nothing: stale values hold by the independence rule
-        elif ev.kind is EventKind.SENSE_ON and ev.agent == self.agent:
-            if self.reentry_reset and ev.interval_index >= 0:
-                iv = self.record.intervals[ev.interval_index]
-                if iv.R1[ev.target] == 0.0:
-                    # the target re-enters with zero uncertainty, so a floor
-                    # hit provably happened while it was out of sight
-                    i = ev.target
-                    if (st.dR_dtheta[i].any() or st.dR_dw[i].any()):
-                        self.diag.reentry_resets += 1
-                    st.dR_dtheta[i, :] = 0.0
-                    st.dR_dw[i, :] = 0.0
-        # sensing/observer-set/cross/horizon events leave derivatives unchanged
+            dev = np.abs(st.dR[agents, i]).max(axis=-1, initial=0.0)
+            self._leave_dev[agents] = np.maximum(self._leave_dev[agents], dev)
+            worst = float(dev.max(initial=0.0))
+            if worst > FLOOR_RESET_TOL:
+                raise RuntimeError(
+                    f"target {i} leaves its floor with derivative {worst:.3e} "
+                    "!= 0: integration bug")
+            st.dR[agents, i] = 0.0
+        else:
+            # a floor hit, or a locally observed floor-leave, resets the
+            # target's derivatives and their hold-check copies
+            st.dR[agents, ev.target] = 0.0
+            self._frozen[agents, ev.target] = 0.0
 
     # -- hold checker ------------------------------------------------------
 
-    def _check_holds(self, iv: Interval) -> None:
+    def check_holds(self, iv: Interval) -> None:
         """Out of sensing range a target's derivative may not move.
 
-        Verified bitwise between consecutive intervals; delivered floor-hit
-        events legitimately reset the frozen value to zero. A target out of
-        range on both sides whose derivative moved counts one violation and
-        refreshes its frozen copy; a target in range before refreshes it too.
+        Verified bitwise per (agent, target) pair against a copy taken at the
+        previous check; delivered floor-hit events legitimately reset the
+        copy to zero. A pair out of range at both checks whose derivative
+        moved counts one violation.
         """
-        st = self.state
-        outside_now = ~iv.in_range[:, self.agent]
-        if self._frozen_t is None:
-            self._frozen_t = st.dR_dtheta.copy()
-            self._frozen_w = st.dR_dw.copy()
-        else:
+        dR = self.state.dR
+        outside_now = ~iv.in_range.T
+        moved = self._outside & outside_now
+        if moved.any():
             # != also flags NaN, as np.array_equal did
-            moved = self._outside & outside_now & (
-                (st.dR_dtheta != self._frozen_t).any(axis=1)
-                | (st.dR_dw != self._frozen_w).any(axis=1))
-            bad = np.flatnonzero(moved)
-            self.diag.hold_violations += bad.size
-            for i in bad[:max(0, 8 - len(self.diag.notes))]:
-                self.diag.notes.append(
-                    f"target {i} derivative moved out of range in [{iv.t0}, {iv.t1}]")
-            refresh = moved | ~self._outside
-            self._frozen_t[refresh] = st.dR_dtheta[refresh]
-            self._frozen_w[refresh] = st.dR_dw[refresh]
+            moved &= (dR != self._frozen).any(axis=2)
+            for j, i in zip(*np.nonzero(moved)):
+                diag = self.diags[j]
+                diag.hold_violations += 1
+                if len(diag.notes) < 8:
+                    diag.notes.append(
+                        f"target {i} derivative moved out of range in [{iv.t0}, {iv.t1}]")
+        np.copyto(self._frozen, dR)
         self._outside = outside_now
 
     # -- full pass ----------------------------------------------------------
 
     def run(self) -> GradientVector:
-        n = self.params.n_points
-        acc_t = np.zeros(n)
-        acc_w = np.zeros(n)
+        """One pass over the record; the gradients as (N, P) blocks."""
+        acc = np.zeros_like(self.state.ds)
         for idx, iv in enumerate(self.record.intervals):
             if iv.dt > 0.0:
-                at, aw = self.interval_update(iv)
-                acc_t += at
-                acc_w += aw
-                self._check_holds(iv)
-            for ev in self._by_interval.get(idx, ()):
-                self.apply_event(ev)
-        T = self.record.scenario.T
-        grad = GradientVector(theta=acc_t / T, w=acc_w / T)
-        if not (np.isfinite(grad.theta).all() and np.isfinite(grad.w).all()):
-            raise RuntimeError(f"agent {self.agent}: non-finite gradient")
-        return grad
+                acc += self.interval_update(iv)
+                self.check_holds(iv)
+            for ev, agents in self._by_interval.get(idx, ()):
+                self.apply_event(ev, agents)
+        for diag, dev in zip(self.diags, self._leave_dev.tolist()):
+            diag.floor_leave_max_dev = dev
+        acc /= self.record.scenario.T
+        bad = np.flatnonzero(~np.isfinite(acc).all(axis=1))
+        if bad.size:
+            raise RuntimeError(f"agent {bad[0]}: non-finite gradient")
+        P = self.state.P
+        return GradientVector(theta=acc[:, :P], w=acc[:, P:])
 
 
-def agent_gradient(record: SimRecord, agent: int,
-                   events: list[EventRecord] | None = None,
-                   strict: bool = True, reentry_reset: bool = False) -> GradientVector:
-    """Gradient of the cost for one agent's parameters.
-
-    With ``events`` omitted the full event log is used, which is the
-    centralized evaluation.
-    """
-    evs = record.events if events is None else events
-    return Replica(record, agent, evs, strict=strict,
-                   reentry_reset=reentry_reset).run()
+def sweep(record: SimRecord, deliver: np.ndarray | None = None, strict: bool = True,
+          reentry_reset: bool = False) -> tuple[list[GradientVector], list[ReplicaDiagnostics]]:
+    """Every agent's gradient, unpadded, and diagnostics from one lockstep pass."""
+    rep = Replica(record, deliver, strict=strict, reentry_reset=reentry_reset)
+    g = rep.run()
+    return ([GradientVector(theta=g.theta[j, :n], w=g.w[j, :n])
+             for j, n in enumerate(rep.n_points)], rep.diags)
 
 
 def full_gradient(record: SimRecord) -> list[GradientVector]:
     """Centralized gradient: every agent evaluated on the full event log."""
-    return [agent_gradient(record, j) for j in range(record.scenario.n_agents)]
+    return sweep(record)[0]

@@ -9,7 +9,8 @@ The sensing geometry lives here once, as three vectorised kernels:
 ``detection`` (per-pair miss factors and the joint detection probability),
 ``miss_factors`` (the same miss factors as lines in time over an
 inter-event interval) and ``membership`` (inclusive sensing-range
-membership and the sensing gradient). Every other module calls them.
+membership and the sensing gradient; ``offset_membership`` takes the
+target-agent offsets instead of positions). Every other module calls them.
 """
 
 from __future__ import annotations
@@ -131,6 +132,12 @@ class Scenario:
     local_reentry_reset: bool = True
 
     def validate(self) -> None:
+        """Check every invariant; a scenario is immutable, so one pass that
+        succeeds is remembered and later calls (one per simulation) are free."""
+        self._validated
+
+    @cached_property
+    def _validated(self) -> bool:
         require_finite("mission", L=self.L, T=self.T)
         if self.L <= 0.0:
             raise ScenarioError("mission.L", f"mission length L={self.L} must be > 0")
@@ -141,6 +148,7 @@ class Scenario:
         for ag in self.agents:
             ag.validate(self.L)
         self.numerics.validate()
+        return True
 
     @property
     def n_agents(self) -> int:
@@ -189,21 +197,21 @@ def detection(x: np.ndarray, s: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, 
     return q, 1.0 - np.prod(q, axis=-1)
 
 
-def miss_factors(x: np.ndarray, s: np.ndarray, u: np.ndarray, r: np.ndarray,
+def miss_factors(d0: np.ndarray, u: np.ndarray, r: np.ndarray,
                  dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair miss factors of targets ``x`` (M,) as lines over ``[0, dt]``.
+    """Per-pair miss factors as lines over ``[0, dt]``, from the offsets
+    ``d0 = x[:, None] - s`` (M, N) of targets ``x`` and agent positions ``s``.
 
-    Agents start at ``s`` (N,) and move at constant speeds ``u`` (N,) with
-    sensing ranges ``r`` (N,). Returns ``(c0, c1)``, each (M, N), such that
-    a pair's miss factor at ``tau`` is ``c0 + c1 * tau``: ``(1, 0)`` for a
-    pair out of range at the midpoint, else ``(|d0| / r, -sigma * u / r)``
-    with ``d0 = x - s`` and ``sigma`` the sign of ``x - s`` at the midpoint.
-    This equals ``detection`` at the moved positions while no pair enters
-    or leaves its range or crosses its target inside the span, which the
-    simulator's motion events guarantee. Building from ``|d0|`` and
-    ``sigma`` gives mirrored pairs bit-identical coefficients.
+    Agents move at constant speeds ``u`` (N,) with sensing ranges ``r``
+    (N,). Returns ``(c0, c1)``, each (M, N), such that a pair's miss factor
+    at ``tau`` is ``c0 + c1 * tau``: ``(1, 0)`` for a pair out of range at
+    the midpoint, else ``(|d0| / r, -sigma * u / r)`` with ``sigma`` the
+    sign of ``x - s`` at the midpoint. This equals ``detection`` at the
+    moved positions while no pair enters or leaves its range or crosses its
+    target inside the span, which the simulator's motion events guarantee.
+    Building from ``|d0|`` and ``sigma`` gives mirrored pairs bit-identical
+    coefficients.
     """
-    d0 = x[:, None] - s
     mid = d0 - u * (0.5 * dt)
     inr = np.abs(mid) < r
     c0 = np.where(inr, np.abs(d0) / r, 1.0)
@@ -222,7 +230,12 @@ def membership(x: np.ndarray, s: np.ndarray, r: np.ndarray,
     parked exactly on a target takes ``-last_dir / r``, its last motion
     direction resolving the kink (``last_dir`` broadcasts over agents).
     """
-    diff = x[:, None] - s[..., None, :]
+    return offset_membership(x[:, None] - s[..., None, :], r, last_dir)
+
+
+def offset_membership(diff: np.ndarray, r: np.ndarray,
+                      last_dir=0) -> tuple[np.ndarray, np.ndarray]:
+    """``membership`` of the pairs with offsets ``diff = x - s`` (..., M, N)."""
     d = np.abs(diff)
     dp = np.where(d < r, np.sign(diff) / r, 0.0)
     dp = np.where(d == 0.0, -np.asarray(last_dir) / r, dp)

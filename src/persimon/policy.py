@@ -11,6 +11,7 @@ transitions.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,14 +51,15 @@ class AgentParams:
     def validate(self, L: float, path: str = "params",
                  keys: tuple[str, str] = ("theta", "w")) -> None:
         """Check the box constraints; ``keys`` name the two vectors in ``path``."""
-        for key, values in zip(keys, (self.theta, self.w)):
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                k = int(bad[0])
-                raise ScenarioError(f"{path}.{key}[{k}]", f"{values[k]} is not finite")
-        if self.theta.size and (self.theta.min() < 0.0 or self.theta.max() > L):
+        # plain floats: programs are short, and numpy calls cost more here
+        theta, w = self.theta.tolist(), self.w.tolist()
+        for key, values in zip(keys, (theta, w)):
+            for k, v in enumerate(values):
+                if not math.isfinite(v):
+                    raise ScenarioError(f"{path}.{key}[{k}]", f"{v} is not finite")
+        if theta and (min(theta) < 0.0 or max(theta) > L):
             raise ScenarioError(path, f"switching points must lie in [0, {L}]")
-        if self.w.size and self.w.min() < 0.0:
+        if w and min(w) < 0.0:
             raise ScenarioError(path, "dwell times must be >= 0")
 
 
@@ -114,21 +116,35 @@ class Boundary:
     next_phase: PhaseState
 
 
+def _first_direction(spec: AgentSpec, params: AgentParams) -> int:
+    return _sign(float(params.theta[0]) - spec.s0)
+
+
 def initial_phase(spec: AgentSpec, params: AgentParams) -> PhaseState:
     """Phase at t = 0: in transit toward the first switching point.
 
     The configured initial control is reconciled against the direction the
-    first switching point demands; the parameterization wins.
+    first switching point demands; the parameterization wins (see
+    ``warn_u0_conflict``).
     """
     if params.n_points == 0:
         return PhaseState(point=0, mode=PhaseMode.EXHAUSTED, u=0, last_dir=spec.u0)
-    u = _sign(float(params.theta[0]) - spec.s0)
+    u = _first_direction(spec, params)
+    return PhaseState(point=1, mode=PhaseMode.TRANSIT, u=u,
+                      last_dir=u if u != 0 else spec.u0)
+
+
+def warn_u0_conflict(spec: AgentSpec, params: AgentParams) -> None:
+    """Warn when the configured initial control disagrees with the direction
+    toward the first switching point, which ``initial_phase`` uses instead;
+    ``cli.load_scenario`` calls it once per agent."""
+    if params.n_points == 0:
+        return
+    u = _first_direction(spec, params)
     if spec.u0 != u:
         log.warning(
             "agent %d: initial control u0=%+d conflicts with direction %+d toward "
             "first switching point; using %+d", spec.index, spec.u0, u, u)
-    return PhaseState(point=1, mode=PhaseMode.TRANSIT, u=u,
-                      last_dir=u if u != 0 else spec.u0)
 
 
 def control_value(phase: PhaseState) -> int:

@@ -23,8 +23,9 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .events import EventKind, EventRecord, control_kind, order_batch
-from .model import Scenario, detection, membership, miss_factors
+from .events import (EventColumns, EventKind, EventRecord, control_kind, event_columns,
+                     order_batch)
+from .model import Scenario, detection, membership, miss_factors, offset_membership
 from .policy import (AgentParams, Boundary, PhaseMode, PhaseState,
                      control_value, initial_phase, resolve_boundary)
 
@@ -113,19 +114,26 @@ class SimRecord:
         sc = self.scenario
         return membership(sc.x, S, sc.r)[0]
 
+    @cached_property
+    def event_columns(self) -> EventColumns:
+        """The event log as arrays; ``row`` indexes ``event_membership``."""
+        return event_columns(self.events)
+
 
 @dataclass
 class _Detection:
     """The next event batch and the polynomials of the interval up to it:
     target ``i``'s miss product ``prod_d (C0[i, d] + C1[i, d] tau)`` over
     the agents ``slots[i]`` (factors not identically 1 first), its ascending
-    coefficients ``Q`` and those of the floor-aware rate ``rate``."""
+    coefficients ``Q`` and those of the floor-aware rate ``rate``; ``d0``
+    holds the target-agent offsets ``x - s`` at the interval start."""
 
     tau: float
     records: list[EventRecord]
     bounds: dict[int, Boundary]
     done: bool
     u: np.ndarray                 # (N,)
+    d0: np.ndarray                # (M, N)
     slots: np.ndarray             # (M, D)
     C0: np.ndarray                # (M, D)
     C1: np.ndarray                # (M, D)
@@ -267,7 +275,8 @@ class Simulator:
         # miss products over the window, with each target's factors that
         # are not identically 1 gathered into its first slots
         span = win_end - t0
-        c0, c1 = miss_factors(self.x, state.s, u, self.r, span)
+        d0 = self.x[:, None] - state.s
+        c0, c1 = miss_factors(d0, u, self.r, span)
         live = (c0 != 1.0) | (c1 != 0.0)
         D = int(live.sum(axis=1).max(initial=0))
         slots = np.argsort(~live, axis=1, kind="stable")[:, :D]
@@ -318,7 +327,7 @@ class Simulator:
         if done:
             records.append(EventRecord(tau_next, EventKind.HORIZON))
         return _Detection(tau=tau_next, records=order_batch(records), bounds=in_batch,
-                          done=done, u=u.copy(), slots=slots, C0=C0, C1=C1, Q=Q,
+                          done=done, u=u.copy(), d0=d0, slots=slots, C0=C0, C1=C1, Q=Q,
                           rate=rate)
 
     def _control_record(self, tau: float, j: int, tr, phase: PhaseState) -> EventRecord:
@@ -371,7 +380,8 @@ class Simulator:
             G[self.rows, det.slots] = loo @ w1[:D]
             GG[self.rows, det.slots] = loo @ w2[:D]
 
-        in_range, dp_ds = self._membership(state, 0.5 * (t0 + t1), u)
+        in_range, dp_ds = offset_membership(det.d0 - u * (0.5 * dt), self.r,
+                                            state.last_dir)
         iv = Interval(t0=t0, t1=t1, u=u, s0=state.s.copy(), s1=state.s + u * dt,
                       R0=state.R.copy(), R1=np.maximum(state.R + det.rate @ w1, 0.0),
                       int_R=state.R * dt + det.rate @ w2, on_floor=state.on_floor.copy(),
@@ -380,11 +390,6 @@ class Simulator:
         state.s = iv.s1.copy()
         state.R = iv.R1.copy()
         return iv
-
-    def _membership(self, state: SimState, t_mid: float, u: np.ndarray):
-        """Pair membership and sensing gradient constants at a mid-interval time."""
-        s_mid = state.s + u * (t_mid - state.t)
-        return membership(self.x, s_mid, self.r, state.last_dir)
 
     def _samples(self, iv: Interval, det: _Detection, t: np.ndarray):
         """Positions, detection probabilities and uncertainties at times

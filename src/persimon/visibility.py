@@ -1,4 +1,4 @@
-"""Time-varying neighborhoods and per-agent event visibility.
+"""Time-varying neighborhoods and per-agent event delivery.
 
 Agents only observe targets inside their sensing range and can talk to
 agents within communication range. An agent's local event stream is its
@@ -11,6 +11,11 @@ target). Three delivery modes build on that:
   This provably reproduces the centralized gradient.
 * LOCAL: local streams only; non-local floor hits are dropped, so
   derivative state can go stale while a target is out of sight.
+
+``delivery`` decides every event for every agent at once, as an (E, N)
+array of delivery reasons; ``visible_events`` reads one agent's column,
+and ``mode_gradients`` hands the whole array to the lockstep derivative
+sweep of ``gradient.Replica``.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import CONTROL_KINDS, EventKind, EventRecord
-from .gradient import GradientVector, Replica, ReplicaDiagnostics
+from .events import CONTROL_KINDS, KINDS, EventKind, EventRecord, kind_table
+from .gradient import sweep
 from .model import InfoMode, Scenario, membership
 from .sim import SimRecord
 
@@ -53,88 +58,97 @@ def neighborhoods(positions, scenario: Scenario, t: float = 0.0) -> NeighborSnap
                             target_neighbors=tgt_nb, observers=obs)
 
 
-_TARGET_KINDS = frozenset({
+# delivery reasons, as stored in the ``delivery`` array; 0 = not delivered
+OWN, TARGET, COLLAB, GLOBAL, ALL = 1, 2, 3, 4, 5
+REASONS = (None, "own", "target", "collab", "global", "all")
+
+_CONTROL = kind_table(CONTROL_KINDS)
+_TARGET = kind_table({
     EventKind.R_HIT_ZERO, EventKind.R_LEFT_ZERO, EventKind.SENSE_ON,
     EventKind.SENSE_OFF, EventKind.OBS_JOIN, EventKind.OBS_LEAVE,
     EventKind.CROSS,
 })
+_HIT = KINDS.index(EventKind.R_HIT_ZERO)
+_HORIZON = KINDS.index(EventKind.HORIZON)
+
+
+def delivery(record: SimRecord, mode: InfoMode) -> np.ndarray:
+    """Which agent receives which event, and why: an (E, N) array of reasons.
+
+    Entry ``[e, j]`` is 0 when event ``e`` does not reach agent ``j``, else
+    one of ``OWN`` (the agent's own control switch), ``TARGET`` (event of a
+    currently sensed target), ``COLLAB`` (relayed by an agent observing a
+    shared target), ``GLOBAL`` (non-local floor hit, ALMOST mode only) or
+    ``ALL`` (CENTRALIZED catch-all and plumbing). Neighborhoods are those
+    at the event instant, rows of ``record.event_membership``.
+    """
+    cols = record.event_columns
+    E, N = cols.kind.size, record.scenario.n_agents
+    if mode is InfoMode.CENTRALIZED:
+        return np.full((E, N), ALL, dtype=np.int8)
+    inr = record.event_membership                      # (K + 1, M, N)
+    # collaborators: pairs of distinct agents sharing a sensed target
+    # (float32 counts the shared targets exactly)
+    f = inr.astype(np.float32)
+    collab = np.matmul(f.transpose(0, 2, 1), f) > 0.0   # (K + 1, N, N)
+    collab[:, np.arange(N), np.arange(N)] = False
+    out = np.zeros((E, N), dtype=np.int8)
+    out[cols.kind == _HORIZON] = ALL
+
+    ctl = np.flatnonzero(_CONTROL[cols.kind])
+    who = cols.agent[ctl]
+    out[ctl] = np.where(collab[cols.row[ctl], :, who], COLLAB, 0)
+    out[ctl, who] = OWN
+
+    tgt = np.flatnonzero(_TARGET[cols.kind])
+    row = cols.row[tgt]
+    mine = inr[row, cols.target[tgt]]                  # (Et, N)
+    # the target is sensed by one of the agent's collaborators
+    relayed = (collab[row] & mine[:, None, :]).any(axis=2)
+    fallback = 0
+    if mode is InfoMode.ALMOST:
+        fallback = np.where(cols.kind[tgt] == _HIT, GLOBAL, 0)[:, None]
+    out[tgt] = np.where(mine, TARGET, np.where(relayed, COLLAB, fallback))
+    return out
 
 
 def visible_events(record: SimRecord, agent: int,
                    mode: InfoMode) -> list[tuple[EventRecord, str]]:
-    """The events delivered to one agent, each tagged with a delivery reason.
-
-    Reasons: ``own`` (the agent's own control switch), ``target`` (event of
-    a currently sensed target), ``collab`` (relayed by an agent observing a
-    shared target), ``global`` (non-local floor hit, ALMOST mode only),
-    ``all`` (CENTRALIZED catch-all and plumbing).
-    """
-    if mode is InfoMode.CENTRALIZED:
-        return [(ev, "all") for ev in record.events]
-    # per event instant (rows as in SimRecord.event_membership)
-    inr = record.event_membership                     # (K + 1, M, N)
-    mine = inr[:, :, agent]
-    # collaborators: other agents sharing at least one sensed target
-    collab = (inr & mine[:, :, None]).any(axis=1)
-    collab[:, agent] = False
-    # targets visible through a collaborator's own neighborhood
-    tvis = mine | (inr & collab[:, None, :]).any(axis=2)
-    out: list[tuple[EventRecord, str]] = []
-    for ev in record.events:
-        row = ev.interval_index + 1
-        if ev.kind is EventKind.HORIZON:
-            out.append((ev, "all"))
-        elif ev.kind in CONTROL_KINDS:
-            if ev.agent == agent:
-                out.append((ev, "own"))
-            elif collab[row, ev.agent]:
-                out.append((ev, "collab"))
-        elif ev.kind in _TARGET_KINDS:
-            i = ev.target
-            if mine[row, i]:
-                out.append((ev, "target"))
-            elif tvis[row, i]:
-                out.append((ev, "collab"))
-            elif mode is InfoMode.ALMOST and ev.kind is EventKind.R_HIT_ZERO:
-                out.append((ev, "global"))
-    return out
+    """The events delivered to one agent, each tagged with its delivery
+    reason (see ``delivery``)."""
+    codes = delivery(record, mode)[:, agent].tolist()
+    return [(ev, REASONS[c]) for ev, c in zip(record.events, codes) if c]
 
 
 def check_floor_hits_observed(record: SimRecord) -> None:
     """Every floor hit must be witnessed by at least one sensing agent."""
-    for ev in record.events:
-        if (ev.kind is EventKind.R_HIT_ZERO
-                and not record.event_membership[ev.interval_index + 1, ev.target].any()):
-            raise RuntimeError(
-                f"floor hit of target {ev.target} at t={ev.time} observed by no agent")
+    cols = record.event_columns
+    hits = np.flatnonzero(cols.kind == _HIT)
+    seen = record.event_membership[cols.row[hits], cols.target[hits]].any(axis=1)
+    if not seen.all():
+        ev = record.events[hits[np.argmin(seen)]]
+        raise RuntimeError(
+            f"floor hit of target {ev.target} at t={ev.time} observed by no agent")
 
 
 def mode_gradients(record: SimRecord, mode: InfoMode | None = None,
                    with_diagnostics: bool = False):
     """Per-agent cost gradients under an information mode.
 
-    Physics is shared (one simulation record); only the event stream each
-    agent's derivative replica consumes differs. LOCAL mode turns off the
-    strict consistency assertions, since holding stale derivatives is the
-    point, and optionally applies the re-entry inference reset configured
-    on the scenario.
+    Physics is shared (one simulation record); only the events each agent's
+    derivative ledger consumes differ, and one lockstep sweep advances all
+    ledgers. CENTRALIZED delivers everything, exactly as ``full_gradient``.
+    LOCAL mode turns off the strict consistency assertions, since holding
+    stale derivatives is the point, and optionally applies the re-entry
+    inference reset configured on the scenario.
     """
     sc = record.scenario
     if mode is None:
         mode = sc.mode
     check_floor_hits_observed(record)
-    grads: list[GradientVector] = []
-    diags: list[ReplicaDiagnostics] = []
-    for j in range(sc.n_agents):
-        if mode is InfoMode.CENTRALIZED:
-            events = record.events
-        else:
-            events = [ev for ev, _ in visible_events(record, j, mode)]
-        strict = mode is not InfoMode.LOCAL
-        reentry = mode is InfoMode.LOCAL and sc.local_reentry_reset
-        rep = Replica(record, j, events, strict=strict, reentry_reset=reentry)
-        grads.append(rep.run())
-        diags.append(rep.diag)
+    deliver = None if mode is InfoMode.CENTRALIZED else delivery(record, mode)
+    grads, diags = sweep(record, deliver, strict=mode is not InfoMode.LOCAL,
+                         reentry_reset=mode is InfoMode.LOCAL and sc.local_reentry_reset)
     if with_diagnostics:
         return grads, diags
     return grads

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from persimon.events import EventKind, EventRecord, order_batch
-from persimon.model import detection
+from persimon.model import detection, membership
 from persimon.sim import Interval, SimulationError, Simulator
 
 
@@ -41,6 +41,11 @@ class GridSimulator(Simulator):
     def __init__(self, scenario, params, h):
         super().__init__(scenario, params)
         self.h = h
+
+    def _membership(self, state, t_mid, u):
+        """Pair membership and sensing gradient at a mid-interval time."""
+        return membership(self.x, state.s + u * (t_mid - state.t), self.r,
+                          state.last_dir)
 
     def _row(self, state, ts, R, rate, k, tau):
         """q, raw rate, floor-aware rate and R at tau in [ts[k], ts[k+1]]."""

@@ -1,4 +1,5 @@
 import json
+import logging
 import re
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from persimon.cli import dump_params, load_scenario, main
+from persimon.sim import simulate
 
 from conftest import scale_gradient
 
@@ -118,6 +120,30 @@ class TestLoad:
         write_scenario(f, doc)
         sc, _, opt = load_scenario(f)
         assert sc.agents[0].u0 == 1 and opt.max_iters == 3
+
+    def test_u0_conflict_warned_once_per_agent_on_load(self, tmp_path, caplog):
+        # agent 0 heads up to 11 and agent 1 down to 19, against their u0
+        doc = small_doc()
+        set_field(doc, "agents[0].u0", -1)
+        set_field(doc, "agents[1].u0", 1)
+        f = tmp_path / "u0.scenario"
+        write_scenario(f, doc)
+
+        def warnings():
+            return [r.getMessage() for r in caplog.records if r.name == "persimon.policy"]
+
+        with caplog.at_level(logging.WARNING, logger="persimon.policy"):
+            sc, ps, _ = load_scenario(f)
+            assert warnings() == [
+                f"agent {j}: initial control u0={u0} conflicts with direction {u} "
+                f"toward first switching point; using {u}"
+                for j, u0, u in ((0, "-1", "+1"), (1, "+1", "-1"))]
+            caplog.clear()
+            simulate(sc, ps)
+            simulate(sc, ps)
+            assert warnings() == []
+            load_scenario(DATA / "smoke.scenario")
+            assert warnings() == []
 
     def test_step_h_accepted_and_ignored(self, tmp_path):
         outs = []

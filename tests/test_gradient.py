@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from persimon.events import EventKind, EventRecord
-from persimon.gradient import Replica, agent_gradient, init_derivatives
+from persimon.gradient import Replica, full_gradient, init_derivatives
 from persimon.sim import Interval, simulate
 
 from conftest import make_scenario, params, random_scenario
@@ -18,20 +18,35 @@ def blank_interval(t0, t1, M, N, **kw):
     return Interval(t0=t0, t1=t1, **shape)
 
 
-def replica_for(record, agent=0, **kw):
-    return Replica(record, agent, record.events, **kw)
+def walk(rep, record, after_interval):
+    """Drive a sweep interval by interval, calling ``after_interval(iv)``
+    after each positive-length interval's update."""
+    for idx, iv in enumerate(record.intervals):
+        if iv.dt > 0:
+            rep.interval_update(iv)
+            after_interval(iv)
+        for ev, agents in rep._by_interval.get(idx, ()):
+            rep.apply_event(ev, agents)
 
 
 class TestInit:
     def test_all_zero(self):
-        st = init_derivatives(3, 4)
+        st = init_derivatives(2, 3, 4)
+        assert st.ds_dtheta.shape == st.ds_dw.shape == (2, 4)
+        assert st.dR_dtheta.shape == st.dR_dw.shape == (2, 3, 4)
         assert not st.ds_dtheta.any() and not st.ds_dw.any()
         assert not st.dR_dtheta.any() and not st.dR_dw.any()
-        assert st.switch_index == 0
+        assert not st.switch_index.any()
 
     def test_empty_program(self):
-        st = init_derivatives(2, 0)
-        assert st.ds_dtheta.size == 0 and st.dR_dtheta.shape == (2, 0)
+        st = init_derivatives(1, 2, 0)
+        assert st.ds_dtheta.size == 0 and st.dR_dtheta.shape == (1, 2, 0)
+
+    def test_blocks_are_views_of_one_ledger(self):
+        st = init_derivatives(2, 1, 3)
+        st.ds_dw[1, 2] = 4.0
+        st.dR_dtheta[0, 0, 1] = 5.0
+        assert st.ds[1, 5] == 4.0 and st.dR[0, 0, 1] == 5.0
 
     def test_blocks_independent_across_agents(self):
         # perturbing one agent's parameters leaves the other's position
@@ -49,14 +64,9 @@ class TestInit:
 
 
 def _ds_history(record, agent):
-    rep = replica_for(record, agent)
+    rep = Replica(record)
     out = []
-    for idx, iv in enumerate(record.intervals):
-        if iv.dt > 0:
-            rep.interval_update(iv)
-            out.append((iv.t1, rep.state.ds_dtheta.copy()))
-        for ev in rep._by_interval.get(idx, ()):
-            rep.apply_event(ev)
+    walk(rep, record, lambda iv: out.append((iv.t1, rep.state.ds_dtheta[agent].copy())))
     return out
 
 
@@ -64,69 +74,94 @@ class TestIntervalUpdate:
     def test_out_of_range_holds(self):
         sc = make_scenario([(10.0, 1.0, 5.0, 6.0)], [(2.0, 1, 3.0)], T=5.0)
         rec = simulate(sc, [params([4.0], [1.0])])
-        rep = replica_for(rec)
-        rep.state.dR_dtheta[0, 0] = 0.7
+        rep = Replica(rec)
+        rep.state.dR_dtheta[0, 0, 0] = 0.7
         iv = blank_interval(0.0, 2.0, 1, 1,
                             in_range=np.zeros((1, 1), dtype=bool))
         rep.interval_update(iv)
-        assert rep.state.dR_dtheta[0, 0] == 0.7
+        assert rep.state.dR_dtheta[0, 0, 0] == 0.7
 
     def test_floor_arc_holds_at_zero(self):
         sc = make_scenario([(10.0, 1.0, 5.0, 6.0)], [(2.0, 1, 3.0)], T=5.0)
         rec = simulate(sc, [params([4.0], [1.0])])
-        rep = replica_for(rec)
+        rep = Replica(rec)
         iv = blank_interval(0.0, 2.0, 1, 1,
                             on_floor=np.ones(1, dtype=bool),
                             dp_ds=np.full((1, 1), 1 / 3.0),
                             G=np.full((1, 1), 2.0), GG=np.full((1, 1), 2.0))
-        rep.state.ds_dtheta[0] = 1.0
+        rep.state.ds_dtheta[0, 0] = 1.0
         rep.interval_update(iv)
-        assert rep.state.dR_dtheta[0, 0] == 0.0
+        assert rep.state.dR_dtheta[0, 0, 0] == 0.0
 
     def test_lone_observer_drift(self):
         # dp/ds=+1/r, ds/dtheta=1, dt=2, empty co-observer set: G = dt
         sc = make_scenario([(10.0, 1.0, 5.0, 6.0)], [(2.0, 1, 3.0)], T=5.0)
         rec = simulate(sc, [params([4.0], [1.0])])
-        rep = replica_for(rec)
-        rep.state.ds_dtheta[0] = 1.0
+        rep = Replica(rec)
+        rep.state.ds_dtheta[0, 0] = 1.0
         iv = blank_interval(0.0, 2.0, 1, 1,
                             dp_ds=np.full((1, 1), 1 / 3.0),
                             G=np.full((1, 1), 2.0), GG=np.full((1, 1), 2.0))
         rep.interval_update(iv)
-        assert rep.state.dR_dtheta[0, 0] == pytest.approx(-5.0 * (1 / 3.0) * 2.0)
+        assert rep.state.dR_dtheta[0, 0, 0] == pytest.approx(-5.0 * (1 / 3.0) * 2.0)
+
+    def test_agents_drift_by_their_own_columns(self):
+        # two agents on one target: each row drifts by its own dp/ds and G
+        sc = make_scenario([(10.0, 1.0, 5.0, 6.0)], [(2.0, 1, 3.0), (3.0, 1, 3.0)], T=5.0)
+        rec = simulate(sc, [params([4.0], [1.0]), params([5.0], [1.0])])
+        rep = Replica(rec)
+        rep.state.ds_dtheta[:, 0] = [1.0, 2.0]
+        iv = blank_interval(0.0, 2.0, 1, 2, dp_ds=np.array([[1 / 3.0, -1 / 3.0]]),
+                            G=np.array([[2.0, 1.5]]), GG=np.zeros((1, 2)))
+        rep.interval_update(iv)
+        assert rep.state.dR_dtheta[:, 0, 0] == pytest.approx(
+            [-5.0 / 3.0 * 2.0 * 1.0, 5.0 / 3.0 * 1.5 * 2.0])
 
 
 class TestHoldCheck:
     def _rep(self, n_targets):
         sc = make_scenario([(10.0 + i, 1.0, 5.0, 6.0) for i in range(n_targets)],
                            [(2.0, 1, 3.0)], T=5.0)
-        return replica_for(simulate(sc, [params([4.0], [1.0])]))
+        return Replica(simulate(sc, [params([4.0], [1.0])]))
 
     def test_moved_derivative_counts_once_and_notes_cap(self):
         rep = self._rep(10)
         out = blank_interval(0.0, 1.0, 10, 1, in_range=np.zeros((10, 1), dtype=bool))
-        rep._check_holds(out)                  # freezes the reference copy
-        rep.state.dR_dw[:, 0] = 0.5
-        rep._check_holds(out)
-        assert rep.diag.hold_violations == 10
-        assert rep.diag.notes == [
+        rep.check_holds(out)                   # freezes the reference copy
+        rep.state.dR_dw[0, :, 0] = 0.5
+        rep.check_holds(out)
+        assert rep.diags[0].hold_violations == 10
+        assert rep.diags[0].notes == [
             f"target {i} derivative moved out of range in [0.0, 1.0]" for i in range(8)]
-        rep._check_holds(out)                  # the frozen copy was refreshed
-        assert rep.diag.hold_violations == 10
+        rep.check_holds(out)                   # the frozen copy was refreshed
+        assert rep.diags[0].hold_violations == 10
 
     def test_moves_while_in_range_are_allowed(self):
         rep = self._rep(2)
         inside = blank_interval(0.0, 1.0, 2, 1,
                                 in_range=np.array([[True], [False]]))
         outside = blank_interval(1.0, 2.0, 2, 1, in_range=np.zeros((2, 1), dtype=bool))
-        rep._check_holds(inside)
-        rep.state.dR_dtheta[0, 0] = 0.3        # target 0 was in range: refreshed
-        rep._check_holds(outside)
-        assert rep.diag.hold_violations == 0
-        rep.state.dR_dtheta[1, 0] = np.nan     # target 1 stayed out of range
-        rep._check_holds(outside)
-        assert rep.diag.hold_violations == 1
-        assert rep.diag.notes == ["target 1 derivative moved out of range in [1.0, 2.0]"]
+        rep.check_holds(inside)
+        rep.state.dR_dtheta[0, 0, 0] = 0.3     # target 0 was in range: refreshed
+        rep.check_holds(outside)
+        assert rep.diags[0].hold_violations == 0
+        rep.state.dR_dtheta[0, 1, 0] = np.nan  # target 1 stayed out of range
+        rep.check_holds(outside)
+        assert rep.diags[0].hold_violations == 1
+        assert rep.diags[0].notes == ["target 1 derivative moved out of range in [1.0, 2.0]"]
+
+    def test_counts_and_notes_per_agent(self):
+        # one target, agent 0 in range and agent 1 out of it: only agent
+        # 1's ledger is held, so only its move counts, in its own notes
+        sc = make_scenario([(10.0, 1.0, 5.0, 6.0)], [(2.0, 1, 3.0), (3.0, 1, 3.0)], T=5.0)
+        rep = Replica(simulate(sc, [params([4.0], [1.0]), params([5.0], [1.0])]))
+        iv = blank_interval(0.0, 1.0, 1, 2, in_range=np.array([[True, False]]))
+        rep.check_holds(iv)
+        rep.state.dR_dw[:, 0, 0] = 0.5
+        rep.check_holds(iv)
+        assert [d.hold_violations for d in rep.diags] == [0, 1]
+        assert rep.diags[0].notes == []
+        assert rep.diags[1].notes == ["target 0 derivative moved out of range in [0.0, 1.0]"]
 
 
 class TestEventUpdates:
@@ -134,54 +169,79 @@ class TestEventUpdates:
         sc = make_scenario([(10.0, 1.0, 5.0, 6.0)] * n_targets,
                            [(2.0, 1, 3.0)], T=5.0)
         rec = simulate(sc, [params([4.0, 8.0][:n_points], [1.0, 1.0][:n_points])])
-        return replica_for(rec)
+        return Replica(rec)
 
     def test_floor_hit_resets_all(self):
         rep = self._rep()
-        rep.state.dR_dtheta[0] = [0.7, -0.2]
+        rep.state.dR_dtheta[0, 0] = [0.7, -0.2]
         rep.apply_event(EventRecord(1.0, EventKind.R_HIT_ZERO, target=0,
-                                    interval_index=0))
-        assert np.array_equal(rep.state.dR_dtheta[0], [0.0, 0.0])
+                                    interval_index=0), slice(None))
+        assert np.array_equal(rep.state.dR_dtheta[0, 0], [0.0, 0.0])
+
+    def test_floor_hit_resets_only_the_agents_it_reaches(self):
+        sc = make_scenario([(10.0, 1.0, 5.0, 6.0)] * 2,
+                           [(2.0, 1, 3.0), (3.0, 1, 3.0), (4.0, 1, 3.0)], T=5.0)
+        rep = Replica(simulate(sc, [params([4.0], [1.0])] * 3))
+        rep.state.dR_dw[:, :, 0] = 0.7
+        rep.apply_event(EventRecord(1.0, EventKind.R_HIT_ZERO, target=1,
+                                    interval_index=0), np.array([0, 2]))
+        assert rep.state.dR_dw[:, 1, 0].tolist() == [0.0, 0.7, 0.0]
+        assert rep.state.dR_dw[:, 0, 0].tolist() == [0.7, 0.7, 0.7]
 
     def test_arrival_sets_unit_sensitivity(self):
         rep = self._rep()
         rep.apply_event(EventRecord(2.0, EventKind.U_UP_STOP, agent=0,
                                     payload={"transition": "arrival", "point": 1,
                                              "u_in": 1, "u_out": 0},
-                                    interval_index=0))
-        assert rep.state.ds_dtheta[0] == 1.0 and rep.state.switch_index == 1
+                                    interval_index=0), 0)
+        assert rep.state.ds_dtheta[0, 0] == 1.0 and rep.state.switch_index[0] == 1
 
     def test_departure_dwell_sensitivity(self):
         rep = self._rep()
         rep.apply_event(EventRecord(2.0, EventKind.U_UP_STOP, agent=0,
                                     payload={"transition": "arrival", "point": 1,
                                              "u_in": 1, "u_out": 0},
-                                    interval_index=0))
+                                    interval_index=0), 0)
         rep.apply_event(EventRecord(3.0, EventKind.U_GO_UP, agent=0,
                                     payload={"transition": "departure", "point": 1,
                                              "u_in": 0, "u_out": 1},
-                                    interval_index=0))
-        assert rep.state.ds_dw[0] == -1.0
+                                    interval_index=0), 0)
+        assert rep.state.ds_dw[0, 0] == -1.0
 
     def test_reversal_doubles_current_and_flips_past(self):
         rep = self._rep()
-        rep.state.switch_index = 1
-        rep.state.ds_dtheta[:] = [0.4, 0.0]
+        rep.state.switch_index[0] = 1
+        rep.state.ds_dtheta[0] = [0.4, 0.0]
         rep.apply_event(EventRecord(3.0, EventKind.U_UP_DOWN, agent=0,
                                     payload={"transition": "reversal", "point": 2,
                                              "u_in": 1, "u_out": -1},
-                                    interval_index=0))
-        assert rep.state.ds_dtheta[1] == 2.0
-        assert rep.state.ds_dtheta[0] == -0.4
+                                    interval_index=0), 0)
+        assert rep.state.ds_dtheta[0, 1] == 2.0
+        assert rep.state.ds_dtheta[0, 0] == -0.4
 
     def test_other_agents_events_ignored(self):
-        rep = self._rep()
-        before = rep.state.ds_dtheta.copy()
-        rep.apply_event(EventRecord(2.0, EventKind.U_UP_STOP, agent=5,
+        # a control switch moves only the switching agent's row
+        sc = make_scenario([(10.0, 1.0, 5.0, 6.0)], [(2.0, 1, 3.0), (3.0, 1, 3.0)], T=5.0)
+        rep = Replica(simulate(sc, [params([4.0, 8.0], [1.0, 1.0]),
+                                        params([5.0], [1.0])]))
+        before = rep.state.ds.copy()
+        rep.apply_event(EventRecord(2.0, EventKind.U_UP_STOP, agent=1,
                                     payload={"transition": "arrival", "point": 1,
                                              "u_in": 1, "u_out": 0},
-                                    interval_index=0))
-        assert np.array_equal(rep.state.ds_dtheta, before)
+                                    interval_index=0), 1)
+        assert np.array_equal(rep.state.ds[0], before[0])
+        assert rep.state.ds_dtheta[1].tolist() == [1.0, 0.0]
+        assert rep.state.switch_index.tolist() == [0, 1]
+
+    def test_inert_kinds_are_not_scheduled(self):
+        rng = np.random.default_rng(3)
+        sc, ps = random_scenario(rng, n_agents=2, n_targets=3, T=15.0)
+        rec = simulate(sc, ps)
+        kinds = {ev.kind for evs in Replica(rec)._by_interval.values()
+                 for ev, _ in evs}
+        assert kinds and not kinds & {EventKind.OBS_JOIN, EventKind.OBS_LEAVE,
+                                      EventKind.CROSS, EventKind.SENSE_OFF,
+                                      EventKind.SENSE_ON, EventKind.HORIZON}
 
 
 class TestPositionDerivativesAgainstFd:
@@ -221,15 +281,10 @@ def _position_fd(spec, p, which, idx, tq, delta):
 
 
 def _full_state_history(record, agent):
-    rep = replica_for(record, agent)
+    rep = Replica(record)
     hist = []
-    for idx, iv in enumerate(record.intervals):
-        if iv.dt > 0:
-            rep.interval_update(iv)
-            hist.append((iv.t0, iv.t1, rep.state.ds_dtheta.copy(),
-                         rep.state.ds_dw.copy()))
-        for ev in rep._by_interval.get(idx, ()):
-            rep.apply_event(ev)
+    walk(rep, record, lambda iv: hist.append(
+        (iv.t0, iv.t1, rep.state.ds_dtheta[agent].copy(), rep.state.ds_dw[agent].copy())))
     return hist
 
 
@@ -244,20 +299,19 @@ class TestGradientAccumulation:
     def test_zero_history_zero_gradient(self):
         sc = make_scenario([(30.0, 1.0, 5.0, 9.0)], [(2.0, 1, 3.0)], T=6.0)
         rec = simulate(sc, [params([4.0], [1.0])])  # never in range
-        g = agent_gradient(rec, 0)
+        g = full_gradient(rec)[0]
         assert g.theta == pytest.approx([0.0]) and g.w == pytest.approx([0.0])
 
     def test_constant_derivative_times_span(self):
         # a held derivative c over the whole horizon integrates to c
         sc = make_scenario([(10.0, 1.0, 5.0, 6.0)], [(2.0, 1, 3.0)], T=5.0)
         rec = simulate(sc, [params([4.0], [1.0])])
-        rep = replica_for(rec)
-        rep.state.dR_dtheta[0, 0] = 0.3
+        rep = Replica(rec)
+        rep.state.dR_dtheta[0, 0, 0] = 0.3
         acc = np.zeros(1)
         for idx, iv in enumerate(rec.intervals):
             if iv.dt > 0:
-                at, _ = rep.interval_update(iv)
-                acc += at
+                acc += rep.interval_update(iv)[0, :1]
         # the target is never reached, so the hold persists end to end
         assert acc[0] / sc.T == pytest.approx(0.3, rel=1e-9)
 
@@ -291,10 +345,25 @@ class TestGradientAccumulation:
     def test_nonfinite_guard(self):
         sc = make_scenario([(10.0, 1.0, 5.0, 6.0)], [(2.0, 1, 3.0)], T=5.0)
         rec = simulate(sc, [params([4.0], [1.0])])
-        rep = replica_for(rec)
-        rep.state.dR_dtheta[0, 0] = np.nan
-        with pytest.raises(RuntimeError):
+        rep = Replica(rec)
+        rep.state.dR_dtheta[0, 0, 0] = np.nan
+        with pytest.raises(RuntimeError, match="agent 0: non-finite gradient"):
             rep.run()
+
+    def test_padded_entries_stay_zero(self):
+        # programs of 1 and 3 points: agent 0's padding never moves
+        rng = np.random.default_rng(8)
+        sc, _ = random_scenario(rng, n_agents=2, n_targets=3, T=15.0)
+        ps = [params([12.0], [1.0]), params([8.0, 20.0, 14.0], [0.5, 1.0, 0.0])]
+        rec = simulate(sc, ps)
+        rep = Replica(rec)
+        padded = []
+        walk(rep, rec, lambda iv: padded.append(
+            (rep.state.ds_dtheta[0, 1:].any() or rep.state.ds_dw[0, 1:].any()
+             or rep.state.dR_dtheta[0, :, 1:].any() or rep.state.dR_dw[0, :, 1:].any())))
+        assert padded and not any(padded)
+        g = full_gradient(rec)
+        assert g[0].theta.shape == (1,) and g[1].w.shape == (3,)
 
     def test_patrol_geometry_spot_fd(self):
         # the bundled mission geometry (trimmed horizon): seven targets on a
@@ -310,7 +379,7 @@ class TestGradientAccumulation:
                2: [25.0, 30.0, 35.0, 30.0]}
         ps = [params(cyc[j] * 3, [0.5] * 12) for j in range(3)]
         rec = simulate(sc, ps)
-        grads = [agent_gradient(rec, j) for j in range(3)]
+        grads = full_gradient(rec)
         delta = 1e-5
 
         def cost_with(j, kind, idx, bump):

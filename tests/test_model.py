@@ -63,7 +63,7 @@ class TestMissFactorsKernel:
         first = float(ahead[ahead > 0.0].min(initial=20.0))
         dt = data.draw(st.floats(0.0, 1.0)) * min(first, 20.0)
         tau = data.draw(st.floats(0.0, 1.0)) * dt
-        c0, c1 = miss_factors(x, s, u, r, dt)
+        c0, c1 = miss_factors(x[:, None] - s, u, r, dt)
         q, _ = detection(x, s + u * tau, r)
         assert np.abs(c0 + c1 * tau - q).max() <= 1e-12
 
@@ -72,8 +72,8 @@ class TestMissFactorsKernel:
     def test_mirrored_pairs_bit_identical(self, a, r, dt):
         # a is a multiple of 1/8, so the two positions mirror exactly
         x = np.array([20.0])
-        c0, c1 = miss_factors(x, np.array([20.0 - a, 20.0 + a]), np.array([1.0, -1.0]),
-                              np.array([r, r]), dt)
+        c0, c1 = miss_factors(x[:, None] - np.array([20.0 - a, 20.0 + a]),
+                              np.array([1.0, -1.0]), np.array([r, r]), dt)
         assert c0[0, 0].hex() == c0[0, 1].hex() and c1[0, 0].hex() == c1[0, 1].hex()
 
 
@@ -250,3 +250,18 @@ class TestValidation:
                       agents=(AgentSpec(0, 5.0, 1, 3.0, 6.0),),
                       mode=InfoMode.ALMOST)
         sc.validate()
+
+    def test_success_is_remembered_and_failure_is_not(self, monkeypatch):
+        checked = []
+        check = Target.validate
+        monkeypatch.setattr(Target, "validate",
+                            lambda self, L: checked.append(self.index) or check(self, L))
+        sc = Scenario(L=40.0, T=10.0, targets=(Target(0, 10.0, 1.0, 5.0, 1.0),),
+                      agents=(AgentSpec(0, 5.0, 1, 3.0, 6.0),))
+        sc.validate()
+        sc.validate()
+        assert checked == [0]
+        bad = Scenario(L=40.0, T=-1.0, targets=(), agents=())
+        for _ in range(2):
+            with pytest.raises(ScenarioError, match=r"mission\.T"):
+                bad.validate()
