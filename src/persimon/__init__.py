@@ -10,7 +10,7 @@ from .model import AgentSpec, InfoMode, Numerics, Scenario, ScenarioError, Targe
 from .policy import AgentParams, project_params
 from .sim import SimRecord, Simulator, simulate
 from .gradient import GradientVector, full_gradient
-from .visibility import mode_gradients, neighborhoods, visible_events
+from .visibility import mode_gradients, visible_events
 from .descent import OptimizerConfig, OptRun, optimize
 from .fdcheck import FdReport, fd_gradient, grad_check
 
@@ -19,7 +19,7 @@ __all__ = [
     "AgentParams", "project_params",
     "SimRecord", "Simulator", "simulate",
     "GradientVector", "full_gradient",
-    "mode_gradients", "neighborhoods", "visible_events",
+    "mode_gradients", "visible_events",
     "OptimizerConfig", "OptRun", "optimize",
     "FdReport", "fd_gradient", "grad_check",
 ]

@@ -19,9 +19,12 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
+
+
+# cap on the output sample table, T / sample_dt + 1 rows
+MAX_SAMPLES = 1_000_000
 
 
 class ScenarioError(ValueError):
@@ -85,7 +88,7 @@ class AgentSpec:
     s0: float            # initial position
     u0: int              # initial control in {-1, 0, 1}
     r: float             # sensing range
-    r_comm: float        # communication range
+    r_comm: float        # communication range: only checked, r_c >= 2r
 
     def validate(self, L: float) -> None:
         path = f"agents[{self.index}]"
@@ -148,7 +151,17 @@ class Scenario:
         for ag in self.agents:
             ag.validate(self.L)
         self.numerics.validate()
+        # n_samples > MAX_SAMPLES, in floats, so that T / sample_dt = inf fails too
+        if self.T / self.numerics.sample_dt + 1e-9 >= MAX_SAMPLES:
+            raise ScenarioError(
+                "numerics.sample_dt", f"sample_dt={self.numerics.sample_dt} over T={self.T} "
+                f"makes more than {MAX_SAMPLES} sample rows")
         return True
+
+    @property
+    def n_samples(self) -> int:
+        """Rows of the output sample table: every ``sample_dt`` from 0 to T."""
+        return int(math.floor(self.T / self.numerics.sample_dt + 1e-9)) + 1
 
     @property
     def n_agents(self) -> int:
@@ -240,41 +253,3 @@ def offset_membership(diff: np.ndarray, r: np.ndarray,
     dp = np.where(d < r, np.sign(diff) / r, 0.0)
     dp = np.where(d == 0.0, -np.asarray(last_dir) / r, dp)
     return d <= r, dp
-
-
-def sensing_prob(x: float, s: float, r: float) -> float:
-    """Detection probability of a point at ``x`` by an agent at ``s``."""
-    q, _ = detection(np.array([x]), np.array([s]), np.array([r]))
-    return float(1.0 - q[0, 0])
-
-
-def sensing_grad(x: float, s: float, r: float, direction: int = 0) -> float:
-    """Derivative of ``sensing_prob`` with respect to the agent position.
-
-    Exactly at the range boundary the gradient is 0; exactly on the target
-    it is -direction/r (0 when the motion direction is unknown).
-    """
-    _, dp = membership(np.array([x]), np.array([s]), np.array([r]), direction)
-    return float(dp[0, 0])
-
-
-def joint_detection(x: float, positions: Sequence[float], ranges: Sequence[float]) -> float:
-    """Joint detection probability of independent observers at ``positions``."""
-    _, P = detection(np.array([x]), np.asarray(positions, dtype=float),
-                     np.asarray(ranges, dtype=float))
-    return float(P[0])
-
-
-def uncertainty_rate(R: float, P: float, growth: float, decay: float) -> float:
-    """Time derivative of a target's uncertainty.
-
-    Held at 0 on the boundary arc (R = 0 with enough sensing pressure),
-    otherwise growth - decay * P. Negative R means the caller's integrator
-    already missed an event, which is unrecoverable.
-    """
-    if R < 0.0:
-        raise ValueError(f"negative uncertainty R={R}: integrator missed a zero crossing")
-    rate = growth - decay * P
-    if R == 0.0 and rate <= 0.0:
-        return 0.0
-    return rate

@@ -213,35 +213,3 @@ def resolve_boundary(phase: PhaseState, s: float, t: float,
         return Boundary(tau, (), nxt)
     nxt = PhaseState(point + 1, PhaseMode.TRANSIT, u_next, last_dir=u_next)
     return Boundary(tau, (Transition("departure", point, 0, u_next),), nxt)
-
-
-def position_schedule(spec: AgentSpec, params: AgentParams,
-                      horizon: float) -> list[tuple[float, float, int]]:
-    """Breakpoints (t, s, u-after) of the piecewise-linear trajectory.
-
-    Independent of the simulator; used as a ground-truth position oracle.
-    """
-    pts = [(0.0, spec.s0, 0)]
-    phase = initial_phase(spec, params)
-    t, s = 0.0, spec.s0
-    pts[0] = (0.0, s, control_value(phase))
-    while True:
-        b = resolve_boundary(phase, s, t, params, horizon)
-        if b is None:
-            break
-        t = b.time
-        if phase.mode is PhaseMode.TRANSIT:
-            s = float(params.theta[phase.point - 1])
-        phase = b.next_phase
-        pts.append((t, s, control_value(phase)))
-    return pts
-
-
-def position_at(schedule: list[tuple[float, float, int]], t: float) -> float:
-    """Evaluate a trajectory from its breakpoint schedule."""
-    s, u, t0 = schedule[0][1], schedule[0][2], schedule[0][0]
-    for tb, sb, ub in schedule:
-        if tb > t:
-            break
-        t0, s, u = tb, sb, ub
-    return s + u * (t - t0)

@@ -4,20 +4,25 @@ Cuts [0, T] into inter-event intervals at control switches and motion
 events (a sensing range entered or left, a target crossed), so inside an
 interval every miss factor is linear in time (``model.miss_factors``). A
 target's miss product, its uncertainty rate ``A - B P`` and its
-uncertainty are then polynomials, and the cost, the collaboration
-integrals G and GG and the end state are their integrals in closed form.
-The floor guards (a target's uncertainty reaching zero, or its rate
-turning positive on the floor) are first roots of these polynomials,
-logged on the hit side at most ``eps_event`` after the root; events
-within ``eps_event`` of the earliest one share its instant. Within an
-interval no guard changes sign, so derivative propagation can treat
-sensing gradients and observer sets as constants.
+uncertainty are then polynomials with closed-form integrals. The floor
+guards (a target's uncertainty reaching zero, or its rate turning
+positive on the floor) are first roots of these polynomials, logged on
+the hit side at most ``eps_event`` after the root; events within
+``eps_event`` of the earliest one share its instant. Within an interval
+no guard changes sign, so derivative propagation can treat sensing
+gradients and observer sets as constants.
+
+The event loop keeps only what the next event depends on: positions, the
+uncertainties and the cost integral. The quantities only the gradient
+estimators and the output read (range membership, the sensing gradients,
+the collaboration integrals G and GG, and the state samples) come from
+one vectorised kernel, run on each block of ``BLOCK`` finished intervals
+and at the horizon, while the intervals' polynomials are still buffered.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -28,6 +33,10 @@ from .events import (EventColumns, EventKind, EventRecord, control_kind, event_c
 from .model import Scenario, detection, membership, miss_factors, offset_membership
 from .policy import (AgentParams, Boundary, PhaseMode, PhaseState,
                      control_value, initial_phase, resolve_boundary)
+
+
+# finished intervals per block-kernel call; bounds the buffered polynomials
+BLOCK = 32
 
 
 class SimulationError(RuntimeError):
@@ -48,6 +57,9 @@ class SimState:
     last_dir: np.ndarray          # (N,) int
     bounds: list[Boundary | None]
     bound_t: np.ndarray           # (N,) boundary times, inf for none
+    # finished intervals awaiting the block kernel, with their detections
+    # and the agents' last directions while they ran
+    pending: list[tuple[Interval, _Detection, np.ndarray]] = field(default_factory=list)
 
 
 @dataclass
@@ -59,7 +71,8 @@ class Interval:
     co-observer miss product over the interval and ``GG`` integrates the
     running value of G (needed for time integrals of the uncertainty
     derivatives). ``in_range`` is target-neighborhood membership, evaluated
-    at the interval midpoint.
+    at the interval midpoint. These four are views of one block kernel's
+    arrays, set when the interval's block is flushed (None before).
     """
 
     t0: float
@@ -71,10 +84,10 @@ class Interval:
     R1: np.ndarray                # (M,)
     int_R: np.ndarray             # (M,) integral of R over the interval
     on_floor: np.ndarray          # (M,) bool
-    in_range: np.ndarray          # (M, N) bool
-    dp_ds: np.ndarray             # (M, N)
-    G: np.ndarray                 # (M, N)
-    GG: np.ndarray                # (M, N)
+    in_range: np.ndarray | None = None   # (M, N) bool
+    dp_ds: np.ndarray | None = None      # (M, N)
+    G: np.ndarray | None = None          # (M, N)
+    GG: np.ndarray | None = None         # (M, N)
 
     @property
     def dt(self) -> float:
@@ -365,40 +378,80 @@ class Simulator:
     # -- interval integration ------------------------------------------------
 
     def advance(self, state: SimState, det: _Detection) -> Interval:
+        """Move the state to the detected event and queue the finished
+        interval for the block kernel (``flush``)."""
         t0, t1, u = state.t, det.tau, det.u
-        dt, D = t1 - t0, det.C0.shape[1]
-        w1, w2 = _integrals(dt, D + 1)
-        # a pair outside a target's miss product integrates all of it; an
-        # observer integrates the product of the other factors
-        N = self.scenario.n_agents
-        G = np.repeat((det.Q @ w1)[:, None], N, axis=1)
-        GG = np.repeat((det.Q @ w2)[:, None], N, axis=1)
-        if D:
-            k = np.arange(D - 1)
-            others = k + (k >= np.arange(D)[:, None])       # (D, D - 1) other slots
-            loo = _products(det.C0[:, others], det.C1[:, others])   # (M, D, D)
-            G[self.rows, det.slots] = loo @ w1[:D]
-            GG[self.rows, det.slots] = loo @ w2[:D]
-
-        in_range, dp_ds = offset_membership(det.d0 - u * (0.5 * dt), self.r,
-                                            state.last_dir)
-        iv = Interval(t0=t0, t1=t1, u=u, s0=state.s.copy(), s1=state.s + u * dt,
-                      R0=state.R.copy(), R1=np.maximum(state.R + det.rate @ w1, 0.0),
-                      int_R=state.R * dt + det.rate @ w2, on_floor=state.on_floor.copy(),
-                      in_range=in_range, dp_ds=dp_ds, G=G, GG=GG)
+        dt = t1 - t0
+        w1, w2 = _integrals(dt, det.rate.shape[1])
+        iv = Interval(t0, t1, u, state.s, state.s + u * dt, state.R,
+                      np.maximum(state.R + det.rate @ w1, 0.0),
+                      state.R * dt + det.rate @ w2, state.on_floor.copy())
+        state.pending.append((iv, det, state.last_dir.copy()))
         state.t = t1
         state.s = iv.s1.copy()
         state.R = iv.R1.copy()
         return iv
 
-    def _samples(self, iv: Interval, det: _Detection, t: np.ndarray):
-        """Positions, detection probabilities and uncertainties at times
-        ``t`` inside the interval."""
-        tau = t - iv.t0
-        S = iv.s0 + iv.u * tau[:, None]
-        _, P = detection(self.x, S, self.r)
-        w1, _ = _integrals(tau, det.rate.shape[1])
-        return S, P, np.maximum(iv.R0 + w1 @ det.rate.T, 0.0)
+    def flush(self, state: SimState, samples: tuple[np.ndarray, ...], nxt: int) -> int:
+        """The block kernel: set ``in_range``, ``dp_ds``, ``G`` and ``GG`` of
+        every pending interval, and fill the rows from ``nxt`` of the sample
+        table ``(t, s, u, R, P)`` that fall in them. Returns the first row
+        left to fill, and drops the pending polynomials."""
+        ivs, dets, last_dir = zip(*state.pending)
+        state.pending = []
+        M, N = self.scenario.n_targets, self.scenario.n_agents
+        t0 = np.array([iv.t0 for iv in ivs])
+        t1 = np.array([iv.t1 for iv in ivs])
+        dt = t1 - t0
+        u = np.array([det.u for det in dets])
+        mid = np.array([det.d0 for det in dets]) - u[:, None] * (0.5 * dt)[:, None, None]
+        in_range, dp_ds = offset_membership(mid, self.r, np.array(last_dir)[:, None])
+
+        # a pair outside a target's miss product integrates all of it; an
+        # observer integrates the product of the other factors. Intervals
+        # are grouped by their slot count D.
+        n_slots = np.array([det.C0.shape[1] for det in dets])
+        groups = {D: np.flatnonzero(n_slots == D) for D in set(n_slots.tolist())}
+        G, GG = np.empty((len(ivs), M, N)), np.empty((len(ivs), M, N))
+        W1, W2 = _integrals(dt, max(groups) + 1)
+        for D, g in groups.items():
+            w1, w2 = W1[g, :D + 1], W2[g, :D + 1]
+            Q = np.array([dets[k].Q for k in g])
+            G[g] = Q @ w1[:, :, None]
+            GG[g] = Q @ w2[:, :, None]
+            if D:
+                others = np.array([[c for c in range(D) if c != d] for d in range(D)], dtype=int)
+                C0 = np.array([dets[k].C0 for k in g])
+                C1 = np.array([dets[k].C1 for k in g])
+                loo = _products(C0[:, :, others], C1[:, :, others])    # (n, M, D, D)
+                at = (g[:, None, None], self.rows, np.array([dets[k].slots for k in g]))
+                G[at] = (loo @ w1[:, None, :D, None])[..., 0]
+                GG[at] = (loo @ w2[:, None, :D, None])[..., 0]
+        for iv, a, b, c, d in zip(ivs, in_range, dp_ds, G, GG):
+            iv.in_range, iv.dp_ds, iv.G, iv.GG = a, b, c, d
+
+        # each sample row is evaluated on the first positive-length
+        # interval that ends at or after it
+        sample_t, sample_s, sample_u, sample_R, sample_P = samples
+        pos = np.flatnonzero(dt > 0.0)
+        if not pos.size or nxt >= sample_t.size or sample_t[nxt] > t1[pos[-1]]:
+            return nxt
+        stop = int(np.searchsorted(sample_t, t1[pos[-1]], side="right"))
+        rows = slice(nxt, stop)
+        owner = pos[np.searchsorted(t1[pos], sample_t[rows])]
+        tau = sample_t[rows] - t0[owner]
+        sample_u[rows] = u[owner]
+        sample_s[rows] = np.array([iv.s0 for iv in ivs])[owner] + u[owner] * tau[:, None]
+        sample_P[rows] = detection(self.x, sample_s[rows], self.r)[1]
+        R = np.array([iv.R0 for iv in ivs])[owner]
+        for D, g in groups.items():
+            at = np.flatnonzero(n_slots[owner] == D)
+            if at.size:
+                rate = np.array([dets[k].rate for k in g])[np.searchsorted(g, owner[at])]
+                w1, _ = _integrals(tau[at], D + 1)
+                R[at] += (rate @ w1[:, :, None])[..., 0]
+        sample_R[rows] = np.maximum(R, 0.0)
+        return stop
 
     # -- event application ---------------------------------------------------
 
@@ -435,14 +488,11 @@ class Simulator:
     def run(self, with_samples: bool = True) -> SimRecord:
         sc = self.scenario
         state = self.initial_state()
-        n_samp = int(math.floor(sc.T / sc.numerics.sample_dt + 1e-9)) + 1
-        if not with_samples:
-            n_samp = 1
+        n_samp = sc.n_samples if with_samples else 1
         sample_t = np.minimum(sc.numerics.sample_dt * np.arange(n_samp), sc.T)
-        sample_s = np.zeros((n_samp, sc.n_agents))
-        sample_u = np.zeros((n_samp, sc.n_agents))
-        sample_R = np.zeros((n_samp, sc.n_targets))
-        sample_P = np.zeros((n_samp, sc.n_targets))
+        samples = (sample_t, np.zeros((n_samp, sc.n_agents)), np.zeros((n_samp, sc.n_agents)),
+                   np.zeros((n_samp, sc.n_targets)), np.zeros((n_samp, sc.n_targets)))
+        _, sample_s, sample_u, sample_R, sample_P = samples
         sample_s[0] = state.s
         sample_u[0] = state.u
         sample_R[0] = state.R
@@ -457,13 +507,8 @@ class Simulator:
             iv = self.advance(state, det)
             idx = len(intervals)
             intervals.append(iv)
-            if iv.t1 > iv.t0 and next_samp < n_samp and sample_t[next_samp] <= iv.t1:
-                stop = int(np.searchsorted(sample_t, iv.t1, side="right"))
-                rows = slice(next_samp, stop)
-                sample_s[rows], sample_P[rows], sample_R[rows] = self._samples(
-                    iv, det, sample_t[rows])
-                sample_u[rows] = iv.u
-                next_samp = stop
+            if det.done or len(state.pending) == BLOCK:
+                next_samp = self.flush(state, samples, next_samp)
             recs = self.apply_events(state, det)
             for r in recs:
                 r.interval_index = idx

@@ -20,42 +20,12 @@ sweep of ``gradient.Replica``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .events import CONTROL_KINDS, KINDS, EventKind, EventRecord, kind_table
 from .gradient import sweep
-from .model import InfoMode, Scenario, membership
+from .model import InfoMode
 from .sim import SimRecord
-
-
-@dataclass(frozen=True)
-class NeighborSnapshot:
-    """All neighborhood sets at one instant."""
-
-    t: float
-    agent_neighbors: tuple[frozenset[int], ...]    # per agent: agents in comm range
-    target_neighbors: tuple[frozenset[int], ...]   # per agent: targets in sensing range
-    observers: tuple[frozenset[int], ...]          # per target: agents sensing it
-
-    def collaborators(self, target: int, agent: int) -> frozenset[int]:
-        return self.observers[target] - {agent}
-
-
-def neighborhoods(positions, scenario: Scenario, t: float = 0.0) -> NeighborSnapshot:
-    """Membership by distance thresholds, boundaries inclusive."""
-    s = np.asarray(positions, dtype=float)
-    rc = np.array([a.r_comm for a in scenario.agents])
-    inr, _ = membership(scenario.x, s, scenario.r)
-    M, N = inr.shape
-    agent_nb = tuple(
-        frozenset(k for k in range(N) if k != j and abs(s[k] - s[j]) <= rc[j])
-        for j in range(N))
-    tgt_nb = tuple(frozenset(np.flatnonzero(inr[:, j]).tolist()) for j in range(N))
-    obs = tuple(frozenset(np.flatnonzero(inr[i]).tolist()) for i in range(M))
-    return NeighborSnapshot(t=t, agent_neighbors=agent_nb,
-                            target_neighbors=tgt_nb, observers=obs)
 
 
 # delivery reasons, as stored in the ``delivery`` array; 0 = not delivered

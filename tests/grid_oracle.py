@@ -5,7 +5,9 @@ bisects them, and integrates the cost, R and the collaboration integrals G
 and GG with the trapezoid rule on the same grid, as the simulator did
 before it integrated each interval's polynomials exactly. Control switches,
 motion events, batching and event application are the simulator's own.
-Runs take no samples: ``GridSimulator(scenario, params, h).run(False)``.
+Its ``advance`` returns complete intervals and queues nothing, so the
+simulator's block kernel never runs on them. Runs take no samples:
+``GridSimulator(scenario, params, h).run(False)``.
 """
 
 from dataclasses import dataclass
@@ -122,6 +124,9 @@ class GridSimulator(Simulator):
             records.append(EventRecord(tau_next, EventKind.HORIZON))
         return GridDetection(tau=tau_next, records=order_batch(records), bounds=in_batch,
                              done=done, u=u.copy(), ts=ts, q=q, R=R, rate=rate)
+
+    def flush(self, state, samples, nxt):
+        return nxt
 
     def advance(self, state, det):
         t0, t1, u = state.t, det.tau, det.u

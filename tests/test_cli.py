@@ -100,6 +100,7 @@ class TestLoad:
         ("optimizer.eta", 0.4, "must be in (0.5, 1]"),
         ("optimizer.a_theta", 0.0, "must be > 0"),
         ("optimizer.max_iters", -1, "must be >= 0"),
+        ("numerics.sample_dt", 1e-15, "sample rows"),
     ])
     def test_bad_value_names_field(self, tmp_path, capsys, field, value, why):
         doc = small_doc()

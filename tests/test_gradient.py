@@ -3,9 +3,11 @@ import pytest
 
 from persimon.events import EventKind, EventRecord
 from persimon.gradient import Replica, full_gradient, init_derivatives
+from persimon.policy import AgentParams
 from persimon.sim import Interval, simulate
 
 from conftest import make_scenario, params, random_scenario
+from oracles import position_at, position_schedule
 
 
 def blank_interval(t0, t1, M, N, **kw):
@@ -266,7 +268,6 @@ class TestPositionDerivativesAgainstFd:
 
 
 def _position_fd(spec, p, which, idx, tq, delta):
-    import persimon.policy as pol
     vals = []
     for sign in (+1, -1):
         theta = p.theta.copy()
@@ -275,8 +276,8 @@ def _position_fd(spec, p, which, idx, tq, delta):
             theta[idx] += sign * delta
         else:
             w[idx] += sign * delta
-        sched = pol.position_schedule(spec, pol.AgentParams(theta, w), horizon=1e9)
-        vals.append(pol.position_at(sched, tq))
+        sched = position_schedule(spec, AgentParams(theta, w), horizon=1e9)
+        vals.append(position_at(sched, tq))
     return (vals[0] - vals[1]) / (2 * delta)
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from persimon.model import (AgentSpec, InfoMode, Numerics, Scenario, ScenarioError,
-                            Target, detection, joint_detection, membership,
-                            miss_factors, sensing_grad, sensing_prob, uncertainty_rate)
+from persimon.model import (MAX_SAMPLES, AgentSpec, InfoMode, Numerics, Scenario,
+                            ScenarioError, Target, detection, membership, miss_factors)
+
+from oracles import joint_detection, sensing_grad, sensing_prob, uncertainty_rate
 
 
 class TestDetectionKernel:
@@ -232,6 +233,16 @@ class TestValidation:
         for bad in (0.0, -1e-9):
             with pytest.raises(ScenarioError, match=r"numerics\.eps_event"):
                 Numerics(eps_event=bad).validate()
+
+    def test_sample_table_is_capped(self):
+        def scenario(T, dt):
+            return Scenario(L=40.0, T=T, targets=(), agents=(), numerics=Numerics(sample_dt=dt))
+
+        assert scenario(999_999.0, 1.0).n_samples == MAX_SAMPLES
+        scenario(999_999.0, 1.0).validate()
+        for T, dt in ((1_000_000.0, 1.0), (8.0, 1e-15), (8.0, 5e-324)):
+            with pytest.raises(ScenarioError, match=r"numerics\.sample_dt"):
+                scenario(T, dt).validate()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected_with_field_path(self, bad):

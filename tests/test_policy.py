@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from persimon.model import AgentSpec
 from persimon.policy import (AgentParams, PhaseMode, PhaseState, control_value,
-                             initial_phase, position_at, position_schedule,
-                             project_params, resolve_boundary)
+                             initial_phase, project_params, resolve_boundary)
+
+from oracles import position_at, position_schedule
 
 
 def ap(theta, w):

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from persimon import sim as sim_module
 from persimon.cli import load_scenario
 from persimon.events import EventKind
+from persimon.model import detection
 from persimon.sim import Simulator, simulate
 
 from conftest import make_scenario, params, random_scenario
 from grid_oracle import GridSimulator
+from oracles import position_at, position_schedule
 
 SMOKE = Path(__file__).resolve().parents[1] / "src" / "persimon" / "data" / "smoke.scenario"
 
@@ -23,6 +26,102 @@ def two_observers():
     the range edge (miss 1 - t/3): R = 2 - 1.5 t - 5 t^2 / 12 until its floor."""
     sc = make_scenario([(10.0, 1.0, 5.0, 2.0)], [(11.5, 0, 3.0), (7.0, 1, 3.0)], T=2.0)
     return sc, simulate(sc, [params([11.5], [10.0]), params([10.0], [1.0])])
+
+
+def zero_length_transits():
+    """Zero dwells and repeated points: 15 intervals, those at 0, 2 and 6 of
+    zero length, and a horizon T = 12 on a sample time."""
+    sc = make_scenario([(10.0, 1.0, 5.0, 2.0), (20.0, 1.0, 5.0, 2.0)],
+                       [(12.0, 1, 3.0), (25.0, -1, 3.0)], T=12.0)
+    return sc, [params([12.0, 12.0, 20.0, 12.0], [1.0, 0.0, 0.5, 0.0]),
+                params([22.0, 22.0, 18.0], [0.5, 0.0, 1.0])]
+
+
+INTERVAL_FIELDS = ("t0", "t1", "u", "s0", "s1", "R0", "R1", "int_R", "on_floor",
+                   "in_range", "dp_ds", "G", "GG")
+SAMPLE_FIELDS = ("sample_t", "sample_s", "sample_u", "sample_R", "sample_P")
+
+
+def assert_same_record(a, b):
+    """The event log and J bit for bit, every other field within 1e-14."""
+    assert ([(e.kind, e.agent, e.target, e.time, e.interval_index) for e in a.events]
+            == [(e.kind, e.agent, e.target, e.time, e.interval_index) for e in b.events])
+    assert a.J == b.J
+    assert len(a.intervals) == len(b.intervals)
+    pairs = [(np.array([getattr(iv, f) for iv in a.intervals]),
+              np.array([getattr(iv, f) for iv in b.intervals])) for f in INTERVAL_FIELDS]
+    pairs += [(getattr(a, f), getattr(b, f)) for f in SAMPLE_FIELDS]
+    for x, y in pairs:
+        assert x.shape == y.shape
+        scale = max(np.abs(x.astype(float)).max(initial=0.0), 1.0)
+        assert np.abs(x.astype(float) - y).max(initial=0.0) <= 1e-14 * scale
+
+
+class TestBlockKernel:
+    """Interval quantities and samples do not depend on where the event loop
+    cuts its blocks of finished intervals."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 7, 14, 15])
+    def test_record_independent_of_block_size(self, monkeypatch, block):
+        # 15 = 1 * 15 = 3 * 5 and 15 = 14 + 1 = 2 * 7 + 1 intervals; with
+        # blocks of 2 and 3 the zero-length intervals 2 and 6 open and close
+        # blocks
+        sc, ps = zero_length_transits()
+        ref = simulate(sc, ps)
+        assert len(ref.intervals) == 15
+        assert [k for k, iv in enumerate(ref.intervals) if iv.dt == 0.0] == [0, 2, 6]
+        monkeypatch.setattr(sim_module, "BLOCK", block)
+        assert_same_record(ref, simulate(sc, ps))
+
+    def test_block_of_one_on_example(self, monkeypatch):
+        sc, ps, _ = load_scenario(SMOKE.with_name("example1.scenario"))
+        ref = simulate(sc, ps)
+        assert len(ref.intervals) % sim_module.BLOCK != 0
+        monkeypatch.setattr(sim_module, "BLOCK", 1)
+        assert_same_record(ref, simulate(sc, ps))
+
+    def test_buffer_holds_at_most_one_block(self, monkeypatch):
+        sizes = []
+        flush = Simulator.flush
+
+        def recording(self, state, samples, nxt):
+            sizes.append(len(state.pending))
+            return flush(self, state, samples, nxt)
+
+        monkeypatch.setattr(Simulator, "flush", recording)
+        sc, ps, _ = load_scenario(SMOKE.with_name("example1.scenario"))
+        K = len(simulate(sc, ps).intervals)
+        full, rest = divmod(K, sim_module.BLOCK)
+        assert sizes == [sim_module.BLOCK] * full + [rest]
+
+    def test_horizon_on_a_sample_time(self):
+        sc, ps = zero_length_transits()
+        rec = simulate(sc, ps)
+        last = rec.intervals[-1]
+        assert rec.sample_t[-1] == sc.T == last.t1
+        assert np.array_equal(rec.sample_s[-1], last.s1)
+        assert np.array_equal(rec.sample_u[-1], last.u)
+        assert np.allclose(rec.sample_R[-1], last.R1, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("seed", [None, 6, 17])
+    def test_samples_match_position_oracle_and_detection(self, seed):
+        if seed is None:
+            sc, ps = zero_length_transits()
+        else:
+            sc, ps = random_scenario(np.random.default_rng(seed), n_agents=3, T=12.0)
+        rec = simulate(sc, ps)
+        for j, (spec, p) in enumerate(zip(sc.agents, ps)):
+            sched = position_schedule(spec, p, horizon=sc.T)
+            want = [position_at(sched, float(t)) for t in rec.sample_t]
+            assert np.allclose(rec.sample_s[:, j], want, rtol=0.0, atol=1e-12)
+        assert np.array_equal(rec.sample_P, detection(sc.x, rec.sample_s, sc.r)[1])
+
+    def test_bare_advance_leaves_the_kernel_fields_pending(self):
+        sc, ps = zero_length_transits()
+        sim = Simulator(sc, ps)
+        state = sim.initial_state()
+        iv = sim.advance(state, sim.next_event(state))
+        assert iv.G is None and len(state.pending) == 1 and state.pending[0][0] is iv
 
 
 class TestClosedForms:
@@ -128,10 +227,7 @@ class TestIntervalIntegration:
 
     def test_lone_observer_collaboration_is_dt(self):
         sc = make_scenario([(10.0, 1.0, 5.0, 5.0)], [(9.0, 1, 3.0)], T=40.0)
-        sim = Simulator(sc, [params([10.0], [1.0])])
-        state = sim.initial_state()
-        det = sim.next_event(state)
-        iv = sim.advance(state, det)
+        iv = simulate(sc, [params([10.0], [1.0])]).intervals[0]
         assert iv.dt == pytest.approx(1.0)
         assert iv.G[0, 0] == pytest.approx(iv.dt, rel=1e-12)
 

@@ -3,10 +3,10 @@ import numpy as np
 from persimon.events import EventKind
 from persimon.model import InfoMode
 from persimon.sim import simulate
-from persimon.visibility import (check_floor_hits_observed, mode_gradients,
-                                 neighborhoods, visible_events)
+from persimon.visibility import check_floor_hits_observed, mode_gradients, visible_events
 
 from conftest import make_scenario, params, random_scenario
+from oracles import neighborhoods
 
 
 class TestNeighborhoods:
