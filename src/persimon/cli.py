@@ -256,9 +256,11 @@ def cmd_optimize(args) -> int:
     n_agents = scenario.n_agents
     with open(out / "cost_history.csv", "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["iteration", "J"] + [f"grad_norm_{j + 1}" for j in range(n_agents)])
-        for l, (J, norms) in enumerate(zip(run.costs, run.grad_norms)):
-            wr.writerow([str(l), _fnum(J)] + [_fnum(v) for v in norms])
+        wr.writerow(["iteration", "J", "n_events", "n_intervals"]
+                    + [f"grad_norm_{j + 1}" for j in range(n_agents)])
+        for l, (J, n_ev, n_iv, norms) in enumerate(
+                zip(run.costs, run.n_events, run.n_intervals, run.grad_norms)):
+            wr.writerow([str(l), _fnum(J), str(n_ev), str(n_iv)] + [_fnum(v) for v in norms])
     every = max(1, args.checkpoint_every)
     for l, ps in enumerate(run.params_history):
         if l % every == 0 or l == len(run.params_history) - 1:

@@ -49,12 +49,16 @@ class OptRun:
 
     ``costs[l]`` is the cost of the parameters *before* update ``l``; the
     last entry evaluates the final parameters, so there are at most
-    ``max_iters + 1`` entries. ``hold_violations``, ``floor_leave_max_dev``
-    and ``reentry_resets`` aggregate the derivative-consistency
-    diagnostics over every replica of every iteration.
+    ``max_iters + 1`` entries. ``n_events[l]`` and ``n_intervals[l]`` count
+    the events and inter-event intervals of the simulation behind
+    ``costs[l]``. ``hold_violations``, ``floor_leave_max_dev`` and
+    ``reentry_resets`` aggregate the derivative-consistency diagnostics over
+    every replica of every iteration.
     """
 
     costs: list[float] = field(default_factory=list)
+    n_events: list[int] = field(default_factory=list)
+    n_intervals: list[int] = field(default_factory=list)
     grad_norms: list[list[float]] = field(default_factory=list)
     params_history: list[tuple[AgentParams, ...]] = field(default_factory=list)
     final_params: tuple[AgentParams, ...] = ()
@@ -95,6 +99,9 @@ def optimize(scenario: Scenario, initial: list[AgentParams] | tuple[AgentParams,
     run = OptRun()
 
     def evaluate(record):
+        run.costs.append(record.J)
+        run.n_events.append(len(record.events))
+        run.n_intervals.append(len(record.intervals))
         grads, diags = mode_gradients(record, mode, with_diagnostics=True)
         for d in diags:
             run.hold_violations += d.hold_violations
@@ -107,7 +114,6 @@ def optimize(scenario: Scenario, initial: list[AgentParams] | tuple[AgentParams,
         record = simulate(scenario, params)
         grads = evaluate(record)
         norms = [g.norm() for g in grads]
-        run.costs.append(record.J)
         run.grad_norms.append(norms)
         run.params_history.append(params)
         a_t = step_size(l, config.a_theta, config.eta)
@@ -122,7 +128,6 @@ def optimize(scenario: Scenario, initial: list[AgentParams] | tuple[AgentParams,
         run.termination = "MAX_ITERS"
     record = simulate(scenario, params)
     grads = evaluate(record)
-    run.costs.append(record.J)
     run.grad_norms.append([g.norm() for g in grads])
     run.params_history.append(params)
     run.final_params = params

@@ -5,12 +5,12 @@ grows at a constant rate while unobserved and is driven down when one or
 more agents sense them. Agents move at unit speed with a finite-range
 sensor whose detection probability decays linearly with distance.
 
-The sensing geometry lives here once, as three vectorised kernels:
-``detection`` (per-pair miss factors and the joint detection probability),
-``miss_factors`` (the same miss factors as lines in time over an
-inter-event interval) and ``membership`` (inclusive sensing-range
-membership and the sensing gradient; ``offset_membership`` takes the
-target-agent offsets instead of positions). Every other module calls them.
+The sensing geometry lives here once, as two vectorised kernels:
+``detection`` (per-pair miss factors and the joint detection probability)
+and ``membership`` (inclusive sensing-range membership and the sensing
+gradient; ``offset_membership`` takes the target-agent offsets instead of
+positions). The simulator's per-event path repeats ``detection``'s miss
+factor one pair at a time, as lines in time over an inter-event interval.
 """
 
 from __future__ import annotations
@@ -208,29 +208,6 @@ def detection(x: np.ndarray, s: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, 
     """
     q = np.clip(np.abs(x[:, None] - s[..., None, :]) / r, 0.0, 1.0)
     return q, 1.0 - np.prod(q, axis=-1)
-
-
-def miss_factors(d0: np.ndarray, u: np.ndarray, r: np.ndarray,
-                 dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair miss factors as lines over ``[0, dt]``, from the offsets
-    ``d0 = x[:, None] - s`` (M, N) of targets ``x`` and agent positions ``s``.
-
-    Agents move at constant speeds ``u`` (N,) with sensing ranges ``r``
-    (N,). Returns ``(c0, c1)``, each (M, N), such that a pair's miss factor
-    at ``tau`` is ``c0 + c1 * tau``: ``(1, 0)`` for a pair out of range at
-    the midpoint, else ``(|d0| / r, -sigma * u / r)`` with ``sigma`` the
-    sign of ``x - s`` at the midpoint. This equals ``detection`` at the
-    moved positions while no pair enters or leaves its range or crosses its
-    target inside the span, which the simulator's motion events guarantee.
-    Building from ``|d0|`` and ``sigma`` gives mirrored pairs bit-identical
-    coefficients.
-    """
-    mid = d0 - u * (0.5 * dt)
-    inr = np.abs(mid) < r
-    c0 = np.where(inr, np.abs(d0) / r, 1.0)
-    # + 0.0 clears the sign of a zero slope, which follows u's sign
-    c1 = np.where(inr, -np.sign(mid) * u / r + 0.0, 0.0)
-    return c0, c1
 
 
 def membership(x: np.ndarray, s: np.ndarray, r: np.ndarray,

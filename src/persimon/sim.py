@@ -2,35 +2,40 @@
 
 Cuts [0, T] into inter-event intervals at control switches and motion
 events (a sensing range entered or left, a target crossed), so inside an
-interval every miss factor is linear in time (``model.miss_factors``). A
-target's miss product, its uncertainty rate ``A - B P`` and its
-uncertainty are then polynomials with closed-form integrals. The floor
-guards (a target's uncertainty reaching zero, or its rate turning
-positive on the floor) are first roots of these polynomials, logged on
-the hit side at most ``eps_event`` after the root; events within
-``eps_event`` of the earliest one share its instant. Within an interval
-no guard changes sign, so derivative propagation can treat sensing
-gradients and observer sets as constants.
+interval every miss factor is linear in time: ``|x - s| / r`` of
+``model.detection`` for a pair in range, else 1. A target's miss product,
+its uncertainty rate ``A - B P`` and its uncertainty are then polynomials
+with closed-form integrals. The floor guards (a target's uncertainty
+reaching zero, or its rate turning positive on the floor) are first roots
+of these polynomials, logged on the hit side at most ``eps_event`` after
+the root; events within ``eps_event`` of the earliest one share its
+instant. Within an interval no guard changes sign, so derivative
+propagation can treat sensing gradients and observer sets as constants.
 
 The event loop keeps only what the next event depends on: positions, the
-uncertainties and the cost integral. The quantities only the gradient
-estimators and the output read (range membership, the sensing gradients,
-the collaboration integrals G and GG, and the state samples) come from
-one vectorised kernel, run on each block of ``BLOCK`` finished intervals
-and at the horizon, while the intervals' polynomials are still buffered.
+uncertainties and the cost integral. Its detection is sparse and scalar:
+bisection on each agent's sorted range edges and on the targets sorted by
+x finds the next motion event and the (target, agent) pairs in range, and
+each target's miss product, rate bounds and floor roots come from those
+pairs alone. The quantities only the gradient estimators and the output
+read (range membership, the sensing gradients, the collaboration
+integrals G and GG, and the state samples) come from one vectorised
+kernel, run on each block of ``BLOCK`` finished intervals and at the
+horizon, which lays the buffered pairs out densely again.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .events import (EventColumns, EventKind, EventRecord, control_kind, event_columns,
                      order_batch)
-from .model import Scenario, detection, membership, miss_factors, offset_membership
+from .model import Scenario, detection, membership, offset_membership
 from .policy import (AgentParams, Boundary, PhaseMode, PhaseState,
                      control_value, initial_phase, resolve_boundary)
 
@@ -135,22 +140,23 @@ class SimRecord:
 
 @dataclass
 class _Detection:
-    """The next event batch and the polynomials of the interval up to it:
-    target ``i``'s miss product ``prod_d (C0[i, d] + C1[i, d] tau)`` over
-    the agents ``slots[i]`` (factors not identically 1 first), its ascending
-    coefficients ``Q`` and those of the floor-aware rate ``rate``; ``d0``
-    holds the target-agent offsets ``x - s`` at the interval start."""
+    """The next event batch and the polynomials of the interval up to it.
+
+    ``pairs`` lists the (target, agent) pairs whose miss factor over the
+    interval is not identically 1, as ``(i, j, c0, c1)`` for the line
+    ``c0 + c1 tau``, in agent order; ``D`` is the largest number of such
+    pairs of one target. ``rate`` holds each target's floor-aware rate as
+    ascending coefficients, (M, D + 1); ``_layout`` gives the dense slot
+    layout and miss products of the block kernel.
+    """
 
     tau: float
     records: list[EventRecord]
     bounds: dict[int, Boundary]
     done: bool
     u: np.ndarray                 # (N,)
-    d0: np.ndarray                # (M, N)
-    slots: np.ndarray             # (M, D)
-    C0: np.ndarray                # (M, D)
-    C1: np.ndarray                # (M, D)
-    Q: np.ndarray                 # (M, D + 1)
+    pairs: list[tuple[int, int, float, float]]
+    D: int
     rate: np.ndarray              # (M, D + 1)
 
 
@@ -173,58 +179,95 @@ def _integrals(dt, n: int) -> tuple[np.ndarray, np.ndarray]:
     return w1, w1 * (np.asarray(dt)[..., None] / (k + 1))
 
 
-def _root_parts(coef: np.ndarray) -> np.ndarray:
-    """Real parts of the roots of each row polynomial (ascending
-    coefficients, (K, n)), padded with 0 to (K, n - 1), as eigenvalues of
-    the companion matrices of the rows of each degree (a 1 x 1 companion
-    is its own eigenvalue)."""
-    K, n = coef.shape
-    nz = coef != 0.0
-    deg = np.where(nz.any(axis=1), n - 1 - np.argmax(nz[:, ::-1], axis=1), 0)
-    roots = np.zeros((K, n - 1))
-    for d in sorted(set(deg.tolist()) - {0}):
-        rows = np.flatnonzero(deg == d)
-        comp = np.zeros((rows.size, d, d))
-        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-        comp[:, :, -1] = -coef[rows, :d] / coef[rows, d, None]
-        roots[rows, :d] = np.linalg.eigvals(comp).real if d > 1 else comp[:, 0]
-    return roots
+def _miss_product(factors: list[tuple[float, float]], span: float,
+                  D: int) -> tuple[list[float], float, float]:
+    """One target's miss product ``prod (c0 + c1 tau)`` over its live
+    factors: ascending coefficients padded to ``D + 1`` entries exactly as
+    the block kernel's (1, 0) padding factors leave them, and the products
+    of each factor's smaller and of its larger end value on ``[0, span]``."""
+    Q, lo, hi = [1.0], 1.0, 1.0
+    for c0, c1 in factors:
+        Q.append(0.0)
+        for k in range(len(Q) - 1, 0, -1):
+            Q[k] = Q[k] * c0 + Q[k - 1] * c1
+        Q[0] *= c0
+        end = c0 + c1 * span
+        lo *= min(c0, end)
+        hi *= max(c0, end)
+    pad = D + 1 - len(Q)
+    replay = pad and 0.0 in Q
+    Q += [0.0] * pad
+    if replay:   # a padding factor turns a -0.0 into 0.0 unless its left neighbour is negative
+        for _ in range(pad):
+            for k in range(D, 0, -1):
+                Q[k] = Q[k] * 1.0 + Q[k - 1] * 0.0
+    return Q, lo, hi
 
 
-def _first_crossings(coef: np.ndarray, span: float, rising: np.ndarray,
-                     eps: float) -> np.ndarray:
-    """First entry of each row polynomial (ascending coefficients, (K, n))
-    into its hit side, ``f > 0`` where ``rising`` and ``f <= 0`` elsewhere,
-    from the other side in ``(0, span]``. Between 0, ``span``, the roots'
-    real parts and their neighbours at ``eps / 2`` the sign changes at most
-    once, so the first hit point after a miss point brackets the crossing;
-    bisection narrows a wider bracket to ``eps``. Returns the bracket's hit
-    end, or inf."""
-    roots = _root_parts(coef)
-    K, half = coef.shape[0], 0.5 * eps
-    pts = np.concatenate([np.zeros((K, 1)), np.full((K, 1), span),
-                          roots - half, roots, roots + half], axis=1)
-    pts = np.sort(np.clip(pts, 0.0, span), axis=1)
-    f = polyval(pts, coef.T[:, :, None], tensor=False)
-    hit = np.where(rising[:, None], f > 0.0, f <= 0.0)
-    cross = hit[:, 1:] & ~hit[:, :-1]
-    rows = np.flatnonzero(cross.any(axis=1))
-    out = np.full(K, np.inf)
-    if rows.size:
-        k = np.argmax(cross[rows], axis=1)
-        a, b = pts[rows, k], pts[rows, k + 1]
-        c, up = coef[rows], rising[rows]
-        for _ in range(100):   # capped: eps may lie below the time resolution
-            wide = b - a > eps
-            if not wide.any():
-                break
-            mid = 0.5 * (a + b)
-            fm = polyval(mid, c.T, tensor=False)
-            inside = wide & np.where(up, fm > 0.0, fm <= 0.0)
-            b = np.where(inside, mid, b)
-            a = np.where(wide & ~inside, mid, a)
-        out[rows] = b
-    return out
+def _first_crossing(coef: list[float], span: float, rising: bool, eps: float) -> float:
+    """First entry of the polynomial ``coef`` (ascending, zero-padded to one
+    width for every target of an event) into its hit side, ``f > 0`` if
+    ``rising`` and ``f <= 0`` otherwise, from the other side in ``(0, span]``.
+    Between 0, ``span``, the roots' real parts and their neighbours at
+    ``eps / 2`` the sign changes at most once, so the first hit point after a
+    miss point brackets the crossing; bisection narrows a wider bracket to
+    ``eps``. The roots are companion-matrix eigenvalues (a degree-1 root in
+    closed form), and a polynomial of less than the padded degree also has
+    the padding's root 0. Returns the bracket's hit end, or inf."""
+    d = len(coef) - 1
+    while d and coef[d] == 0.0:
+        d -= 1
+    roots = [0.0] if d < len(coef) - 1 else []
+    if d == 1:
+        roots.append(-coef[0] / coef[1])
+    elif d > 1:
+        comp = np.eye(d, k=-1)
+        comp[:, -1] = [-c / coef[d] for c in coef[:d]]
+        roots.extend(np.linalg.eigvals(comp).real.tolist())
+    half = 0.5 * eps
+    pts = sorted(min(max(p, 0.0), span)
+                 for p in [0.0, span] + [p for q in roots for p in (q - half, q, q + half)])
+    top = coef[d::-1]
+
+    def hit(tau: float) -> bool:
+        f = top[0] + tau * 0.0
+        for c in top[1:]:
+            f = c + f * tau
+        return f > 0.0 if rising else f <= 0.0
+
+    was = hit(pts[0])
+    for a, b in zip(pts, pts[1:]):
+        now = hit(b)
+        if now and not was:
+            for _ in range(100):   # capped: eps may lie below the time resolution
+                if not b - a > eps:
+                    break
+                mid = 0.5 * (a + b)
+                if hit(mid):
+                    b = mid
+                else:
+                    a = mid
+            return b
+        was = now
+    return math.inf
+
+
+def _layout(dets: list[_Detection], M: int, N: int) -> tuple[np.ndarray, ...]:
+    """The dense slot layout of detections that share one slot count D:
+    each target's live agents in agent order, padded with its first other
+    agents, whose factors are (1, 0). Returns ``slots`` (n, M, D), their
+    factors ``C0`` and ``C1``, and the miss products ``Q`` (n, M, D + 1)."""
+    live = np.zeros((len(dets), M, N), dtype=bool)
+    c0, c1 = np.ones(live.shape), np.zeros(live.shape)
+    flat = [(k,) + pair for k, det in enumerate(dets) for pair in det.pairs]
+    if flat:
+        k, i, j, a, b = zip(*flat)
+        at = (np.array(k), np.array(i), np.array(j))
+        live[at], c0[at], c1[at] = True, a, b
+    slots = np.argsort(~live, axis=2, kind="stable")[..., :dets[0].D]
+    C0 = np.take_along_axis(c0, slots, axis=2)
+    C1 = np.take_along_axis(c1, slots, axis=2)
+    return slots, C0, C1, _products(C0, C1)
 
 
 class Simulator:
@@ -244,6 +287,26 @@ class Simulator:
         # (N, M, 3) motion event positions: lower and upper range edges, target
         self.edges = self.x[None, :, None] + self.r[:, None, None] * np.array([-1.0, 1.0, 0.0])
         self.rows = np.arange(scenario.n_targets)[:, None]
+        # plain-float tables for the per-event path: the targets sorted by x,
+        # and each agent's motion event positions sorted, with (target, edge)
+        order = np.argsort(self.x, kind="stable")
+        self._xs, self._by_x = self.x[order].tolist(), order.tolist()
+        self._x, self._A, self._B, self._r = (a.tolist() for a in (self.x, self.A, self.B, self.r))
+        self._edges = []
+        for e in self.edges.reshape(scenario.n_agents, 3 * scenario.n_targets):
+            k = np.argsort(e, kind="stable")
+            self._edges.append((e[k].tolist(), [divmod(c, 3) for c in k.tolist()]))
+        # the most consecutive zero-length intervals one instant can hold. A
+        # zero-length interval ends in a batch at its own start, which no
+        # motion guard joins (those lie more than eps ahead), so the batch
+        # passes an agent's phase boundary or moves a target's floor flag.
+        # An agent passes at most two boundaries per switching point in a
+        # run (its arrival and the end of its dwell); between two boundaries
+        # positions and controls are fixed, and each target's floor flag
+        # flips at most twice (a hit and its leave). Beyond this, the
+        # detection is stuck.
+        self._chatter = ((2 * sum(p.n_points for p in self.params) + 1)
+                         * (2 * scenario.n_targets + 1))
 
     # -- state construction -------------------------------------------------
 
@@ -275,73 +338,106 @@ class Simulator:
     # -- event detection -----------------------------------------------------
 
     def next_event(self, state: SimState) -> _Detection:
-        sc, t0, eps, u = self.scenario, state.t, self.eps, state.u
-        tau_sched = min(sc.T, float(state.bound_t.min(initial=np.inf)))
+        sc, t0, eps = self.scenario, state.t, self.eps
+        s, u, R = state.s.tolist(), state.u.tolist(), state.R.tolist()
+        bound_t = state.bound_t.tolist()
+        tau_sched = min(sc.T, min(bound_t, default=math.inf))
 
-        # motion guards in closed form while controls stay constant; u is
-        # -1, 0 or 1, so multiplying by it divides by it, and a parked
-        # agent's candidates all land on t0
-        tau_m = t0 + (self.edges - state.s[:, None, None]) * u[:, None, None]
-        motion = (tau_m > t0 + eps) & (tau_m <= tau_sched + eps)
-        win_end = min(tau_sched, float(tau_m[motion].min(initial=np.inf)))
+        # motion guards in closed form while controls stay constant: each
+        # moving agent's next edge ahead, from its sorted edges (u is -1, 0
+        # or 1, so multiplying by it divides by it; a parked agent has none)
+        ahead = []
+        win_end = tau_sched
+        for j, (sj, uj) in enumerate(zip(s, u)):
+            if uj == 0.0:
+                continue
+            pos, _ = self._edges[j]
+            k, step = (bisect_right(pos, sj), 1) if uj > 0.0 else (bisect_left(pos, sj) - 1, -1)
+            while 0 <= k < len(pos):
+                tau = t0 + (pos[k] - sj) * uj
+                if tau > t0 + eps:
+                    if tau <= tau_sched + eps:
+                        ahead.append((j, k, step))
+                        win_end = min(win_end, tau)
+                    break
+                k += step
 
-        # miss products over the window, with each target's factors that
-        # are not identically 1 gathered into its first slots
+        # the pairs in range at the window's midpoint, whose miss factors are
+        # lines (model.detection's clip does not bind inside the window);
+        # bisect on the sorted targets only narrows the candidates
         span = win_end - t0
-        d0 = self.x[:, None] - state.s
-        c0, c1 = miss_factors(d0, u, self.r, span)
-        live = (c0 != 1.0) | (c1 != 0.0)
-        D = int(live.sum(axis=1).max(initial=0))
-        slots = np.argsort(~live, axis=1, kind="stable")[:, :D]
-        C0, C1 = c0[self.rows, slots], c1[self.rows, slots]
-        Q = _products(C0, C1)
-        A, B = self.A, self.B
-        gro = B[:, None] * Q
-        gro[:, 0] = A - B * (1.0 - Q[:, 0])
-        rate = np.where(state.on_floor[:, None], 0.0, gro)
+        M = sc.n_targets
+        factors: list[list[tuple[float, float]]] = [[] for _ in range(M)]
+        pairs = []
+        for j, (sj, uj, rj) in enumerate(zip(s, u, self._r)):
+            shift = uj * (0.5 * span)
+            c, pad = sj + shift, rj + 1e-9 * (1.0 + abs(sj) + abs(shift) + rj)
+            for i in self._by_x[bisect_left(self._xs, c - pad):bisect_right(self._xs, c + pad)]:
+                d0 = self._x[i] - sj
+                mid = d0 - shift
+                if abs(mid) < rj:
+                    c0 = abs(d0) / rj
+                    # + 0.0 clears the sign of a zero slope, which follows u's sign
+                    c1 = -((mid > 0.0) - (mid < 0.0)) * uj / rj + 0.0
+                    if c0 != 1.0 or c1 != 0.0:
+                        factors[i].append((c0, c1))
+                        pairs.append((i, j, c0, c1))
+        D = max(map(len, factors), default=0)
 
-        # floor guards: a hit needs R to reach 0, which a lower bound on the
-        # rate rules out for most targets; a leave needs the raw rate above
-        # 0, which an upper bound on the miss product rules out. A hit needs
-        # R > 0 first, so a target just released at 0 is not re-triggered.
-        ends = C0 + C1 * span
-        q_lo = np.minimum(C0, ends).prod(axis=1)
-        q_hi = np.maximum(C0, ends).prod(axis=1)
-        falling = ~state.on_floor & (
-            state.R + np.minimum(A - B + B * q_lo, 0.0) * span <= 0.0)
-        rising = state.on_floor & (A - B + B * q_hi > 0.0)
-        cand = np.flatnonzero(falling | rising)
-        tau_g = np.full(cand.size, np.inf)
-        if cand.size:
-            # R's coefficients for a hit, the raw rate's for a leave
-            g, up = gro[cand], rising[cand]
-            coef = np.zeros((cand.size, D + 2))
-            coef[~up, 0] = state.R[cand[~up]]
-            coef[~up, 1:] = g[~up] / np.arange(1, D + 2)
-            coef[up, :-1] = g[up]
-            tau_g = t0 + _first_crossings(coef, span, up, eps)
+        # each target's miss product Q and rates; the floor guards: a hit
+        # needs R to reach 0, which a lower bound on the rate rules out for
+        # most targets; a leave needs the raw rate above 0, which an upper
+        # bound on the miss product rules out. A hit needs R > 0 first, so a
+        # target just released at 0 is not re-triggered.
+        rate, floors = [], []
+        zeros = [0.0] * (D + 1)
+        for i, (f, on, A, B) in enumerate(zip(factors, state.on_floor.tolist(),
+                                               self._A, self._B)):
+            if f:
+                Q, q_lo, q_hi = _miss_product(f, span, D)
+                gro = [A - B * (1.0 - Q[0])] + [B * q for q in Q[1:]]
+            else:   # the same values for Q = 1
+                gro, q_lo, q_hi = [A] + zeros[1:], 1.0, 1.0
+            rate.append(zeros if on else gro)
+            if on and A - B + B * q_hi > 0.0:
+                tau = _first_crossing(gro + [0.0], span, True, eps)
+            elif not on and R[i] + min(A - B + B * q_lo, 0.0) * span <= 0.0:
+                tau = _first_crossing([R[i]] + [g / k for k, g in enumerate(gro, 1)],
+                                      span, False, eps)
+            else:
+                continue
+            floors.append((t0 + tau, i, on))
 
-        tau_next = max(min(win_end, float(tau_g.min(initial=np.inf))), t0)
+        tau_next = max(min([win_end] + [f[0] for f in floors]), t0)
         limit = tau_next + eps
         records: list[EventRecord] = []
         in_batch: dict[int, Boundary] = {}
-        for j in np.flatnonzero(state.bound_t <= limit).tolist():
-            b = state.bounds[j]
-            in_batch[j] = b
-            for tr in b.transitions:
-                records.append(self._control_record(tau_next, j, tr, state.phases[j]))
-        for j, i, k in zip(*(a.tolist() for a in np.nonzero(motion & (tau_m <= limit)))):
-            records.extend(self._motion_records(tau_next, k, u[j] > 0.0, i, j,
-                                                sc.n_agents))
-        for i in cand[tau_g <= limit].tolist():
-            kind = EventKind.R_HIT_ZERO if falling[i] else EventKind.R_LEFT_ZERO
-            records.append(EventRecord(tau_next, kind, target=i))
+        for j, bt in enumerate(bound_t):
+            if bt <= limit:
+                b = state.bounds[j]
+                in_batch[j] = b
+                for tr in b.transitions:
+                    records.append(self._control_record(tau_next, j, tr, state.phases[j]))
+        last = min(limit, tau_sched + eps)
+        for j, k, step in ahead:
+            pos, edge = self._edges[j]
+            hits = []
+            while 0 <= k < len(pos) and t0 + (pos[k] - s[j]) * u[j] <= last:
+                hits.append(edge[k])
+                k += step
+            for i, kind in sorted(hits):
+                records.extend(self._motion_records(tau_next, kind, u[j] > 0.0, i, j,
+                                                    sc.n_agents))
+        for tau, i, on in floors:
+            if tau <= limit:
+                kind = EventKind.R_LEFT_ZERO if on else EventKind.R_HIT_ZERO
+                records.append(EventRecord(tau_next, kind, target=i))
         done = sc.T <= limit
         if done:
             records.append(EventRecord(tau_next, EventKind.HORIZON))
         return _Detection(tau=tau_next, records=order_batch(records), bounds=in_batch,
-                          done=done, u=u.copy(), d0=d0, slots=slots, C0=C0, C1=C1, Q=Q,
-                          rate=rate)
+                          done=done, u=state.u.copy(), pairs=pairs, D=D,
+                          rate=np.array(rate).reshape(M, D + 1))
 
     def _control_record(self, tau: float, j: int, tr, phase: PhaseState) -> EventRecord:
         payload = {"transition": tr.kind, "point": tr.point,
@@ -404,27 +500,26 @@ class Simulator:
         t1 = np.array([iv.t1 for iv in ivs])
         dt = t1 - t0
         u = np.array([det.u for det in dets])
-        mid = np.array([det.d0 for det in dets]) - u[:, None] * (0.5 * dt)[:, None, None]
+        d0 = self.x[:, None] - np.array([iv.s0 for iv in ivs])[:, None, :]
+        mid = d0 - u[:, None] * (0.5 * dt)[:, None, None]
         in_range, dp_ds = offset_membership(mid, self.r, np.array(last_dir)[:, None])
 
         # a pair outside a target's miss product integrates all of it; an
         # observer integrates the product of the other factors. Intervals
         # are grouped by their slot count D.
-        n_slots = np.array([det.C0.shape[1] for det in dets])
+        n_slots = np.array([det.D for det in dets])
         groups = {D: np.flatnonzero(n_slots == D) for D in set(n_slots.tolist())}
         G, GG = np.empty((len(ivs), M, N)), np.empty((len(ivs), M, N))
         W1, W2 = _integrals(dt, max(groups) + 1)
         for D, g in groups.items():
             w1, w2 = W1[g, :D + 1], W2[g, :D + 1]
-            Q = np.array([dets[k].Q for k in g])
+            slots, C0, C1, Q = _layout([dets[k] for k in g], M, N)
             G[g] = Q @ w1[:, :, None]
             GG[g] = Q @ w2[:, :, None]
             if D:
                 others = np.array([[c for c in range(D) if c != d] for d in range(D)], dtype=int)
-                C0 = np.array([dets[k].C0 for k in g])
-                C1 = np.array([dets[k].C1 for k in g])
                 loo = _products(C0[:, :, others], C1[:, :, others])    # (n, M, D, D)
-                at = (g[:, None, None], self.rows, np.array([dets[k].slots for k in g]))
+                at = (g[:, None, None], self.rows, slots)
                 G[at] = (loo @ w1[:, None, :D, None])[..., 0]
                 GG[at] = (loo @ w2[:, None, :D, None])[..., 0]
         for iv, a, b, c, d in zip(ivs, in_range, dp_ds, G, GG):
@@ -466,7 +561,11 @@ class Simulator:
             if rec.kind is EventKind.R_HIT_ZERO:
                 i = rec.target
                 state.R[i] = 0.0
-                g = float(self.A[i] - self.B[i] * detection(self.x, state.s, self.r)[1][i])
+                # model.detection's joint miss of target i, one agent at a time
+                miss = 1.0
+                for sj, rj in zip(state.s.tolist(), self._r):
+                    miss *= min(abs(self._x[i] - sj) / rj, 1.0)
+                g = self._A[i] - self._B[i] * (1.0 - miss)
                 out.append(rec)
                 if g <= 0.0:
                     state.on_floor[i] = True
@@ -501,7 +600,7 @@ class Simulator:
 
         intervals: list[Interval] = []
         events: list[EventRecord] = []
-        guard = 0
+        stuck = 0   # consecutive zero-length intervals
         while True:
             det = self.next_event(state)
             iv = self.advance(state, det)
@@ -515,9 +614,14 @@ class Simulator:
             events.extend(recs)
             if det.done:
                 break
-            guard += 1
-            if guard > 10_000_000:
-                raise SimulationError("event loop failed to reach the horizon")
+            stuck = stuck + 1 if iv.t1 == iv.t0 else 0
+            if stuck > self._chatter:
+                agents = sorted({r.agent for r in recs if r.agent is not None})
+                targets = sorted({r.target for r in recs if r.target is not None})
+                raise SimulationError(
+                    f"event detection stuck at t={iv.t1!r}: {stuck} zero-length intervals "
+                    f"in a row, the last one ending in events of agents {agents} "
+                    f"and targets {targets}")
 
         total = sum(float(iv.int_R.sum()) for iv in intervals)
         return SimRecord(scenario=sc, params=self.params, intervals=intervals,

@@ -5,17 +5,24 @@ these are the one-pair, one-target and one-instant forms the tests check
 those kernels and the simulator against: the sensing probability and its
 gradient, joint detection, the uncertainty rate, a position oracle built
 from the policy's phase boundaries alone, and neighborhood sets by
-distance thresholds.
+distance thresholds. ``dense_detection`` is the opposite: the simulator's
+event detection over every (target, agent) pair at once, with the miss
+factors of all pairs (``miss_factors``), their slot layout by ``argsort``
+and a vectorised root finder (``first_crossings``), against which the
+simulator's sparse per-event path is checked bit for bit.
 """
 
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
+from persimon.events import EventKind, EventRecord, order_batch
 from persimon.model import AgentSpec, Scenario, detection, membership
-from persimon.policy import (AgentParams, PhaseMode, control_value, initial_phase,
+from persimon.policy import (AgentParams, Boundary, PhaseMode, control_value, initial_phase,
                              resolve_boundary)
+from persimon.sim import SimState, Simulator, _products
 
 
 def sensing_prob(x: float, s: float, r: float) -> float:
@@ -111,3 +118,150 @@ def neighborhoods(positions, scenario: Scenario, t: float = 0.0) -> NeighborSnap
     obs = tuple(frozenset(np.flatnonzero(inr[i]).tolist()) for i in range(M))
     return NeighborSnapshot(t=t, agent_neighbors=agent_nb,
                             target_neighbors=tgt_nb, observers=obs)
+
+
+def miss_factors(d0: np.ndarray, u: np.ndarray, r: np.ndarray,
+                 dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair miss factors as lines over ``[0, dt]``, from the offsets
+    ``d0 = x[:, None] - s`` (M, N) of targets ``x`` and agent positions ``s``.
+
+    Agents move at constant speeds ``u`` (N,) with sensing ranges ``r``
+    (N,). Returns ``(c0, c1)``, each (M, N), such that a pair's miss factor
+    at ``tau`` is ``c0 + c1 * tau``: ``(1, 0)`` for a pair out of range at
+    the midpoint, else ``(|d0| / r, -sigma * u / r)`` with ``sigma`` the
+    sign of ``x - s`` at the midpoint. This equals ``detection`` at the
+    moved positions while no pair enters or leaves its range or crosses its
+    target inside the span, which the simulator's motion events guarantee.
+    Building from ``|d0|`` and ``sigma`` gives mirrored pairs bit-identical
+    coefficients.
+    """
+    mid = d0 - u * (0.5 * dt)
+    inr = np.abs(mid) < r
+    c0 = np.where(inr, np.abs(d0) / r, 1.0)
+    # + 0.0 clears the sign of a zero slope, which follows u's sign
+    c1 = np.where(inr, -np.sign(mid) * u / r + 0.0, 0.0)
+    return c0, c1
+
+
+def _root_parts(coef: np.ndarray) -> np.ndarray:
+    """Real parts of the roots of each row polynomial (ascending
+    coefficients, (K, n)), padded with 0 to (K, n - 1), as eigenvalues of
+    the companion matrices of the rows of each degree (a 1 x 1 companion
+    is its own eigenvalue)."""
+    K, n = coef.shape
+    nz = coef != 0.0
+    deg = np.where(nz.any(axis=1), n - 1 - np.argmax(nz[:, ::-1], axis=1), 0)
+    roots = np.zeros((K, n - 1))
+    for d in sorted(set(deg.tolist()) - {0}):
+        rows = np.flatnonzero(deg == d)
+        comp = np.zeros((rows.size, d, d))
+        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        comp[:, :, -1] = -coef[rows, :d] / coef[rows, d, None]
+        roots[rows, :d] = np.linalg.eigvals(comp).real if d > 1 else comp[:, 0]
+    return roots
+
+
+def first_crossings(coef: np.ndarray, span: float, rising: np.ndarray,
+                    eps: float) -> np.ndarray:
+    """The simulator's ``_first_crossing`` for every row of ``coef`` at once
+    (ascending coefficients, (K, n)), with ``rising`` per row."""
+    roots = _root_parts(coef)
+    K, half = coef.shape[0], 0.5 * eps
+    pts = np.concatenate([np.zeros((K, 1)), np.full((K, 1), span),
+                          roots - half, roots, roots + half], axis=1)
+    pts = np.sort(np.clip(pts, 0.0, span), axis=1)
+    f = polyval(pts, coef.T[:, :, None], tensor=False)
+    hit = np.where(rising[:, None], f > 0.0, f <= 0.0)
+    cross = hit[:, 1:] & ~hit[:, :-1]
+    rows = np.flatnonzero(cross.any(axis=1))
+    out = np.full(K, np.inf)
+    if rows.size:
+        k = np.argmax(cross[rows], axis=1)
+        a, b = pts[rows, k], pts[rows, k + 1]
+        c, up = coef[rows], rising[rows]
+        for _ in range(100):
+            wide = b - a > eps
+            if not wide.any():
+                break
+            mid = 0.5 * (a + b)
+            fm = polyval(mid, c.T, tensor=False)
+            inside = wide & np.where(up, fm > 0.0, fm <= 0.0)
+            b = np.where(inside, mid, b)
+            a = np.where(wide & ~inside, mid, a)
+        out[rows] = b
+    return out
+
+
+@dataclass
+class DenseDetection:
+    """What ``dense_detection`` finds: the event batch, the slot layout of
+    each target's factors that are not identically 1 (first, in agent
+    order) and its miss product and floor-aware rate, all (M, ...)."""
+
+    tau: float
+    records: list[EventRecord]
+    bounds: dict[int, Boundary]
+    done: bool
+    slots: np.ndarray             # (M, D)
+    C0: np.ndarray                # (M, D)
+    C1: np.ndarray                # (M, D)
+    Q: np.ndarray                 # (M, D + 1)
+    rate: np.ndarray              # (M, D + 1)
+
+
+def dense_detection(sim: Simulator, state: SimState) -> DenseDetection:
+    """``Simulator.next_event`` over every (target, agent) pair at once."""
+    sc, t0, eps, u = sim.scenario, state.t, sim.eps, state.u
+    tau_sched = min(sc.T, float(state.bound_t.min(initial=np.inf)))
+
+    tau_m = t0 + (sim.edges - state.s[:, None, None]) * u[:, None, None]
+    motion = (tau_m > t0 + eps) & (tau_m <= tau_sched + eps)
+    win_end = min(tau_sched, float(tau_m[motion].min(initial=np.inf)))
+
+    span = win_end - t0
+    c0, c1 = miss_factors(sim.x[:, None] - state.s, u, sim.r, span)
+    live = (c0 != 1.0) | (c1 != 0.0)
+    D = int(live.sum(axis=1).max(initial=0))
+    slots = np.argsort(~live, axis=1, kind="stable")[:, :D]
+    C0, C1 = c0[sim.rows, slots], c1[sim.rows, slots]
+    Q = _products(C0, C1)
+    A, B = sim.A, sim.B
+    gro = B[:, None] * Q
+    gro[:, 0] = A - B * (1.0 - Q[:, 0])
+    rate = np.where(state.on_floor[:, None], 0.0, gro)
+
+    ends = C0 + C1 * span
+    q_lo = np.minimum(C0, ends).prod(axis=1)
+    q_hi = np.maximum(C0, ends).prod(axis=1)
+    falling = ~state.on_floor & (
+        state.R + np.minimum(A - B + B * q_lo, 0.0) * span <= 0.0)
+    rising = state.on_floor & (A - B + B * q_hi > 0.0)
+    cand = np.flatnonzero(falling | rising)
+    tau_g = np.full(cand.size, np.inf)
+    if cand.size:
+        g, up = gro[cand], rising[cand]
+        coef = np.zeros((cand.size, D + 2))
+        coef[~up, 0] = state.R[cand[~up]]
+        coef[~up, 1:] = g[~up] / np.arange(1, D + 2)
+        coef[up, :-1] = g[up]
+        tau_g = t0 + first_crossings(coef, span, up, eps)
+
+    tau_next = max(min(win_end, float(tau_g.min(initial=np.inf))), t0)
+    limit = tau_next + eps
+    records: list[EventRecord] = []
+    in_batch: dict[int, Boundary] = {}
+    for j in np.flatnonzero(state.bound_t <= limit).tolist():
+        b = state.bounds[j]
+        in_batch[j] = b
+        for tr in b.transitions:
+            records.append(sim._control_record(tau_next, j, tr, state.phases[j]))
+    for j, i, k in zip(*(a.tolist() for a in np.nonzero(motion & (tau_m <= limit)))):
+        records.extend(sim._motion_records(tau_next, k, u[j] > 0.0, i, j, sc.n_agents))
+    for i in cand[tau_g <= limit].tolist():
+        kind = EventKind.R_HIT_ZERO if falling[i] else EventKind.R_LEFT_ZERO
+        records.append(EventRecord(tau_next, kind, target=i))
+    done = sc.T <= limit
+    if done:
+        records.append(EventRecord(tau_next, EventKind.HORIZON))
+    return DenseDetection(tau=tau_next, records=order_batch(records), bounds=in_batch,
+                          done=done, slots=slots, C0=C0, C1=C1, Q=Q, rate=rate)

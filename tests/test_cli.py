@@ -206,7 +206,9 @@ class TestOptimizeCmd:
         rc = main(["optimize", "--scenario", str(scenario_file), "--out", str(out)])
         assert rc == 0
         hist = (out / "cost_history.csv").read_text().splitlines()
-        assert hist[0] == "iteration,J,grad_norm_1,grad_norm_2"
+        assert hist[0] == "iteration,J,n_events,n_intervals,grad_norm_1,grad_norm_2"
+        first = hist[1].split(",")
+        assert int(first[2]) > 0 and int(first[3]) > 0
         assert len(hist) <= 1 + 3 + 1
         assert (out / "params_final.json").exists()
         assert (out / "checkpoints" / "params_iter0000.json").exists()

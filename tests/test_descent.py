@@ -6,6 +6,7 @@ import pytest
 from persimon.descent import OptimizerConfig, gd_iterate, optimize, step_size
 from persimon.gradient import GradientVector
 from persimon.model import InfoMode
+from persimon.sim import simulate
 
 from conftest import make_scenario, params, random_scenario
 
@@ -87,6 +88,15 @@ class TestOptimize:
             for p in snap:
                 assert (p.theta >= 0).all() and (p.theta <= sc.L).all()
                 assert (p.w >= 0).all()
+
+    def test_event_and_interval_counts_per_iteration(self):
+        sc, ps = random_scenario(np.random.default_rng(4), T=10.0)
+        run = optimize(sc, ps, OptimizerConfig(max_iters=3))
+        assert len(run.n_events) == len(run.n_intervals) == len(run.costs)
+        for snap, J, n_ev, n_iv in zip(run.params_history, run.costs, run.n_events,
+                                       run.n_intervals):
+            rec = simulate(sc, snap)
+            assert (rec.J, len(rec.events), len(rec.intervals)) == (J, n_ev, n_iv)
 
     def test_descends_on_smooth_problem(self):
         sc, ps = random_scenario(np.random.default_rng(8), T=12.0)

@@ -1,15 +1,21 @@
-"""Exact relations between the costs and gradients of related scenarios.
+"""Relations between the costs and gradients of related scenarios.
 
 Each property simulates random scenarios (1-3 agents, 2-5 targets)
 through the whole pipeline, block kernel included, and compares the
 gradients of every information mode, with ALMOST equal to CENTRALIZED bit
-for bit on each record.
+for bit on each record. Scaling the rates and adding an unreachable target
+are exact; the mirror and the agent reversal hold up to the event
+localization tolerance ``eps_event`` (see ``eps_bounds``).
 """
+
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from persimon.model import InfoMode, Scenario, Target
+from persimon.events import EventKind
+from persimon.model import AgentSpec, InfoMode, Scenario, Target
+from persimon.policy import AgentParams
 from persimon.sim import simulate
 from persimon.visibility import mode_gradients
 
@@ -70,3 +76,94 @@ class TestMetamorphic:
         ga, gb = gradients(a), gradients(b)
         for mode in InfoMode:
             assert np.array_equal(gb[mode], ga[mode])
+
+
+# a mirrored trajectory turns every control switch the other way
+_MIRRORED_KIND = {EventKind.U_UP_STOP: EventKind.U_DOWN_STOP,
+                  EventKind.U_GO_UP: EventKind.U_GO_DOWN,
+                  EventKind.U_UP_DOWN: EventKind.U_DOWN_UP}
+_MIRRORED_KIND.update({b: a for a, b in _MIRRORED_KIND.items()})
+
+
+def mirror(sc, ps):
+    """``x -> L - x``, initial controls negated and switching points
+    mirrored; dwells are kept. Targets keep their indices, so the mirrored
+    ones lie in descending order and the sorted-target lookup permutes."""
+    targets = tuple(Target(t.index, sc.L - t.x, t.growth, t.decay, t.r0)
+                    for t in sc.targets)
+    agents = tuple(AgentSpec(a.index, sc.L - a.s0, -a.u0, a.r, a.r_comm) for a in sc.agents)
+    return (Scenario(L=sc.L, T=sc.T, targets=targets, agents=agents, mode=sc.mode,
+                     numerics=sc.numerics),
+            [AgentParams(sc.L - p.theta, p.w) for p in ps])
+
+
+def reverse_agents(sc, ps):
+    agents = tuple(AgentSpec(k, a.s0, a.u0, a.r, a.r_comm)
+                   for k, a in enumerate(reversed(sc.agents)))
+    return (Scenario(L=sc.L, T=sc.T, targets=sc.targets, agents=agents, mode=sc.mode,
+                     numerics=sc.numerics), ps[::-1])
+
+
+def eps_bounds(sc, record):
+    """How far J and any gradient component may move when the event times
+    move by up to ``eps_event`` each.
+
+    Both transformations change the arithmetic (mirrored positions, another
+    product order of the miss factors) only by rounding, far below
+    ``eps_event``, but a floor guard is returned anywhere within
+    ``eps_event`` after its root, so the event times of the two runs may
+    differ by up to that much. Moving one event by ``delta`` changes each
+    target's rate, at most ``B`` in size, over at most ``delta``; every later
+    uncertainty then moves by at most ``B delta``, and so does J, a time
+    average over the targets' sum. A derivative ledger's rate is at most
+    ``B * N * 2 / r`` (a sensing gradient of at most ``1 / r`` per observer
+    times a position derivative of at most 2), and it moves, or is reset,
+    by as much over ``delta``, which moves a gradient component by at most
+    ``M`` times that. Every event may be such a shift.
+    """
+    shifts = len(record.events) * sc.numerics.eps_event * sc.n_targets * float(sc.B.max())
+    return shifts, shifts * 2.0 * sc.n_agents / float(sc.r.min())
+
+
+def per_agent(record):
+    """Every mode's gradient blocks, (N, P) theta and w rows."""
+    out = {}
+    for mode in InfoMode:
+        gs = mode_gradients(record, mode)
+        out[mode] = (np.array([g.theta for g in gs]), np.array([g.w for g in gs]))
+    assert all(np.array_equal(a, c) for a, c in zip(out[InfoMode.ALMOST],
+                                                    out[InfoMode.CENTRALIZED]))
+    return out
+
+
+class TestSymmetries:
+    @settings(max_examples=30, deadline=None)
+    @given(scenarios)
+    def test_mirror_keeps_cost_negates_theta_gradients(self, case):
+        sc, ps = build(*case)
+        a, b = simulate(sc, ps), simulate(*mirror(sc, ps))
+        assert (Counter((_MIRRORED_KIND.get(e.kind, e.kind), e.agent, e.target)
+                        for e in a.events)
+                == Counter((e.kind, e.agent, e.target) for e in b.events))
+        tol_J, tol_g = eps_bounds(sc, a)
+        assert abs(b.J - a.J) <= tol_J
+        ga, gb = per_agent(a), per_agent(b)
+        for mode in InfoMode:
+            assert np.abs(gb[mode][0] + ga[mode][0]).max() <= tol_g
+            assert np.abs(gb[mode][1] - ga[mode][1]).max() <= tol_g
+
+    @settings(max_examples=30, deadline=None)
+    @given(scenarios)
+    def test_reversing_the_agents_permutes_the_gradient_blocks(self, case):
+        sc, ps = build(*case)
+        a, b = simulate(sc, ps), simulate(*reverse_agents(sc, ps))
+        N = sc.n_agents
+        assert (Counter((e.kind, None if e.agent is None else N - 1 - e.agent, e.target)
+                        for e in a.events)
+                == Counter((e.kind, e.agent, e.target) for e in b.events))
+        tol_J, tol_g = eps_bounds(sc, a)
+        assert abs(b.J - a.J) <= tol_J
+        ga, gb = per_agent(a), per_agent(b)
+        for mode in InfoMode:
+            for x, y in zip(ga[mode], gb[mode]):
+                assert np.abs(y[::-1] - x).max() <= tol_g

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from persimon.model import (MAX_SAMPLES, AgentSpec, InfoMode, Numerics, Scenario,
-                            ScenarioError, Target, detection, membership, miss_factors)
+                            ScenarioError, Target, detection, membership)
 
 from oracles import joint_detection, sensing_grad, sensing_prob, uncertainty_rate
 
@@ -45,37 +45,6 @@ class TestDetectionKernel:
             assert q[0, j] == qj
             miss *= qj
         assert P[0] == 1.0 - miss
-
-
-class TestMissFactorsKernel:
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_lines_equal_detection_at_moved_positions(self, data):
-        n_agents = data.draw(st.integers(1, 4))
-        n_targets = data.draw(st.integers(1, 4))
-        pos = st.floats(0.0, 40.0)
-        x = np.array([data.draw(pos) for _ in range(n_targets)])
-        s = np.array([data.draw(pos) for _ in range(n_agents)])
-        r = np.array([data.draw(st.floats(0.5, 6.0)) for _ in range(n_agents)])
-        u = np.array([float(data.draw(st.sampled_from([-1, 0, 1]))) for _ in range(n_agents)])
-        # the span may not pass a range edge or a target: a motion event
-        edges = x[None, :, None] + r[:, None, None] * np.array([-1.0, 1.0, 0.0])
-        ahead = (edges - s[:, None, None]) * u[:, None, None]
-        first = float(ahead[ahead > 0.0].min(initial=20.0))
-        dt = data.draw(st.floats(0.0, 1.0)) * min(first, 20.0)
-        tau = data.draw(st.floats(0.0, 1.0)) * dt
-        c0, c1 = miss_factors(x[:, None] - s, u, r, dt)
-        q, _ = detection(x, s + u * tau, r)
-        assert np.abs(c0 + c1 * tau - q).max() <= 1e-12
-
-    @given(st.integers(0, 80).map(lambda k: k / 8), st.floats(0.5, 6.0),
-           st.floats(0.0, 3.0))
-    def test_mirrored_pairs_bit_identical(self, a, r, dt):
-        # a is a multiple of 1/8, so the two positions mirror exactly
-        x = np.array([20.0])
-        c0, c1 = miss_factors(x[:, None] - np.array([20.0 - a, 20.0 + a]),
-                              np.array([1.0, -1.0]), np.array([r, r]), dt)
-        assert c0[0, 0].hex() == c0[0, 1].hex() and c1[0, 0].hex() == c1[0, 1].hex()
 
 
 class TestMembershipKernel:

@@ -8,7 +8,7 @@ from persimon import sim as sim_module
 from persimon.cli import load_scenario
 from persimon.events import EventKind
 from persimon.model import detection
-from persimon.sim import Simulator, simulate
+from persimon.sim import SimulationError, Simulator, simulate
 
 from conftest import make_scenario, params, random_scenario
 from grid_oracle import GridSimulator
@@ -347,3 +347,22 @@ class TestSimulateValidation:
         sc = make_scenario([(10.0, 1.0, 5.0, 1.0)], [(5.0, 1, 3.0)], T=5.0)
         with pytest.raises(ValueError):
             simulate(sc, [params([99.0], [1.0])])
+
+
+class TestChatter:
+    def test_stuck_detection_names_instant_and_agent(self, monkeypatch):
+        # events that are logged but never applied leave agent 0's arrival
+        # at t=2 due forever: zero-length intervals at one instant
+        monkeypatch.setattr(Simulator, "apply_events", lambda self, state, det: det.records)
+        sc = make_scenario([(10.0, 1.0, 5.0, 2.0)], [(5.0, 1, 3.0)], T=10.0)
+        with pytest.raises(SimulationError, match=r"stuck at t=2\.0: 10 zero-length .* "
+                                                  r"agents \[0\] and targets \[\]"):
+            simulate(sc, [params([7.0], [1.0])])
+
+    def test_zero_dwell_cascades_stay_below_the_bound(self):
+        # four coincident points with zero dwells: a cascade of arrivals at
+        # one instant, legitimate chatter that must not trip the check
+        sc = make_scenario([(10.0, 1.0, 5.0, 2.0)], [(5.0, 1, 3.0)], T=10.0)
+        rec = simulate(sc, [params([7.0, 7.0, 7.0, 7.0, 12.0], [0.0, 0.0, 0.0, 0.0, 1.0])])
+        zero = [iv for iv in rec.intervals if iv.t0 == iv.t1 == 2.0]
+        assert len(zero) >= 3
