@@ -38,81 +38,128 @@ def _fnum(v: float) -> str:
 
 # -- scenario & params files -------------------------------------------------
 
-def _need(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise ScenarioError(f"{path}.{key}", "missing required field")
-    return doc[key]
+_REQUIRED = object()
+_JSON_TYPE = {dict: "an object", list: "an array", str: "a string", bool: "true or false",
+              int: "a number", float: "a number", type(None): "null"}
 
 
-def _int(value, path: str) -> int:
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ScenarioError(path, f"{value} is not finite")
-        if not value.is_integer():
-            raise ScenarioError(path, f"{value} is not an integer")
-    return int(value)
+def _typed(kind: type):
+    """A check that a JSON value at a path is of ``kind``."""
+    def check(value, path: str):
+        if not isinstance(value, kind):
+            raise ScenarioError(path, f"expected {_JSON_TYPE[kind]}, "
+                                      f"got {_JSON_TYPE[type(value)]}")
+        return value
+    return check
 
 
-def load_scenario(path: str | Path) -> tuple[Scenario, list[AgentParams], OptimizerConfig]:
+_object, _array, _string, _boolean = (_typed(kind) for kind in (dict, list, str, bool))
+
+
+def _read_json(path: str | Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioError(str(path), f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    except OSError as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # unreadable, not UTF-8, an over-long integer or too deeply nested
         raise ScenarioError(str(path), str(exc))
+    return _object(doc, str(path))
 
+
+def _field(doc: dict, key: str, path: str, conv, default=_REQUIRED):
+    """``conv(doc[key], its path)``, or ``default`` for an absent key."""
+    where = f"{path}.{key}" if path else key
+    if key in doc:
+        return conv(doc[key], where)
+    if default is _REQUIRED:
+        raise ScenarioError(where, "missing required field")
+    return default
+
+
+def _num(value, path: str) -> float:
+    if type(value) not in (int, float):   # a bool is not a number
+        raise ScenarioError(path, f"expected a number, got {_JSON_TYPE[type(value)]}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(path, "too large for a float") from None
+
+
+def _int(value, path: str) -> int:
+    v = _num(value, path)
+    if not math.isfinite(v):
+        raise ScenarioError(path, f"{v} is not finite")
+    if not v.is_integer():
+        raise ScenarioError(path, f"{v} is not an integer")
+    return int(value)
+
+
+def _numbers(value, path: str) -> np.ndarray:
+    return np.array([_num(v, f"{path}[{k}]") for k, v in enumerate(_array(value, path))],
+                    dtype=float)
+
+
+def _params(doc: dict, path: str, keys: tuple[str, str], default=_REQUIRED) -> AgentParams:
+    theta, w = (_field(doc, key, path, _numbers, default) for key in keys)
+    if theta.size != w.size:
+        raise ScenarioError(path, f"{keys[0]} has {theta.size} entries but {keys[1]} has {w.size}")
+    return AgentParams(theta, w)
+
+
+def load_scenario(path: str | Path) -> tuple[Scenario, list[AgentParams], OptimizerConfig]:
+    """Read and validate a scenario file; every malformed, mistyped or
+    out-of-range value raises ``ScenarioError`` with its JSON path."""
+    doc = _read_json(path)
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ScenarioError("schema_version", f"expected {SCHEMA_VERSION}, got {version}")
-    mission = _need(doc, "mission", "")
-    L = float(_need(mission, "L", "mission"))
-    T = float(_need(mission, "T", "mission"))
+    mission = _field(doc, "mission", "", _object)
+    L, T = (_field(mission, key, "mission", _num) for key in ("L", "T"))
 
     targets = []
-    for i, td in enumerate(_need(doc, "targets", "")):
-        targets.append(Target(index=i, x=float(_need(td, "x", f"targets[{i}]")),
-                              growth=float(_need(td, "A", f"targets[{i}]")),
-                              decay=float(_need(td, "B", f"targets[{i}]")),
-                              r0=float(_need(td, "R0", f"targets[{i}]"))))
-    r_comm = float(doc.get("r_c", 0.0))
+    for i, td in enumerate(_field(doc, "targets", "", _array)):
+        at = f"targets[{i}]"
+        td = _object(td, at)
+        x, A, B, R0 = (_field(td, key, at, _num) for key in ("x", "A", "B", "R0"))
+        targets.append(Target(index=i, x=x, growth=A, decay=B, r0=R0))
+    r_comm = _field(doc, "r_c", "", _num, 0.0)
     require_finite("", r_c=r_comm)
     agents, params = [], []
-    for j, ad in enumerate(_need(doc, "agents", "")):
-        agents.append(AgentSpec(index=j, s0=float(_need(ad, "s0", f"agents[{j}]")),
-                                u0=_int(ad.get("u0", 1), f"agents[{j}].u0"),
-                                r=float(_need(ad, "r", f"agents[{j}]")),
-                                r_comm=float(ad.get("r_c", r_comm))))
-        theta = np.asarray(ad.get("theta0", []), dtype=float)
-        w = np.asarray(ad.get("w0", []), dtype=float)
-        if theta.size != w.size:
-            raise ScenarioError(f"agents[{j}]",
-                                f"theta0 has {theta.size} entries but w0 has {w.size}")
-        params.append(AgentParams(theta, w))
+    for j, ad in enumerate(_field(doc, "agents", "", _array)):
+        at = f"agents[{j}]"
+        ad = _object(ad, at)
+        agents.append(AgentSpec(index=j, s0=_field(ad, "s0", at, _num),
+                                u0=_field(ad, "u0", at, _int, 1),
+                                r=_field(ad, "r", at, _num),
+                                r_comm=_field(ad, "r_c", at, _num, r_comm)))
+        params.append(_params(ad, at, ("theta0", "w0"), np.zeros(0)))
 
-    mode_name = doc.get("mode", "CENTRALIZED")
+    mode_name = _field(doc, "mode", "", _string, "CENTRALIZED")
     try:
         mode = InfoMode[mode_name]
     except KeyError:
         raise ScenarioError("mode", f"unknown information mode {mode_name!r}")
-    nd = doc.get("numerics", {})
+    nd = _field(doc, "numerics", "", _object, {})
     # guards are localized exactly, so a grid step is accepted and ignored
-    require_finite("numerics", h=float(nd.get("h", 0.0)))
-    numerics = Numerics(eps_event=float(nd.get("eps_event", 1e-9)),
-                        sample_dt=float(nd.get("sample_dt", 0.1)))
+    require_finite("numerics", h=_field(nd, "h", "numerics", _num, 0.0))
+    numerics = Numerics(eps_event=_field(nd, "eps_event", "numerics", _num, 1e-9),
+                        sample_dt=_field(nd, "sample_dt", "numerics", _num, 0.1))
     scenario = Scenario(L=L, T=T, targets=tuple(targets), agents=tuple(agents),
                         mode=mode, numerics=numerics,
-                        local_reentry_reset=bool(doc.get("local_reentry_reset", True)))
+                        local_reentry_reset=_field(doc, "local_reentry_reset", "",
+                                                   _boolean, True))
     scenario.validate()
     for j, p in enumerate(params):
         p.validate(L, path=f"agents[{j}]", keys=("theta0", "w0"))
 
-    od = doc.get("optimizer", {})
-    opt = OptimizerConfig(a_theta=float(od.get("a_theta", 0.2)),
-                          a_w=float(od.get("a_w", 0.2)),
-                          eta=float(od.get("eta", 0.6)),
-                          epsilon=float(od.get("epsilon", 1e-4)),
-                          max_iters=_int(od.get("max_iters", 200), "optimizer.max_iters"))
+    od = _field(doc, "optimizer", "", _object, {})
+    opt = OptimizerConfig(a_theta=_field(od, "a_theta", "optimizer", _num, 0.2),
+                          a_w=_field(od, "a_w", "optimizer", _num, 0.2),
+                          eta=_field(od, "eta", "optimizer", _num, 0.6),
+                          epsilon=_field(od, "epsilon", "optimizer", _num, 1e-4),
+                          max_iters=_field(od, "max_iters", "optimizer", _int, 200))
     # the Python API may take epsilon=inf (stop after one step); a file may not
     require_finite("optimizer", a_theta=opt.a_theta, a_w=opt.a_w, eta=opt.eta,
                    epsilon=opt.epsilon)
@@ -123,20 +170,16 @@ def load_scenario(path: str | Path) -> tuple[Scenario, list[AgentParams], Optimi
 
 
 def load_params(path: str | Path, scenario: Scenario) -> list[AgentParams]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(str(path), f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    rows = _need(doc, "agents", "params")
+    """Read a params file (as ``dump_params`` writes it) for ``scenario``."""
+    rows = _field(_read_json(path), "agents", "params", _array)
     if len(rows) != scenario.n_agents:
         raise ScenarioError("params.agents",
                             f"{len(rows)} entries for {scenario.n_agents} agents")
     out = []
     for j, row in enumerate(rows):
-        p = AgentParams(np.asarray(row["theta"], dtype=float),
-                        np.asarray(row["w"], dtype=float))
-        p.validate(scenario.L, path=f"params.agents[{j}]")
+        at = f"params.agents[{j}]"
+        p = _params(_object(row, at), at, ("theta", "w"))
+        p.validate(scenario.L, path=at)
         out.append(p)
     return out
 

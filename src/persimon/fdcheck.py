@@ -120,8 +120,7 @@ def fd_gradient(scenario: Scenario, params, agent: int, kind: str, index: int,
         return None
     up = _perturbed(params, agent, kind, index, +delta)
     dn = _perturbed(params, agent, kind, index, -delta)
-    return (simulate(scenario, up, with_samples=False).J
-            - simulate(scenario, dn, with_samples=False).J) / (2.0 * delta)
+    return (simulate(scenario, up).J - simulate(scenario, dn).J) / (2.0 * delta)
 
 
 def grad_check(scenario: Scenario, params, tol: float = 1e-2,

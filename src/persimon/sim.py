@@ -17,11 +17,11 @@ uncertainties and the cost integral. Its detection is sparse and scalar:
 bisection on each agent's sorted range edges and on the targets sorted by
 x finds the next motion event and the (target, agent) pairs in range, and
 each target's miss product, rate bounds and floor roots come from those
-pairs alone. The quantities only the gradient estimators and the output
-read (range membership, the sensing gradients, the collaboration
-integrals G and GG, and the state samples) come from one vectorised
-kernel, run on each block of ``BLOCK`` finished intervals and at the
-horizon, which lays the buffered pairs out densely again.
+pairs alone. The quantities only the gradient estimators read (range
+membership, the sensing gradients and the collaboration integrals G and
+GG) come from one vectorised kernel, run on each block of ``BLOCK``
+finished intervals and at the horizon. The output samples come from the
+finished record, when they are first read (``sample_table``).
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ from .policy import (AgentParams, Boundary, PhaseMode, PhaseState,
 
 # finished intervals per block-kernel call; bounds the buffered polynomials
 BLOCK = 32
+# sample rows per evaluation step of ``sample_table``; bounds its temporaries
+SAMPLE_CHUNK = 1024
 
 
 class SimulationError(RuntimeError):
@@ -89,6 +91,7 @@ class Interval:
     R1: np.ndarray                # (M,)
     int_R: np.ndarray             # (M,) integral of R over the interval
     on_floor: np.ndarray          # (M,) bool
+    rate: np.ndarray              # (M, D + 1) floor-aware rate, ascending in t - t0
     in_range: np.ndarray | None = None   # (M, N) bool
     dp_ds: np.ndarray | None = None      # (M, N)
     G: np.ndarray | None = None          # (M, N)
@@ -101,18 +104,22 @@ class Interval:
 
 @dataclass
 class SimRecord:
-    """Complete, immutable simulation output."""
+    """Complete, immutable simulation output. The first read of a sample
+    column, ``sample_t`` (n,), ``sample_s`` or ``sample_u`` (n, N), or
+    ``sample_R`` or ``sample_P`` (n, M), evaluates all five (``sample_table``)."""
 
     scenario: Scenario
     params: tuple[AgentParams, ...]
     intervals: list[Interval]
     events: list[EventRecord]
-    sample_t: np.ndarray
-    sample_s: np.ndarray          # (n_samples, N)
-    sample_u: np.ndarray          # (n_samples, N)
-    sample_R: np.ndarray          # (n_samples, M)
-    sample_P: np.ndarray          # (n_samples, M)
     J: float
+
+    @cached_property
+    def _samples(self) -> tuple[np.ndarray, ...]:
+        return sample_table(self.scenario, self.intervals)
+
+    sample_t, sample_s, sample_u, sample_R, sample_P = (
+        property(lambda self, k=k: self._samples[k]) for k in range(5))
 
     def event_counts(self) -> dict[str, int]:
         counts = {kind.value: 0 for kind in EventKind}
@@ -213,9 +220,10 @@ def _first_crossing(coef: list[float], span: float, rising: bool, eps: float) ->
     miss point brackets the crossing; bisection narrows a wider bracket to
     ``eps``. The roots are companion-matrix eigenvalues (a degree-1 root in
     closed form), and a polynomial of less than the padded degree also has
-    the padding's root 0. Returns the bracket's hit end, or inf."""
+    the padding's root 0. A (subnormal) leading coefficient whose root
+    overflows counts as zero. Returns the bracket's hit end, or inf."""
     d = len(coef) - 1
-    while d and coef[d] == 0.0:
+    while d and (coef[d] == 0.0 or max(map(abs, coef[:d])) / abs(coef[d]) == math.inf):
         d -= 1
     roots = [0.0] if d < len(coef) - 1 else []
     if d == 1:
@@ -481,24 +489,20 @@ class Simulator:
         w1, w2 = _integrals(dt, det.rate.shape[1])
         iv = Interval(t0, t1, u, state.s, state.s + u * dt, state.R,
                       np.maximum(state.R + det.rate @ w1, 0.0),
-                      state.R * dt + det.rate @ w2, state.on_floor.copy())
+                      state.R * dt + det.rate @ w2, state.on_floor.copy(), det.rate)
         state.pending.append((iv, det, state.last_dir.copy()))
         state.t = t1
         state.s = iv.s1.copy()
         state.R = iv.R1.copy()
         return iv
 
-    def flush(self, state: SimState, samples: tuple[np.ndarray, ...], nxt: int) -> int:
+    def flush(self, state: SimState) -> None:
         """The block kernel: set ``in_range``, ``dp_ds``, ``G`` and ``GG`` of
-        every pending interval, and fill the rows from ``nxt`` of the sample
-        table ``(t, s, u, R, P)`` that fall in them. Returns the first row
-        left to fill, and drops the pending polynomials."""
+        every pending interval, and drop the pending polynomials."""
         ivs, dets, last_dir = zip(*state.pending)
         state.pending = []
         M, N = self.scenario.n_targets, self.scenario.n_agents
-        t0 = np.array([iv.t0 for iv in ivs])
-        t1 = np.array([iv.t1 for iv in ivs])
-        dt = t1 - t0
+        dt = np.array([iv.dt for iv in ivs])
         u = np.array([det.u for det in dets])
         d0 = self.x[:, None] - np.array([iv.s0 for iv in ivs])[:, None, :]
         mid = d0 - u[:, None] * (0.5 * dt)[:, None, None]
@@ -524,29 +528,6 @@ class Simulator:
                 GG[at] = (loo @ w2[:, None, :D, None])[..., 0]
         for iv, a, b, c, d in zip(ivs, in_range, dp_ds, G, GG):
             iv.in_range, iv.dp_ds, iv.G, iv.GG = a, b, c, d
-
-        # each sample row is evaluated on the first positive-length
-        # interval that ends at or after it
-        sample_t, sample_s, sample_u, sample_R, sample_P = samples
-        pos = np.flatnonzero(dt > 0.0)
-        if not pos.size or nxt >= sample_t.size or sample_t[nxt] > t1[pos[-1]]:
-            return nxt
-        stop = int(np.searchsorted(sample_t, t1[pos[-1]], side="right"))
-        rows = slice(nxt, stop)
-        owner = pos[np.searchsorted(t1[pos], sample_t[rows])]
-        tau = sample_t[rows] - t0[owner]
-        sample_u[rows] = u[owner]
-        sample_s[rows] = np.array([iv.s0 for iv in ivs])[owner] + u[owner] * tau[:, None]
-        sample_P[rows] = detection(self.x, sample_s[rows], self.r)[1]
-        R = np.array([iv.R0 for iv in ivs])[owner]
-        for D, g in groups.items():
-            at = np.flatnonzero(n_slots[owner] == D)
-            if at.size:
-                rate = np.array([dets[k].rate for k in g])[np.searchsorted(g, owner[at])]
-                w1, _ = _integrals(tau[at], D + 1)
-                R[at] += (rate @ w1[:, :, None])[..., 0]
-        sample_R[rows] = np.maximum(R, 0.0)
-        return stop
 
     # -- event application ---------------------------------------------------
 
@@ -584,20 +565,9 @@ class Simulator:
 
     # -- full run -------------------------------------------------------------
 
-    def run(self, with_samples: bool = True) -> SimRecord:
+    def run(self) -> SimRecord:
         sc = self.scenario
         state = self.initial_state()
-        n_samp = sc.n_samples if with_samples else 1
-        sample_t = np.minimum(sc.numerics.sample_dt * np.arange(n_samp), sc.T)
-        samples = (sample_t, np.zeros((n_samp, sc.n_agents)), np.zeros((n_samp, sc.n_agents)),
-                   np.zeros((n_samp, sc.n_targets)), np.zeros((n_samp, sc.n_targets)))
-        _, sample_s, sample_u, sample_R, sample_P = samples
-        sample_s[0] = state.s
-        sample_u[0] = state.u
-        sample_R[0] = state.R
-        sample_P[0] = detection(self.x, state.s, self.r)[1]
-        next_samp = 1
-
         intervals: list[Interval] = []
         events: list[EventRecord] = []
         stuck = 0   # consecutive zero-length intervals
@@ -607,7 +577,7 @@ class Simulator:
             idx = len(intervals)
             intervals.append(iv)
             if det.done or len(state.pending) == BLOCK:
-                next_samp = self.flush(state, samples, next_samp)
+                self.flush(state)
             recs = self.apply_events(state, det)
             for r in recs:
                 r.interval_index = idx
@@ -625,16 +595,45 @@ class Simulator:
 
         total = sum(float(iv.int_R.sum()) for iv in intervals)
         return SimRecord(scenario=sc, params=self.params, intervals=intervals,
-                         events=events, sample_t=sample_t, sample_s=sample_s,
-                         sample_u=sample_u, sample_R=sample_R, sample_P=sample_P,
-                         J=total / sc.T)
+                         events=events, J=total / sc.T)
+
+
+def sample_table(scenario: Scenario, intervals: list[Interval]) -> tuple[np.ndarray, ...]:
+    """The output sample table ``(t, s, u, R, P)`` of a finished run, one row
+    every ``sample_dt`` from 0 to T, ``SAMPLE_CHUNK`` rows at a time. A row is
+    evaluated on the first positive-length interval that ends at or after its
+    time (row 0 on interval 0, at its start); a time past the last interval,
+    which may end up to ``eps_event`` before T, gets the state at its end."""
+    sc = scenario
+    t = np.minimum(sc.numerics.sample_dt * np.arange(sc.n_samples), sc.T)
+    s, u = np.empty((t.size, sc.n_agents)), np.empty((t.size, sc.n_agents))
+    R, P = np.empty((t.size, sc.n_targets)), np.empty((t.size, sc.n_targets))
+    t0, t1, S0, U, R0 = (np.array([getattr(iv, f) for iv in intervals])
+                         for f in ("t0", "t1", "s0", "u", "R0"))
+    owners = np.union1d(0, np.flatnonzero(t1 > t0))
+    # the rate polynomials, stacked by their width D + 1
+    width = np.array([iv.rate.shape[1] for iv in intervals])
+    groups = {n: np.flatnonzero(width == n) for n in set(width.tolist())}
+    rates = {n: np.array([intervals[i].rate for i in g]) for n, g in groups.items()}
+    for a in range(0, t.size, SAMPLE_CHUNK):
+        rows = slice(a, a + SAMPLE_CHUNK)
+        k = owners[np.minimum(np.searchsorted(t1[owners], t[rows]), owners.size - 1)]
+        tau = np.minimum(t[rows], t1[k]) - t0[k]
+        u[rows] = U[k]
+        s[rows] = S0[k] + U[k] * tau[:, None]
+        P[rows] = detection(sc.x, s[rows], sc.r)[1]
+        Rk = R0[k]
+        for n, g in groups.items():
+            at = np.flatnonzero(width[k] == n)
+            if at.size:
+                w1, _ = _integrals(tau[at], n)
+                Rk[at] += (rates[n][np.searchsorted(g, k[at])] @ w1[:, :, None])[..., 0]
+        R[rows] = np.maximum(Rk, 0.0)
+    return t, s, u, R, P
 
 
 def simulate(scenario: Scenario, params: list[AgentParams] | tuple[AgentParams, ...],
              with_samples: bool = True) -> SimRecord:
     """Integrate the hybrid dynamics over [0, T] and log every event.
-
-    ``with_samples=False`` skips the output-resolution state sampling, which
-    callers that only need the cost (finite-difference probes) can spare.
-    """
-    return Simulator(scenario, params).run(with_samples=with_samples)
+    ``with_samples`` does nothing: samples are evaluated when first read."""
+    return Simulator(scenario, params).run()

@@ -6,8 +6,10 @@ and GG with the trapezoid rule on the same grid, as the simulator did
 before it integrated each interval's polynomials exactly. Control switches,
 motion events, batching and event application are the simulator's own.
 Its ``advance`` returns complete intervals and queues nothing, so the
-simulator's block kernel never runs on them. Runs take no samples:
-``GridSimulator(scenario, params, h).run(False)``.
+simulator's block kernel never runs on them. The intervals carry no rate
+polynomial (``rate=None``), so a grid record has no sample table:
+``GridSimulator(scenario, params, h).run()`` is read for its intervals,
+events and J.
 """
 
 from dataclasses import dataclass
@@ -125,8 +127,8 @@ class GridSimulator(Simulator):
         return GridDetection(tau=tau_next, records=order_batch(records), bounds=in_batch,
                              done=done, u=u.copy(), ts=ts, q=q, R=R, rate=rate)
 
-    def flush(self, state, samples, nxt):
-        return nxt
+    def flush(self, state):
+        pass
 
     def advance(self, state, det):
         t0, t1, u = state.t, det.tau, det.u
@@ -134,7 +136,7 @@ class GridSimulator(Simulator):
         if t1 <= t0:
             return Interval(t0=t0, t1=t0, u=u, s0=state.s.copy(), s1=state.s.copy(),
                             R0=state.R.copy(), R1=state.R.copy(), int_R=np.zeros(M),
-                            on_floor=state.on_floor.copy(),
+                            on_floor=state.on_floor.copy(), rate=None,
                             in_range=self._membership(state, t0, u)[0],
                             dp_ds=np.zeros((M, N)), G=np.zeros((M, N)),
                             GG=np.zeros((M, N)))
@@ -162,8 +164,8 @@ class GridSimulator(Simulator):
         in_range, dp_ds = self._membership(state, 0.5 * (t0 + t1), u)
         iv = Interval(t0=t0, t1=t1, u=u, s0=state.s.copy(), s1=state.s + u * (t1 - t0),
                       R0=state.R.copy(), R1=np.maximum(R[-1], 0.0), int_R=int_R,
-                      on_floor=state.on_floor.copy(), in_range=in_range, dp_ds=dp_ds,
-                      G=G, GG=GG)
+                      on_floor=state.on_floor.copy(), rate=None, in_range=in_range,
+                      dp_ds=dp_ds, G=G, GG=GG)
         state.t = t1
         state.s = iv.s1.copy()
         state.R = iv.R1.copy()

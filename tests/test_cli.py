@@ -1,12 +1,18 @@
+import contextlib
+import copy
+import io
 import json
 import logging
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from persimon.cli import dump_params, load_scenario, main
+from persimon.cli import dump_params, load_params, load_scenario, main
+from persimon.model import ScenarioError
 from persimon.sim import simulate
 
 from conftest import scale_gradient
@@ -158,6 +164,37 @@ class TestLoad:
             outs.append([(out / n).read_bytes() for n in ("events.csv", "summary.json")])
         assert outs[0] == outs[1] == outs[2]
 
+    @pytest.mark.parametrize("field,value,path", [
+        ("targets", 5, "targets"),
+        ("numerics", [], "numerics"),
+        ("agents[0].theta0", [[11.0, 7.0]], "agents[0].theta0[0]"),
+        ("mission.L", True, "mission.L"),
+        ("targets[0]", "x", "targets[0]"),
+        ("mode", ["ALMOST"], "mode"),
+        ("local_reentry_reset", "no", "local_reentry_reset"),
+    ])
+    def test_mistyped_value_names_path(self, tmp_path, capsys, field, value, path):
+        doc = small_doc()
+        set_field(doc, field, value)
+        f = tmp_path / "typed.scenario"
+        write_scenario(f, doc)
+        rc = main(["simulate", "--scenario", str(f), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"invalid scenario: {path}: expected " in capsys.readouterr().err
+
+    def test_huge_integer_names_path(self, tmp_path, capsys):
+        f = tmp_path / "huge.scenario"
+        write_scenario(f, small_doc())
+        f.write_text(f.read_text().replace('"L": 40.0', '"L": 1' + "0" * 400))
+        assert main(["simulate", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 2
+        assert "invalid scenario: mission.L: too large" in capsys.readouterr().err
+
+    def test_deeply_nested_document_is_named(self, tmp_path, capsys):
+        f = tmp_path / "deep.scenario"
+        f.write_text('{"schema_version": 1, "mission": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["simulate", "--scenario", str(f), "--out", str(tmp_path / "o")]) == 2
+        assert f"invalid scenario: {f}: maximum recursion depth" in capsys.readouterr().err
+
     def test_syntax_error_reports_line(self, tmp_path, capsys):
         f = tmp_path / "broken.scenario"
         f.write_text('{"schema_version": 1,\n  "mission": }\n')
@@ -274,7 +311,6 @@ class TestParamsRoundTrip:
         sc, params, _ = load_scenario(scenario_file)
         f = tmp_path / "params.json"
         dump_params(params, f)
-        from persimon.cli import load_params
         again = load_params(f, sc)
         for p, q in zip(params, again):
             assert np.array_equal(p.theta, q.theta)
@@ -288,3 +324,108 @@ class TestParamsRoundTrip:
         rc = main(["simulate", "--scenario", str(scenario_file),
                    "--params", str(pf), "--out", str(out)])
         assert rc == 0
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_params_file_is_named(self, scenario_file, tmp_path, capsys, kind):
+        pf = tmp_path / "params.json"
+        if kind == "directory":
+            pf.mkdir()
+        out = tmp_path / "out"
+        rc = main(["simulate", "--scenario", str(scenario_file),
+                   "--params", str(pf), "--out", str(out)])
+        assert rc == 2
+        assert f"invalid scenario: {pf}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows,path,why", [
+        ([{"theta": [11.0, 7.0]}, {"theta": [19.0], "w": [1.0]}],
+         "params.agents[0].w", "missing required field"),
+        ([{"theta": [11.0, 7.0], "w": [1.0]}, {"theta": [19.0], "w": [1.0]}],
+         "params.agents[0]", "theta has 2 entries but w has 1"),
+        ([{"theta": [[11.0]], "w": [1.0]}, {"theta": [19.0], "w": [1.0]}],
+         "params.agents[0].theta[0]", "expected a number, got an array"),
+        ([{"theta": [19.0], "w": [1.0]}, 5], "params.agents[1]", "expected an object"),
+    ])
+    def test_malformed_params_name_path(self, scenario_file, tmp_path, capsys, rows, path, why):
+        pf = tmp_path / "params.json"
+        pf.write_text(json.dumps({"schema_version": 1, "agents": rows}))
+        rc = main(["simulate", "--scenario", str(scenario_file),
+                   "--params", str(pf), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"invalid scenario: {path}: {why}" in capsys.readouterr().err
+
+
+SMOKE_DOC = json.loads((DATA / "smoke.scenario").read_text())
+PARAMS_DOC = {"schema_version": 1,
+              "agents": [{"theta": a["theta0"], "w": a["w0"]} for a in SMOKE_DOC["agents"]]}
+# other JSON types, and extreme, subnormal and non-finite numbers
+SWAPS = [None, True, "x", [], {}, [[1.0]], 0, -1, -0.0, 0.5, 5e-324, 1e-300, 1e308, -1e308,
+         10 ** 400, float("nan"), float("inf"), float("-inf")]
+
+
+def json_paths(node, at=()):
+    yield at
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from json_paths(child, at + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one to three values dropped or replaced by ``SWAPS``."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.sampled_from(list(json_paths(doc))))
+        swap = copy.deepcopy(draw(st.sampled_from(SWAPS)))
+        if not at:
+            doc = swap
+            continue
+        node = doc
+        for key in at[:-1]:
+            node = node[key]
+        if draw(st.booleans()):
+            del node[at[-1]]
+        else:
+            node[at[-1]] = swap
+    return doc
+
+
+class TestLoaderFuzz:
+    """Malformed and extreme documents either load or fail with a JSON path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated(SMOKE_DOC))
+    def test_scenario_loads_or_raises_scenario_error(self, doc):
+        with tempfile.TemporaryDirectory() as d:
+            f = Path(d) / "fuzz.scenario"
+            write_scenario(f, doc)
+            try:
+                load_scenario(f)
+            except ScenarioError:
+                pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutated(PARAMS_DOC))
+    def test_params_load_or_raise_scenario_error(self, doc):
+        sc, _, _ = load_scenario(DATA / "smoke.scenario")
+        with tempfile.TemporaryDirectory() as d:
+            f = Path(d) / "fuzz.json"
+            write_scenario(f, doc)
+            try:
+                load_params(f, sc)
+            except ScenarioError:
+                pass
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.booleans(), st.data())
+    def test_simulate_never_raises(self, scenario_side, data):
+        scen = data.draw(mutated(SMOKE_DOC)) if scenario_side else SMOKE_DOC
+        prm = PARAMS_DOC if scenario_side else data.draw(mutated(PARAMS_DOC))
+        with tempfile.TemporaryDirectory() as d:
+            write_scenario(Path(d) / "s.scenario", scen)
+            write_scenario(Path(d) / "p.json", prm)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main(["simulate", "--scenario", str(Path(d) / "s.scenario"),
+                           "--params", str(Path(d) / "p.json"), "--out", str(Path(d) / "o")])
+        assert rc == 0 or "invalid scenario: " in err.getvalue()

@@ -159,6 +159,18 @@ class TestRootFinder:
         for row, up, want in zip(rows, rising, dense.tolist()):
             assert _first_crossing(row, span, up, eps) == want
 
+    @pytest.mark.parametrize("row,rising", [
+        ([0.0, 1.0, 5e-324], True),
+        ([0.75, -2.0, 1.0, 5e-324], False),    # roots 0.5 and 1.5
+        ([0.75, -2.0, 1.0, -1e-320], False),
+    ])
+    def test_subnormal_leading_coefficient_counts_as_zero(self, row, rising):
+        zeroed = row[:-1] + [0.0]
+        want = first_crossings(np.array([zeroed]), 2.0, np.array([rising]), 1e-9)[0]
+        assert _first_crossing(row, 2.0, rising, 1e-9) == _first_crossing(zeroed, 2.0, rising,
+                                                                            1e-9) == want
+        assert want in (0.5e-9, 0.5)
+
 
 class TestMissFactorsKernel:
     @settings(max_examples=100, deadline=None)

@@ -14,7 +14,8 @@ def blank_interval(t0, t1, M, N, **kw):
     shape = dict(
         u=np.zeros(N), s0=np.zeros(N), s1=np.zeros(N),
         R0=np.ones(M), R1=np.ones(M), int_R=np.zeros(M),
-        on_floor=np.zeros(M, dtype=bool), in_range=np.ones((M, N), dtype=bool),
+        on_floor=np.zeros(M, dtype=bool), rate=np.zeros((M, 1)),
+        in_range=np.ones((M, N), dtype=bool),
         dp_ds=np.zeros((M, N)), G=np.zeros((M, N)), GG=np.zeros((M, N)))
     shape.update(kw)
     return Interval(t0=t0, t1=t1, **shape)
@@ -392,7 +393,7 @@ class TestGradientAccumulation:
             else:
                 w[idx] += bump
             mod[j] = params(theta, w)
-            return simulate(sc, mod, with_samples=False).J
+            return simulate(sc, mod).J
 
         for j, idx in [(0, 1), (1, 0), (2, 2)]:
             right = (cost_with(j, "theta", idx, delta) - rec.J) / delta

@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from persimon import sim as sim_module
 from persimon.cli import load_scenario
+from persimon.descent import optimize
 from persimon.events import EventKind
-from persimon.model import detection
+from persimon.fdcheck import grad_check
+from persimon.model import InfoMode, Numerics, detection
 from persimon.sim import SimulationError, Simulator, simulate
+from persimon.visibility import mode_gradients
 
 from conftest import make_scenario, params, random_scenario
 from grid_oracle import GridSimulator
@@ -84,9 +89,9 @@ class TestBlockKernel:
         sizes = []
         flush = Simulator.flush
 
-        def recording(self, state, samples, nxt):
+        def recording(self, state):
             sizes.append(len(state.pending))
-            return flush(self, state, samples, nxt)
+            flush(self, state)
 
         monkeypatch.setattr(Simulator, "flush", recording)
         sc, ps, _ = load_scenario(SMOKE.with_name("example1.scenario"))
@@ -122,6 +127,70 @@ class TestBlockKernel:
         state = sim.initial_state()
         iv = sim.advance(state, sim.next_event(state))
         assert iv.G is None and len(state.pending) == 1 and state.pending[0][0] is iv
+
+
+class TestSampleTable:
+    """The sample table is evaluated from the finished record when first read."""
+
+    def test_sampler_runs_only_on_first_read(self, monkeypatch):
+        calls = []
+        table = sim_module.sample_table
+
+        def counting(*args):
+            calls.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(sim_module, "sample_table", counting)
+        sc, ps, opt = load_scenario(SMOKE)
+        rec = simulate(sc, ps)
+        for mode in InfoMode:
+            mode_gradients(rec, mode)
+        optimize(sc, ps, dataclasses.replace(opt, max_iters=3))
+        grad_check(sc, ps)
+        assert calls == []
+        first = rec.sample_R
+        assert len(calls) == 1
+        for f in SAMPLE_FIELDS:
+            getattr(rec, f)
+        assert len(calls) == 1 and rec.sample_R is first
+
+    @pytest.mark.parametrize("chunk", [1, 7, 80])
+    def test_table_independent_of_chunk_size(self, monkeypatch, chunk):
+        sc, ps = zero_length_transits()   # 121 rows
+        ref = [getattr(simulate(sc, ps), f) for f in SAMPLE_FIELDS]
+        monkeypatch.setattr(sim_module, "SAMPLE_CHUNK", chunk)
+        rec = simulate(sc, ps)
+        for f, want in zip(SAMPLE_FIELDS, ref):
+            assert np.array_equal(getattr(rec, f), want)
+
+    def test_first_read_memory_is_bounded(self):
+        # the temporaries of one chunk, not of the whole table: 8,001 and
+        # 80,001 rows over the same record, after a read that pays the
+        # process's one-off allocations (about 180 kB either way, against
+        # 1.1 and 10.9 MB for one chunk of all rows)
+        sc, ps, _ = load_scenario(SMOKE)
+        simulate(sc, ps).sample_t
+        for dt in (1e-3, 1e-4):
+            rec = simulate(dataclasses.replace(sc, numerics=Numerics(sample_dt=dt)), ps)
+            tracemalloc.start()
+            try:
+                cols = [getattr(rec, f) for f in SAMPLE_FIELDS]
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert cols[0].size == round(sc.T / dt) + 1
+            assert peak - sum(c.nbytes for c in cols) < 1 << 19
+
+    def test_rows_after_the_last_interval_hold_its_end(self):
+        # with a wide batching tolerance the horizon batch ends the run
+        # before T, and the rows after it show the final state
+        sc, ps, _ = load_scenario(SMOKE)
+        rec = simulate(dataclasses.replace(sc, numerics=Numerics(eps_event=0.3)), ps)
+        last = rec.intervals[-1]
+        assert last.t1 < rec.sample_t[-1] == sc.T
+        assert np.array_equal(rec.sample_s[-1], last.s1)
+        assert np.array_equal(rec.sample_u[-1], last.u)
+        assert np.allclose(rec.sample_R[-1], last.R1, rtol=1e-14, atol=0.0)
 
 
 class TestClosedForms:
@@ -308,13 +377,13 @@ class TestRecordInvariants:
             random_scenario(np.random.default_rng(seed), T=10.0) for seed in (11, 12, 13)]
         for sc, ps in cases:
             J = simulate(sc, ps).J
-            J_grid = GridSimulator(sc, ps, h=2e-4).run(with_samples=False).J
+            J_grid = GridSimulator(sc, ps, h=2e-4).run().J
             assert abs(J - J_grid) <= 1e-7 * J
 
     def test_interval_integrals_match_grid_oracle(self):
         sc, ps = random_scenario(np.random.default_rng(5), n_agents=3, n_targets=4, T=12.0)
         rec = simulate(sc, ps)
-        grid = GridSimulator(sc, ps, h=2e-4).run(with_samples=False)
+        grid = GridSimulator(sc, ps, h=2e-4).run()
         assert ([(e.kind, e.agent, e.target) for e in rec.events]
                 == [(e.kind, e.agent, e.target) for e in grid.events])
         assert any(ev.kind is EventKind.R_HIT_ZERO for ev in rec.events)

@@ -69,14 +69,14 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("name", ["example1", "example2"])
     def test_bundled_examples(self, name):
         sc, ps, _ = load_scenario(DATA / f"{name}.scenario")
-        assert_matches_oracle(simulate(sc, ps, with_samples=False))
+        assert_matches_oracle(simulate(sc, ps))
 
     def test_relayed_floor_leave_keeps_stale_values(self):
         # one of 400 seeds searched: in LOCAL mode an agent holds a stale
         # derivative of a target whose floor-leave reaches it only through a
         # collaborator, which must not reset it
         sc, ps = zero_dwell_scenario(68, 3, 4)
-        assert_matches_oracle(simulate(sc, ps, with_samples=False))
+        assert_matches_oracle(simulate(sc, ps))
 
     def test_local_reentry_reset(self):
         # agent 0 misses a far floor hit and re-acquires the floored target:
@@ -112,17 +112,17 @@ class TestSamePath:
 class TestDelivery:
     def test_example1(self):
         sc, ps, _ = load_scenario(DATA / "example1.scenario")
-        assert_delivery_matches_oracle(simulate(sc, ps, with_samples=False))
+        assert_delivery_matches_oracle(simulate(sc, ps))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(2, 6))
     def test_random_scenarios(self, seed, n_agents, n_targets):
         sc, ps = zero_dwell_scenario(seed, n_agents, n_targets)
-        assert_delivery_matches_oracle(simulate(sc, ps, with_samples=False))
+        assert_delivery_matches_oracle(simulate(sc, ps))
 
     def test_unobserved_floor_hit_raises(self):
         sc, ps = zero_dwell_scenario(2, 2, 3)
-        rec = simulate(sc, ps, with_samples=False)
+        rec = simulate(sc, ps)
         assert any(ev.kind.name == "R_HIT_ZERO" for ev in rec.events)
         check_floor_hits_observed(rec)
         # nobody senses anything at any event instant
