@@ -304,9 +304,8 @@ def cmd_optimize(args) -> int:
         for l, (J, n_ev, n_iv, norms) in enumerate(
                 zip(run.costs, run.n_events, run.n_intervals, run.grad_norms)):
             wr.writerow([str(l), _fnum(J), str(n_ev), str(n_iv)] + [_fnum(v) for v in norms])
-    every = max(1, args.checkpoint_every)
     for l, ps in enumerate(run.params_history):
-        if l % every == 0 or l == len(run.params_history) - 1:
+        if l % args.checkpoint_every == 0 or l == len(run.params_history) - 1:
             dump_params(ps, ckpt_dir / f"params_iter{l:04d}.json")
     dump_params(run.final_params, out / "params_final.json")
     if args.audit_events and run.final_record is not None:
@@ -348,6 +347,17 @@ def cmd_gradcheck(args) -> int:
     return 0 if report.pass_rate() >= args.threshold else 1
 
 
+def _flag(conv, ok, why: str):
+    """An argparse type: ``conv`` of the text, which must pass ``ok``."""
+    def check(text: str):
+        value = conv(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{why}, got {text!r}")
+        return value
+    check.__name__ = conv.__name__   # argparse's "invalid float value" names it
+    return check
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="persimon",
@@ -369,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--out", required=True)
     opt.add_argument("--mode", choices=modes)
     opt.add_argument("--iters", type=int)
-    opt.add_argument("--checkpoint-every", type=int, default=50)
+    opt.add_argument("--checkpoint-every", default=50,
+                     type=_flag(int, lambda v: v >= 1, "must be >= 1"))
     opt.add_argument("--audit-events", action="store_true")
     opt.set_defaults(fn=cmd_optimize)
 
@@ -377,8 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--scenario", required=True)
     gc.add_argument("--params")
     gc.add_argument("--out", required=True)
-    gc.add_argument("--tol", type=float, default=1e-2)
-    gc.add_argument("--threshold", type=float, default=0.95,
+    gc.add_argument("--tol", default=1e-2, type=_flag(
+        float, lambda v: math.isfinite(v) and v > 0.0, "must be a finite number > 0"))
+    gc.add_argument("--threshold", default=0.95,
+                    type=_flag(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
                     help="required pass rate on smooth coordinates")
     gc.set_defaults(fn=cmd_gradcheck)
     return ap

@@ -109,17 +109,17 @@ class Replica:
     ``deliver`` is an (E, N) array over ``record.events``, nonzero where an
     event reaches an agent (``visibility.delivery``); an agent's own control
     switches reach it in every mode. ``None`` delivers every event to every
-    agent, the centralized evaluation. ``strict`` enables the consistency
-    assertions that are theorems under full floor-hit delivery; disable it
-    for purely local information where derivative state is allowed to go
-    stale. ``reentry_reset`` lets an agent that re-acquires a target at
-    zero uncertainty infer the floor hit it missed.
+    agent, the centralized evaluation. ``local`` marks purely local
+    information, where derivatives may go stale: it drops the consistency
+    assertions that are theorems under full floor-hit delivery, and the
+    scenario's ``local_reentry_reset`` lets an agent that re-acquires a
+    target at zero uncertainty infer the floor hit it missed.
     """
 
     def __init__(self, record: SimRecord, deliver: np.ndarray | None = None,
-                 strict: bool = True, reentry_reset: bool = False):
+                 local: bool = False):
         self.record = record
-        self.strict = strict
+        self.local = local
         sc = record.scenario
         N, M = sc.n_agents, sc.n_targets
         self.n_points = [p.n_points for p in record.params]
@@ -135,13 +135,14 @@ class Replica:
         # hold-checker state: range status and derivatives at the last check
         self._outside = np.zeros((N, M), dtype=bool)
         self._frozen = np.zeros_like(self.state.dR)
-        self._by_interval = self._schedule(deliver, reentry_reset)
+        self._by_interval = self._schedule(deliver)
 
-    def _schedule(self, deliver, reentry_reset: bool) -> dict:
+    def _schedule(self, deliver) -> dict:
         """The events that move a derivative, grouped by interval, each with
         the agents whose ledgers it moves: an index array, a slice for all
         agents or, for control switches, the switching agent."""
         rec, cols = self.record, self.record.event_columns
+        reentry_reset = self.local and rec.scenario.local_reentry_reset
         out: dict[int, list] = {}
         for e in np.flatnonzero(_MOVING[cols.kind]).tolist():
             ev = rec.events[e]
@@ -157,7 +158,7 @@ class Replica:
                 agents = ev.agent
             else:
                 sel = None if deliver is None else deliver[e] != 0
-                if ev.kind is EventKind.R_LEFT_ZERO and not self.strict:
+                if ev.kind is EventKind.R_LEFT_ZERO and self.local:
                     # only a locally observed floor-leave resets; a relayed
                     # one of an out-of-range target leaves stale values held
                     inr = rec.event_membership[ev.interval_index + 1, ev.target]
@@ -232,7 +233,7 @@ class Replica:
             if st.dR[agents, i].any():
                 self.diags[agents].reentry_resets += 1
             st.dR[agents, i] = 0.0
-        elif ev.kind is EventKind.R_LEFT_ZERO and self.strict:
+        elif ev.kind is EventKind.R_LEFT_ZERO and not self.local:
             # under full floor-hit delivery the state here is provably
             # already zero; the explicit write is defense in depth
             i = ev.target
@@ -296,10 +297,10 @@ class Replica:
         return GradientVector(theta=acc[:, :P], w=acc[:, P:])
 
 
-def sweep(record: SimRecord, deliver: np.ndarray | None = None, strict: bool = True,
-          reentry_reset: bool = False) -> tuple[list[GradientVector], list[ReplicaDiagnostics]]:
+def sweep(record: SimRecord, deliver: np.ndarray | None = None,
+          local: bool = False) -> tuple[list[GradientVector], list[ReplicaDiagnostics]]:
     """Every agent's gradient, unpadded, and diagnostics from one lockstep pass."""
-    rep = Replica(record, deliver, strict=strict, reentry_reset=reentry_reset)
+    rep = Replica(record, deliver, local=local)
     g = rep.run()
     return ([GradientVector(theta=g.theta[j, :n], w=g.w[j, :n])
              for j, n in enumerate(rep.n_points)], rep.diags)

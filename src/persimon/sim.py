@@ -19,9 +19,10 @@ x finds the next motion event and the (target, agent) pairs in range, and
 each target's miss product, rate bounds and floor roots come from those
 pairs alone. The quantities only the gradient estimators read (range
 membership, the sensing gradients and the collaboration integrals G and
-GG) come from one vectorised kernel, run on each block of ``BLOCK``
-finished intervals and at the horizon. The output samples come from the
-finished record, when they are first read (``sample_table``).
+GG) come from one vectorised kernel over a table of the live pairs' miss
+factors, run on each block of ``BLOCK`` finished intervals and at the
+horizon. The output samples come from the finished record, when they are
+first read (``sample_table``).
 """
 
 from __future__ import annotations
@@ -149,12 +150,12 @@ class SimRecord:
 class _Detection:
     """The next event batch and the polynomials of the interval up to it.
 
-    ``pairs`` lists the (target, agent) pairs whose miss factor over the
-    interval is not identically 1, as ``(i, j, c0, c1)`` for the line
-    ``c0 + c1 tau``, in agent order; ``D`` is the largest number of such
-    pairs of one target. ``rate`` holds each target's floor-aware rate as
-    ascending coefficients, (M, D + 1); ``_layout`` gives the dense slot
-    layout and miss products of the block kernel.
+    ``pairs`` lists the live pairs, the (target, agent) pairs whose miss
+    factor over the interval is not identically 1, as ``(i, j, slot, c0,
+    c1)`` for the line ``c0 + c1 tau``, in agent order; ``slot`` is the
+    pair's rank among target ``i``'s live pairs. ``rate`` holds each
+    target's floor-aware rate as ascending coefficients, (M, D + 1), with
+    ``D`` the largest number of live pairs of one target.
     """
 
     tau: float
@@ -162,8 +163,7 @@ class _Detection:
     bounds: dict[int, Boundary]
     done: bool
     u: np.ndarray                 # (N,)
-    pairs: list[tuple[int, int, float, float]]
-    D: int
+    pairs: list[tuple[int, int, int, float, float]]
     rate: np.ndarray              # (M, D + 1)
 
 
@@ -260,22 +260,18 @@ def _first_crossing(coef: list[float], span: float, rising: bool, eps: float) ->
     return math.inf
 
 
-def _layout(dets: list[_Detection], M: int, N: int) -> tuple[np.ndarray, ...]:
-    """The dense slot layout of detections that share one slot count D:
-    each target's live agents in agent order, padded with its first other
-    agents, whose factors are (1, 0). Returns ``slots`` (n, M, D), their
-    factors ``C0`` and ``C1``, and the miss products ``Q`` (n, M, D + 1)."""
-    live = np.zeros((len(dets), M, N), dtype=bool)
-    c0, c1 = np.ones(live.shape), np.zeros(live.shape)
-    flat = [(k,) + pair for k, det in enumerate(dets) for pair in det.pairs]
-    if flat:
-        k, i, j, a, b = zip(*flat)
-        at = (np.array(k), np.array(i), np.array(j))
-        live[at], c0[at], c1[at] = True, a, b
-    slots = np.argsort(~live, axis=2, kind="stable")[..., :dets[0].D]
-    C0 = np.take_along_axis(c0, slots, axis=2)
-    C1 = np.take_along_axis(c1, slots, axis=2)
-    return slots, C0, C1, _products(C0, C1)
+def _factor_table(dets: list[_Detection], M: int) -> tuple[np.ndarray, ...]:
+    """The factor table of a block of detections: each target's live
+    factors at their slots, padded to the block's widest target with (1, 0).
+    Returns ``C0`` and ``C1`` (n, M, D) and the live pairs' indices
+    ``(k, i, j, slot)``, one array each."""
+    D = max(det.rate.shape[1] for det in dets) - 1
+    C0, C1 = np.ones((len(dets), M, D)), np.zeros((len(dets), M, D))
+    live = np.array([(k,) + pair for k, det in enumerate(dets)
+                     for pair in det.pairs]).reshape(-1, 6).T
+    k, i, j, slot = live[:4].astype(int)
+    C0[k, i, slot], C1[k, i, slot] = live[4:]
+    return C0, C1, (k, i, j, slot)
 
 
 class Simulator:
@@ -294,16 +290,15 @@ class Simulator:
         self.eps = scenario.numerics.eps_event
         # (N, M, 3) motion event positions: lower and upper range edges, target
         self.edges = self.x[None, :, None] + self.r[:, None, None] * np.array([-1.0, 1.0, 0.0])
-        self.rows = np.arange(scenario.n_targets)[:, None]
         # plain-float tables for the per-event path: the targets sorted by x,
         # and each agent's motion event positions sorted, with (target, edge)
-        order = np.argsort(self.x, kind="stable")
-        self._xs, self._by_x = self.x[order].tolist(), order.tolist()
         self._x, self._A, self._B, self._r = (a.tolist() for a in (self.x, self.A, self.B, self.r))
+        self._by_x = sorted(range(scenario.n_targets), key=self._x.__getitem__)
+        self._xs = [self._x[i] for i in self._by_x]
         self._edges = []
-        for e in self.edges.reshape(scenario.n_agents, 3 * scenario.n_targets):
-            k = np.argsort(e, kind="stable")
-            self._edges.append((e[k].tolist(), [divmod(c, 3) for c in k.tolist()]))
+        for e in self.edges.reshape(scenario.n_agents, 3 * scenario.n_targets).tolist():
+            k = sorted(range(len(e)), key=e.__getitem__)
+            self._edges.append(([e[c] for c in k], [divmod(c, 3) for c in k]))
         # the most consecutive zero-length intervals one instant can hold. A
         # zero-length interval ends in a batch at its own start, which no
         # motion guard joins (those lie more than eps ahead), so the batch
@@ -388,8 +383,8 @@ class Simulator:
                     # + 0.0 clears the sign of a zero slope, which follows u's sign
                     c1 = -((mid > 0.0) - (mid < 0.0)) * uj / rj + 0.0
                     if c0 != 1.0 or c1 != 0.0:
+                        pairs.append((i, j, len(factors[i]), c0, c1))
                         factors[i].append((c0, c1))
-                        pairs.append((i, j, c0, c1))
         D = max(map(len, factors), default=0)
 
         # each target's miss product Q and rates; the floor guards: a hit
@@ -444,7 +439,7 @@ class Simulator:
         if done:
             records.append(EventRecord(tau_next, EventKind.HORIZON))
         return _Detection(tau=tau_next, records=order_batch(records), bounds=in_batch,
-                          done=done, u=state.u.copy(), pairs=pairs, D=D,
+                          done=done, u=state.u.copy(), pairs=pairs,
                           rate=np.array(rate).reshape(M, D + 1))
 
     def _control_record(self, tau: float, j: int, tr, phase: PhaseState) -> EventRecord:
@@ -498,7 +493,9 @@ class Simulator:
 
     def flush(self, state: SimState) -> None:
         """The block kernel: set ``in_range``, ``dp_ds``, ``G`` and ``GG`` of
-        every pending interval, and drop the pending polynomials."""
+        every pending interval, and drop the pending polynomials. A pair
+        integrates its target's miss product, the product of one row of
+        ``_factor_table``; a live pair, that of the other slots of its row."""
         ivs, dets, last_dir = zip(*state.pending)
         state.pending = []
         M, N = self.scenario.n_targets, self.scenario.n_agents
@@ -507,25 +504,16 @@ class Simulator:
         d0 = self.x[:, None] - np.array([iv.s0 for iv in ivs])[:, None, :]
         mid = d0 - u[:, None] * (0.5 * dt)[:, None, None]
         in_range, dp_ds = offset_membership(mid, self.r, np.array(last_dir)[:, None])
-
-        # a pair outside a target's miss product integrates all of it; an
-        # observer integrates the product of the other factors. Intervals
-        # are grouped by their slot count D.
-        n_slots = np.array([det.D for det in dets])
-        groups = {D: np.flatnonzero(n_slots == D) for D in set(n_slots.tolist())}
-        G, GG = np.empty((len(ivs), M, N)), np.empty((len(ivs), M, N))
-        W1, W2 = _integrals(dt, max(groups) + 1)
-        for D, g in groups.items():
-            w1, w2 = W1[g, :D + 1], W2[g, :D + 1]
-            slots, C0, C1, Q = _layout([dets[k] for k in g], M, N)
-            G[g] = Q @ w1[:, :, None]
-            GG[g] = Q @ w2[:, :, None]
-            if D:
-                others = np.array([[c for c in range(D) if c != d] for d in range(D)], dtype=int)
-                loo = _products(C0[:, :, others], C1[:, :, others])    # (n, M, D, D)
-                at = (g[:, None, None], self.rows, slots)
-                G[at] = (loo @ w1[:, None, :D, None])[..., 0]
-                GG[at] = (loo @ w2[:, None, :D, None])[..., 0]
+        C0, C1, (k, i, j, slot) = _factor_table(dets, M)
+        D = C0.shape[2]
+        W1, W2 = _integrals(dt, D + 1)
+        Q = _products(C0, C1)
+        G, GG = (np.repeat(Q @ w[:, :, None], N, axis=2) for w in (W1, W2))
+        if D:
+            others = np.array([[c for c in range(D) if c != d] for d in range(D)], dtype=int)
+            loo = _products(C0[:, :, others], C1[:, :, others])    # (n, M, D, D)
+            G[k, i, j] = (loo @ W1[:, None, :D, None])[k, i, slot, 0]
+            GG[k, i, j] = (loo @ W2[:, None, :D, None])[k, i, slot, 0]
         for iv, a, b, c, d in zip(ivs, in_range, dp_ds, G, GG):
             iv.in_range, iv.dp_ds, iv.G, iv.GG = a, b, c, d
 

@@ -107,18 +107,14 @@ def mode_gradients(record: SimRecord, mode: InfoMode | None = None,
 
     Physics is shared (one simulation record); only the events each agent's
     derivative ledger consumes differ, and one lockstep sweep advances all
-    ledgers. CENTRALIZED delivers everything, exactly as ``full_gradient``.
-    LOCAL mode turns off the strict consistency assertions, since holding
-    stale derivatives is the point, and optionally applies the re-entry
-    inference reset configured on the scenario.
+    ledgers. CENTRALIZED delivers everything, exactly as ``full_gradient``;
+    LOCAL sweeps with ``local`` set, as holding stale derivatives is its point.
     """
-    sc = record.scenario
     if mode is None:
-        mode = sc.mode
+        mode = record.scenario.mode
     check_floor_hits_observed(record)
     deliver = None if mode is InfoMode.CENTRALIZED else delivery(record, mode)
-    grads, diags = sweep(record, deliver, strict=mode is not InfoMode.LOCAL,
-                         reentry_reset=mode is InfoMode.LOCAL and sc.local_reentry_reset)
+    grads, diags = sweep(record, deliver, local=mode is InfoMode.LOCAL)
     if with_diagnostics:
         return grads, diags
     return grads

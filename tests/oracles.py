@@ -9,7 +9,8 @@ distance thresholds. ``dense_detection`` is the opposite: the simulator's
 event detection over every (target, agent) pair at once, with the miss
 factors of all pairs (``miss_factors``), their slot layout by ``argsort``
 and a vectorised root finder (``first_crossings``), against which the
-simulator's sparse per-event path is checked bit for bit.
+simulator's sparse per-event path, its live pairs' slots and the block
+kernel's factor table are checked bit for bit.
 """
 
 from dataclasses import dataclass
@@ -223,7 +224,8 @@ def dense_detection(sim: Simulator, state: SimState) -> DenseDetection:
     live = (c0 != 1.0) | (c1 != 0.0)
     D = int(live.sum(axis=1).max(initial=0))
     slots = np.argsort(~live, axis=1, kind="stable")[:, :D]
-    C0, C1 = c0[sim.rows, slots], c1[sim.rows, slots]
+    rows = np.arange(sc.n_targets)[:, None]
+    C0, C1 = c0[rows, slots], c1[rows, slots]
     Q = _products(C0, C1)
     A, B = sim.A, sim.B
     gro = B[:, None] * Q

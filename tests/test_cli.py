@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from persimon.cli import dump_params, load_params, load_scenario, main
+from persimon.cli import build_parser, dump_params, load_params, load_scenario, main
 from persimon.model import ScenarioError
 from persimon.sim import simulate
 
@@ -304,6 +304,33 @@ class TestGradcheckCmd:
         write_scenario(f, doc)
         out = tmp_path / "gc0"
         assert main(["gradcheck", "--scenario", str(f), "--out", str(out)]) == 0
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--tol", "nan"], ["gradcheck", "--tol", "inf"],
+        ["gradcheck", "--tol", "0"], ["gradcheck", "--tol", "-1"],
+        ["gradcheck", "--threshold", "nan"], ["gradcheck", "--threshold", "1.5"],
+        ["optimize", "--checkpoint-every", "0"], ["optimize", "--checkpoint-every", "-3"],
+    ])
+    def test_bad_value_rejected_at_parse_time(self, scenario_file, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--scenario", str(scenario_file), "--out", str(out)] + argv[1:])
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bounds_accepted(self):
+        args = build_parser().parse_args(["gradcheck", "--scenario", "s", "--out", "o",
+                                          "--tol", "1e-300", "--threshold", "1"])
+        assert (args.tol, args.threshold) == (1e-300, 1.0)
+        args = build_parser().parse_args(["gradcheck", "--scenario", "s", "--out", "o",
+                                          "--threshold", "0"])
+        assert (args.tol, args.threshold) == (1e-2, 0.0)
+        args = build_parser().parse_args(["optimize", "--scenario", "s", "--out", "o",
+                                          "--checkpoint-every", "1"])
+        assert args.checkpoint_every == 1
 
 
 class TestParamsRoundTrip:

@@ -2,10 +2,11 @@
 
 ``Simulator.next_event`` finds each agent's targets and next motion edge by
 bisection on sorted positions and multiplies only the (target, agent)
-factors that are not identically 1; ``oracles.dense_detection`` builds the
-factors, slot layout and miss products of every pair at once. The two must
-agree bit for bit on every event: batch time, records, rates, and the
-dense layout the block kernel assembles from the sparse pairs.
+factors that are not identically 1, the live pairs, each with its slot
+among its target's factors; ``oracles.dense_detection`` builds the factors,
+slot layout and miss products of every pair at once. The two must agree
+bit for bit on every event: batch time, records, rates, and the factor
+table and miss products the block kernel builds from the live pairs.
 """
 
 from pathlib import Path
@@ -18,7 +19,8 @@ from numpy.polynomial.polynomial import polyfromroots
 from persimon.cli import load_scenario
 from persimon.events import EventKind
 from persimon.model import detection
-from persimon.sim import Simulator, _first_crossing, _layout, _miss_product, _products
+from persimon.sim import (Simulator, _factor_table, _first_crossing, _miss_product,
+                          _products)
 
 from conftest import make_scenario, params, random_scenario
 from oracles import dense_detection, first_crossings, miss_factors
@@ -48,10 +50,10 @@ def lockstep(sc, ps, max_events=20_000) -> int:
                 == [(e.time, e.kind, e.agent, e.target, e.payload) for e in ref.records])
         assert list(det.bounds) == list(ref.bounds)
         assert det.rate.shape == ref.rate.shape and bits(det.rate) == bits(ref.rate)
-        slots, C0, C1, Q = _layout([det], sc.n_targets, sc.n_agents)
-        assert slots[0].tolist() == ref.slots.tolist()
-        for a, b in ((C0[0], ref.C0), (C1[0], ref.C1), (Q[0], ref.Q)):
+        C0, C1, _ = _factor_table([det], sc.n_targets)
+        for a, b in ((C0[0], ref.C0), (C1[0], ref.C1), (_products(C0, C1)[0], ref.Q)):
             assert a.shape == b.shape and bits(a) == bits(b)
+        assert all(ref.slots[i, slot] == j for i, j, slot, _, _ in det.pairs)
         sim.advance(state, det)
         state.pending.clear()
         sim.apply_events(state, det)

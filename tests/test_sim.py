@@ -62,6 +62,19 @@ def assert_same_record(a, b):
         assert np.abs(x.astype(float) - y).max(initial=0.0) <= 1e-14 * scale
 
 
+def assert_same_gradients(a, b):
+    """All three modes' gradients bit for bit, and G and GG wherever the
+    gradient reads them, at a nonzero ``dp_ds``."""
+    for mode in InfoMode:
+        for x, y in zip(mode_gradients(a, mode), mode_gradients(b, mode)):
+            assert x.concat().tobytes() == y.concat().tobytes()
+    for p, q in zip(a.intervals, b.intervals):
+        assert p.dp_ds.tobytes() == q.dp_ds.tobytes()
+        live = p.dp_ds != 0.0
+        assert p.G[live].tobytes() == q.G[live].tobytes()
+        assert p.GG[live].tobytes() == q.GG[live].tobytes()
+
+
 class TestBlockKernel:
     """Interval quantities and samples do not depend on where the event loop
     cuts its blocks of finished intervals."""
@@ -76,14 +89,29 @@ class TestBlockKernel:
         assert len(ref.intervals) == 15
         assert [k for k, iv in enumerate(ref.intervals) if iv.dt == 0.0] == [0, 2, 6]
         monkeypatch.setattr(sim_module, "BLOCK", block)
-        assert_same_record(ref, simulate(sc, ps))
+        rec = simulate(sc, ps)
+        assert_same_record(ref, rec)
+        assert_same_gradients(ref, rec)
 
     def test_block_of_one_on_example(self, monkeypatch):
         sc, ps, _ = load_scenario(SMOKE.with_name("example1.scenario"))
         ref = simulate(sc, ps)
         assert len(ref.intervals) % sim_module.BLOCK != 0
         monkeypatch.setattr(sim_module, "BLOCK", 1)
-        assert_same_record(ref, simulate(sc, ps))
+        rec = simulate(sc, ps)
+        assert_same_record(ref, rec)
+        assert_same_gradients(ref, rec)
+
+    def test_one_block_on_example(self, monkeypatch):
+        # the whole run in one block, whose intervals have 0 to 3 live
+        # factors on their widest target
+        sc, ps, _ = load_scenario(SMOKE.with_name("example1.scenario"))
+        ref = simulate(sc, ps)
+        assert {int((iv.dp_ds != 0.0).sum(axis=1).max()) for iv in ref.intervals} == {0, 1, 2, 3}
+        monkeypatch.setattr(sim_module, "BLOCK", len(ref.intervals) + 1)
+        rec = simulate(sc, ps)
+        assert_same_record(ref, rec)
+        assert_same_gradients(ref, rec)
 
     def test_buffer_holds_at_most_one_block(self, monkeypatch):
         sizes = []
