@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--scenario", required=True)
     opt.add_argument("--out", required=True)
     opt.add_argument("--mode", choices=modes)
-    opt.add_argument("--iters", type=int)
+    opt.add_argument("--iters", type=_flag(int, lambda v: v >= 0, "must be >= 0"))
     opt.add_argument("--checkpoint-every", default=50,
                      type=_flag(int, lambda v: v >= 1, "must be >= 1"))
     opt.add_argument("--audit-events", action="store_true")

@@ -12,28 +12,42 @@ exact gradient of the time-averaged cost.
 
 Each agent keeps its own derivative ledger and moves it only on the
 events delivered to it, so its gradient follows from its own event stream.
-``Replica`` advances all agents' ledgers in lockstep, one pass over the
-record's intervals: agent ``j`` is row ``j`` of every derivative array,
-and each event is applied to the rows of the agents it reaches. Delivering
-every event to every agent gives the centralized gradient.
+``Replica`` advances all agents' ledgers in lockstep: agent ``j`` is row
+``j`` of every derivative array, and each event is applied to the rows of
+the agents it reaches. Delivering every event to every agent gives the
+centralized gradient.
+
+Between events the recursion is affine, so one pass scans the record one
+block kernel call (``sim.Block``, ``sim.BLOCK`` intervals) at a time
+rather than interval by interval. An agent's position derivatives change
+only at its own control switches: they form a table with one row per
+stretch between switches. A target's uncertainty derivatives drift by the
+decay times the sensing gradient times G times those rows and jump only at
+resets, so each target's row is brought up to date only where a reset
+reads it and at the block's end. The cost integral follows from each
+agent's sum over targets, exact at the block's start and moved by the
+drift and by the values the resets remove.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import CONTROL_KINDS, EventKind, EventRecord, kind_table
-from .sim import Interval, SimRecord
+from .events import CONTROL_KINDS, KINDS, EventKind, EventRecord, kind_table
+from .sim import Block, Interval, SimRecord
 
 FLOOR_RESET_TOL = 1e-9   # a floor-leave event must find derivatives already zero
 
 # kinds that move a derivative; observer-set changes, target crossings,
 # lost sensing and the horizon leave every ledger as it is (a crossing's
-# sign flip of the sensing gradient is in the next interval's dp_ds)
-_MOVING = kind_table(CONTROL_KINDS | {EventKind.R_HIT_ZERO, EventKind.R_LEFT_ZERO,
-                                      EventKind.SENSE_ON})
+# sign flip of the sensing gradient is in the next interval's dp_ds), and
+# sensing gained moves one only as LOCAL's re-entry inference
+_CONTROL = kind_table(CONTROL_KINDS)
+_RESET = kind_table({EventKind.R_HIT_ZERO, EventKind.R_LEFT_ZERO, EventKind.SENSE_ON})
+_LEAVE, _SENSE_ON = KINDS.index(EventKind.R_LEFT_ZERO), KINDS.index(EventKind.SENSE_ON)
 
 
 @dataclass
@@ -114,6 +128,13 @@ class Replica:
     assertions that are theorems under full floor-hit delivery, and the
     scenario's ``local_reentry_reset`` lets an agent that re-acquires a
     target at zero uncertainty infer the floor hit it missed.
+
+    ``run`` takes the record's kernel blocks in order (``_step``), applying
+    each block's control switches and then its resets, all through
+    ``apply_event``; ``interval_update`` is the one-interval step. The hold
+    rule is checked once per block: a (target, agent) pair out of range at
+    two successive positive-length intervals may not move between them,
+    except by a floor reset.
     """
 
     def __init__(self, record: SimRecord, deliver: np.ndarray | None = None,
@@ -132,62 +153,161 @@ class Replica:
         self.state = init_derivatives(N, M, P)
         self.diags = [ReplicaDiagnostics() for _ in range(N)]
         self._leave_dev = np.zeros(N)
-        # hold-checker state: range status and derivatives at the last check
-        self._outside = np.zeros((N, M), dtype=bool)
-        self._frozen = np.zeros_like(self.state.dR)
-        self._by_interval = self._schedule(deliver)
+        # hold-checker state: each pair's range status at the last check, and
+        # the (target, agent) pairs an event other than a reset moved since
+        # then, with the interval of the latest such event
+        self._outside = np.zeros((M, N), dtype=bool)
+        self._moved: set[tuple[int, int]] = set()
+        self._moved_at = -1
+        self._switches, self._resets = self._schedule(deliver)
 
-    def _schedule(self, deliver) -> dict:
-        """The events that move a derivative, grouped by interval, each with
-        the agents whose ledgers it moves: an index array, a slice for all
-        agents or, for control switches, the switching agent."""
+    def _schedule(self, deliver) -> tuple[list, list]:
+        """The events that move a derivative, in log order, as ``(interval,
+        event, agents)`` with the agents whose ledgers the event moves: the
+        switching agent for a control switch, else an index array or a slice
+        for all agents. Control switches come in the first list and the
+        events that rewrite an uncertainty derivative in the second: every
+        floor hit and floor-leave, also one that reaches no agent, so that
+        ALMOST and CENTRALIZED bring the same rows up to date at the same
+        intervals, and LOCAL's re-entry inferences."""
         rec, cols = self.record, self.record.event_columns
-        reentry_reset = self.local and rec.scenario.local_reentry_reset
-        out: dict[int, list] = {}
-        for e in np.flatnonzero(_MOVING[cols.kind]).tolist():
-            ev = rec.events[e]
-            if ev.kind in CONTROL_KINDS:
-                agents = ev.agent
-            elif ev.kind is EventKind.SENSE_ON:
-                # LOCAL inference: the target re-enters with zero uncertainty,
-                # so a floor hit provably happened while it was out of sight
-                if not (reentry_reset and ev.interval_index >= 0
-                        and rec.intervals[ev.interval_index].R1[ev.target] == 0.0
-                        and (deliver is None or deliver[e, ev.agent])):
-                    continue
-                agents = ev.agent
-            else:
-                sel = None if deliver is None else deliver[e] != 0
-                if ev.kind is EventKind.R_LEFT_ZERO and self.local:
-                    # only a locally observed floor-leave resets; a relayed
-                    # one of an out-of-range target leaves stale values held
-                    inr = rec.event_membership[ev.interval_index + 1, ev.target]
-                    sel = inr if sel is None else sel & inr
-                if sel is None or sel.all():
-                    agents = slice(None)
-                else:
-                    agents = np.flatnonzero(sel)
-                    if not agents.size:
-                        continue
-            out.setdefault(ev.interval_index, []).append((ev, agents))
-        return out
+        events, N = rec.events, rec.scenario.n_agents
+        logged = cols.row > 0
+        switches = [(ev.interval_index, ev, ev.agent) for ev in
+                    map(events.__getitem__, np.flatnonzero(_CONTROL[cols.kind] & logged).tolist())]
+        idx = np.flatnonzero(_RESET[cols.kind] & logged)
+        kind, row, target = cols.kind[idx], cols.row[idx], cols.target[idx]
+        sel = np.ones((idx.size, N), dtype=bool) if deliver is None else deliver[idx] != 0
+        if self.local:
+            # only a locally observed floor-leave resets; a relayed one of an
+            # out-of-range target leaves stale values held
+            leave = kind == _LEAVE
+            sel[leave] &= rec.event_membership[row[leave], target[leave]]
+        # LOCAL inference: a target that re-enters sight with zero uncertainty
+        # provably hit its floor while out of sight
+        keep = kind != _SENSE_ON
+        if self.local and rec.scenario.local_reentry_reset:
+            on = np.flatnonzero(~keep)
+            R1 = np.array([rec.intervals[k].R1[i] for k, i in zip(row[on] - 1, target[on])])
+            agent = cols.agent[idx[on]]
+            keep[on] = (R1 == 0.0) & sel[on, agent]
+        whole = sel.all(axis=1)
+        resets = []
+        for n in np.flatnonzero(keep).tolist():
+            ev = events[idx[n]]
+            agents = (ev.agent if kind[n] == _SENSE_ON
+                      else slice(None) if whole[n] else np.flatnonzero(sel[n]))
+            resets.append((ev.interval_index, ev, agents))
+        return switches, resets
+
+    def _rebases(self, ev: EventRecord) -> bool:
+        """Whether ``ev`` is a reset the hold rule allows: a floor hit, or a
+        locally observed floor-leave."""
+        return ev.kind is EventKind.R_HIT_ZERO or (ev.kind is EventKind.R_LEFT_ZERO
+                                                   and self.local)
 
     # -- interval update -------------------------------------------------
 
     def interval_update(self, iv: Interval) -> np.ndarray:
         """Advance every ledger across one interval; return its gradient integrals.
 
+        The one-interval case of ``_step``, without events or hold check.
         On a floor arc the uncertainty derivatives hold; otherwise each
         in-range pair drifts by decay * dp/ds * G with the sensing gradient
         and position derivatives frozen at their start-of-interval values.
         Returns the time integrals of the uncertainty derivatives over the
         interval (undivided by T), (N, 2P).
         """
-        st = self.state
-        coef = np.where(iv.on_floor[:, None], 0.0, self.B * iv.dp_ds)   # (M, N)
-        acc = iv.dt * st.dR.sum(axis=1)
-        acc -= (coef * iv.GG).sum(axis=0)[:, None] * st.ds
-        st.dR -= (coef * iv.G).T[:, :, None] * st.ds[:, None, :]
+        blk = Block(0, np.array([iv.dt]), iv.on_floor[None], iv.in_range[None],
+                    iv.dp_ds[None], iv.G[None], iv.GG[None])
+        return self._step(blk, check=False)
+
+    def _step(self, blk: Block, switches=(), resets=(), check: bool = True) -> np.ndarray:
+        """Advance every ledger across one block of intervals, applying the
+        block's scheduled events; return its gradient integrals (undivided
+        by T), (N, 2P).
+
+        Over interval ``k`` pair (i, j) drifts by ``-c[k, i, j]`` times
+        agent ``j``'s position derivatives ``ds``, with ``c = B dp/ds G``
+        (zero on a floor arc and on a zero-length interval), and agent
+        ``j``'s cost integral takes ``dt[k] T[k] - g[k, j] ds``, where
+        ``T[k]`` is its sum over targets at the interval's start and
+        ``g = sum_i B dp/ds GG``. Control switches set the ``ds`` table
+        and read no uncertainty derivative. A target's row is brought up to
+        date just before each of its resets, whose removed value moves
+        ``T`` from then on, and at the block's end; the drifts of all these
+        segments come from one batched product.
+        """
+        st, a = self.state, blk.start
+        n, N = blk.dt.size, st.ds.shape[0]
+        # each agent's position derivatives, one row per stretch of intervals
+        # between its own control switches; interval k has row stretch[k, j]
+        opens = np.zeros((n, N), dtype=int)
+        for k, _, j in switches:
+            if k - a + 1 < n:
+                opens[k - a + 1, j] = 1
+        stretch = np.cumsum(opens, axis=0)                          # (n, N)
+        ds = np.zeros((N, stretch[-1].max(initial=0) + 1, st.ds.shape[1]))   # (N, S, 2P)
+        ds[:, 0] = st.ds
+        for k, ev, j in switches:
+            self.apply_event(ev, j)
+            if k - a + 1 < n:
+                ds[j, stretch[k - a + 1, j]] = st.ds[j]
+        member = (stretch.T[:, :, None] == np.arange(ds.shape[1])).astype(float)   # (N, n, S)
+
+        idle = blk.on_floor | (blk.dt == 0.0)[:, None]              # (n, M)
+        coef = np.where(idle[:, :, None], 0.0, self.B * blk.dp_ds)   # (n, M, N)
+        c = coef * blk.G
+        g = (coef * blk.GG).sum(axis=1)                              # (n, N)
+        # the drift of each row up to each of its resets, then to the block's
+        # end (one segment per row, in row order), per stretch
+        dR = st.dR
+        M = dR.shape[1]
+        rows, lo, hi = [ev.target for _, ev, _ in resets] + list(range(M)), [], []
+        last = [0] * M
+        for k, ev, _ in resets:
+            lo.append(last[ev.target])
+            hi.append(k - a + 1)
+            last[ev.target] = k - a + 1
+        lo += last
+        hi += [n] * M
+        span = np.arange(n)[:, None]
+        inside = (span >= np.array(lo)) & (span < np.array(hi))      # (n, rows)
+        weight = c.transpose(2, 1, 0)[:, rows]                       # (N, rows, n)
+        weight *= inside.T
+        weight = np.matmul(weight, member)                            # (N, rows, S)
+        drift = np.matmul(weight[:, :len(resets)], ds)               # (N, resets, 2P)
+        # sum_k dt[k] T[k] = rest[0] T[0] - sum_k after[k] (T[k] - T[k + 1]),
+        # with ``after[k]`` the time from the end of interval k to the block's
+        # end and ``rest[0]`` the block's span
+        rest = np.cumsum(blk.dt[::-1])[::-1]
+        after = np.append(rest[1:], 0.0)
+        acc = rest[0] * dR.sum(axis=1)
+        checks = np.flatnonzero(blk.dt > 0.0)
+        marks = []
+        for r, (k, ev, agents) in enumerate(resets):
+            kk, i = k - a, ev.target
+            self._mark_holds(blk, checks, kk, marks)
+            dR[:, i] -= drift[:, r]
+            before = dR[:, i].copy()
+            self.apply_event(ev, agents)
+            rebases = self._rebases(ev)
+            if rebases and self._moved:
+                self._moved -= {(i, j) for j in np.arange(N)[agents].ravel().tolist()}
+            removed = before - dR[:, i]
+            if removed.any():
+                acc -= after[kk] * removed
+                if not rebases:
+                    self._moved |= {(i, j) for j in np.flatnonzero(removed.any(axis=1)).tolist()}
+                    self._moved_at = k
+        self._mark_holds(blk, checks, n - 1, marks)
+        dR -= np.matmul(weight[:, len(resets):], ds)
+        w = np.matmul((after[:, None] * c.sum(axis=1) + g).T[:, None, :], member)   # (N, 1, S)
+        acc -= np.matmul(w, ds)[:, 0]
+        if check:
+            # whether each interval's position derivatives are nonzero, (n, N)
+            moving = ds.any(axis=2)[np.arange(N), stretch]
+            self._check_holds(blk, checks, c, moving, marks)
         return acc
 
     # -- event updates -----------------------------------------------------
@@ -247,46 +367,71 @@ class Replica:
             st.dR[agents, i] = 0.0
         else:
             # a floor hit, or a locally observed floor-leave, resets the
-            # target's derivatives and their hold-check copies
+            # target's derivatives
             st.dR[agents, ev.target] = 0.0
-            self._frozen[agents, ev.target] = 0.0
 
     # -- hold checker ------------------------------------------------------
 
-    def check_holds(self, iv: Interval) -> None:
+    def _mark_holds(self, blk: Block, checks: np.ndarray, upto: int, marks: list) -> None:
+        """Hand the pairs moved by events to the check that sees them, the
+        first positive-length interval after the latest of those events, if
+        that check is one of the block's ``checks`` at or before its
+        interval ``upto``."""
+        if not self._moved:
+            return
+        q = int(np.searchsorted(checks, self._moved_at - blk.start, side="right"))
+        if q < checks.size and checks[q] <= upto:
+            marks.append((q, self._moved))
+            self._moved = set()
+
+    def _check_holds(self, blk: Block, checks: np.ndarray, c: np.ndarray,
+                     moving: np.ndarray, marks: list) -> None:
         """Out of sensing range a target's derivative may not move.
 
-        Verified bitwise per (agent, target) pair against a copy taken at the
-        previous check; delivered floor-hit events legitimately reset the
-        copy to zero. A pair out of range at both checks whose derivative
-        moved counts one violation.
+        Checked after every positive-length interval of the block
+        (``checks``): a pair out of range there and at the previous check
+        counts one violation if its drift over the interval is nonzero, or
+        if an event other than a floor reset moved it since the previous
+        check (``marks``, as (check, pairs)).
         """
-        dR = self.state.dR
-        outside_now = ~iv.in_range.T
-        moved = self._outside & outside_now
-        if moved.any():
-            # != also flags NaN, as np.array_equal did
-            moved &= (dR != self._frozen).any(axis=2)
-            for j, i in zip(*np.nonzero(moved)):
-                diag = self.diags[j]
-                diag.hold_violations += 1
-                if len(diag.notes) < 8:
-                    diag.notes.append(
-                        f"target {i} derivative moved out of range in [{iv.t0}, {iv.t1}]")
-        np.copyto(self._frozen, dR)
-        self._outside = outside_now
+        if not checks.size:
+            return
+        outside = ~blk.in_range[checks]                               # (C, M, N)
+        held = outside & np.concatenate([self._outside[None], outside[:-1]])
+        self._outside = outside[-1]
+        moved = (c[checks] != 0.0) & moving[checks, None, :]
+        for q, pairs in marks:
+            for i, j in pairs:
+                moved[q, i, j] = True
+        moved &= held
+        for q, i, j in zip(*np.nonzero(moved)):
+            diag = self.diags[j]
+            diag.hold_violations += 1
+            if len(diag.notes) < 8:
+                iv = self.record.intervals[blk.start + checks[q]]
+                diag.notes.append(
+                    f"target {i} derivative moved out of range in [{iv.t0}, {iv.t1}]")
 
     # -- full pass ----------------------------------------------------------
 
     def run(self) -> GradientVector:
-        """One pass over the record; the gradients as (N, P) blocks."""
+        """One pass over the record, one kernel block at a time; the
+        gradients as (N, P) blocks."""
+        rec = self.record
+        if (rec.blocks[-1].stop if rec.blocks else 0) != len(rec.intervals):
+            raise RuntimeError("the record's kernel blocks do not cover its intervals")
         acc = np.zeros_like(self.state.ds)
-        for idx, iv in enumerate(self.record.intervals):
-            if iv.dt > 0.0:
-                acc += self.interval_update(iv)
-                self.check_holds(iv)
-            for ev, agents in self._by_interval.get(idx, ()):
-                self.apply_event(ev, agents)
+        sw_keys = [k for k, _, _ in self._switches]
+        rs_keys = [k for k, _, _ in self._resets]
+        s0 = r0 = 0
+        for blk in rec.blocks:
+            s1, r1 = bisect_left(sw_keys, blk.stop), bisect_left(rs_keys, blk.stop)
+            acc += self._step(blk, self._switches[s0:s1], self._resets[r0:r1])
+            s0, r0 = s1, r1
+        return self._finish(acc)
+
+    def _finish(self, acc: np.ndarray) -> GradientVector:
+        """The gradients from the pass's integrals; the diagnostics' floor-leave deviations."""
         for diag, dev in zip(self.diags, self._leave_dev.tolist()):
             diag.floor_leave_max_dev = dev
         acc /= self.record.scenario.T

@@ -146,8 +146,13 @@ class Scenario:
             raise ScenarioError("mission.L", f"mission length L={self.L} must be > 0")
         if self.T <= 0.0:
             raise ScenarioError("mission.T", f"horizon T={self.T} must be > 0")
+        total = 0.0   # bounds the cost integral: R <= R0 + A T on [0, T]
         for tgt in self.targets:
             tgt.validate(self.L)
+            total += (tgt.r0 + tgt.growth * self.T) * self.T
+            if not math.isfinite(total):
+                raise ScenarioError(f"targets[{tgt.index}]", "the uncertainty integral "
+                                    f"over the horizon T={self.T} overflows")
         for ag in self.agents:
             ag.validate(self.L)
         self.numerics.validate()

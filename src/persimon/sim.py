@@ -21,8 +21,9 @@ pairs alone. The quantities only the gradient estimators read (range
 membership, the sensing gradients and the collaboration integrals G and
 GG) come from one vectorised kernel over a table of the live pairs' miss
 factors, run on each block of ``BLOCK`` finished intervals and at the
-horizon. The output samples come from the finished record, when they are
-first read (``sample_table``).
+horizon; the record keeps each call's arrays as a ``Block``, which the
+derivative scan reads one block at a time. The output samples come from
+the finished record, when they are first read (``sample_table``).
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ class SimState:
     # finished intervals awaiting the block kernel, with their detections
     # and the agents' last directions while they ran
     pending: list[tuple[Interval, _Detection, np.ndarray]] = field(default_factory=list)
+    blocks: list[Block] = field(default_factory=list)
 
 
 @dataclass
@@ -79,8 +81,9 @@ class Interval:
     co-observer miss product over the interval and ``GG`` integrates the
     running value of G (needed for time integrals of the uncertainty
     derivatives). ``in_range`` is target-neighborhood membership, evaluated
-    at the interval midpoint. These four are views of one block kernel's
-    arrays, set when the interval's block is flushed (None before).
+    at the interval midpoint. These four and ``on_floor`` are views of one
+    ``Block``'s arrays, set when the interval's block is flushed (None
+    before, and ``on_floor`` a copy of the state's flags).
     """
 
     t0: float
@@ -104,16 +107,37 @@ class Interval:
 
 
 @dataclass
+class Block:
+    """One block kernel call: the ``n`` intervals from ``start``, their spans
+    and floor flags, and the kernel's output as (n, M, N) arrays, of which
+    the intervals' fields are views."""
+
+    start: int
+    dt: np.ndarray                # (n,)
+    on_floor: np.ndarray          # (n, M) bool
+    in_range: np.ndarray          # (n, M, N) bool
+    dp_ds: np.ndarray             # (n, M, N)
+    G: np.ndarray                 # (n, M, N)
+    GG: np.ndarray                # (n, M, N)
+
+    @property
+    def stop(self) -> int:
+        return self.start + self.dt.size
+
+
+@dataclass
 class SimRecord:
-    """Complete, immutable simulation output. The first read of a sample
-    column, ``sample_t`` (n,), ``sample_s`` or ``sample_u`` (n, N), or
-    ``sample_R`` or ``sample_P`` (n, M), evaluates all five (``sample_table``)."""
+    """Complete, immutable simulation output. ``blocks`` tile ``intervals``
+    in order. The first read of a sample column, ``sample_t`` (n,),
+    ``sample_s`` or ``sample_u`` (n, N), or ``sample_R`` or ``sample_P``
+    (n, M), evaluates all five (``sample_table``)."""
 
     scenario: Scenario
     params: tuple[AgentParams, ...]
     intervals: list[Interval]
     events: list[EventRecord]
     J: float
+    blocks: list[Block] = field(default_factory=list)
 
     @cached_property
     def _samples(self) -> tuple[np.ndarray, ...]:
@@ -493,13 +517,15 @@ class Simulator:
 
     def flush(self, state: SimState) -> None:
         """The block kernel: set ``in_range``, ``dp_ds``, ``G`` and ``GG`` of
-        every pending interval, and drop the pending polynomials. A pair
-        integrates its target's miss product, the product of one row of
-        ``_factor_table``; a live pair, that of the other slots of its row."""
+        every pending interval, keep the arrays as the state's next
+        ``Block``, and drop the pending polynomials. A pair integrates its
+        target's miss product, the product of one row of ``_factor_table``;
+        a live pair, that of the other slots of its row."""
         ivs, dets, last_dir = zip(*state.pending)
         state.pending = []
         M, N = self.scenario.n_targets, self.scenario.n_agents
         dt = np.array([iv.dt for iv in ivs])
+        on_floor = np.array([iv.on_floor for iv in ivs])
         u = np.array([det.u for det in dets])
         d0 = self.x[:, None] - np.array([iv.s0 for iv in ivs])[:, None, :]
         mid = d0 - u[:, None] * (0.5 * dt)[:, None, None]
@@ -514,8 +540,10 @@ class Simulator:
             loo = _products(C0[:, :, others], C1[:, :, others])    # (n, M, D, D)
             G[k, i, j] = (loo @ W1[:, None, :D, None])[k, i, slot, 0]
             GG[k, i, j] = (loo @ W2[:, None, :D, None])[k, i, slot, 0]
-        for iv, a, b, c, d in zip(ivs, in_range, dp_ds, G, GG):
-            iv.in_range, iv.dp_ds, iv.G, iv.GG = a, b, c, d
+        for iv, f, a, b, c, d in zip(ivs, on_floor, in_range, dp_ds, G, GG):
+            iv.on_floor, iv.in_range, iv.dp_ds, iv.G, iv.GG = f, a, b, c, d
+        start = state.blocks[-1].stop if state.blocks else 0
+        state.blocks.append(Block(start, dt, on_floor, in_range, dp_ds, G, GG))
 
     # -- event application ---------------------------------------------------
 
@@ -583,7 +611,7 @@ class Simulator:
 
         total = sum(float(iv.int_R.sum()) for iv in intervals)
         return SimRecord(scenario=sc, params=self.params, intervals=intervals,
-                         events=events, J=total / sc.T)
+                         events=events, J=total / sc.T, blocks=state.blocks)
 
 
 def sample_table(scenario: Scenario, intervals: list[Interval]) -> tuple[np.ndarray, ...]:

@@ -1,4 +1,10 @@
-"""The per-agent derivative replicas, kept as a test oracle for the lockstep sweep.
+"""Earlier derivative passes, kept as test oracles for the chunked scan.
+
+``LockstepReplica`` advances every agent's ledger one interval at a time,
+as ``persimon.gradient.Replica.run`` did before it scanned the record one
+kernel block at a time: ``walk`` runs the interval update and the hold
+check on each positive-length interval, then the interval's events.
+``lockstep_gradients`` runs it under an information mode.
 
 ``Replica`` is one agent's derivative ledger driven by the events that
 agent gets to see, one Python pass per agent, as ``persimon.gradient``
@@ -14,10 +20,82 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from persimon import gradient
 from persimon.events import CONTROL_KINDS, EventKind, EventRecord
 from persimon.gradient import FLOOR_RESET_TOL, GradientVector, ReplicaDiagnostics
 from persimon.model import InfoMode
 from persimon.sim import Interval, SimRecord
+from persimon.visibility import check_floor_hits_observed, delivery
+
+
+def walk(rep: gradient.Replica, after_interval=None) -> np.ndarray:
+    """Drive a lockstep replica interval by interval: ``interval_update`` on
+    each positive-length interval, then ``after_interval(iv)``, then the
+    interval's scheduled events. Returns the summed interval integrals."""
+    by_interval: dict[int, list] = {}
+    for k, ev, agents in sorted(rep._switches + rep._resets, key=lambda e: e[0]):
+        by_interval.setdefault(k, []).append((ev, agents))
+    acc = np.zeros_like(rep.state.ds)
+    for idx, iv in enumerate(rep.record.intervals):
+        if iv.dt > 0:
+            acc += rep.interval_update(iv)
+            if after_interval is not None:
+                after_interval(iv)
+        for ev, agents in by_interval.get(idx, ()):
+            rep.apply_event(ev, agents)
+    return acc
+
+
+class LockstepReplica(gradient.Replica):
+    """``gradient.Replica`` advanced one interval at a time, its hold rule
+    checked against a copy of the ledger taken at the previous check."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._frozen = np.zeros_like(self.state.dR)
+
+    def apply_event(self, ev: EventRecord, agents) -> None:
+        super().apply_event(ev, agents)
+        if self._rebases(ev):
+            # a delivered reset also resets the hold-check copy
+            self._frozen[agents, ev.target] = 0.0
+
+    def check_holds(self, iv: Interval) -> None:
+        """Out of sensing range a target's derivative may not move.
+
+        Verified bitwise per (agent, target) pair against a copy taken at the
+        previous check; delivered floor-hit events legitimately reset the
+        copy to zero. A pair out of range at both checks whose derivative
+        moved counts one violation.
+        """
+        dR = self.state.dR
+        outside_now = ~iv.in_range.T
+        moved = self._outside.T & outside_now
+        if moved.any():
+            # != also flags NaN, as np.array_equal did
+            moved &= (dR != self._frozen).any(axis=2)
+            for j, i in zip(*np.nonzero(moved)):
+                diag = self.diags[j]
+                diag.hold_violations += 1
+                if len(diag.notes) < 8:
+                    diag.notes.append(
+                        f"target {i} derivative moved out of range in [{iv.t0}, {iv.t1}]")
+        np.copyto(self._frozen, dR)
+        self._outside = outside_now.T
+
+    def run(self) -> GradientVector:
+        return self._finish(walk(self, self.check_holds))
+
+
+def lockstep_gradients(record: SimRecord, mode: InfoMode):
+    """``visibility.mode_gradients`` with the lockstep replica: the
+    per-agent gradients and diagnostics."""
+    check_floor_hits_observed(record)
+    deliver = None if mode is InfoMode.CENTRALIZED else delivery(record, mode)
+    rep = LockstepReplica(record, deliver, local=mode is InfoMode.LOCAL)
+    g = rep.run()
+    return ([GradientVector(theta=g.theta[j, :n], w=g.w[j, :n])
+             for j, n in enumerate(rep.n_points)], rep.diags)
 
 
 @dataclass

@@ -312,6 +312,7 @@ class TestFlagValues:
         ["gradcheck", "--tol", "0"], ["gradcheck", "--tol", "-1"],
         ["gradcheck", "--threshold", "nan"], ["gradcheck", "--threshold", "1.5"],
         ["optimize", "--checkpoint-every", "0"], ["optimize", "--checkpoint-every", "-3"],
+        ["optimize", "--iters", "-2"],
     ])
     def test_bad_value_rejected_at_parse_time(self, scenario_file, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -329,8 +330,8 @@ class TestFlagValues:
                                           "--threshold", "0"])
         assert (args.tol, args.threshold) == (1e-2, 0.0)
         args = build_parser().parse_args(["optimize", "--scenario", "s", "--out", "o",
-                                          "--checkpoint-every", "1"])
-        assert args.checkpoint_every == 1
+                                          "--checkpoint-every", "1", "--iters", "0"])
+        assert (args.checkpoint_every, args.iters) == (1, 0)
 
 
 class TestParamsRoundTrip:

@@ -8,6 +8,7 @@ from persimon.sim import Interval, simulate
 
 from conftest import make_scenario, params, random_scenario
 from oracles import position_at, position_schedule
+from replica_oracle import LockstepReplica, walk
 
 
 def blank_interval(t0, t1, M, N, **kw):
@@ -19,17 +20,6 @@ def blank_interval(t0, t1, M, N, **kw):
         dp_ds=np.zeros((M, N)), G=np.zeros((M, N)), GG=np.zeros((M, N)))
     shape.update(kw)
     return Interval(t0=t0, t1=t1, **shape)
-
-
-def walk(rep, record, after_interval):
-    """Drive a sweep interval by interval, calling ``after_interval(iv)``
-    after each positive-length interval's update."""
-    for idx, iv in enumerate(record.intervals):
-        if iv.dt > 0:
-            rep.interval_update(iv)
-            after_interval(iv)
-        for ev, agents in rep._by_interval.get(idx, ()):
-            rep.apply_event(ev, agents)
 
 
 class TestInit:
@@ -69,7 +59,7 @@ class TestInit:
 def _ds_history(record, agent):
     rep = Replica(record)
     out = []
-    walk(rep, record, lambda iv: out.append((iv.t1, rep.state.ds_dtheta[agent].copy())))
+    walk(rep, lambda iv: out.append((iv.t1, rep.state.ds_dtheta[agent].copy())))
     return out
 
 
@@ -122,10 +112,13 @@ class TestIntervalUpdate:
 
 
 class TestHoldCheck:
+    """The per-interval hold check of the lockstep oracle, which the scan's
+    block-wise check is compared against in test_sweep."""
+
     def _rep(self, n_targets):
         sc = make_scenario([(10.0 + i, 1.0, 5.0, 6.0) for i in range(n_targets)],
                            [(2.0, 1, 3.0)], T=5.0)
-        return Replica(simulate(sc, [params([4.0], [1.0])]))
+        return LockstepReplica(simulate(sc, [params([4.0], [1.0])]))
 
     def test_moved_derivative_counts_once_and_notes_cap(self):
         rep = self._rep(10)
@@ -157,7 +150,7 @@ class TestHoldCheck:
         # one target, agent 0 in range and agent 1 out of it: only agent
         # 1's ledger is held, so only its move counts, in its own notes
         sc = make_scenario([(10.0, 1.0, 5.0, 6.0)], [(2.0, 1, 3.0), (3.0, 1, 3.0)], T=5.0)
-        rep = Replica(simulate(sc, [params([4.0], [1.0]), params([5.0], [1.0])]))
+        rep = LockstepReplica(simulate(sc, [params([4.0], [1.0]), params([5.0], [1.0])]))
         iv = blank_interval(0.0, 1.0, 1, 2, in_range=np.array([[True, False]]))
         rep.check_holds(iv)
         rep.state.dR_dw[:, 0, 0] = 0.5
@@ -240,8 +233,8 @@ class TestEventUpdates:
         rng = np.random.default_rng(3)
         sc, ps = random_scenario(rng, n_agents=2, n_targets=3, T=15.0)
         rec = simulate(sc, ps)
-        kinds = {ev.kind for evs in Replica(rec)._by_interval.values()
-                 for ev, _ in evs}
+        rep = Replica(rec)
+        kinds = {ev.kind for _, ev, _ in rep._switches + rep._resets}
         assert kinds and not kinds & {EventKind.OBS_JOIN, EventKind.OBS_LEAVE,
                                       EventKind.CROSS, EventKind.SENSE_OFF,
                                       EventKind.SENSE_ON, EventKind.HORIZON}
@@ -285,7 +278,7 @@ def _position_fd(spec, p, which, idx, tq, delta):
 def _full_state_history(record, agent):
     rep = Replica(record)
     hist = []
-    walk(rep, record, lambda iv: hist.append(
+    walk(rep, lambda iv: hist.append(
         (iv.t0, iv.t1, rep.state.ds_dtheta[agent].copy(), rep.state.ds_dw[agent].copy())))
     return hist
 
@@ -360,7 +353,7 @@ class TestGradientAccumulation:
         rec = simulate(sc, ps)
         rep = Replica(rec)
         padded = []
-        walk(rep, rec, lambda iv: padded.append(
+        walk(rep, lambda iv: padded.append(
             (rep.state.ds_dtheta[0, 1:].any() or rep.state.ds_dw[0, 1:].any()
              or rep.state.dR_dtheta[0, :, 1:].any() or rep.state.dR_dw[0, :, 1:].any())))
         assert padded and not any(padded)

@@ -1,10 +1,23 @@
 """Guards on the package as a whole: no environment hooks or thread pools in
-the source."""
+the source, and the entry points the benchmark in ``perfbench/`` patches by
+name still there and still on the path of every gradient."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "persimon"
+import numpy as np
+
+from persimon.fdcheck import grad_check
+from persimon.gradient import full_gradient
+from persimon.model import InfoMode
+from persimon.sim import simulate
+from persimon.visibility import mode_gradients
+
+from conftest import random_scenario, scale_gradient
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "persimon"
 
 
 def _violations(tree: ast.AST) -> list[str]:
@@ -36,3 +49,38 @@ class TestNoHooks:
         found = {f.name: v for f in files
                  if (v := _violations(ast.parse(f.read_text(encoding="utf-8"))))}
         assert not found
+
+
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkHooks:
+    def test_traced_names_resolve(self):
+        # the tracer wraps each (owner, attribute) by name
+        tracing = _bench_module("tracing")
+        hooks = tracing.TRACED + tracing.HELPERS
+        assert len(hooks) >= 15
+        for name, owner, attr in hooks:
+            assert callable(getattr(owner, attr)), name
+
+    def test_scaled_replica_run_reaches_every_gradient(self, monkeypatch):
+        # the benchmark's negative control scales ``Replica.run``: every
+        # analytic gradient must pass through it
+        sc, ps = random_scenario(np.random.default_rng(6), T=16.0)
+        rec = simulate(sc, ps)
+
+        def everything():
+            grads = [mode_gradients(rec, mode) for mode in InfoMode] + [full_gradient(rec)]
+            flat = [np.concatenate([g.concat() for g in gs]) for gs in grads]
+            return flat + [np.array([c.analytic for c in grad_check(sc, ps).coords])]
+
+        clean = everything()
+        scale_gradient(monkeypatch, 1.05)
+        for a, b in zip(clean, everything()):
+            assert np.abs(a).max() > 0.0
+            assert np.allclose(b, 1.05 * a, rtol=1e-12, atol=0.0)

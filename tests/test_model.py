@@ -203,6 +203,18 @@ class TestValidation:
             with pytest.raises(ScenarioError, match=r"numerics\.eps_event"):
                 Numerics(eps_event=bad).validate()
 
+    def test_cost_integral_must_be_finite(self):
+        # finite inputs whose cost overflows: R0 near the largest float, or
+        # the sum over targets
+        def scenario(*r0):
+            return Scenario(L=40.0, T=8.0, agents=(),
+                            targets=tuple(Target(i, 10.0, 1.0, 5.0, r) for i, r in enumerate(r0)))
+
+        scenario(1e307).validate()
+        for r0 in ((6.0, 1e308), (1e307, 2e307)):
+            with pytest.raises(ScenarioError, match=r"targets\[1\]: the uncertainty integral"):
+                scenario(*r0).validate()
+
     def test_sample_table_is_capped(self):
         def scenario(T, dt):
             return Scenario(L=40.0, T=T, targets=(), agents=(), numerics=Numerics(sample_dt=dt))
