@@ -17,29 +17,36 @@ events delivered to it, so its gradient follows from its own event stream.
 the agents it reaches. Delivering every event to every agent gives the
 centralized gradient.
 
-Between events the recursion is affine, so one pass scans the record one
-block kernel call (``sim.Block``, ``sim.BLOCK`` intervals) at a time
-rather than interval by interval. An agent's position derivatives change
-only at its own control switches: they form a table with one row per
-stretch between switches. A target's uncertainty derivatives drift by the
-decay times the sensing gradient times G times those rows and jump only at
-resets, so each target's row is brought up to date only where a reset
-reads it and at the block's end. The cost integral follows from each
-agent's sum over targets, exact at the block's start and moved by the
-drift and by the values the resets remove.
+Between events the recursion is affine, so one pass scans the record
+``CHUNK`` intervals at a time rather than interval by interval; at the
+kernel's default ``sim.BLOCK`` a step is one block kernel call's arrays
+(``sim.Block``). An agent's position derivatives change only at its own
+control switches: they form a table with one row per stretch between
+switches. A target's uncertainty derivatives drift by the decay times the
+sensing gradient times G times those rows and jump only at resets, so each
+target's row is brought up to date only where a reset reads it and at the
+step's end. The cost integral follows from each agent's sum over targets,
+exact at the step's start and moved by the drift and by the values the
+resets remove. The steps are cut at fixed interval indices, so the
+gradients do not depend, to the last bit, on where the kernel cut its
+blocks.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .events import CONTROL_KINDS, KINDS, EventKind, EventRecord, kind_table
-from .sim import Block, Interval, SimRecord
+from .sim import BLOCK, Block, Interval, SimRecord
 
 FLOOR_RESET_TOL = 1e-9   # a floor-leave event must find derivatives already zero
+# intervals per scan step: the kernel's default block, so that each step
+# reads one ``sim.Block`` in place; taken once, so that the steps stay where
+# they are when the kernel's block size is changed
+CHUNK = BLOCK
 
 # kinds that move a derivative; observer-set changes, target crossings,
 # lost sensing and the horizon leave every ledger as it is (a crossing's
@@ -129,12 +136,12 @@ class Replica:
     scenario's ``local_reentry_reset`` lets an agent that re-acquires a
     target at zero uncertainty infer the floor hit it missed.
 
-    ``run`` takes the record's kernel blocks in order (``_step``), applying
-    each block's control switches and then its resets, all through
-    ``apply_event``; ``interval_update`` is the one-interval step. The hold
-    rule is checked once per block: a (target, agent) pair out of range at
-    two successive positive-length intervals may not move between them,
-    except by a floor reset.
+    ``run`` takes the record ``CHUNK`` intervals at a time (``chunks``,
+    ``_step``), applying each step's control switches and then its resets,
+    all through ``apply_event``; ``interval_update`` is the one-interval
+    step. The hold rule is checked once per step: a (target, agent) pair out
+    of range at two successive positive-length intervals may not move
+    between them, except by a floor reset.
     """
 
     def __init__(self, record: SimRecord, deliver: np.ndarray | None = None,
@@ -305,9 +312,7 @@ class Replica:
         w = np.matmul((after[:, None] * c.sum(axis=1) + g).T[:, None, :], member)   # (N, 1, S)
         acc -= np.matmul(w, ds)[:, 0]
         if check:
-            # whether each interval's position derivatives are nonzero, (n, N)
-            moving = ds.any(axis=2)[np.arange(N), stretch]
-            self._check_holds(blk, checks, c, moving, marks)
+            self._check_holds(blk, checks, c, ds, stretch, marks)
         return acc
 
     # -- event updates -----------------------------------------------------
@@ -384,22 +389,29 @@ class Replica:
             marks.append((q, self._moved))
             self._moved = set()
 
-    def _check_holds(self, blk: Block, checks: np.ndarray, c: np.ndarray,
-                     moving: np.ndarray, marks: list) -> None:
+    def _check_holds(self, blk: Block, checks: np.ndarray, c: np.ndarray, ds: np.ndarray,
+                     stretch: np.ndarray, marks: list) -> None:
         """Out of sensing range a target's derivative may not move.
 
-        Checked after every positive-length interval of the block
-        (``checks``): a pair out of range there and at the previous check
-        counts one violation if its drift over the interval is nonzero, or
-        if an event other than a floor reset moved it since the previous
-        check (``marks``, as (check, pairs)).
+        Checked after every positive-length interval of the step
+        (``checks``; over interval ``k`` agent ``j`` has the position
+        derivatives ``ds[j, stretch[k, j]]``): a pair out of range there and
+        at the previous check counts one violation if its drift ``c ds``
+        over the interval is nonzero, or if an event other than a floor
+        reset moved it since the previous check (``marks``, as (check,
+        pairs)). Comparing the ledger bit for bit, one interval at a time,
+        would differ only where a nonzero drift is lost to rounding against
+        a far larger derivative, which this test counts.
         """
         if not checks.size:
             return
         outside = ~blk.in_range[checks]                               # (C, M, N)
         held = outside & np.concatenate([self._outside[None], outside[:-1]])
         self._outside = outside[-1]
-        moved = (c[checks] != 0.0) & moving[checks, None, :]
+        q, i, j = np.nonzero(held & (c != 0.0)[checks])
+        k = checks[q]
+        moved = np.zeros_like(held)
+        moved[q, i, j] = (c[k, i, j, None] * ds[j, stretch[k, j]] != 0.0).any(axis=1)
         for q, pairs in marks:
             for i, j in pairs:
                 moved[q, i, j] = True
@@ -415,7 +427,7 @@ class Replica:
     # -- full pass ----------------------------------------------------------
 
     def run(self) -> GradientVector:
-        """One pass over the record, one kernel block at a time; the
+        """One pass over the record, ``CHUNK`` intervals at a time; the
         gradients as (N, P) blocks."""
         rec = self.record
         if (rec.blocks[-1].stop if rec.blocks else 0) != len(rec.intervals):
@@ -424,7 +436,7 @@ class Replica:
         sw_keys = [k for k, _, _ in self._switches]
         rs_keys = [k for k, _, _ in self._resets]
         s0 = r0 = 0
-        for blk in rec.blocks:
+        for blk in chunks(rec.blocks):
             s1, r1 = bisect_left(sw_keys, blk.stop), bisect_left(rs_keys, blk.stop)
             acc += self._step(blk, self._switches[s0:s1], self._resets[r0:r1])
             s0, r0 = s1, r1
@@ -440,6 +452,36 @@ class Replica:
             raise RuntimeError(f"agent {bad[0]}: non-finite gradient")
         P = self.state.P
         return GradientVector(theta=acc[:, :P], w=acc[:, P:])
+
+
+_ARRAYS = [f.name for f in fields(Block)][1:]
+
+
+def chunks(blocks: list[Block]):
+    """The intervals that ``blocks`` tile, as ``Block``s of ``CHUNK`` from
+    the first (the last one shorter): a kernel block that is one of them
+    as it is, any other cut from and joined across the kernel blocks."""
+    parts, n = [], 0
+    for blk in blocks:
+        a = 0
+        while a < blk.dt.size:
+            b = min(blk.dt.size, a + CHUNK - n)
+            parts.append((blk, a, b))
+            n, a = n + b - a, b
+            if n == CHUNK:
+                yield _join(parts)
+                parts, n = [], 0
+    if parts:
+        yield _join(parts)
+
+
+def _join(parts: list[tuple[Block, int, int]]) -> Block:
+    """The intervals ``a:b`` of each ``(block, a, b)``, in order, as one block."""
+    blk, a, b = parts[0]
+    if len(parts) == 1 and (a, b) == (0, blk.dt.size):
+        return blk
+    return Block(blk.start + a, *(np.concatenate([getattr(p, f)[lo:hi] for p, lo, hi in parts])
+                                  for f in _ARRAYS))
 
 
 def sweep(record: SimRecord, deliver: np.ndarray | None = None,

@@ -1,10 +1,11 @@
 """Earlier derivative passes, kept as test oracles for the chunked scan.
 
 ``LockstepReplica`` advances every agent's ledger one interval at a time,
-as ``persimon.gradient.Replica.run`` did before it scanned the record one
-kernel block at a time: ``walk`` runs the interval update and the hold
+as ``persimon.gradient.Replica.run`` did before it scanned the record
+``gradient.CHUNK`` intervals at a time: ``walk`` runs the interval update and the hold
 check on each positive-length interval, then the interval's events.
-``lockstep_gradients`` runs it under an information mode.
+``lockstep_gradients`` runs it under an information mode, and
+``assert_matches_oracle`` compares the scan with it.
 
 ``Replica`` is one agent's derivative ledger driven by the events that
 agent gets to see, one Python pass per agent, as ``persimon.gradient``
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from persimon import gradient
+from persimon import gradient, visibility
 from persimon.events import CONTROL_KINDS, EventKind, EventRecord
 from persimon.gradient import FLOOR_RESET_TOL, GradientVector, ReplicaDiagnostics
 from persimon.model import InfoMode
@@ -96,6 +97,36 @@ def lockstep_gradients(record: SimRecord, mode: InfoMode):
     g = rep.run()
     return ([GradientVector(theta=g.theta[j, :n], w=g.w[j, :n])
              for j, n in enumerate(rep.n_points)], rep.diags)
+
+
+def diag_rows(diags):
+    """The diagnostics the oracles must reproduce, notes included."""
+    return [(d.hold_violations, d.notes, d.floor_leave_max_dev, d.reentry_resets)
+            for d in diags]
+
+
+def assert_close(got, want):
+    """Per-agent gradients within 1e-12 of the largest reference entry."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for a, b in ((g.theta, w.theta), (g.w, w.w)):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max(initial=0.0) <= 1e-12 * np.abs(b).max(initial=0.0)
+
+
+def assert_matches_oracle(record, oracle_gradients=lockstep_gradients):
+    """Per mode, the scan's gradients close to the oracle's and its
+    diagnostics equal, notes included; ALMOST equals CENTRALIZED bit for
+    bit."""
+    sweeps = {}
+    for mode in InfoMode:
+        got, got_d = visibility.mode_gradients(record, mode, with_diagnostics=True)
+        want, want_d = oracle_gradients(record, mode)
+        assert_close(got, want)
+        assert diag_rows(got_d) == diag_rows(want_d)
+        sweeps[mode] = got
+    for a, c in zip(sweeps[InfoMode.ALMOST], sweeps[InfoMode.CENTRALIZED]):
+        assert np.array_equal(a.concat(), c.concat())
 
 
 @dataclass

@@ -1,14 +1,21 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from persimon.events import EventKind, EventRecord
-from persimon.gradient import Replica, full_gradient, init_derivatives
+from persimon import sim as sim_module
+from persimon.cli import load_scenario
+from persimon.gradient import CHUNK, Replica, chunks, full_gradient, init_derivatives
 from persimon.policy import AgentParams
-from persimon.sim import Interval, simulate
+from persimon.sim import Block, Interval, simulate
 
 from conftest import make_scenario, params, random_scenario
 from oracles import position_at, position_schedule
 from replica_oracle import LockstepReplica, walk
+
+
+EXAMPLE1 = Path(__file__).resolve().parents[1] / "src" / "persimon" / "data" / "example1.scenario"
 
 
 def blank_interval(t0, t1, M, N, **kw):
@@ -109,6 +116,42 @@ class TestIntervalUpdate:
         rep.interval_update(iv)
         assert rep.state.dR_dtheta[:, 0, 0] == pytest.approx(
             [-5.0 / 3.0 * 2.0 * 1.0, 5.0 / 3.0 * 1.5 * 2.0])
+
+
+def kernel_blocks(cuts, M=2, N=3):
+    """Blocks of the given sizes over intervals numbered from 0, each array
+    holding its interval's number."""
+    out, start = [], 0
+    for n in cuts:
+        k = np.arange(start, start + n, dtype=float)
+        grid = np.broadcast_to(k[:, None, None], (n, M, N)).copy()
+        out.append(Block(start, k, grid[:, :, 0] > -1, grid > -1, grid, 2 * grid, 3 * grid))
+        start += n
+    return out
+
+
+class TestChunks:
+    @pytest.mark.parametrize("cuts", [[1] * 70, [7] * 10, [5, 40, 3, 1, 30], [100], [32, 32, 6]])
+    def test_fixed_grid_whatever_the_kernel_cuts(self, cuts):
+        steps = list(chunks(kernel_blocks(cuts)))
+        K = sum(cuts)
+        assert [s.start for s in steps] == list(range(0, K, CHUNK))
+        for s in steps:
+            k = np.arange(s.start, min(s.start + CHUNK, K), dtype=float)
+            assert np.array_equal(s.dt, k)
+            assert s.on_floor.shape == (k.size, 2) and s.in_range.all()
+            for f, scale in (("dp_ds", 1), ("G", 2), ("GG", 3)):
+                assert np.array_equal(getattr(s, f), scale * np.broadcast_to(
+                    k[:, None, None], (k.size, 2, 3)))
+
+    def test_default_kernel_blocks_are_the_steps(self):
+        # at the default block size the scan reads the kernel's arrays in place
+        assert CHUNK == sim_module.BLOCK
+        sc, ps, _ = load_scenario(EXAMPLE1)
+        rec = simulate(sc, ps)
+        steps = list(chunks(rec.blocks))
+        assert len(steps) == len(rec.blocks) > 1
+        assert all(s is b for s, b in zip(steps, rec.blocks))
 
 
 class TestHoldCheck:

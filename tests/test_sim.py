@@ -18,8 +18,7 @@ from persimon.visibility import mode_gradients
 from conftest import make_scenario, params, random_scenario
 from grid_oracle import GridSimulator
 from oracles import position_at, position_schedule
-from replica_oracle import lockstep_gradients
-from test_sweep import assert_close, assert_matches_oracle
+from replica_oracle import assert_matches_oracle
 
 SMOKE = Path(__file__).resolve().parents[1] / "src" / "persimon" / "data" / "smoke.scenario"
 
@@ -65,14 +64,14 @@ def assert_same_record(a, b):
 
 
 def assert_same_gradients(a, b):
-    """G and GG bit for bit wherever the gradient reads them, at a nonzero
-    ``dp_ds``, and every mode's gradients and diagnostics as the lockstep
-    oracle's on both records: the scan sums one kernel block at a time, so
-    its rounding, unlike the kernel's output, follows the block size."""
+    """All three modes' gradients bit for bit, and G and GG wherever the
+    gradient reads them, at a nonzero ``dp_ds``; on both records the scan
+    as the lockstep oracle."""
     for mode in InfoMode:
-        assert_close(mode_gradients(a, mode), mode_gradients(b, mode))
+        for x, y in zip(mode_gradients(a, mode), mode_gradients(b, mode)):
+            assert x.concat().tobytes() == y.concat().tobytes()
     for rec in (a, b):
-        assert_matches_oracle(rec, lockstep_gradients)
+        assert_matches_oracle(rec)
     for p, q in zip(a.intervals, b.intervals):
         assert p.dp_ds.tobytes() == q.dp_ds.tobytes()
         live = p.dp_ds != 0.0

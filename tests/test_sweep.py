@@ -20,6 +20,7 @@ from persimon.visibility import (REASONS, check_floor_hits_observed, delivery,
                                  mode_gradients, visible_events)
 
 import replica_oracle as oracle
+from replica_oracle import assert_matches_oracle, diag_rows
 from conftest import make_scenario, params, random_scenario
 from test_cli import DATA
 
@@ -34,36 +35,6 @@ def zero_dwell_scenario(seed, n_agents, n_targets):
     sc, ps = random_scenario(rng, n_agents=n_agents, n_targets=n_targets, T=15.0)
     zero = rng.random((n_agents, ps[0].n_points)) < 0.35
     return sc, [params(p.theta, np.where(z, 0.0, p.w)) for p, z in zip(ps, zero)]
-
-
-def diag_rows(diags):
-    return [(d.hold_violations, d.notes, d.floor_leave_max_dev, d.reentry_resets)
-            for d in diags]
-
-
-def assert_close(got, want):
-    """Per-agent gradients within 1e-12 of the largest reference entry."""
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        for a, b in ((g.theta, w.theta), (g.w, w.w)):
-            assert a.shape == b.shape
-            assert np.abs(a - b).max(initial=0.0) <= 1e-12 * np.abs(b).max(initial=0.0)
-
-
-def assert_matches_oracle(record, oracle_gradients):
-    """Per mode, the scan's gradients close to the oracle's and its
-    diagnostics equal, notes included; ALMOST equals CENTRALIZED bit for
-    bit. Returns the scan's gradients per mode."""
-    sweeps = {}
-    for mode in InfoMode:
-        got, got_d = mode_gradients(record, mode, with_diagnostics=True)
-        want, want_d = oracle_gradients(record, mode)
-        assert_close(got, want)
-        assert diag_rows(got_d) == diag_rows(want_d)
-        sweeps[mode] = got
-    for a, c in zip(sweeps[InfoMode.ALMOST], sweeps[InfoMode.CENTRALIZED]):
-        assert np.array_equal(a.concat(), c.concat())
-    return sweeps
 
 
 def per_agent(record, mode):
@@ -129,21 +100,6 @@ class TestAgainstOracle:
             assert_matches_oracles(rec)
             _, diags = mode_gradients(rec, InfoMode.LOCAL, with_diagnostics=True)
             assert [d.reentry_resets for d in diags] == resets
-
-    @pytest.mark.parametrize("block", [1, 7, 32, None])
-    def test_scan_independent_of_block_size(self, monkeypatch, block):
-        # the scan takes one kernel block at a time: blocks of one interval,
-        # of a size that divides nothing, the default, and one block (None)
-        sc, ps, _ = load_scenario(DATA / "example1.scenario")
-        first = simulate(sc, ps)
-        ref = assert_matches_oracle(first, oracle.lockstep_gradients)
-        size = block or len(first.intervals) + 1
-        monkeypatch.setattr(sim_module, "BLOCK", size)
-        rec = simulate(sc, ps)
-        assert rec.blocks[0].dt.size == min(size, len(rec.intervals))
-        got = assert_matches_oracle(rec, oracle.lockstep_gradients)
-        for mode in InfoMode:
-            assert_close(got[mode], ref[mode])
 
 
 class TestSamePath:
