@@ -18,18 +18,19 @@ the agents it reaches. Delivering every event to every agent gives the
 centralized gradient.
 
 Between events the recursion is affine, so one pass scans the record
-``CHUNK`` intervals at a time rather than interval by interval; at the
-kernel's default ``sim.BLOCK`` a step is one block kernel call's arrays
-(``sim.Block``). An agent's position derivatives change only at its own
-control switches: they form a table with one row per stretch between
-switches. A target's uncertainty derivatives drift by the decay times the
-sensing gradient times G times those rows and jump only at resets, so each
-target's row is brought up to date only where a reset reads it and at the
-step's end. The cost integral follows from each agent's sum over targets,
-exact at the step's start and moved by the drift and by the values the
-resets remove. The steps are cut at fixed interval indices, so the
-gradients do not depend, to the last bit, on where the kernel cut its
-blocks.
+``CHUNK`` intervals at a time rather than interval by interval, each
+step (``Replica.interval_update``) reading the block kernel's arrays of
+its intervals as one ``sim.Block``; at the kernel's default
+``sim.BLOCK`` a step is one kernel call's block. An agent's position
+derivatives change only at its own control switches: they form a table
+with one row per stretch between switches. A target's uncertainty
+derivatives drift by the decay times the sensing gradient times G times
+those rows and jump only at resets, so each target's row is brought up
+to date only where a reset reads it and at the step's end. The cost
+integral follows from each agent's sum over targets, exact at the step's
+start and moved by the drift and by the values the resets remove. The
+steps are cut at fixed interval indices, so the gradients do not depend,
+to the last bit, on where the kernel cut its blocks.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .events import CONTROL_KINDS, KINDS, EventKind, EventRecord, kind_table
-from .sim import BLOCK, Block, Interval, SimRecord
+from .sim import BLOCK, Block, SimRecord
 
 FLOOR_RESET_TOL = 1e-9   # a floor-leave event must find derivatives already zero
 # intervals per scan step: the kernel's default block, so that each step
@@ -137,11 +138,11 @@ class Replica:
     target at zero uncertainty infer the floor hit it missed.
 
     ``run`` takes the record ``CHUNK`` intervals at a time (``chunks``,
-    ``_step``), applying each step's control switches and then its resets,
-    all through ``apply_event``; ``interval_update`` is the one-interval
-    step. The hold rule is checked once per step: a (target, agent) pair out
-    of range at two successive positive-length intervals may not move
-    between them, except by a floor reset.
+    ``interval_update``), applying each step's control switches and then its
+    resets, all through ``apply_event``. The hold rule is checked once per
+    step: a (target, agent) pair out of range at two successive
+    positive-length intervals may not move between them, except by a floor
+    reset.
     """
 
     def __init__(self, record: SimRecord, deliver: np.ndarray | None = None,
@@ -215,25 +216,15 @@ class Replica:
 
     # -- interval update -------------------------------------------------
 
-    def interval_update(self, iv: Interval) -> np.ndarray:
-        """Advance every ledger across one interval; return its gradient integrals.
+    def interval_update(self, blk: Block, switches=(), resets=()) -> np.ndarray:
+        """Advance every ledger across the intervals of ``blk``, applying
+        their scheduled events (as ``(interval, event, agents)``), and check
+        the hold rule; return their gradient integrals (undivided by T),
+        (N, 2P).
 
-        The one-interval case of ``_step``, without events or hold check.
         On a floor arc the uncertainty derivatives hold; otherwise each
         in-range pair drifts by decay * dp/ds * G with the sensing gradient
         and position derivatives frozen at their start-of-interval values.
-        Returns the time integrals of the uncertainty derivatives over the
-        interval (undivided by T), (N, 2P).
-        """
-        blk = Block(0, np.array([iv.dt]), iv.on_floor[None], iv.in_range[None],
-                    iv.dp_ds[None], iv.G[None], iv.GG[None])
-        return self._step(blk, check=False)
-
-    def _step(self, blk: Block, switches=(), resets=(), check: bool = True) -> np.ndarray:
-        """Advance every ledger across one block of intervals, applying the
-        block's scheduled events; return its gradient integrals (undivided
-        by T), (N, 2P).
-
         Over interval ``k`` pair (i, j) drifts by ``-c[k, i, j]`` times
         agent ``j``'s position derivatives ``ds``, with ``c = B dp/ds G``
         (zero on a floor arc and on a zero-length interval), and agent
@@ -311,8 +302,7 @@ class Replica:
         dR -= np.matmul(weight[:, len(resets):], ds)
         w = np.matmul((after[:, None] * c.sum(axis=1) + g).T[:, None, :], member)   # (N, 1, S)
         acc -= np.matmul(w, ds)[:, 0]
-        if check:
-            self._check_holds(blk, checks, c, ds, stretch, marks)
+        self._check_holds(blk, checks, c, ds, stretch, marks)
         return acc
 
     # -- event updates -----------------------------------------------------
@@ -438,7 +428,7 @@ class Replica:
         s0 = r0 = 0
         for blk in chunks(rec.blocks):
             s1, r1 = bisect_left(sw_keys, blk.stop), bisect_left(rs_keys, blk.stop)
-            acc += self._step(blk, self._switches[s0:s1], self._resets[r0:r1])
+            acc += self.interval_update(blk, self._switches[s0:s1], self._resets[r0:r1])
             s0, r0 = s1, r1
         return self._finish(acc)
 

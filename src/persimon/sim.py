@@ -21,8 +21,9 @@ pairs alone. The quantities only the gradient estimators read (range
 membership, the sensing gradients and the collaboration integrals G and
 GG) come from one vectorised kernel over a table of the live pairs' miss
 factors, run on each block of ``BLOCK`` finished intervals and at the
-horizon; the record keeps each call's arrays as a ``Block``, which the
-derivative scan reads one block at a time. The output samples come from
+horizon. The record keeps each call's arrays as a ``Block``, their only
+holder, which the derivative scan reads one block at a time; an
+``Interval`` holds what the event loop makes. The output samples come from
 the finished record, when they are first read (``sample_table``).
 """
 
@@ -66,25 +67,19 @@ class SimState:
     last_dir: np.ndarray          # (N,) int
     bounds: list[Boundary | None]
     bound_t: np.ndarray           # (N,) boundary times, inf for none
-    # finished intervals awaiting the block kernel, with their detections
-    # and the agents' last directions while they ran
-    pending: list[tuple[Interval, _Detection, np.ndarray]] = field(default_factory=list)
+    # finished intervals awaiting the block kernel, with their detections,
+    # the agents' last directions and the targets' floor flags while they ran
+    pending: list[tuple[Interval, _Detection, np.ndarray, np.ndarray]] = field(
+        default_factory=list)
     blocks: list[Block] = field(default_factory=list)
 
 
 @dataclass
 class Interval:
-    """One inter-event interval and the integrals accumulated over it.
-
-    ``dp_ds`` is the sensing-probability gradient of each (target, agent)
-    pair, constant inside the interval; ``G`` integrates each pair's
-    co-observer miss product over the interval and ``GG`` integrates the
-    running value of G (needed for time integrals of the uncertainty
-    derivatives). ``in_range`` is target-neighborhood membership, evaluated
-    at the interval midpoint. These four and ``on_floor`` are views of one
-    ``Block``'s arrays, set when the interval's block is flushed (None
-    before, and ``on_floor`` a copy of the state's flags).
-    """
+    """One inter-event interval as the event loop makes it: its span, the
+    agents' controls and positions and the targets' uncertainties at both
+    ends, the cost integral over it and the rate polynomials. The kernel's
+    arrays of the interval are rows of its ``Block``."""
 
     t0: float
     t1: float
@@ -94,12 +89,7 @@ class Interval:
     R0: np.ndarray                # (M,)
     R1: np.ndarray                # (M,)
     int_R: np.ndarray             # (M,) integral of R over the interval
-    on_floor: np.ndarray          # (M,) bool
     rate: np.ndarray              # (M, D + 1) floor-aware rate, ascending in t - t0
-    in_range: np.ndarray | None = None   # (M, N) bool
-    dp_ds: np.ndarray | None = None      # (M, N)
-    G: np.ndarray | None = None          # (M, N)
-    GG: np.ndarray | None = None         # (M, N)
 
     @property
     def dt(self) -> float:
@@ -109,12 +99,17 @@ class Interval:
 @dataclass
 class Block:
     """One block kernel call: the ``n`` intervals from ``start``, their spans
-    and floor flags, and the kernel's output as (n, M, N) arrays, of which
-    the intervals' fields are views."""
+    and floor flags, and the kernel's output as (n, M, N) arrays. Row ``k``
+    is interval ``start + k``: ``in_range`` is (target, agent) range
+    membership at the interval's midpoint, ``dp_ds`` the sensing-probability
+    gradient of each pair, constant inside the interval, ``G`` integrates
+    each pair's co-observer miss product over the interval and ``GG`` the
+    running value of G (for time integrals of the uncertainty derivatives).
+    """
 
     start: int
     dt: np.ndarray                # (n,)
-    on_floor: np.ndarray          # (n, M) bool
+    on_floor: np.ndarray          # (n, M) bool: uncertainty held at 0
     in_range: np.ndarray          # (n, M, N) bool
     dp_ds: np.ndarray             # (n, M, N)
     G: np.ndarray                 # (n, M, N)
@@ -128,9 +123,10 @@ class Block:
 @dataclass
 class SimRecord:
     """Complete, immutable simulation output. ``blocks`` tile ``intervals``
-    in order. The first read of a sample column, ``sample_t`` (n,),
-    ``sample_s`` or ``sample_u`` (n, N), or ``sample_R`` or ``sample_P``
-    (n, M), evaluates all five (``sample_table``)."""
+    in order and hold the block kernel's arrays. The first read of a sample
+    column, ``sample_t`` (n,), ``sample_s`` or ``sample_u`` (n, N), or
+    ``sample_R`` or ``sample_P`` (n, M), evaluates all five
+    (``sample_table``)."""
 
     scenario: Scenario
     params: tuple[AgentParams, ...]
@@ -186,7 +182,6 @@ class _Detection:
     records: list[EventRecord]
     bounds: dict[int, Boundary]
     done: bool
-    u: np.ndarray                 # (N,)
     pairs: list[tuple[int, int, int, float, float]]
     rate: np.ndarray              # (M, D + 1)
 
@@ -313,14 +308,14 @@ class Simulator:
         self.x, self.A, self.B, self.r = scenario.x, scenario.A, scenario.B, scenario.r
         self.eps = scenario.numerics.eps_event
         # (N, M, 3) motion event positions: lower and upper range edges, target
-        self.edges = self.x[None, :, None] + self.r[:, None, None] * np.array([-1.0, 1.0, 0.0])
+        edges = self.x[None, :, None] + self.r[:, None, None] * np.array([-1.0, 1.0, 0.0])
         # plain-float tables for the per-event path: the targets sorted by x,
         # and each agent's motion event positions sorted, with (target, edge)
         self._x, self._A, self._B, self._r = (a.tolist() for a in (self.x, self.A, self.B, self.r))
         self._by_x = sorted(range(scenario.n_targets), key=self._x.__getitem__)
         self._xs = [self._x[i] for i in self._by_x]
         self._edges = []
-        for e in self.edges.reshape(scenario.n_agents, 3 * scenario.n_targets).tolist():
+        for e in edges.reshape(scenario.n_agents, 3 * scenario.n_targets).tolist():
             k = sorted(range(len(e)), key=e.__getitem__)
             self._edges.append(([e[c] for c in k], [divmod(c, 3) for c in k]))
         # the most consecutive zero-length intervals one instant can hold. A
@@ -463,7 +458,7 @@ class Simulator:
         if done:
             records.append(EventRecord(tau_next, EventKind.HORIZON))
         return _Detection(tau=tau_next, records=order_batch(records), bounds=in_batch,
-                          done=done, u=state.u.copy(), pairs=pairs,
+                          done=done, pairs=pairs,
                           rate=np.array(rate).reshape(M, D + 1))
 
     def _control_record(self, tau: float, j: int, tr, phase: PhaseState) -> EventRecord:
@@ -503,30 +498,30 @@ class Simulator:
     def advance(self, state: SimState, det: _Detection) -> Interval:
         """Move the state to the detected event and queue the finished
         interval for the block kernel (``flush``)."""
-        t0, t1, u = state.t, det.tau, det.u
+        t0, t1, u = state.t, det.tau, state.u.copy()
         dt = t1 - t0
         w1, w2 = _integrals(dt, det.rate.shape[1])
         iv = Interval(t0, t1, u, state.s, state.s + u * dt, state.R,
                       np.maximum(state.R + det.rate @ w1, 0.0),
-                      state.R * dt + det.rate @ w2, state.on_floor.copy(), det.rate)
-        state.pending.append((iv, det, state.last_dir.copy()))
+                      state.R * dt + det.rate @ w2, det.rate)
+        state.pending.append((iv, det, state.last_dir.copy(), state.on_floor.copy()))
         state.t = t1
         state.s = iv.s1.copy()
         state.R = iv.R1.copy()
         return iv
 
     def flush(self, state: SimState) -> None:
-        """The block kernel: set ``in_range``, ``dp_ds``, ``G`` and ``GG`` of
-        every pending interval, keep the arrays as the state's next
-        ``Block``, and drop the pending polynomials. A pair integrates its
-        target's miss product, the product of one row of ``_factor_table``;
-        a live pair, that of the other slots of its row."""
-        ivs, dets, last_dir = zip(*state.pending)
+        """The block kernel: ``in_range``, ``dp_ds``, ``G`` and ``GG`` of
+        every pending interval, kept with their spans and floor flags as the
+        state's next ``Block``; drops the pending polynomials. A pair
+        integrates its target's miss product, the product of one row of
+        ``_factor_table``; a live pair, that of the other slots of its row."""
+        ivs, dets, last_dir, on_floor = zip(*state.pending)
         state.pending = []
         M, N = self.scenario.n_targets, self.scenario.n_agents
         dt = np.array([iv.dt for iv in ivs])
-        on_floor = np.array([iv.on_floor for iv in ivs])
-        u = np.array([det.u for det in dets])
+        on_floor = np.array(on_floor)
+        u = np.array([iv.u for iv in ivs])
         d0 = self.x[:, None] - np.array([iv.s0 for iv in ivs])[:, None, :]
         mid = d0 - u[:, None] * (0.5 * dt)[:, None, None]
         in_range, dp_ds = offset_membership(mid, self.r, np.array(last_dir)[:, None])
@@ -540,8 +535,6 @@ class Simulator:
             loo = _products(C0[:, :, others], C1[:, :, others])    # (n, M, D, D)
             G[k, i, j] = (loo @ W1[:, None, :D, None])[k, i, slot, 0]
             GG[k, i, j] = (loo @ W2[:, None, :D, None])[k, i, slot, 0]
-        for iv, f, a, b, c, d in zip(ivs, on_floor, in_range, dp_ds, G, GG):
-            iv.on_floor, iv.in_range, iv.dp_ds, iv.G, iv.GG = f, a, b, c, d
         start = state.blocks[-1].stop if state.blocks else 0
         state.blocks.append(Block(start, dt, on_floor, in_range, dp_ds, G, GG))
 

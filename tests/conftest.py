@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from persimon.gradient import GradientVector, Replica
 from persimon.model import AgentSpec, InfoMode, Numerics, Scenario, Target
 from persimon.policy import AgentParams
+from persimon.sim import Block
 
 
 def make_scenario(targets, agents, L=40.0, T=20.0, mode=InfoMode.CENTRALIZED,
@@ -34,6 +37,15 @@ def random_scenario(rng, n_agents=2, n_targets=3, T=20.0, n_points=4,
     ps = [params(rng.uniform(2.0, L - 2.0, size=n_points),
                  rng.uniform(w_min, 1.8, size=n_points)) for _ in range(n_agents)]
     return sc, ps
+
+
+def interval_blocks(record):
+    """Every interval of ``record`` as a one-interval ``Block`` sliced from
+    ``record.blocks``, entry ``k`` for interval ``k``; its arrays are views,
+    so a write reaches the record."""
+    arrays = [f.name for f in fields(Block)][1:]
+    return [Block(blk.start + k, *(getattr(blk, f)[k:k + 1] for f in arrays))
+            for blk in record.blocks for k in range(blk.dt.size)]
 
 
 def scale_gradient(monkeypatch, factor):

@@ -6,10 +6,11 @@ and GG with the trapezoid rule on the same grid, as the simulator did
 before it integrated each interval's polynomials exactly. Control switches,
 motion events, batching and event application are the simulator's own.
 Its ``advance`` returns complete intervals and queues nothing, so the
-simulator's block kernel never runs on them. The intervals carry no rate
-polynomial (``rate=None``), so a grid record has no sample table:
-``GridSimulator(scenario, params, h).run()`` is read for its intervals,
-events and J.
+simulator's block kernel never runs on them: a grid record has no blocks,
+and its intervals (``GridInterval``) carry their own G and GG. They carry
+no rate polynomial (``rate=None``), so a grid record has no sample table
+either: ``GridSimulator(scenario, params, h).run()`` is read for its
+intervals, events and J.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from persimon.events import EventKind, EventRecord, order_batch
-from persimon.model import detection, membership
+from persimon.model import detection
 from persimon.sim import Interval, SimulationError, Simulator
 
 
@@ -34,6 +35,14 @@ class GridDetection:
     rate: np.ndarray              # (K, M) floor-aware rate
 
 
+@dataclass
+class GridInterval(Interval):
+    """An interval with its trapezoid-rule collaboration integrals."""
+
+    G: np.ndarray                 # (M, N)
+    GG: np.ndarray                # (M, N)
+
+
 def _cumtrapz(y, ts):
     dt = np.diff(ts).reshape((-1,) + (1,) * (y.ndim - 1))
     out = np.zeros_like(y)
@@ -45,11 +54,8 @@ class GridSimulator(Simulator):
     def __init__(self, scenario, params, h):
         super().__init__(scenario, params)
         self.h = h
-
-    def _membership(self, state, t_mid, u):
-        """Pair membership and sensing gradient at a mid-interval time."""
-        return membership(self.x, state.s + u * (t_mid - state.t), self.r,
-                          state.last_dir)
+        # (N, M, 3) motion event positions: lower and upper range edges, target
+        self.edges = self.x[None, :, None] + self.r[:, None, None] * np.array([-1.0, 1.0, 0.0])
 
     def _row(self, state, ts, R, rate, k, tau):
         """q, raw rate, floor-aware rate and R at tau in [ts[k], ts[k+1]]."""
@@ -134,12 +140,9 @@ class GridSimulator(Simulator):
         t0, t1, u = state.t, det.tau, det.u
         M, N = self.scenario.n_targets, self.scenario.n_agents
         if t1 <= t0:
-            return Interval(t0=t0, t1=t0, u=u, s0=state.s.copy(), s1=state.s.copy(),
-                            R0=state.R.copy(), R1=state.R.copy(), int_R=np.zeros(M),
-                            on_floor=state.on_floor.copy(), rate=None,
-                            in_range=self._membership(state, t0, u)[0],
-                            dp_ds=np.zeros((M, N)), G=np.zeros((M, N)),
-                            GG=np.zeros((M, N)))
+            return GridInterval(t0=t0, t1=t0, u=u, s0=state.s.copy(), s1=state.s.copy(),
+                                R0=state.R.copy(), R1=state.R.copy(), int_R=np.zeros(M),
+                                rate=None, G=np.zeros((M, N)), GG=np.zeros((M, N)))
         k = int(np.searchsorted(det.ts, t1, side="right")) - 1
         k = min(k, det.ts.size - 2)
         q1, _, rate1, R1 = self._row(state, det.ts, det.R, det.rate, k, t1)
@@ -161,11 +164,9 @@ class GridSimulator(Simulator):
             lower = np.concatenate([np.zeros((1, M)), cum[:-1]])
             GG[:, j] = (0.5 * (cum + lower) * dts).sum(axis=0)
 
-        in_range, dp_ds = self._membership(state, 0.5 * (t0 + t1), u)
-        iv = Interval(t0=t0, t1=t1, u=u, s0=state.s.copy(), s1=state.s + u * (t1 - t0),
-                      R0=state.R.copy(), R1=np.maximum(R[-1], 0.0), int_R=int_R,
-                      on_floor=state.on_floor.copy(), rate=None, in_range=in_range,
-                      dp_ds=dp_ds, G=G, GG=GG)
+        iv = GridInterval(t0=t0, t1=t1, u=u, s0=state.s.copy(), s1=state.s + u * (t1 - t0),
+                          R0=state.R.copy(), R1=np.maximum(R[-1], 0.0), int_R=int_R,
+                          rate=None, G=G, GG=GG)
         state.t = t1
         state.s = iv.s1.copy()
         state.R = iv.R1.copy()

@@ -215,7 +215,8 @@ def dense_detection(sim: Simulator, state: SimState) -> DenseDetection:
     sc, t0, eps, u = sim.scenario, state.t, sim.eps, state.u
     tau_sched = min(sc.T, float(state.bound_t.min(initial=np.inf)))
 
-    tau_m = t0 + (sim.edges - state.s[:, None, None]) * u[:, None, None]
+    edges = sim.x[None, :, None] + sim.r[:, None, None] * np.array([-1.0, 1.0, 0.0])
+    tau_m = t0 + (edges - state.s[:, None, None]) * u[:, None, None]
     motion = (tau_m > t0 + eps) & (tau_m <= tau_sched + eps)
     win_end = min(tau_sched, float(tau_m[motion].min(initial=np.inf)))
 

@@ -2,8 +2,10 @@
 
 ``LockstepReplica`` advances every agent's ledger one interval at a time,
 as ``persimon.gradient.Replica.run`` did before it scanned the record
-``gradient.CHUNK`` intervals at a time: ``walk`` runs the interval update and the hold
-check on each positive-length interval, then the interval's events.
+``gradient.CHUNK`` intervals at a time: ``walk`` runs the scan's step
+(``Replica.interval_update``) on each positive-length interval alone, a
+one-interval block sliced from the record's blocks, then the hold check,
+then the interval's events.
 ``lockstep_gradients`` runs it under an information mode, and
 ``assert_matches_oracle`` compares the scan with it.
 
@@ -25,23 +27,26 @@ from persimon import gradient, visibility
 from persimon.events import CONTROL_KINDS, EventKind, EventRecord
 from persimon.gradient import FLOOR_RESET_TOL, GradientVector, ReplicaDiagnostics
 from persimon.model import InfoMode
-from persimon.sim import Interval, SimRecord
+from persimon.sim import Block, Interval, SimRecord
 from persimon.visibility import check_floor_hits_observed, delivery
+
+from conftest import interval_blocks
 
 
 def walk(rep: gradient.Replica, after_interval=None) -> np.ndarray:
     """Drive a lockstep replica interval by interval: ``interval_update`` on
-    each positive-length interval, then ``after_interval(iv)``, then the
-    interval's scheduled events. Returns the summed interval integrals."""
+    each positive-length interval's block, without events, then
+    ``after_interval(iv, blk)``, then the interval's scheduled events.
+    Returns the summed interval integrals."""
     by_interval: dict[int, list] = {}
     for k, ev, agents in sorted(rep._switches + rep._resets, key=lambda e: e[0]):
         by_interval.setdefault(k, []).append((ev, agents))
     acc = np.zeros_like(rep.state.ds)
-    for idx, iv in enumerate(rep.record.intervals):
+    for idx, (iv, blk) in enumerate(zip(rep.record.intervals, interval_blocks(rep.record))):
         if iv.dt > 0:
-            acc += rep.interval_update(iv)
+            acc += rep.interval_update(blk)
             if after_interval is not None:
-                after_interval(iv)
+                after_interval(iv, blk)
         for ev, agents in by_interval.get(idx, ()):
             rep.apply_event(ev, agents)
     return acc
@@ -49,7 +54,8 @@ def walk(rep: gradient.Replica, after_interval=None) -> np.ndarray:
 
 class LockstepReplica(gradient.Replica):
     """``gradient.Replica`` advanced one interval at a time, its hold rule
-    checked against a copy of the ledger taken at the previous check."""
+    checked against a copy of the ledger taken at the previous check
+    (``check_holds``) in place of the scan's check."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -61,16 +67,20 @@ class LockstepReplica(gradient.Replica):
             # a delivered reset also resets the hold-check copy
             self._frozen[agents, ev.target] = 0.0
 
-    def check_holds(self, iv: Interval) -> None:
+    def _check_holds(self, *args) -> None:
+        pass
+
+    def check_holds(self, iv: Interval, blk: Block) -> None:
         """Out of sensing range a target's derivative may not move.
 
         Verified bitwise per (agent, target) pair against a copy taken at the
         previous check; delivered floor-hit events legitimately reset the
         copy to zero. A pair out of range at both checks whose derivative
-        moved counts one violation.
+        moved counts one violation. ``blk`` holds the kernel arrays of ``iv``
+        alone.
         """
         dR = self.state.dR
-        outside_now = ~iv.in_range.T
+        outside_now = ~blk.in_range[0].T
         moved = self._outside.T & outside_now
         if moved.any():
             # != also flags NaN, as np.array_equal did
@@ -189,8 +199,9 @@ class Replica:
 
     # -- interval update -------------------------------------------------
 
-    def interval_update(self, iv: Interval) -> tuple[np.ndarray, np.ndarray]:
-        """Advance derivatives across one interval; return its gradient integrals.
+    def interval_update(self, blk: Block) -> tuple[np.ndarray, np.ndarray]:
+        """Advance derivatives across the one interval of ``blk``; return
+        its gradient integrals.
 
         On a floor arc the uncertainty derivatives hold; otherwise each
         in-range pair drifts by decay * dp/ds * G with the sensing gradient
@@ -199,14 +210,14 @@ class Replica:
         derivatives over the interval (undivided by T).
         """
         st, j = self.state, self.agent
-        dt = iv.dt
+        dt = blk.dt[0]
         acc_t = dt * st.dR_dtheta.sum(axis=0)
         acc_w = dt * st.dR_dw.sum(axis=0)
-        coef = np.where(iv.on_floor, 0.0, self.B * iv.dp_ds[:, j])
-        gg = float((coef * iv.GG[:, j]).sum())
+        coef = np.where(blk.on_floor[0], 0.0, self.B * blk.dp_ds[0, :, j])
+        gg = float((coef * blk.GG[0, :, j]).sum())
         acc_t -= gg * st.ds_dtheta
         acc_w -= gg * st.ds_dw
-        drift = coef * iv.G[:, j]
+        drift = coef * blk.G[0, :, j]
         st.dR_dtheta -= drift[:, None] * st.ds_dtheta[None, :]
         st.dR_dw -= drift[:, None] * st.ds_dw[None, :]
         return acc_t, acc_w
@@ -301,7 +312,7 @@ class Replica:
 
     # -- hold checker ------------------------------------------------------
 
-    def _check_holds(self, iv: Interval) -> None:
+    def _check_holds(self, iv: Interval, blk: Block) -> None:
         """Out of sensing range a target's derivative may not move.
 
         Verified bitwise between consecutive intervals; delivered floor-hit
@@ -310,7 +321,7 @@ class Replica:
         refreshes its frozen copy; a target in range before refreshes it too.
         """
         st = self.state
-        outside_now = ~iv.in_range[:, self.agent]
+        outside_now = ~blk.in_range[0, :, self.agent]
         if self._frozen_t is None:
             self._frozen_t = st.dR_dtheta.copy()
             self._frozen_w = st.dR_dw.copy()
@@ -335,12 +346,13 @@ class Replica:
         n = self.params.n_points
         acc_t = np.zeros(n)
         acc_w = np.zeros(n)
-        for idx, iv in enumerate(self.record.intervals):
+        for idx, (iv, blk) in enumerate(zip(self.record.intervals,
+                                            interval_blocks(self.record))):
             if iv.dt > 0.0:
-                at, aw = self.interval_update(iv)
+                at, aw = self.interval_update(blk)
                 acc_t += at
                 acc_w += aw
-                self._check_holds(iv)
+                self._check_holds(iv, blk)
             for ev in self._by_interval.get(idx, ()):
                 self.apply_event(ev)
         T = self.record.scenario.T

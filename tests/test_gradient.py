@@ -10,7 +10,7 @@ from persimon.gradient import CHUNK, Replica, chunks, full_gradient, init_deriva
 from persimon.policy import AgentParams
 from persimon.sim import Block, Interval, simulate
 
-from conftest import make_scenario, params, random_scenario
+from conftest import interval_blocks, make_scenario, params, random_scenario
 from oracles import position_at, position_schedule
 from replica_oracle import LockstepReplica, walk
 
@@ -19,14 +19,15 @@ EXAMPLE1 = Path(__file__).resolve().parents[1] / "src" / "persimon" / "data" / "
 
 
 def blank_interval(t0, t1, M, N, **kw):
-    shape = dict(
-        u=np.zeros(N), s0=np.zeros(N), s1=np.zeros(N),
-        R0=np.ones(M), R1=np.ones(M), int_R=np.zeros(M),
-        on_floor=np.zeros(M, dtype=bool), rate=np.zeros((M, 1)),
-        in_range=np.ones((M, N), dtype=bool),
-        dp_ds=np.zeros((M, N)), G=np.zeros((M, N)), GG=np.zeros((M, N)))
-    shape.update(kw)
-    return Interval(t0=t0, t1=t1, **shape)
+    """An interval and its one-interval ``Block``: off the floor, every pair
+    in range and nothing drifting, except for the kernel arrays in ``kw``,
+    each given as one interval's row."""
+    iv = Interval(t0=t0, t1=t1, u=np.zeros(N), s0=np.zeros(N), s1=np.zeros(N),
+                  R0=np.ones(M), R1=np.ones(M), int_R=np.zeros(M), rate=np.zeros((M, 1)))
+    rows = dict(on_floor=np.zeros(M, dtype=bool), in_range=np.ones((M, N), dtype=bool),
+                dp_ds=np.zeros((M, N)), G=np.zeros((M, N)), GG=np.zeros((M, N)))
+    rows.update(kw)
+    return iv, Block(0, np.array([iv.dt]), **{f: a[None] for f, a in rows.items()})
 
 
 class TestInit:
@@ -66,7 +67,7 @@ class TestInit:
 def _ds_history(record, agent):
     rep = Replica(record)
     out = []
-    walk(rep, lambda iv: out.append((iv.t1, rep.state.ds_dtheta[agent].copy())))
+    walk(rep, lambda iv, _: out.append((iv.t1, rep.state.ds_dtheta[agent].copy())))
     return out
 
 
@@ -76,21 +77,21 @@ class TestIntervalUpdate:
         rec = simulate(sc, [params([4.0], [1.0])])
         rep = Replica(rec)
         rep.state.dR_dtheta[0, 0, 0] = 0.7
-        iv = blank_interval(0.0, 2.0, 1, 1,
-                            in_range=np.zeros((1, 1), dtype=bool))
-        rep.interval_update(iv)
+        _, blk = blank_interval(0.0, 2.0, 1, 1,
+                                in_range=np.zeros((1, 1), dtype=bool))
+        rep.interval_update(blk)
         assert rep.state.dR_dtheta[0, 0, 0] == 0.7
 
     def test_floor_arc_holds_at_zero(self):
         sc = make_scenario([(10.0, 1.0, 5.0, 6.0)], [(2.0, 1, 3.0)], T=5.0)
         rec = simulate(sc, [params([4.0], [1.0])])
         rep = Replica(rec)
-        iv = blank_interval(0.0, 2.0, 1, 1,
-                            on_floor=np.ones(1, dtype=bool),
-                            dp_ds=np.full((1, 1), 1 / 3.0),
-                            G=np.full((1, 1), 2.0), GG=np.full((1, 1), 2.0))
+        _, blk = blank_interval(0.0, 2.0, 1, 1,
+                                on_floor=np.ones(1, dtype=bool),
+                                dp_ds=np.full((1, 1), 1 / 3.0),
+                                G=np.full((1, 1), 2.0), GG=np.full((1, 1), 2.0))
         rep.state.ds_dtheta[0, 0] = 1.0
-        rep.interval_update(iv)
+        rep.interval_update(blk)
         assert rep.state.dR_dtheta[0, 0, 0] == 0.0
 
     def test_lone_observer_drift(self):
@@ -99,10 +100,10 @@ class TestIntervalUpdate:
         rec = simulate(sc, [params([4.0], [1.0])])
         rep = Replica(rec)
         rep.state.ds_dtheta[0, 0] = 1.0
-        iv = blank_interval(0.0, 2.0, 1, 1,
-                            dp_ds=np.full((1, 1), 1 / 3.0),
-                            G=np.full((1, 1), 2.0), GG=np.full((1, 1), 2.0))
-        rep.interval_update(iv)
+        _, blk = blank_interval(0.0, 2.0, 1, 1,
+                                dp_ds=np.full((1, 1), 1 / 3.0),
+                                G=np.full((1, 1), 2.0), GG=np.full((1, 1), 2.0))
+        rep.interval_update(blk)
         assert rep.state.dR_dtheta[0, 0, 0] == pytest.approx(-5.0 * (1 / 3.0) * 2.0)
 
     def test_agents_drift_by_their_own_columns(self):
@@ -111,9 +112,9 @@ class TestIntervalUpdate:
         rec = simulate(sc, [params([4.0], [1.0]), params([5.0], [1.0])])
         rep = Replica(rec)
         rep.state.ds_dtheta[:, 0] = [1.0, 2.0]
-        iv = blank_interval(0.0, 2.0, 1, 2, dp_ds=np.array([[1 / 3.0, -1 / 3.0]]),
-                            G=np.array([[2.0, 1.5]]), GG=np.zeros((1, 2)))
-        rep.interval_update(iv)
+        _, blk = blank_interval(0.0, 2.0, 1, 2, dp_ds=np.array([[1 / 3.0, -1 / 3.0]]),
+                                G=np.array([[2.0, 1.5]]), GG=np.zeros((1, 2)))
+        rep.interval_update(blk)
         assert rep.state.dR_dtheta[:, 0, 0] == pytest.approx(
             [-5.0 / 3.0 * 2.0 * 1.0, 5.0 / 3.0 * 1.5 * 2.0])
 
@@ -166,13 +167,13 @@ class TestHoldCheck:
     def test_moved_derivative_counts_once_and_notes_cap(self):
         rep = self._rep(10)
         out = blank_interval(0.0, 1.0, 10, 1, in_range=np.zeros((10, 1), dtype=bool))
-        rep.check_holds(out)                   # freezes the reference copy
+        rep.check_holds(*out)                  # freezes the reference copy
         rep.state.dR_dw[0, :, 0] = 0.5
-        rep.check_holds(out)
+        rep.check_holds(*out)
         assert rep.diags[0].hold_violations == 10
         assert rep.diags[0].notes == [
             f"target {i} derivative moved out of range in [0.0, 1.0]" for i in range(8)]
-        rep.check_holds(out)                   # the frozen copy was refreshed
+        rep.check_holds(*out)                  # the frozen copy was refreshed
         assert rep.diags[0].hold_violations == 10
 
     def test_moves_while_in_range_are_allowed(self):
@@ -180,12 +181,12 @@ class TestHoldCheck:
         inside = blank_interval(0.0, 1.0, 2, 1,
                                 in_range=np.array([[True], [False]]))
         outside = blank_interval(1.0, 2.0, 2, 1, in_range=np.zeros((2, 1), dtype=bool))
-        rep.check_holds(inside)
+        rep.check_holds(*inside)
         rep.state.dR_dtheta[0, 0, 0] = 0.3     # target 0 was in range: refreshed
-        rep.check_holds(outside)
+        rep.check_holds(*outside)
         assert rep.diags[0].hold_violations == 0
         rep.state.dR_dtheta[0, 1, 0] = np.nan  # target 1 stayed out of range
-        rep.check_holds(outside)
+        rep.check_holds(*outside)
         assert rep.diags[0].hold_violations == 1
         assert rep.diags[0].notes == ["target 1 derivative moved out of range in [1.0, 2.0]"]
 
@@ -194,10 +195,10 @@ class TestHoldCheck:
         # 1's ledger is held, so only its move counts, in its own notes
         sc = make_scenario([(10.0, 1.0, 5.0, 6.0)], [(2.0, 1, 3.0), (3.0, 1, 3.0)], T=5.0)
         rep = LockstepReplica(simulate(sc, [params([4.0], [1.0]), params([5.0], [1.0])]))
-        iv = blank_interval(0.0, 1.0, 1, 2, in_range=np.array([[True, False]]))
-        rep.check_holds(iv)
+        held = blank_interval(0.0, 1.0, 1, 2, in_range=np.array([[True, False]]))
+        rep.check_holds(*held)
         rep.state.dR_dw[:, 0, 0] = 0.5
-        rep.check_holds(iv)
+        rep.check_holds(*held)
         assert [d.hold_violations for d in rep.diags] == [0, 1]
         assert rep.diags[0].notes == []
         assert rep.diags[1].notes == ["target 0 derivative moved out of range in [0.0, 1.0]"]
@@ -321,7 +322,7 @@ def _position_fd(spec, p, which, idx, tq, delta):
 def _full_state_history(record, agent):
     rep = Replica(record)
     hist = []
-    walk(rep, lambda iv: hist.append(
+    walk(rep, lambda iv, _: hist.append(
         (iv.t0, iv.t1, rep.state.ds_dtheta[agent].copy(), rep.state.ds_dw[agent].copy())))
     return hist
 
@@ -347,9 +348,9 @@ class TestGradientAccumulation:
         rep = Replica(rec)
         rep.state.dR_dtheta[0, 0, 0] = 0.3
         acc = np.zeros(1)
-        for idx, iv in enumerate(rec.intervals):
+        for iv, blk in zip(rec.intervals, interval_blocks(rec)):
             if iv.dt > 0:
-                acc += rep.interval_update(iv)[0, :1]
+                acc += rep.interval_update(blk)[0, :1]
         # the target is never reached, so the hold persists end to end
         assert acc[0] / sc.T == pytest.approx(0.3, rel=1e-9)
 
@@ -374,8 +375,7 @@ class TestGradientAccumulation:
               params([12.5, 16.0], [2.0, 1.0])]
         rec = simulate(sc, ps)
         # the trio really does co-observe: some interval has a 3-strong set
-        assert any(iv.in_range[i].sum() == 3 for iv in rec.intervals
-                   for i in range(sc.n_targets))
+        assert any((blk.in_range.sum(axis=2) == 3).any() for blk in rec.blocks)
         report = grad_check(sc, ps, tol=1e-2)
         assert report.pass_rate() >= 0.95
         assert len(report.checked()) >= 8
@@ -388,6 +388,14 @@ class TestGradientAccumulation:
         with pytest.raises(RuntimeError, match="agent 0: non-finite gradient"):
             rep.run()
 
+    def test_blocks_must_cover_the_intervals(self):
+        sc, ps, _ = load_scenario(EXAMPLE1)
+        rec = simulate(sc, ps)
+        assert len(rec.blocks) > 1
+        rec.blocks.pop()
+        with pytest.raises(RuntimeError, match="kernel blocks do not cover its intervals"):
+            Replica(rec).run()
+
     def test_padded_entries_stay_zero(self):
         # programs of 1 and 3 points: agent 0's padding never moves
         rng = np.random.default_rng(8)
@@ -396,7 +404,7 @@ class TestGradientAccumulation:
         rec = simulate(sc, ps)
         rep = Replica(rec)
         padded = []
-        walk(rep, lambda iv: padded.append(
+        walk(rep, lambda iv, _: padded.append(
             (rep.state.ds_dtheta[0, 1:].any() or rep.state.ds_dw[0, 1:].any()
              or rep.state.dR_dtheta[0, :, 1:].any() or rep.state.dR_dw[0, :, 1:].any())))
         assert padded and not any(padded)

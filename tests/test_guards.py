@@ -1,15 +1,18 @@
 """Guards on the package as a whole: no environment hooks or thread pools in
 the source, and the entry points the benchmark in ``perfbench/`` patches by
-name still there and still on the path of every gradient."""
+name still there and still on the path of every gradient and every scan
+step."""
 
 import ast
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 
+from persimon.cli import load_scenario
 from persimon.fdcheck import grad_check
-from persimon.gradient import full_gradient
+from persimon.gradient import CHUNK, Replica, full_gradient
 from persimon.model import InfoMode
 from persimon.sim import simulate
 from persimon.visibility import mode_gradients
@@ -67,6 +70,24 @@ class TestBenchmarkHooks:
         assert len(hooks) >= 15
         for name, owner, attr in hooks:
             assert callable(getattr(owner, attr)), name
+
+    def test_traced_step_sees_every_scan_step(self, monkeypatch):
+        # the tracer times the interval layer at ``Replica.interval_update``:
+        # the scan makes one call per ``CHUNK`` intervals
+        sc, ps, _ = load_scenario(SRC / "data" / "example1.scenario")
+        rec = simulate(sc, ps)
+        calls = []
+        step = Replica.interval_update
+
+        def counting(self, *args):
+            calls.append(args[0].start)
+            return step(self, *args)
+
+        monkeypatch.setattr(Replica, "interval_update", counting)
+        mode_gradients(rec)
+        assert len(rec.intervals) == 738
+        assert calls == list(range(0, len(rec.intervals), CHUNK))
+        assert len(calls) == math.ceil(len(rec.intervals) / CHUNK) == 24
 
     def test_scaled_replica_run_reaches_every_gradient(self, monkeypatch):
         # the benchmark's negative control scales ``Replica.run``: every

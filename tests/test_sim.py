@@ -15,7 +15,7 @@ from persimon.model import InfoMode, Numerics, detection
 from persimon.sim import SimulationError, Simulator, simulate
 from persimon.visibility import mode_gradients
 
-from conftest import make_scenario, params, random_scenario
+from conftest import interval_blocks, make_scenario, params, random_scenario
 from grid_oracle import GridSimulator
 from oracles import position_at, position_schedule
 from replica_oracle import assert_matches_oracle
@@ -43,19 +43,23 @@ def zero_length_transits():
                 params([22.0, 22.0, 18.0], [0.5, 0.0, 1.0])]
 
 
-INTERVAL_FIELDS = ("t0", "t1", "u", "s0", "s1", "R0", "R1", "int_R", "on_floor",
-                   "in_range", "dp_ds", "G", "GG")
+INTERVAL_FIELDS = ("t0", "t1", "u", "s0", "s1", "R0", "R1", "int_R")
+BLOCK_FIELDS = ("on_floor", "in_range", "dp_ds", "G", "GG")
 SAMPLE_FIELDS = ("sample_t", "sample_s", "sample_u", "sample_R", "sample_P")
 
 
 def assert_same_record(a, b):
-    """The event log and J bit for bit, every other field within 1e-14."""
+    """The event log and J bit for bit, every other field and every kernel
+    array, per interval, within 1e-14."""
     assert ([(e.kind, e.agent, e.target, e.time, e.interval_index) for e in a.events]
             == [(e.kind, e.agent, e.target, e.time, e.interval_index) for e in b.events])
     assert a.J == b.J
     assert len(a.intervals) == len(b.intervals)
     pairs = [(np.array([getattr(iv, f) for iv in a.intervals]),
               np.array([getattr(iv, f) for iv in b.intervals])) for f in INTERVAL_FIELDS]
+    pairs += [(np.concatenate([getattr(blk, f) for blk in interval_blocks(a)]),
+               np.concatenate([getattr(blk, f) for blk in interval_blocks(b)]))
+              for f in BLOCK_FIELDS]
     pairs += [(getattr(a, f), getattr(b, f)) for f in SAMPLE_FIELDS]
     for x, y in pairs:
         assert x.shape == y.shape
@@ -72,7 +76,7 @@ def assert_same_gradients(a, b):
             assert x.concat().tobytes() == y.concat().tobytes()
     for rec in (a, b):
         assert_matches_oracle(rec)
-    for p, q in zip(a.intervals, b.intervals):
+    for p, q in zip(interval_blocks(a), interval_blocks(b)):
         assert p.dp_ds.tobytes() == q.dp_ds.tobytes()
         live = p.dp_ds != 0.0
         assert p.G[live].tobytes() == q.G[live].tobytes()
@@ -111,7 +115,8 @@ class TestBlockKernel:
         # factors on their widest target
         sc, ps, _ = load_scenario(SMOKE.with_name("example1.scenario"))
         ref = simulate(sc, ps)
-        assert {int((iv.dp_ds != 0.0).sum(axis=1).max()) for iv in ref.intervals} == {0, 1, 2, 3}
+        assert ({int((blk.dp_ds != 0.0).sum(axis=2).max()) for blk in interval_blocks(ref)}
+                == {0, 1, 2, 3})
         monkeypatch.setattr(sim_module, "BLOCK", len(ref.intervals) + 1)
         rec = simulate(sc, ps)
         assert_same_record(ref, rec)
@@ -158,7 +163,7 @@ class TestBlockKernel:
         sim = Simulator(sc, ps)
         state = sim.initial_state()
         iv = sim.advance(state, sim.next_event(state))
-        assert iv.G is None and len(state.pending) == 1 and state.pending[0][0] is iv
+        assert not state.blocks and len(state.pending) == 1 and state.pending[0][0] is iv
 
 
 class TestSampleTable:
@@ -290,12 +295,14 @@ class TestDetection:
         # up to the floor hit, G of the parked observer integrates the
         # mover's miss 1 - t/3 and the mover's G the constant 1/2
         _, rec = two_observers()
-        iv = next(iv for iv in rec.intervals if iv.dt > 0.0)
+        k, iv = next((k, iv) for k, iv in enumerate(rec.intervals) if iv.dt > 0.0)
+        blk = interval_blocks(rec)[k]
+        G, GG = blk.G[0], blk.GG[0]
         d = iv.dt
-        assert iv.G[0, 0] == pytest.approx(d - d * d / 6.0, rel=1e-13)
-        assert iv.GG[0, 0] == pytest.approx(d * d / 2.0 - d ** 3 / 18.0, rel=1e-13)
-        assert iv.G[0, 1] == pytest.approx(0.5 * d, rel=1e-13)
-        assert iv.GG[0, 1] == pytest.approx(0.25 * d * d, rel=1e-13)
+        assert G[0, 0] == pytest.approx(d - d * d / 6.0, rel=1e-13)
+        assert GG[0, 0] == pytest.approx(d * d / 2.0 - d ** 3 / 18.0, rel=1e-13)
+        assert G[0, 1] == pytest.approx(0.5 * d, rel=1e-13)
+        assert GG[0, 1] == pytest.approx(0.25 * d * d, rel=1e-13)
         assert iv.int_R[0] == pytest.approx(2.0 * d - 0.75 * d * d - 5.0 * d ** 3 / 36.0,
                                             rel=1e-13)
 
@@ -328,9 +335,10 @@ class TestIntervalIntegration:
 
     def test_lone_observer_collaboration_is_dt(self):
         sc = make_scenario([(10.0, 1.0, 5.0, 5.0)], [(9.0, 1, 3.0)], T=40.0)
-        iv = simulate(sc, [params([10.0], [1.0])]).intervals[0]
+        rec = simulate(sc, [params([10.0], [1.0])])
+        iv = rec.intervals[0]
         assert iv.dt == pytest.approx(1.0)
-        assert iv.G[0, 0] == pytest.approx(iv.dt, rel=1e-12)
+        assert rec.blocks[0].G[0, 0, 0] == pytest.approx(iv.dt, rel=1e-12)
 
 
 class TestRecordInvariants:
@@ -419,10 +427,12 @@ class TestRecordInvariants:
         assert ([(e.kind, e.agent, e.target) for e in rec.events]
                 == [(e.kind, e.agent, e.target) for e in grid.events])
         assert any(ev.kind is EventKind.R_HIT_ZERO for ev in rec.events)
-        for a, b in zip(rec.intervals, grid.intervals):
+        for a, blk, b in zip(rec.intervals, interval_blocks(rec), grid.intervals):
             assert a.t1 == pytest.approx(b.t1, abs=1e-6)
-            for name in ("R1", "int_R", "G", "GG"):
+            for name in ("R1", "int_R"):
                 assert np.allclose(getattr(a, name), getattr(b, name), rtol=0, atol=1e-6)
+            for name in ("G", "GG"):
+                assert np.allclose(getattr(blk, name)[0], getattr(b, name), rtol=0, atol=1e-6)
 
     def test_all_zero_dwell_only_reversal_or_passthrough(self):
         sc = make_scenario([(10.0, 1.0, 5.0, 3.0)], [(2.0, 1, 3.0)], T=30.0)

@@ -21,7 +21,7 @@ from persimon.visibility import (REASONS, check_floor_hits_observed, delivery,
 
 import replica_oracle as oracle
 from replica_oracle import assert_matches_oracle, diag_rows
-from conftest import make_scenario, params, random_scenario
+from conftest import interval_blocks, make_scenario, params, random_scenario
 from test_cli import DATA
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -171,8 +171,8 @@ class TestHoldRule:
         deliver = delivery(rec, InfoMode.LOCAL)
         (k, ev, _), = [r for r in Replica(rec, deliver, local=True)._resets
                        if r[1].kind is EventKind.SENSE_ON]
-        for iv in rec.intervals[k - 3:k + 4]:
-            iv.in_range[ev.target, ev.agent] = False
+        for blk in interval_blocks(rec)[k - 3:k + 4]:
+            blk.in_range[0, ev.target, ev.agent] = False
         return rec, deliver, k, ev
 
     @pytest.mark.parametrize("block", [1, 2, 32])
