@@ -5,17 +5,25 @@ that coordinates sitting on an event-order kink can be flagged as
 non-smooth instead of polluting the comparison. This module deliberately
 uses only the simulator and the cost; the analytic gradient enters solely
 as the value under test.
+
+Motion is open-loop: a probe of one agent's parameter repeats the base run
+bit for bit until the first phase of that agent that reads the parameter
+(``policy.first_reading_point``). So ``grad_check`` simulates the base run
+once with checkpoints, and each probe resumes from the checkpoint of the
+batch that enters that phase; its record, and so its cost, equals a fresh
+run's bit for bit.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .gradient import full_gradient
 from .model import Scenario
-from .policy import AgentParams
-from .sim import simulate
+from .policy import AgentParams, first_reading_point
+from .sim import Checkpoint, Simulator
 
 REL_FLOOR = 1e-8        # denominator floor for relative errors
 SMOOTH_RTOL = 0.05      # two-step agreement required to call a coordinate smooth
@@ -111,16 +119,39 @@ def _feasible(scenario: Scenario, params: tuple[AgentParams, ...], agent: int,
     return v - delta >= 0.0
 
 
+def _check_step(name: str, value) -> None:
+    try:
+        ok = math.isfinite(value) and value > 0.0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
+
+def _resume_point(base: list[Checkpoint], agent: int, kind: str,
+                  index: int) -> Checkpoint | None:
+    """The checkpoint of ``base`` whose batch enters ``agent``'s first phase
+    that reads the parameter: the last one before that phase, as an agent's
+    phases never lower their point. None to run from the start, where the
+    initial phase reads the parameter."""
+    point = first_reading_point(kind, index)
+    return next((cp for cp in reversed(base) if cp.state.phases[agent].point < point), None)
+
+
 def fd_gradient(scenario: Scenario, params, agent: int, kind: str, index: int,
-                delta: float) -> float | None:
+                delta: float, base: list[Checkpoint] | None = None) -> float | None:
     """Central-difference cost derivative for one coordinate, or None if the
-    symmetric perturbation would leave the feasible box."""
+    symmetric perturbation would leave the feasible box. ``base`` holds the
+    checkpoints of a run of ``params`` (``Simulator.run``); with it, each
+    probe resumes from the last one before the parameter is first read."""
+    _check_step("delta", delta)
     params = tuple(params)
     if not _feasible(scenario, params, agent, kind, index, delta):
         return None
-    up = _perturbed(params, agent, kind, index, +delta)
-    dn = _perturbed(params, agent, kind, index, -delta)
-    return (simulate(scenario, up).J - simulate(scenario, dn).J) / (2.0 * delta)
+    start = _resume_point(base or [], agent, kind, index)
+    J = [Simulator(scenario, _perturbed(params, agent, kind, index, d)).run(start).J
+         for d in (+delta, -delta)]
+    return (J[0] - J[1]) / (2.0 * delta)
 
 
 def grad_check(scenario: Scenario, params, tol: float = 1e-2,
@@ -129,20 +160,28 @@ def grad_check(scenario: Scenario, params, tol: float = 1e-2,
 
     Coordinates whose two finite-difference estimates disagree by more than
     5% relative are flagged non-smooth (an event-order kink sits within the
-    stencil) and excluded from the pass rate.
+    stencil) and excluded from the pass rate. The base run is simulated
+    once, with checkpoints that every probe resumes from (``fd_gradient``).
     """
+    _check_step("tol", tol)
+    deltas = tuple(deltas)
+    if len(deltas) != 2:
+        raise ValueError(f"deltas must be two steps, got {deltas!r}")
+    for k, d in enumerate(deltas):
+        _check_step(f"deltas[{k}]", d)
     params = tuple(params)
-    record = simulate(scenario, params)
+    base: list[Checkpoint] = []
+    record = Simulator(scenario, params).run(checkpoints=base)
     grads = full_gradient(record)
-    report = FdReport(tol=tol, deltas=tuple(deltas))
+    report = FdReport(tol=tol, deltas=deltas)
 
     coords = [(j, kind, idx)
               for j in range(scenario.n_agents)
               for kind in ("theta", "w")
               for idx in range(params[j].n_points)]
     for j, kind, idx in coords:
-        fd1 = fd_gradient(scenario, params, j, kind, idx, deltas[0])
-        fd2 = fd_gradient(scenario, params, j, kind, idx, deltas[1])
+        fd1 = fd_gradient(scenario, params, j, kind, idx, deltas[0], base)
+        fd2 = fd_gradient(scenario, params, j, kind, idx, deltas[1], base)
         analytic = float(grads[j].theta[idx] if kind == "theta" else grads[j].w[idx])
         if fd1 is None or fd2 is None:
             report.coords.append(CoordCheck(j, kind, idx, analytic, fd1, fd2,

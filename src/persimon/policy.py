@@ -213,3 +213,18 @@ def resolve_boundary(phase: PhaseState, s: float, t: float,
         return Boundary(tau, (), nxt)
     nxt = PhaseState(point + 1, PhaseMode.TRANSIT, u_next, last_dir=u_next)
     return Boundary(tau, (Transition("departure", point, 0, u_next),), nxt)
+
+
+def first_reading_point(kind: str, index: int) -> int:
+    """The smallest ``point`` of a phase whose boundary reads parameter
+    ``theta[index]`` (``kind`` "theta") or ``w[index]`` ("w"), 0-based.
+
+    A phase of point ``p`` reads ``theta[p - 1]`` (its arrival, also the
+    arrival snap in ``Simulator.apply_events``), ``w[p - 1]`` (its dwell)
+    and ``theta[p]`` (``_after_departure``), and nothing else; the initial
+    phase is of point 1 at t = 0 and also reads ``theta[0]``. An agent's
+    phases never lower their point, so its first phase of at least this
+    point is the first to read the parameter: ``theta[0]``, ``theta[1]``
+    and ``w[0]`` are read from the start.
+    """
+    return index if kind == "theta" else index + 1

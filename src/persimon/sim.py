@@ -25,6 +25,12 @@ horizon. The record keeps each call's arrays as a ``Block``, their only
 holder, which the derivative scan reads one block at a time; an
 ``Interval`` holds what the event loop makes. The output samples come from
 the finished record, when they are first read (``sample_table``).
+
+Motion is open-loop, so a run whose parameters differ from an earlier run's
+only in what the agents' phases read late repeats that run until then. A
+run can record a ``Checkpoint`` at each batch that enters a new phase, and
+another run can resume from one: the finite-difference probes of
+``fdcheck`` do.
 """
 
 from __future__ import annotations
@@ -72,6 +78,13 @@ class SimState:
     pending: list[tuple[Interval, _Detection, np.ndarray, np.ndarray]] = field(
         default_factory=list)
     blocks: list[Block] = field(default_factory=list)
+
+    def copy(self) -> SimState:
+        """A copy that shares nothing the event loop changes with this state."""
+        return SimState(self.t, self.s.copy(), self.R.copy(), list(self.phases),
+                        self.on_floor.copy(), self.u.copy(), self.last_dir.copy(),
+                        list(self.bounds), self.bound_t.copy(), list(self.pending),
+                        list(self.blocks))
 
 
 @dataclass
@@ -164,6 +177,21 @@ class SimRecord:
     def event_columns(self) -> EventColumns:
         """The event log as arrays; ``row`` indexes ``event_membership``."""
         return event_columns(self.events)
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    """The event loop of a run at the start of an event batch that enters a
+    new phase for some agent: a copy of the state (with the pending kernel
+    entries and the finished blocks), the run's interval and event lists
+    with how many entries they held, and the chatter counter."""
+
+    state: SimState
+    intervals: list[Interval]
+    events: list[EventRecord]
+    n_intervals: int
+    n_events: int
+    stuck: int
 
 
 @dataclass
@@ -574,14 +602,34 @@ class Simulator:
 
     # -- full run -------------------------------------------------------------
 
-    def run(self) -> SimRecord:
+    def run(self, start: Checkpoint | None = None,
+            checkpoints: list[Checkpoint] | None = None) -> SimRecord:
+        """Simulate [0, T] and return the complete record.
+
+        With ``checkpoints``, append one ``Checkpoint`` to it at the start of
+        every event batch that enters a new phase for some agent. With
+        ``start``, a checkpoint of a run of the same scenario, resume from
+        it: the record's intervals, events and blocks before it are that
+        run's own objects. The result equals a fresh run's bit for bit when
+        the two runs' parameters agree on everything the agents' phases read
+        before ``start``: motion is open-loop, and a phase's boundary reads
+        only its own switching points and dwell (``first_reading_point``).
+        """
         sc = self.scenario
-        state = self.initial_state()
-        intervals: list[Interval] = []
-        events: list[EventRecord] = []
-        stuck = 0   # consecutive zero-length intervals
+        if start is None:
+            state = self.initial_state()
+            intervals: list[Interval] = []
+            events: list[EventRecord] = []
+            stuck = 0   # consecutive zero-length intervals
+        else:
+            state, stuck = start.state.copy(), start.stuck
+            intervals = start.intervals[:start.n_intervals]
+            events = start.events[:start.n_events]
         while True:
             det = self.next_event(state)
+            if checkpoints is not None and det.bounds:
+                checkpoints.append(Checkpoint(state.copy(), intervals, events,
+                                              len(intervals), len(events), stuck))
             iv = self.advance(state, det)
             idx = len(intervals)
             intervals.append(iv)

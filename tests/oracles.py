@@ -10,7 +10,9 @@ event detection over every (target, agent) pair at once, with the miss
 factors of all pairs (``miss_factors``), their slot layout by ``argsort``
 and a vectorised root finder (``first_crossings``), against which the
 simulator's sparse per-event path, its live pairs' slots and the block
-kernel's factor table are checked bit for bit.
+kernel's factor table are checked bit for bit. ``fd_report`` is
+``fdcheck.grad_check`` with one fresh simulation per finite-difference
+probe, the report its resumed probes must reproduce byte for byte.
 """
 
 from dataclasses import dataclass
@@ -20,10 +22,13 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from persimon.events import EventKind, EventRecord, order_batch
+from persimon.fdcheck import (REL_FLOOR, SMOOTH_RTOL, ZERO_EPS, CoordCheck, FdReport,
+                              _feasible, _perturbed)
+from persimon.gradient import full_gradient
 from persimon.model import AgentSpec, Scenario, detection, membership
 from persimon.policy import (AgentParams, Boundary, PhaseMode, control_value, initial_phase,
                              resolve_boundary)
-from persimon.sim import SimState, Simulator, _products
+from persimon.sim import SimState, Simulator, _products, simulate
 
 
 def sensing_prob(x: float, s: float, r: float) -> float:
@@ -268,3 +273,41 @@ def dense_detection(sim: Simulator, state: SimState) -> DenseDetection:
         records.append(EventRecord(tau_next, EventKind.HORIZON))
     return DenseDetection(tau=tau_next, records=order_batch(records), bounds=in_batch,
                           done=done, slots=slots, C0=C0, C1=C1, Q=Q, rate=rate)
+
+
+def fd_probe(scenario: Scenario, params, agent: int, kind: str, index: int,
+             delta: float) -> float | None:
+    """``fdcheck.fd_gradient`` from two fresh simulations."""
+    params = tuple(params)
+    if not _feasible(scenario, params, agent, kind, index, delta):
+        return None
+    up = _perturbed(params, agent, kind, index, +delta)
+    dn = _perturbed(params, agent, kind, index, -delta)
+    return (simulate(scenario, up).J - simulate(scenario, dn).J) / (2.0 * delta)
+
+
+def fd_report(scenario: Scenario, params, tol: float = 1e-2,
+              deltas: tuple[float, float] = (1e-3, 1e-4)) -> FdReport:
+    """``fdcheck.grad_check`` with every probe a fresh simulation."""
+    params = tuple(params)
+    grads = full_gradient(simulate(scenario, params))
+    report = FdReport(tol=tol, deltas=tuple(deltas))
+    for j in range(scenario.n_agents):
+        for kind in ("theta", "w"):
+            for idx in range(params[j].n_points):
+                fd1 = fd_probe(scenario, params, j, kind, idx, deltas[0])
+                fd2 = fd_probe(scenario, params, j, kind, idx, deltas[1])
+                analytic = float((grads[j].theta if kind == "theta" else grads[j].w)[idx])
+                if fd1 is None or fd2 is None:
+                    report.coords.append(CoordCheck(j, kind, idx, analytic, fd1, fd2,
+                                                    None, smooth=False, skipped=True))
+                elif max(abs(fd1), abs(fd2), abs(analytic)) <= ZERO_EPS:
+                    report.coords.append(CoordCheck(j, kind, idx, analytic, fd1, fd2,
+                                                    0.0, smooth=True, skipped=False))
+                else:
+                    scale = max(abs(fd1), abs(fd2), REL_FLOOR)
+                    smooth = abs(fd1 - fd2) <= SMOOTH_RTOL * scale
+                    rel = abs(analytic - fd2) / max(abs(fd2), REL_FLOOR)
+                    report.coords.append(CoordCheck(j, kind, idx, analytic, fd1, fd2,
+                                                    rel, smooth=smooth, skipped=False))
+    return report

@@ -1,7 +1,7 @@
 import pytest
 
 from persimon.fdcheck import fd_gradient, grad_check
-from persimon.sim import simulate
+from persimon.sim import Simulator, simulate
 
 from conftest import make_scenario, params, random_scenario, scale_gradient
 
@@ -76,3 +76,33 @@ class TestGradCheck:
         names = {c.func.id for c in ast.walk(fn)
                  if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
         assert "full_gradient" not in names and "agent_gradient" not in names
+
+
+class TestArguments:
+    """Bad steps and tolerances fail at entry, before any simulation, naming
+    the argument."""
+
+    SC = make_scenario([(10.0, 1.0, 5.0, 10.0)], [(4.0, 1, 3.0)], T=6.0)
+    PS = (params([12.0], [1.0]),)
+
+    @pytest.fixture(autouse=True)
+    def no_simulation(self, monkeypatch):
+        monkeypatch.setattr(Simulator, "run", lambda self, *a: pytest.fail("simulated"))
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf"), "0.01", None])
+    def test_bad_tol(self, tol):
+        with pytest.raises(ValueError, match=r"^tol must be a finite number > 0"):
+            grad_check(self.SC, self.PS, tol=tol)
+
+    @pytest.mark.parametrize("deltas, name", [
+        ((0.0, 1e-4), r"deltas\[0\]"), ((1e-3, -1e-4), r"deltas\[1\]"),
+        ((float("nan"), 1e-4), r"deltas\[0\]"), ((1e-3, float("inf")), r"deltas\[1\]"),
+        ((1e-3,), "deltas must be two steps"), ((1e-3, 1e-4, 1e-5), "deltas must be two steps")])
+    def test_bad_deltas(self, deltas, name):
+        with pytest.raises(ValueError, match="^" + name):
+            grad_check(self.SC, self.PS, deltas=deltas)
+
+    @pytest.mark.parametrize("delta", [0.0, -1e-4, float("nan"), float("inf")])
+    def test_bad_delta(self, delta):
+        with pytest.raises(ValueError, match=r"^delta must be a finite number > 0"):
+            fd_gradient(self.SC, self.PS, 0, "theta", 0, delta)
