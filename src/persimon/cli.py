@@ -26,7 +26,7 @@ from .model import (AgentSpec, InfoMode, Numerics, Scenario, ScenarioError,
                     Target, require_finite)
 from .policy import AgentParams, warn_u0_conflict
 from .sim import SimRecord, simulate
-from .visibility import mode_gradients, visible_events
+from .visibility import REASONS, delivery, mode_gradients
 
 SCHEMA_VERSION = 1
 
@@ -229,12 +229,18 @@ def write_events_csv(record: SimRecord, path: Path) -> None:
             wr.writerow(_event_row(ev))
 
 
-def write_audit_csv(record: SimRecord, agent: int, mode: InfoMode, path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["time", "kind", "agent", "target", "payload", "visibility"])
-        for ev, reason in visible_events(record, agent, mode):
-            wr.writerow(_event_row(ev) + [reason])
+def write_audit_csvs(record: SimRecord, mode: InfoMode, out: Path) -> None:
+    """``audit_events_agent<j>.csv`` for every agent ``j``: the events
+    delivered to it under ``mode``, each with its reason, from one
+    ``delivery`` array."""
+    codes = delivery(record, mode)
+    rows = [_event_row(ev) for ev in record.events]
+    for j in range(record.scenario.n_agents):
+        with open(out / f"audit_events_agent{j}.csv", "w", newline="", encoding="utf-8") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(["time", "kind", "agent", "target", "payload", "visibility"])
+            for e in np.flatnonzero(codes[:, j]).tolist():
+                wr.writerow(rows[e] + [REASONS[codes[e, j]]])
 
 
 def _gradient_block(record: SimRecord, mode: InfoMode) -> list[dict]:
@@ -265,8 +271,7 @@ def cmd_simulate(args) -> int:
     write_trajectory_csv(record, out / "trajectory.csv")
     write_events_csv(record, out / "events.csv")
     if args.audit_events:
-        for j in range(scenario.n_agents):
-            write_audit_csv(record, j, scenario.mode, out / f"audit_events_agent{j}.csv")
+        write_audit_csvs(record, scenario.mode, out)
     summary = {
         "command": "simulate",
         "schema_version": SCHEMA_VERSION,
@@ -309,9 +314,7 @@ def cmd_optimize(args) -> int:
             dump_params(ps, ckpt_dir / f"params_iter{l:04d}.json")
     dump_params(run.final_params, out / "params_final.json")
     if args.audit_events and run.final_record is not None:
-        for j in range(n_agents):
-            write_audit_csv(run.final_record, j, scenario.mode,
-                            out / f"audit_events_agent{j}.csv")
+        write_audit_csvs(run.final_record, scenario.mode, out)
     summary = {
         "command": "optimize",
         "schema_version": SCHEMA_VERSION,

@@ -1,7 +1,7 @@
 """Projected gradient descent over trajectory parameters.
 
 Each iteration simulates once, evaluates per-agent gradients under the
-configured information mode, and moves every agent's switching points and
+scenario's information mode, and moves every agent's switching points and
 dwell times against its own gradient block with a diminishing step,
 projecting back into the feasible box. Agents update synchronously: new
 parameters take effect at the next simulation.
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gradient import GradientVector
-from .model import InfoMode, Scenario, ScenarioError
+from .model import Scenario, ScenarioError
 from .policy import AgentParams, project_params
 from .sim import SimRecord, simulate
 from .visibility import mode_gradients
@@ -29,7 +29,6 @@ class OptimizerConfig:
     eta: float = 0.6
     epsilon: float = 1e-4
     max_iters: int = 200
-    mode: InfoMode | None = None   # None: use the scenario's mode
 
     def validate(self) -> None:
         """Range checks, each naming its field as ``optimizer.<field>``."""
@@ -94,7 +93,6 @@ def optimize(scenario: Scenario, initial: list[AgentParams] | tuple[AgentParams,
     final parameters closes the trace.
     """
     config.validate()
-    mode = config.mode if config.mode is not None else scenario.mode
     params = tuple(project_params(p, scenario.L) for p in initial)
     run = OptRun()
 
@@ -102,7 +100,7 @@ def optimize(scenario: Scenario, initial: list[AgentParams] | tuple[AgentParams,
         run.costs.append(record.J)
         run.n_events.append(len(record.events))
         run.n_intervals.append(len(record.intervals))
-        grads, diags = mode_gradients(record, mode, with_diagnostics=True)
+        grads, diags = mode_gradients(record, scenario.mode, with_diagnostics=True)
         for d in diags:
             run.hold_violations += d.hold_violations
             run.floor_leave_max_dev = max(run.floor_leave_max_dev,

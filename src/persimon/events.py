@@ -77,8 +77,7 @@ class EventRecord:
     control values for control switches (``point``, ``u_in``, ``u_out``,
     ``transition``), the joining/leaving agent for observer-set changes
     (``partner``). ``interval_index`` is the index of the inter-event
-    interval this event terminates (-1 for events at t = 0 before any
-    integration).
+    interval this event terminates (-1 until the simulator logs the event).
     """
 
     time: float
@@ -112,20 +111,24 @@ def kind_table(kinds) -> np.ndarray:
 
 
 class EventColumns(NamedTuple):
-    """A time-ordered event log as arrays, one entry per event."""
+    """A time-ordered event log as arrays, one per event; ``row`` is the interval it ends."""
 
     kind: np.ndarray              # (E,) index into KINDS
     agent: np.ndarray             # (E,) -1 where the event has none
     target: np.ndarray            # (E,) -1 where the event has none
-    row: np.ndarray               # (E,) interval_index + 1
+    row: np.ndarray               # (E,) interval_index
 
 
 def event_columns(events: list[EventRecord]) -> EventColumns:
+    """The columns of ``events``; ValueError for an event that ends no interval."""
     n = len(events)
+    row = np.fromiter((ev.interval_index for ev in events), np.intp, n)
+    if (row < 0).any():
+        raise ValueError(f"event ends no interval: {events[int(np.argmin(row))]}")
     return EventColumns(
         kind=np.fromiter((_CODE[ev.kind] for ev in events), np.intp, n),
         agent=np.fromiter((-1 if ev.agent is None else ev.agent for ev in events),
                           np.intp, n),
         target=np.fromiter((-1 if ev.target is None else ev.target for ev in events),
                            np.intp, n),
-        row=np.fromiter((ev.interval_index + 1 for ev in events), np.intp, n))
+        row=row)

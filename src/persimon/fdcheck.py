@@ -28,6 +28,7 @@ from .sim import Checkpoint, Simulator
 REL_FLOOR = 1e-8        # denominator floor for relative errors
 SMOOTH_RTOL = 0.05      # two-step agreement required to call a coordinate smooth
 ZERO_EPS = 1e-7         # below this, both sides agree the coordinate is inert
+DELTAS = (1e-3, 1e-4)   # the coarse and the fine central-difference step
 
 
 @dataclass
@@ -55,7 +56,7 @@ class CoordCheck:
 class FdReport:
     coords: list[CoordCheck] = field(default_factory=list)
     tol: float = 1e-2
-    deltas: tuple[float, float] = (1e-3, 1e-4)
+    deltas: tuple[float, float] = DELTAS
 
     def checked(self) -> list[CoordCheck]:
         return [c for c in self.coords if c.smooth and not c.skipped]
@@ -154,9 +155,9 @@ def fd_gradient(scenario: Scenario, params, agent: int, kind: str, index: int,
     return (J[0] - J[1]) / (2.0 * delta)
 
 
-def grad_check(scenario: Scenario, params, tol: float = 1e-2,
-               deltas: tuple[float, float] = (1e-3, 1e-4)) -> FdReport:
-    """Compare the analytic gradient against central differences per coordinate.
+def grad_check(scenario: Scenario, params, tol: float = 1e-2) -> FdReport:
+    """Compare the analytic gradient against central differences per coordinate,
+    at the two steps of ``DELTAS``.
 
     Coordinates whose two finite-difference estimates disagree by more than
     5% relative are flagged non-smooth (an event-order kink sits within the
@@ -164,24 +165,18 @@ def grad_check(scenario: Scenario, params, tol: float = 1e-2,
     once, with checkpoints that every probe resumes from (``fd_gradient``).
     """
     _check_step("tol", tol)
-    deltas = tuple(deltas)
-    if len(deltas) != 2:
-        raise ValueError(f"deltas must be two steps, got {deltas!r}")
-    for k, d in enumerate(deltas):
-        _check_step(f"deltas[{k}]", d)
     params = tuple(params)
     base: list[Checkpoint] = []
     record = Simulator(scenario, params).run(checkpoints=base)
     grads = full_gradient(record)
-    report = FdReport(tol=tol, deltas=deltas)
+    report = FdReport(tol=tol)
 
     coords = [(j, kind, idx)
               for j in range(scenario.n_agents)
               for kind in ("theta", "w")
               for idx in range(params[j].n_points)]
     for j, kind, idx in coords:
-        fd1 = fd_gradient(scenario, params, j, kind, idx, deltas[0], base)
-        fd2 = fd_gradient(scenario, params, j, kind, idx, deltas[1], base)
+        fd1, fd2 = (fd_gradient(scenario, params, j, kind, idx, d, base) for d in DELTAS)
         analytic = float(grads[j].theta[idx] if kind == "theta" else grads[j].w[idx])
         if fd1 is None or fd2 is None:
             report.coords.append(CoordCheck(j, kind, idx, analytic, fd1, fd2,

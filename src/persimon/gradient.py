@@ -20,8 +20,9 @@ centralized gradient.
 Between events the recursion is affine, so one pass scans the record
 ``CHUNK`` intervals at a time rather than interval by interval, each
 step (``Replica.interval_update``) reading the block kernel's arrays of
-its intervals as one ``sim.Block``; at the kernel's default
-``sim.BLOCK`` a step is one kernel call's block. An agent's position
+its intervals as one ``sim.Block``: at the kernel's default ``sim.BLOCK``
+a kernel call's block, read in place, else a slice of the blocks' joined
+arrays (``chunks``). An agent's position
 derivatives change only at its own control switches: they form a table
 with one row per stretch between switches. A target's uncertainty
 derivatives drift by the decay times the sensing gradient times G times
@@ -171,7 +172,8 @@ class Replica:
 
     def _schedule(self, deliver) -> tuple[list, list]:
         """The events that move a derivative, in log order, as ``(interval,
-        event, agents)`` with the agents whose ledgers the event moves: the
+        event, agents)`` with the interval the event ends (its row of
+        ``event_membership``) and the agents whose ledgers it moves: the
         switching agent for a control switch, else an index array or a slice
         for all agents. Control switches come in the first list and the
         events that rewrite an uncertainty derivative in the second: every
@@ -180,10 +182,9 @@ class Replica:
         intervals, and LOCAL's re-entry inferences."""
         rec, cols = self.record, self.record.event_columns
         events, N = rec.events, rec.scenario.n_agents
-        logged = cols.row > 0
         switches = [(ev.interval_index, ev, ev.agent) for ev in
-                    map(events.__getitem__, np.flatnonzero(_CONTROL[cols.kind] & logged).tolist())]
-        idx = np.flatnonzero(_RESET[cols.kind] & logged)
+                    map(events.__getitem__, np.flatnonzero(_CONTROL[cols.kind]).tolist())]
+        idx = np.flatnonzero(_RESET[cols.kind])
         kind, row, target = cols.kind[idx], cols.row[idx], cols.target[idx]
         sel = np.ones((idx.size, N), dtype=bool) if deliver is None else deliver[idx] != 0
         if self.local:
@@ -196,7 +197,7 @@ class Replica:
         keep = kind != _SENSE_ON
         if self.local and rec.scenario.local_reentry_reset:
             on = np.flatnonzero(~keep)
-            R1 = np.array([rec.intervals[k].R1[i] for k, i in zip(row[on] - 1, target[on])])
+            R1 = np.array([rec.intervals[k].R1[i] for k, i in zip(row[on], target[on])])
             agent = cols.agent[idx[on]]
             keep[on] = (R1 == 0.0) & sel[on, agent]
         whole = sel.all(axis=1)
@@ -447,31 +448,16 @@ class Replica:
 _ARRAYS = [f.name for f in fields(Block)][1:]
 
 
-def chunks(blocks: list[Block]):
-    """The intervals that ``blocks`` tile, as ``Block``s of ``CHUNK`` from
-    the first (the last one shorter): a kernel block that is one of them
-    as it is, any other cut from and joined across the kernel blocks."""
-    parts, n = [], 0
-    for blk in blocks:
-        a = 0
-        while a < blk.dt.size:
-            b = min(blk.dt.size, a + CHUNK - n)
-            parts.append((blk, a, b))
-            n, a = n + b - a, b
-            if n == CHUNK:
-                yield _join(parts)
-                parts, n = [], 0
-    if parts:
-        yield _join(parts)
-
-
-def _join(parts: list[tuple[Block, int, int]]) -> Block:
-    """The intervals ``a:b`` of each ``(block, a, b)``, in order, as one block."""
-    blk, a, b = parts[0]
-    if len(parts) == 1 and (a, b) == (0, blk.dt.size):
-        return blk
-    return Block(blk.start + a, *(np.concatenate([getattr(p, f)[lo:hi] for p, lo, hi in parts])
-                                  for f in _ARRAYS))
+def chunks(blocks: list[Block]) -> list[Block]:
+    """The intervals that ``blocks`` tile from 0, as ``Block``s of ``CHUNK``
+    (the last one shorter): ``blocks`` itself when the kernel cut them so,
+    as it does at its default block size, else slices of their joined
+    arrays."""
+    if (all(b.dt.size == CHUNK for b in blocks[:-1])
+            and all(b.dt.size <= CHUNK for b in blocks[-1:])):
+        return blocks
+    whole = [np.concatenate([getattr(b, f) for b in blocks]) for f in _ARRAYS]
+    return [Block(a, *(x[a:a + CHUNK] for x in whole)) for a in range(0, whole[0].size, CHUNK)]
 
 
 def sweep(record: SimRecord, deliver: np.ndarray | None = None,

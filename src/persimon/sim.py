@@ -61,8 +61,8 @@ class SimulationError(RuntimeError):
 
 @dataclass
 class SimState:
-    """Mutable integration state between events; ``u`` to ``bound_t`` are
-    per-agent caches of ``phases``, kept by ``Simulator._enter_phase``."""
+    """Mutable integration state between events; ``u``, ``last_dir`` and
+    ``bounds`` cache ``phases`` per agent, kept by ``Simulator._enter_phase``."""
 
     t: float
     s: np.ndarray                 # (N,) agent positions
@@ -72,7 +72,6 @@ class SimState:
     u: np.ndarray                 # (N,) controls
     last_dir: np.ndarray          # (N,) int
     bounds: list[Boundary | None]
-    bound_t: np.ndarray           # (N,) boundary times, inf for none
     # finished intervals awaiting the block kernel, with their detections,
     # the agents' last directions and the targets' floor flags while they ran
     pending: list[tuple[Interval, _Detection, np.ndarray, np.ndarray]] = field(
@@ -83,8 +82,7 @@ class SimState:
         """A copy that shares nothing the event loop changes with this state."""
         return SimState(self.t, self.s.copy(), self.R.copy(), list(self.phases),
                         self.on_floor.copy(), self.u.copy(), self.last_dir.copy(),
-                        list(self.bounds), self.bound_t.copy(), list(self.pending),
-                        list(self.blocks))
+                        list(self.bounds), list(self.pending), list(self.blocks))
 
 
 @dataclass
@@ -163,13 +161,10 @@ class SimRecord:
 
     @cached_property
     def event_membership(self) -> np.ndarray:
-        """Sensing-range membership at every event instant, (K + 1, M, N).
-
-        Row ``k + 1`` holds the positions at the end of interval ``k``, where
-        the events with ``interval_index == k`` happen; row 0 holds the
-        initial positions, for events logged before any interval.
-        """
-        S = np.array([self.intervals[0].s0] + [iv.s1 for iv in self.intervals])
+        """Sensing-range membership at every event instant, (K, M, N): row
+        ``k`` at the positions at the end of interval ``k``, where the events
+        with ``interval_index == k`` happen."""
+        S = np.array([iv.s1 for iv in self.intervals])
         sc = self.scenario
         return membership(sc.x, S, sc.r)[0]
 
@@ -369,7 +364,7 @@ class Simulator:
         on_floor = (R == 0.0) & (self.A - self.B * P0 <= 0.0)
         state = SimState(t=0.0, s=s, R=R, phases=[None] * N, on_floor=on_floor,
                          u=np.zeros(N), last_dir=np.zeros(N, dtype=int),
-                         bounds=[None] * N, bound_t=np.full(N, np.inf))
+                         bounds=[None] * N)
         for j, (spec, p) in enumerate(zip(sc.agents, self.params)):
             self._enter_phase(state, j, initial_phase(spec, p))
         return state
@@ -380,17 +375,15 @@ class Simulator:
         state.phases[j] = phase
         state.u[j] = control_value(phase)
         state.last_dir[j] = phase.last_dir
-        b = resolve_boundary(phase, float(state.s[j]), state.t, self.params[j],
-                             self.scenario.T)
-        state.bounds[j] = b
-        state.bound_t[j] = np.inf if b is None else b.time
+        state.bounds[j] = resolve_boundary(phase, float(state.s[j]), state.t,
+                                           self.params[j], self.scenario.T)
 
     # -- event detection -----------------------------------------------------
 
     def next_event(self, state: SimState) -> _Detection:
         sc, t0, eps = self.scenario, state.t, self.eps
         s, u, R = state.s.tolist(), state.u.tolist(), state.R.tolist()
-        bound_t = state.bound_t.tolist()
+        bound_t = [math.inf if b is None else b.time for b in state.bounds]
         tau_sched = min(sc.T, min(bound_t, default=math.inf))
 
         # motion guards in closed form while controls stay constant: each
@@ -492,16 +485,10 @@ class Simulator:
     def _control_record(self, tau: float, j: int, tr, phase: PhaseState) -> EventRecord:
         payload = {"transition": tr.kind, "point": tr.point,
                    "u_in": tr.u_before, "u_out": tr.u_after}
-        if tr.kind == "arrival":
-            u_for_kind = tr.u_before
-            if u_for_kind == 0:
-                u_for_kind = phase.last_dir if phase.last_dir != 0 else 1
-            kind = control_kind(u_for_kind, 0)
-        elif tr.kind == "departure":
-            kind = control_kind(0, tr.u_after)
-        else:  # reversal
-            kind = control_kind(tr.u_before, tr.u_after)
-        return EventRecord(tau, kind, agent=j, payload=payload)
+        # only an arrival in a coincident-point cascade goes from rest to
+        # rest; it is logged as a stop from the agent's last direction
+        u_in = tr.u_before if tr.u_before or tr.u_after else phase.last_dir or 1
+        return EventRecord(tau, control_kind(u_in, tr.u_after), agent=j, payload=payload)
 
     def _motion_records(self, tau: float, edge: int, moving_up: bool, i: int, j: int,
                         n_agents: int) -> list[EventRecord]:

@@ -56,11 +56,11 @@ def delivery(record: SimRecord, mode: InfoMode) -> np.ndarray:
     E, N = cols.kind.size, record.scenario.n_agents
     if mode is InfoMode.CENTRALIZED:
         return np.full((E, N), ALL, dtype=np.int8)
-    inr = record.event_membership                      # (K + 1, M, N)
+    inr = record.event_membership                      # (K, M, N)
     # collaborators: pairs of distinct agents sharing a sensed target
     # (float32 counts the shared targets exactly)
     f = inr.astype(np.float32)
-    collab = np.matmul(f.transpose(0, 2, 1), f) > 0.0   # (K + 1, N, N)
+    collab = np.matmul(f.transpose(0, 2, 1), f) > 0.0   # (K, N, N)
     collab[:, np.arange(N), np.arange(N)] = False
     out = np.zeros((E, N), dtype=np.int8)
     out[cols.kind == _HORIZON] = ALL

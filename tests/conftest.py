@@ -1,4 +1,6 @@
+import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,15 @@ from persimon.gradient import GradientVector, Replica
 from persimon.model import AgentSpec, InfoMode, Numerics, Scenario, Target
 from persimon.policy import AgentParams
 from persimon.sim import Block
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def pool_scenario(tmp_path, workload, k=0):
+    """Scenario file of the benchmark's pool entry ``k`` of ``workload``."""
+    path = tmp_path / "entry.scenario"
+    path.write_text(json.dumps(json.loads(REFERENCE.read_text())[workload]["pool"][k]["doc"]))
+    return path
 
 
 def make_scenario(targets, agents, L=40.0, T=20.0, mode=InfoMode.CENTRALIZED,

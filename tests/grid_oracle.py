@@ -77,7 +77,7 @@ class GridSimulator(Simulator):
 
     def next_event(self, state):
         sc, t0, eps, u = self.scenario, state.t, self.eps, state.u
-        tau_sched = min(sc.T, float(state.bound_t.min(initial=np.inf)))
+        tau_sched = min([sc.T] + [b.time for b in state.bounds if b is not None])
         motion = []
         for j in range(sc.n_agents):
             if u[j] == 0.0:

@@ -218,7 +218,8 @@ class DenseDetection:
 def dense_detection(sim: Simulator, state: SimState) -> DenseDetection:
     """``Simulator.next_event`` over every (target, agent) pair at once."""
     sc, t0, eps, u = sim.scenario, state.t, sim.eps, state.u
-    tau_sched = min(sc.T, float(state.bound_t.min(initial=np.inf)))
+    bound_t = np.array([np.inf if b is None else b.time for b in state.bounds])
+    tau_sched = min(sc.T, float(bound_t.min(initial=np.inf)))
 
     edges = sim.x[None, :, None] + sim.r[:, None, None] * np.array([-1.0, 1.0, 0.0])
     tau_m = t0 + (edges - state.s[:, None, None]) * u[:, None, None]
@@ -258,7 +259,7 @@ def dense_detection(sim: Simulator, state: SimState) -> DenseDetection:
     limit = tau_next + eps
     records: list[EventRecord] = []
     in_batch: dict[int, Boundary] = {}
-    for j in np.flatnonzero(state.bound_t <= limit).tolist():
+    for j in np.flatnonzero(bound_t <= limit).tolist():
         b = state.bounds[j]
         in_batch[j] = b
         for tr in b.transitions:

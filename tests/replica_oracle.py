@@ -287,7 +287,7 @@ class Replica:
                         "!= 0: integration bug")
                 st.dR_dtheta[i, :] = 0.0
                 st.dR_dw[i, :] = 0.0
-            elif self.record.event_membership[ev.interval_index + 1, i, self.agent]:
+            elif self.record.event_membership[ev.interval_index, i, self.agent]:
                 # locally observed floor-leave: the reset rule applies even
                 # to a stale value
                 st.dR_dtheta[i, :] = 0.0
@@ -394,7 +394,7 @@ def visible_events(record: SimRecord, agent: int,
     if mode is InfoMode.CENTRALIZED:
         return [(ev, "all") for ev in record.events]
     # per event instant (rows as in SimRecord.event_membership)
-    inr = record.event_membership                     # (K + 1, M, N)
+    inr = record.event_membership                     # (K, M, N)
     mine = inr[:, :, agent]
     # collaborators: other agents sharing at least one sensed target
     collab = (inr & mine[:, :, None]).any(axis=1)
@@ -403,7 +403,7 @@ def visible_events(record: SimRecord, agent: int,
     tvis = mine | (inr & collab[:, None, :]).any(axis=2)
     out: list[tuple[EventRecord, str]] = []
     for ev in record.events:
-        row = ev.interval_index + 1
+        row = ev.interval_index
         if ev.kind is EventKind.HORIZON:
             out.append((ev, "all"))
         elif ev.kind in CONTROL_KINDS:

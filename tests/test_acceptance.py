@@ -5,6 +5,7 @@ scenarios for the full 200 iterations and take a few minutes each; all
 other criteria run in seconds to ~2 minutes.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -98,8 +99,7 @@ def test_criterion_1_equivalence(experiment1, rng):
                                  T=float(rng.uniform(15.0, 40.0)), n_points=3)
         runs = {}
         for mode in (InfoMode.ALMOST, InfoMode.CENTRALIZED):
-            cfg = OptimizerConfig(max_iters=3, mode=mode)
-            runs[mode] = optimize(sc, ps, cfg)
+            runs[mode] = optimize(replace(sc, mode=mode), ps, OptimizerConfig(max_iters=3))
         a, c = runs[InfoMode.ALMOST], runs[InfoMode.CENTRALIZED]
         if a.costs != c.costs or a.grad_norms != c.grad_norms:
             runs_equal = False

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import logging
@@ -11,11 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from persimon.cli import build_parser, dump_params, load_params, load_scenario, main
-from persimon.model import ScenarioError
+from persimon import cli
+from persimon.cli import (build_parser, dump_params, load_params, load_scenario, main,
+                          write_audit_csvs)
+from persimon.model import InfoMode, ScenarioError
 from persimon.sim import simulate
+from persimon.visibility import visible_events
 
-from conftest import scale_gradient
+from conftest import pool_scenario, scale_gradient
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "persimon" / "data"
 
@@ -235,6 +239,31 @@ class TestSimulateCmd:
         for name in ("trajectory.csv", "events.csv", "summary.json",
                      "audit_events_agent0.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestAuditCsvs:
+    @pytest.mark.parametrize("source", ["example1", "crowd-modes"])
+    def test_one_delivery_per_call_and_rows_of_visible_events(self, source, tmp_path,
+                                                               monkeypatch):
+        sc, ps, _ = load_scenario(pool_scenario(tmp_path, source) if source == "crowd-modes"
+                                  else DATA / f"{source}.scenario")
+        rec = simulate(sc, ps)
+        calls = []
+        real = cli.delivery
+        monkeypatch.setattr(cli, "delivery", lambda *a: calls.append(a) or real(*a))
+        for mode in InfoMode:
+            out = tmp_path / mode.name
+            out.mkdir()
+            write_audit_csvs(rec, mode, out)
+            assert len(calls) == 1
+            calls.clear()
+            for j in range(sc.n_agents):
+                with open(out / f"audit_events_agent{j}.csv", newline="", encoding="utf-8") as fh:
+                    rows = list(csv.reader(fh))
+                want = [cli._event_row(ev) + [why] for ev, why in visible_events(rec, j, mode)]
+                assert rows[0] == ["time", "kind", "agent", "target", "payload", "visibility"]
+                assert rows[1:] == want
+            assert len(list(out.iterdir())) == sc.n_agents
 
 
 class TestOptimizeCmd:

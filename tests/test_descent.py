@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -114,8 +115,7 @@ class TestOptimize:
         sc, ps = random_scenario(np.random.default_rng(12), n_agents=2, T=10.0)
         runs = {}
         for mode in (InfoMode.CENTRALIZED, InfoMode.ALMOST):
-            cfg = OptimizerConfig(max_iters=4, mode=mode)
-            runs[mode] = optimize(sc, ps, cfg)
+            runs[mode] = optimize(replace(sc, mode=mode), ps, OptimizerConfig(max_iters=4))
         a, c = runs[InfoMode.ALMOST], runs[InfoMode.CENTRALIZED]
         assert a.costs == c.costs
         for pa, pc in zip(a.params_history, c.params_history):

@@ -94,14 +94,6 @@ class TestArguments:
         with pytest.raises(ValueError, match=r"^tol must be a finite number > 0"):
             grad_check(self.SC, self.PS, tol=tol)
 
-    @pytest.mark.parametrize("deltas, name", [
-        ((0.0, 1e-4), r"deltas\[0\]"), ((1e-3, -1e-4), r"deltas\[1\]"),
-        ((float("nan"), 1e-4), r"deltas\[0\]"), ((1e-3, float("inf")), r"deltas\[1\]"),
-        ((1e-3,), "deltas must be two steps"), ((1e-3, 1e-4, 1e-5), "deltas must be two steps")])
-    def test_bad_deltas(self, deltas, name):
-        with pytest.raises(ValueError, match="^" + name):
-            grad_check(self.SC, self.PS, deltas=deltas)
-
     @pytest.mark.parametrize("delta", [0.0, -1e-4, float("nan"), float("inf")])
     def test_bad_delta(self, delta):
         with pytest.raises(ValueError, match=r"^delta must be a finite number > 0"):

@@ -6,11 +6,12 @@ import pytest
 from persimon.events import EventKind, EventRecord
 from persimon import sim as sim_module
 from persimon.cli import load_scenario
+from persimon.fdcheck import _perturbed, _resume_point
 from persimon.gradient import CHUNK, Replica, chunks, full_gradient, init_derivatives
 from persimon.policy import AgentParams
-from persimon.sim import Block, Interval, simulate
+from persimon.sim import Block, Interval, Simulator, simulate
 
-from conftest import interval_blocks, make_scenario, params, random_scenario
+from conftest import interval_blocks, make_scenario, params, pool_scenario, random_scenario
 from oracles import position_at, position_schedule
 from replica_oracle import LockstepReplica, walk
 
@@ -131,8 +132,13 @@ def kernel_blocks(cuts, M=2, N=3):
     return out
 
 
+RANDOM_CUTS = [np.random.default_rng(seed).integers(1, 2 * CHUNK, size=n).tolist()
+               for seed, n in ((0, 3), (1, 6), (2, 12))]
+
+
 class TestChunks:
-    @pytest.mark.parametrize("cuts", [[1] * 70, [7] * 10, [5, 40, 3, 1, 30], [100], [32, 32, 6]])
+    @pytest.mark.parametrize("cuts", [[1] * 70, [7] * 10, [5, 40, 3, 1, 30], [100], [32, 32, 6]]
+                             + RANDOM_CUTS)
     def test_fixed_grid_whatever_the_kernel_cuts(self, cuts):
         steps = list(chunks(kernel_blocks(cuts)))
         K = sum(cuts)
@@ -145,14 +151,19 @@ class TestChunks:
                 assert np.array_equal(getattr(s, f), scale * np.broadcast_to(
                     k[:, None, None], (k.size, 2, 3)))
 
-    def test_default_kernel_blocks_are_the_steps(self):
-        # at the default block size the scan reads the kernel's arrays in place
+    def test_default_kernel_blocks_are_the_steps(self, tmp_path):
+        # at the default block size the scan reads the kernel's arrays in place:
+        # on a fresh run, on a probe resumed from a checkpoint and on a pool entry
         assert CHUNK == sim_module.BLOCK
         sc, ps, _ = load_scenario(EXAMPLE1)
-        rec = simulate(sc, ps)
-        steps = list(chunks(rec.blocks))
-        assert len(steps) == len(rec.blocks) > 1
-        assert all(s is b for s, b in zip(steps, rec.blocks))
+        base = []
+        rec = Simulator(sc, ps).run(checkpoints=base)
+        assert len(rec.blocks) > 1
+        probe = Simulator(sc, _perturbed(tuple(ps), 1, "theta", 3, 1e-4)).run(
+            _resume_point(base, 1, "theta", 3))
+        crowd = simulate(*load_scenario(pool_scenario(tmp_path, "crowd-modes"))[:2])
+        for r in (rec, probe, crowd):
+            assert chunks(r.blocks) is r.blocks
 
 
 class TestHoldCheck:

@@ -138,7 +138,8 @@ def checkpoint_fields(cp):
                for iv, det, last_dir, on_floor in st_.pending]
     blocks = [[raw(getattr(blk, f.name)) for f in fields(Block)] for blk in st_.blocks]
     return [raw(st_.t), raw(st_.s), raw(st_.R), st_.phases, raw(st_.on_floor), raw(st_.u),
-            raw(st_.last_dir), st_.bounds, raw(st_.bound_t), pending, blocks,
+            raw(st_.last_dir), st_.bounds,
+            raw([np.inf if b is None else b.time for b in st_.bounds]), pending, blocks,
             cp.n_intervals, cp.n_events, cp.stuck]
 
 
@@ -171,8 +172,8 @@ class TestFirstReadRule:
         ps = (params([7.0, 12.0, 9.0, 14.0], [1.0, 1.0, 1.0, 1.0]),)
         _, base = base_run(sc, ps)
         # one checkpoint per arrival and per departure, before it
-        assert [cp.state.bound_t[0] for cp in base] == [2.0, 3.0, 8.0, 9.0, 12.0, 13.0,
-                                                       18.0, 19.0]
+        assert [cp.state.bounds[0].time for cp in base] == [2.0, 3.0, 8.0, 9.0, 12.0, 13.0,
+                                                             18.0, 19.0]
         assert [cp.state.phases[0].point for cp in base] == [1, 1, 2, 2, 3, 3, 4, 4]
         starts = {(kind, idx): _resume_point(base, 0, kind, idx)
                   for _, kind, idx in coordinates(ps)}

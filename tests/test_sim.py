@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from persimon import sim as sim_module
 from persimon.cli import load_scenario
 from persimon.descent import optimize
-from persimon.events import EventKind
+from persimon.events import EventKind, EventRecord, event_columns
 from persimon.fdcheck import grad_check
 from persimon.model import InfoMode, Numerics, detection
 from persimon.sim import SimulationError, Simulator, simulate
@@ -362,13 +362,18 @@ class TestRecordInvariants:
         sc, ps = random_scenario(rng, n_agents=3, n_targets=4, T=12.0)
         rec = simulate(sc, ps)
         inr = rec.event_membership
-        assert inr.shape == (len(rec.intervals) + 1, sc.n_targets, sc.n_agents)
-        ends = [rec.intervals[0].s0] + [iv.s1 for iv in rec.intervals]
-        for row, s in zip(inr, ends):
+        assert inr.shape == (len(rec.intervals), sc.n_targets, sc.n_agents)
+        for row, s in zip(inr, [iv.s1 for iv in rec.intervals]):
             for i, tg in enumerate(sc.targets):
                 for j, ag in enumerate(sc.agents):
                     assert row[i, j] == (abs(tg.x - s[j]) <= ag.r)
         assert inr.any() and not inr.all()
+
+    def test_event_columns_reject_an_event_that_ends_no_interval(self):
+        rec = simulate(*random_scenario(np.random.default_rng(4), n_agents=2, T=6.0))
+        assert event_columns(rec.events).row.tolist() == [ev.interval_index for ev in rec.events]
+        with pytest.raises(ValueError, match="ends no interval"):
+            event_columns(rec.events + [EventRecord(0.0, EventKind.HORIZON)])
 
     def test_determinism_bitwise(self):
         rng = np.random.default_rng(7)
