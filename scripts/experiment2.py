@@ -12,7 +12,7 @@ from importlib.resources import files
 from persimon.cli import main
 
 if __name__ == "__main__":
-    scenario = files("persimon") / "data" / "example2.scenario"
+    scenario = files("persimon") / "data" / "example1.scenario"
     out = sys.argv[1] if len(sys.argv) > 1 else "results/experiment2"
-    sys.exit(main(["optimize", "--scenario", str(scenario), "--out", out,
-                   "--audit-events"]))
+    sys.exit(main(["optimize", "--scenario", str(scenario), "--mode", "LOCAL",
+                   "--out", out, "--audit-events"]))

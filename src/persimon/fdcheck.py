@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .gradient import full_gradient
 from .model import Scenario
 from .policy import AgentParams, first_reading_point
-from .sim import Checkpoint, Simulator
+from .sim import SimState, Simulator
 
 REL_FLOOR = 1e-8        # denominator floor for relative errors
 SMOOTH_RTOL = 0.05      # two-step agreement required to call a coordinate smooth
@@ -129,22 +129,22 @@ def _check_step(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
-def _resume_point(base: list[Checkpoint], agent: int, kind: str,
-                  index: int) -> Checkpoint | None:
-    """The checkpoint of ``base`` whose batch enters ``agent``'s first phase
-    that reads the parameter: the last one before that phase, as an agent's
-    phases never lower their point. None to run from the start, where the
-    initial phase reads the parameter."""
+def _resume_point(base: list[SimState], agent: int, kind: str,
+                  index: int) -> SimState | None:
+    """The checkpoint of ``base`` (a copy of the base run's state) whose batch
+    enters ``agent``'s first phase that reads the parameter: the last one
+    before that phase, as an agent's phases never lower their point. None to
+    run from the start, where the initial phase reads the parameter."""
     point = first_reading_point(kind, index)
-    return next((cp for cp in reversed(base) if cp.state.phases[agent].point < point), None)
+    return next((cp for cp in reversed(base) if cp.phases[agent].point < point), None)
 
 
 def fd_gradient(scenario: Scenario, params, agent: int, kind: str, index: int,
-                delta: float, base: list[Checkpoint] | None = None) -> float | None:
+                delta: float, base: list[SimState] | None = None) -> float | None:
     """Central-difference cost derivative for one coordinate, or None if the
     symmetric perturbation would leave the feasible box. ``base`` holds the
-    checkpoints of a run of ``params`` (``Simulator.run``); with it, each
-    probe resumes from the last one before the parameter is first read."""
+    checkpoints of a run of ``params``, copies of its state (``Simulator.run``);
+    with it, each probe resumes from the last one before the parameter is first read."""
     _check_step("delta", delta)
     params = tuple(params)
     if not _feasible(scenario, params, agent, kind, index, delta):
@@ -166,7 +166,7 @@ def grad_check(scenario: Scenario, params, tol: float = 1e-2) -> FdReport:
     """
     _check_step("tol", tol)
     params = tuple(params)
-    base: list[Checkpoint] = []
+    base: list[SimState] = []
     record = Simulator(scenario, params).run(checkpoints=base)
     grads = full_gradient(record)
     report = FdReport(tol=tol)

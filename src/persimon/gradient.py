@@ -60,49 +60,6 @@ _LEAVE, _SENSE_ON = KINDS.index(EventKind.R_LEFT_ZERO), KINDS.index(EventKind.SE
 
 
 @dataclass
-class Derivatives:
-    """Derivative state of every agent: position and uncertainty sensitivities.
-
-    Row ``j`` is agent ``j``. The last axis of ``ds`` and ``dR`` holds the
-    switching-point block and then the dwell block, each padded to the
-    longest program ``P``; padded entries and entries of points not yet
-    reached are structurally zero. ``switch_index[j]`` is the 1-based index
-    of agent ``j``'s most recently reached switching point.
-    """
-
-    ds: np.ndarray                # (N, 2P)
-    dR: np.ndarray                # (N, M, 2P)
-    switch_index: np.ndarray      # (N,)
-
-    @property
-    def P(self) -> int:
-        return self.ds.shape[-1] // 2
-
-    @property
-    def ds_dtheta(self) -> np.ndarray:
-        return self.ds[:, :self.P]
-
-    @property
-    def ds_dw(self) -> np.ndarray:
-        return self.ds[:, self.P:]
-
-    @property
-    def dR_dtheta(self) -> np.ndarray:
-        return self.dR[:, :, :self.P]
-
-    @property
-    def dR_dw(self) -> np.ndarray:
-        return self.dR[:, :, self.P:]
-
-
-def init_derivatives(n_agents: int, n_targets: int, n_points: int) -> Derivatives:
-    """All-zero state: initial positions and uncertainties are constants."""
-    return Derivatives(ds=np.zeros((n_agents, 2 * n_points)),
-                       dR=np.zeros((n_agents, n_targets, 2 * n_points)),
-                       switch_index=np.zeros(n_agents, dtype=int))
-
-
-@dataclass
 class GradientVector:
     """Cost gradient blocks: one agent's vectors, or (N, P) rows of all agents."""
 
@@ -138,6 +95,13 @@ class Replica:
     scenario's ``local_reentry_reset`` lets an agent that re-acquires a
     target at zero uncertainty infer the floor hit it missed.
 
+    The ledgers are the position and uncertainty derivatives ``ds`` (N, 2P)
+    and ``dR`` (N, M, 2P), zero at the start: row ``j`` is agent ``j``, and
+    the last axis holds the switching-point block, then the dwell block,
+    each padded to the longest program ``P``; padded entries and those of
+    points not yet reached stay zero. ``switch_index[j]`` is the 1-based
+    index of agent ``j``'s most recently reached switching point.
+
     ``run`` takes the record ``CHUNK`` intervals at a time (``chunks``,
     ``interval_update``), applying each step's control switches and then its
     resets, all through ``apply_event``. The hold rule is checked once per
@@ -153,13 +117,15 @@ class Replica:
         sc = record.scenario
         N, M = sc.n_agents, sc.n_targets
         self.n_points = [p.n_points for p in record.params]
-        P = max(self.n_points, default=0)
+        self.P = P = max(self.n_points, default=0)
         self.B = sc.B[:, None]        # (M, 1)
         # travel direction into each switching point
         self.steps = np.zeros((N, P))
         for j, (spec, p) in enumerate(zip(sc.agents, record.params)):
             self.steps[j, :p.n_points] = np.sign(np.diff(np.concatenate([[spec.s0], p.theta])))
-        self.state = init_derivatives(N, M, P)
+        self.ds = np.zeros((N, 2 * P))
+        self.dR = np.zeros((N, M, 2 * P))
+        self.switch_index = np.zeros(N, dtype=int)
         self.diags = [ReplicaDiagnostics() for _ in range(N)]
         self._leave_dev = np.zeros(N)
         # hold-checker state: each pair's range status at the last check, and
@@ -237,8 +203,8 @@ class Replica:
         ``T`` from then on, and at the block's end; the drifts of all these
         segments come from one batched product.
         """
-        st, a = self.state, blk.start
-        n, N = blk.dt.size, st.ds.shape[0]
+        a = blk.start
+        n, N = blk.dt.size, self.ds.shape[0]
         # each agent's position derivatives, one row per stretch of intervals
         # between its own control switches; interval k has row stretch[k, j]
         opens = np.zeros((n, N), dtype=int)
@@ -246,12 +212,12 @@ class Replica:
             if k - a + 1 < n:
                 opens[k - a + 1, j] = 1
         stretch = np.cumsum(opens, axis=0)                          # (n, N)
-        ds = np.zeros((N, stretch[-1].max(initial=0) + 1, st.ds.shape[1]))   # (N, S, 2P)
-        ds[:, 0] = st.ds
+        ds = np.zeros((N, stretch[-1].max(initial=0) + 1, 2 * self.P))   # (N, S, 2P)
+        ds[:, 0] = self.ds
         for k, ev, j in switches:
             self.apply_event(ev, j)
             if k - a + 1 < n:
-                ds[j, stretch[k - a + 1, j]] = st.ds[j]
+                ds[j, stretch[k - a + 1, j]] = self.ds[j]
         member = (stretch.T[:, :, None] == np.arange(ds.shape[1])).astype(float)   # (N, n, S)
 
         idle = blk.on_floor | (blk.dt == 0.0)[:, None]              # (n, M)
@@ -260,7 +226,7 @@ class Replica:
         g = (coef * blk.GG).sum(axis=1)                              # (n, N)
         # the drift of each row up to each of its resets, then to the block's
         # end (one segment per row, in row order), per stretch
-        dR = st.dR
+        dR = self.dR
         M = dR.shape[1]
         rows, lo, hi = [ev.target for _, ev, _ in resets] + list(range(M)), [], []
         last = [0] * M
@@ -310,18 +276,17 @@ class Replica:
 
     def _switch(self, j: int, payload: dict) -> None:
         """Position-derivative jump of agent ``j`` at its own control switch."""
-        st = self.state
         kind, point = payload["transition"], payload["point"]
-        d_theta, d_w = st.ds_dtheta[j], st.ds_dw[j]
+        d_theta, d_w = self.ds[j, :self.P], self.ds[j, self.P:]
         if kind == "arrival":
-            st.switch_index[j] = point
-            st.ds[j] = 0.0
+            self.switch_index[j] = point
+            self.ds[j] = 0.0
             d_theta[point - 1] = 1.0
         elif kind == "departure":
-            if point != st.switch_index[j]:
+            if point != self.switch_index[j]:
                 raise RuntimeError(
                     f"agent {j}: departure from point {point} but current "
-                    f"switch index is {st.switch_index[j]}")
+                    f"switch index is {self.switch_index[j]}")
             u, steps = float(payload["u_out"]), self.steps[j]
             d_theta[point - 1] -= u * steps[point - 1]
             if point >= 2:
@@ -331,7 +296,7 @@ class Replica:
             # a zero dwell fuses arrival and departure at one instant: the
             # reached point gets sensitivity 2, earlier points flip sign, and
             # every passed dwell now delays the outgoing leg
-            st.switch_index[j] = point
+            self.switch_index[j] = point
             d_theta[point - 1] = 2.0
             d_theta[:point - 1] = -d_theta[:point - 1]
             d_w[:point] = -float(payload["u_out"])
@@ -340,31 +305,31 @@ class Replica:
 
     def apply_event(self, ev: EventRecord, agents) -> None:
         """Apply one event to the ledgers of ``agents`` (as scheduled)."""
-        st = self.state
+        dR = self.dR
         if ev.kind in CONTROL_KINDS:
             self._switch(agents, ev.payload)
         elif ev.kind is EventKind.SENSE_ON:
             # the LOCAL re-entry inference, scheduled only where it applies
             i = ev.target
-            if st.dR[agents, i].any():
+            if dR[agents, i].any():
                 self.diags[agents].reentry_resets += 1
-            st.dR[agents, i] = 0.0
+            dR[agents, i] = 0.0
         elif ev.kind is EventKind.R_LEFT_ZERO and not self.local:
             # under full floor-hit delivery the state here is provably
             # already zero; the explicit write is defense in depth
             i = ev.target
-            dev = np.abs(st.dR[agents, i]).max(axis=-1, initial=0.0)
+            dev = np.abs(dR[agents, i]).max(axis=-1, initial=0.0)
             self._leave_dev[agents] = np.maximum(self._leave_dev[agents], dev)
             worst = float(dev.max(initial=0.0))
             if worst > FLOOR_RESET_TOL:
                 raise RuntimeError(
                     f"target {i} leaves its floor with derivative {worst:.3e} "
                     "!= 0: integration bug")
-            st.dR[agents, i] = 0.0
+            dR[agents, i] = 0.0
         else:
             # a floor hit, or a locally observed floor-leave, resets the
             # target's derivatives
-            st.dR[agents, ev.target] = 0.0
+            dR[agents, ev.target] = 0.0
 
     # -- hold checker ------------------------------------------------------
 
@@ -423,7 +388,7 @@ class Replica:
         rec = self.record
         if (rec.blocks[-1].stop if rec.blocks else 0) != len(rec.intervals):
             raise RuntimeError("the record's kernel blocks do not cover its intervals")
-        acc = np.zeros_like(self.state.ds)
+        acc = np.zeros_like(self.ds)
         sw_keys = [k for k, _, _ in self._switches]
         rs_keys = [k for k, _, _ in self._resets]
         s0 = r0 = 0
@@ -441,8 +406,7 @@ class Replica:
         bad = np.flatnonzero(~np.isfinite(acc).all(axis=1))
         if bad.size:
             raise RuntimeError(f"agent {bad[0]}: non-finite gradient")
-        P = self.state.P
-        return GradientVector(theta=acc[:, :P], w=acc[:, P:])
+        return GradientVector(theta=acc[:, :self.P], w=acc[:, self.P:])
 
 
 _ARRAYS = [f.name for f in fields(Block)][1:]

@@ -28,9 +28,9 @@ the finished record, when they are first read (``sample_table``).
 
 Motion is open-loop, so a run whose parameters differ from an earlier run's
 only in what the agents' phases read late repeats that run until then. A
-run can record a ``Checkpoint`` at each batch that enters a new phase, and
-another run can resume from one: the finite-difference probes of
-``fdcheck`` do.
+run can record a checkpoint, a copy of its ``SimState``, at each batch that
+enters a new phase, and another run can resume from one: the
+finite-difference probes of ``fdcheck`` do.
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ class SimulationError(RuntimeError):
 
 @dataclass
 class SimState:
-    """Mutable integration state between events; ``u``, ``last_dir`` and
-    ``bounds`` cache ``phases`` per agent, kept by ``Simulator._enter_phase``."""
+    """The event loop's state between events: the integration state, the
+    run so far and the chatter counter. ``u``, ``last_dir`` and ``bounds``
+    cache ``phases`` per agent, kept by ``Simulator._enter_phase``."""
 
     t: float
     s: np.ndarray                 # (N,) agent positions
@@ -77,12 +78,16 @@ class SimState:
     pending: list[tuple[Interval, _Detection, np.ndarray, np.ndarray]] = field(
         default_factory=list)
     blocks: list[Block] = field(default_factory=list)
+    intervals: list[Interval] = field(default_factory=list)
+    events: list[EventRecord] = field(default_factory=list)
+    stuck: int = 0                # consecutive zero-length intervals
 
     def copy(self) -> SimState:
         """A copy that shares nothing the event loop changes with this state."""
         return SimState(self.t, self.s.copy(), self.R.copy(), list(self.phases),
                         self.on_floor.copy(), self.u.copy(), self.last_dir.copy(),
-                        list(self.bounds), list(self.pending), list(self.blocks))
+                        list(self.bounds), list(self.pending), list(self.blocks),
+                        list(self.intervals), list(self.events), self.stuck)
 
 
 @dataclass
@@ -172,21 +177,6 @@ class SimRecord:
     def event_columns(self) -> EventColumns:
         """The event log as arrays; ``row`` indexes ``event_membership``."""
         return event_columns(self.events)
-
-
-@dataclass(frozen=True)
-class Checkpoint:
-    """The event loop of a run at the start of an event batch that enters a
-    new phase for some agent: a copy of the state (with the pending kernel
-    entries and the finished blocks), the run's interval and event lists
-    with how many entries they held, and the chatter counter."""
-
-    state: SimState
-    intervals: list[Interval]
-    events: list[EventRecord]
-    n_intervals: int
-    n_events: int
-    stuck: int
 
 
 @dataclass
@@ -360,14 +350,22 @@ class Simulator:
         N = sc.n_agents
         s = np.array([a.s0 for a in sc.agents], dtype=float)
         R = np.array([t.r0 for t in sc.targets], dtype=float)
-        _, P0 = detection(self.x, s, self.r)
-        on_floor = (R == 0.0) & (self.A - self.B * P0 <= 0.0)
+        on_floor = np.array([r == 0.0 and self._floor_holds(i, s.tolist())
+                             for i, r in enumerate(R.tolist())], dtype=bool)
         state = SimState(t=0.0, s=s, R=R, phases=[None] * N, on_floor=on_floor,
                          u=np.zeros(N), last_dir=np.zeros(N, dtype=int),
                          bounds=[None] * N)
         for j, (spec, p) in enumerate(zip(sc.agents, self.params)):
             self._enter_phase(state, j, initial_phase(spec, p))
         return state
+
+    def _floor_holds(self, i: int, s: list[float]) -> bool:
+        """Whether target ``i``'s floor holds with the agents at ``s``: its rate
+        ``A - B P`` is not positive (``P`` as ``model.detection``, by agent)."""
+        miss = 1.0
+        for sj, rj in zip(s, self._r):
+            miss *= min(abs(self._x[i] - sj) / rj, 1.0)
+        return self._A[i] - self._B[i] * (1.0 - miss) <= 0.0
 
     def _enter_phase(self, state: SimState, j: int, phase: PhaseState) -> None:
         """Put agent ``j`` into ``phase`` at the state's time and position,
@@ -566,13 +564,8 @@ class Simulator:
             if rec.kind is EventKind.R_HIT_ZERO:
                 i = rec.target
                 state.R[i] = 0.0
-                # model.detection's joint miss of target i, one agent at a time
-                miss = 1.0
-                for sj, rj in zip(state.s.tolist(), self._r):
-                    miss *= min(abs(self._x[i] - sj) / rj, 1.0)
-                g = self._A[i] - self._B[i] * (1.0 - miss)
                 out.append(rec)
-                if g <= 0.0:
+                if self._floor_holds(i, state.s.tolist()):
                     state.on_floor[i] = True
                 else:
                     # grazing touch: the floor cannot hold, leaves 0 at once
@@ -589,34 +582,26 @@ class Simulator:
 
     # -- full run -------------------------------------------------------------
 
-    def run(self, start: Checkpoint | None = None,
-            checkpoints: list[Checkpoint] | None = None) -> SimRecord:
+    def run(self, start: SimState | None = None,
+            checkpoints: list[SimState] | None = None) -> SimRecord:
         """Simulate [0, T] and return the complete record.
 
-        With ``checkpoints``, append one ``Checkpoint`` to it at the start of
+        With ``checkpoints``, append a copy of the state to it at the start of
         every event batch that enters a new phase for some agent. With
-        ``start``, a checkpoint of a run of the same scenario, resume from
-        it: the record's intervals, events and blocks before it are that
-        run's own objects. The result equals a fresh run's bit for bit when
-        the two runs' parameters agree on everything the agents' phases read
-        before ``start``: motion is open-loop, and a phase's boundary reads
-        only its own switching points and dwell (``first_reading_point``).
+        ``start``, such a checkpoint of a run of the same scenario, resume from
+        a copy of it: the record's intervals, events and blocks before it are
+        that run's own objects. The result equals a fresh run's bit for bit
+        when the two runs' parameters agree on everything the agents' phases
+        read before ``start``: motion is open-loop, and a phase's boundary
+        reads only its own switching points and dwell (``first_reading_point``).
         """
         sc = self.scenario
-        if start is None:
-            state = self.initial_state()
-            intervals: list[Interval] = []
-            events: list[EventRecord] = []
-            stuck = 0   # consecutive zero-length intervals
-        else:
-            state, stuck = start.state.copy(), start.stuck
-            intervals = start.intervals[:start.n_intervals]
-            events = start.events[:start.n_events]
+        state = self.initial_state() if start is None else start.copy()
+        intervals, events = state.intervals, state.events
         while True:
             det = self.next_event(state)
             if checkpoints is not None and det.bounds:
-                checkpoints.append(Checkpoint(state.copy(), intervals, events,
-                                              len(intervals), len(events), stuck))
+                checkpoints.append(state.copy())
             iv = self.advance(state, det)
             idx = len(intervals)
             intervals.append(iv)
@@ -628,13 +613,13 @@ class Simulator:
             events.extend(recs)
             if det.done:
                 break
-            stuck = stuck + 1 if iv.t1 == iv.t0 else 0
-            if stuck > self._chatter:
+            state.stuck = state.stuck + 1 if iv.t1 == iv.t0 else 0
+            if state.stuck > self._chatter:
                 agents = sorted({r.agent for r in recs if r.agent is not None})
                 targets = sorted({r.target for r in recs if r.target is not None})
                 raise SimulationError(
-                    f"event detection stuck at t={iv.t1!r}: {stuck} zero-length intervals "
-                    f"in a row, the last one ending in events of agents {agents} "
+                    f"event detection stuck at t={iv.t1!r}: {state.stuck} zero-length "
+                    f"intervals in a row, the last one ending in events of agents {agents} "
                     f"and targets {targets}")
 
         total = sum(float(iv.int_R.sum()) for iv in intervals)

@@ -101,8 +101,7 @@ def check_floor_hits_observed(record: SimRecord) -> None:
             f"floor hit of target {ev.target} at t={ev.time} observed by no agent")
 
 
-def mode_gradients(record: SimRecord, mode: InfoMode | None = None,
-                   with_diagnostics: bool = False):
+def mode_gradients(record: SimRecord, mode: InfoMode, with_diagnostics: bool = False):
     """Per-agent cost gradients under an information mode.
 
     Physics is shared (one simulation record); only the events each agent's
@@ -110,8 +109,6 @@ def mode_gradients(record: SimRecord, mode: InfoMode | None = None,
     ledgers. CENTRALIZED delivers everything, exactly as ``full_gradient``;
     LOCAL sweeps with ``local`` set, as holding stale derivatives is its point.
     """
-    if mode is None:
-        mode = record.scenario.mode
     check_floor_hits_observed(record)
     deliver = None if mode is InfoMode.CENTRALIZED else delivery(record, mode)
     grads, diags = sweep(record, deliver, local=mode is InfoMode.LOCAL)

@@ -41,7 +41,7 @@ def walk(rep: gradient.Replica, after_interval=None) -> np.ndarray:
     by_interval: dict[int, list] = {}
     for k, ev, agents in sorted(rep._switches + rep._resets, key=lambda e: e[0]):
         by_interval.setdefault(k, []).append((ev, agents))
-    acc = np.zeros_like(rep.state.ds)
+    acc = np.zeros_like(rep.ds)
     for idx, (iv, blk) in enumerate(zip(rep.record.intervals, interval_blocks(rep.record))):
         if iv.dt > 0:
             acc += rep.interval_update(blk)
@@ -59,7 +59,7 @@ class LockstepReplica(gradient.Replica):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._frozen = np.zeros_like(self.state.dR)
+        self._frozen = np.zeros_like(self.dR)
 
     def apply_event(self, ev: EventRecord, agents) -> None:
         super().apply_event(ev, agents)
@@ -79,7 +79,7 @@ class LockstepReplica(gradient.Replica):
         moved counts one violation. ``blk`` holds the kernel arrays of ``iv``
         alone.
         """
-        dR = self.state.dR
+        dR = self.dR
         outside_now = ~blk.in_range[0].T
         moved = self._outside.T & outside_now
         if moved.any():

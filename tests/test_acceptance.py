@@ -78,9 +78,9 @@ def experiment1():
 
 @pytest.fixture(scope="session")
 def experiment2():
-    """Bundled purely-local run: 200 iterations in LOCAL mode."""
-    scenario, ps, opt = load_scenario(DATA / "example2.scenario")
-    assert scenario.mode is InfoMode.LOCAL
+    """Bundled mission on purely local information: 200 iterations in LOCAL mode."""
+    scenario, ps, opt = load_scenario(DATA / "example1.scenario")
+    scenario = replace(scenario, mode=InfoMode.LOCAL)
     run = optimize(scenario, ps, opt)
     return {"scenario": scenario, "run": run}
 

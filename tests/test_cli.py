@@ -70,11 +70,10 @@ def scenario_file(tmp_path):
 
 class TestLoad:
     def test_bundled_files_valid(self):
-        for name in ("example1.scenario", "example2.scenario"):
-            sc, params, opt = load_scenario(DATA / name)
-            assert sc.n_targets == 7 and sc.n_agents == 3
-            assert params[0].n_points == 56
-            assert opt.max_iters == 200
+        sc, params, opt = load_scenario(DATA / "example1.scenario")
+        assert sc.n_targets == 7 and sc.n_agents == 3
+        assert params[0].n_points == 56
+        assert opt.max_iters == 200
 
     def test_malformed_decay_names_target(self, tmp_path):
         doc = small_doc()

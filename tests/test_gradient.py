@@ -7,7 +7,7 @@ from persimon.events import EventKind, EventRecord
 from persimon import sim as sim_module
 from persimon.cli import load_scenario
 from persimon.fdcheck import _perturbed, _resume_point
-from persimon.gradient import CHUNK, Replica, chunks, full_gradient, init_derivatives
+from persimon.gradient import CHUNK, Replica, chunks, full_gradient
 from persimon.policy import AgentParams
 from persimon.sim import Block, Interval, Simulator, simulate
 
@@ -33,22 +33,20 @@ def blank_interval(t0, t1, M, N, **kw):
 
 class TestInit:
     def test_all_zero(self):
-        st = init_derivatives(2, 3, 4)
-        assert st.ds_dtheta.shape == st.ds_dw.shape == (2, 4)
-        assert st.dR_dtheta.shape == st.dR_dw.shape == (2, 3, 4)
-        assert not st.ds_dtheta.any() and not st.ds_dw.any()
-        assert not st.dR_dtheta.any() and not st.dR_dw.any()
-        assert not st.switch_index.any()
+        # two agents with programs of 4 and 1 points, three targets: the
+        # ledgers are padded to the longest program
+        sc = make_scenario([(10.0, 1.0, 5.0, 6.0)] * 3, [(2.0, 1, 3.0), (3.0, 1, 3.0)], T=5.0)
+        rep = Replica(simulate(sc, [params([4.0, 8.0, 6.0, 5.0], [1.0] * 4),
+                                    params([5.0], [1.0])]))
+        assert rep.P == 4
+        assert rep.ds.shape == (2, 8) and rep.dR.shape == (2, 3, 8)
+        assert not rep.ds.any() and not rep.dR.any()
+        assert rep.switch_index.shape == (2,) and not rep.switch_index.any()
 
     def test_empty_program(self):
-        st = init_derivatives(1, 2, 0)
-        assert st.ds_dtheta.size == 0 and st.dR_dtheta.shape == (1, 2, 0)
-
-    def test_blocks_are_views_of_one_ledger(self):
-        st = init_derivatives(2, 1, 3)
-        st.ds_dw[1, 2] = 4.0
-        st.dR_dtheta[0, 0, 1] = 5.0
-        assert st.ds[1, 5] == 4.0 and st.dR[0, 0, 1] == 5.0
+        sc = make_scenario([(10.0, 1.0, 5.0, 6.0)] * 2, [(2.0, 1, 3.0)], T=5.0)
+        rep = Replica(simulate(sc, [params([], [])]))
+        assert rep.P == 0 and rep.ds.shape == (1, 0) and rep.dR.shape == (1, 2, 0)
 
     def test_blocks_independent_across_agents(self):
         # perturbing one agent's parameters leaves the other's position
@@ -68,7 +66,7 @@ class TestInit:
 def _ds_history(record, agent):
     rep = Replica(record)
     out = []
-    walk(rep, lambda iv, _: out.append((iv.t1, rep.state.ds_dtheta[agent].copy())))
+    walk(rep, lambda iv, _: out.append((iv.t1, rep.ds[agent, :rep.P].copy())))
     return out
 
 
@@ -77,11 +75,11 @@ class TestIntervalUpdate:
         sc = make_scenario([(10.0, 1.0, 5.0, 6.0)], [(2.0, 1, 3.0)], T=5.0)
         rec = simulate(sc, [params([4.0], [1.0])])
         rep = Replica(rec)
-        rep.state.dR_dtheta[0, 0, 0] = 0.7
+        rep.dR[0, 0, 0] = 0.7
         _, blk = blank_interval(0.0, 2.0, 1, 1,
                                 in_range=np.zeros((1, 1), dtype=bool))
         rep.interval_update(blk)
-        assert rep.state.dR_dtheta[0, 0, 0] == 0.7
+        assert rep.dR[0, 0, 0] == 0.7
 
     def test_floor_arc_holds_at_zero(self):
         sc = make_scenario([(10.0, 1.0, 5.0, 6.0)], [(2.0, 1, 3.0)], T=5.0)
@@ -91,32 +89,32 @@ class TestIntervalUpdate:
                                 on_floor=np.ones(1, dtype=bool),
                                 dp_ds=np.full((1, 1), 1 / 3.0),
                                 G=np.full((1, 1), 2.0), GG=np.full((1, 1), 2.0))
-        rep.state.ds_dtheta[0, 0] = 1.0
+        rep.ds[0, 0] = 1.0
         rep.interval_update(blk)
-        assert rep.state.dR_dtheta[0, 0, 0] == 0.0
+        assert rep.dR[0, 0, 0] == 0.0
 
     def test_lone_observer_drift(self):
         # dp/ds=+1/r, ds/dtheta=1, dt=2, empty co-observer set: G = dt
         sc = make_scenario([(10.0, 1.0, 5.0, 6.0)], [(2.0, 1, 3.0)], T=5.0)
         rec = simulate(sc, [params([4.0], [1.0])])
         rep = Replica(rec)
-        rep.state.ds_dtheta[0, 0] = 1.0
+        rep.ds[0, 0] = 1.0
         _, blk = blank_interval(0.0, 2.0, 1, 1,
                                 dp_ds=np.full((1, 1), 1 / 3.0),
                                 G=np.full((1, 1), 2.0), GG=np.full((1, 1), 2.0))
         rep.interval_update(blk)
-        assert rep.state.dR_dtheta[0, 0, 0] == pytest.approx(-5.0 * (1 / 3.0) * 2.0)
+        assert rep.dR[0, 0, 0] == pytest.approx(-5.0 * (1 / 3.0) * 2.0)
 
     def test_agents_drift_by_their_own_columns(self):
         # two agents on one target: each row drifts by its own dp/ds and G
         sc = make_scenario([(10.0, 1.0, 5.0, 6.0)], [(2.0, 1, 3.0), (3.0, 1, 3.0)], T=5.0)
         rec = simulate(sc, [params([4.0], [1.0]), params([5.0], [1.0])])
         rep = Replica(rec)
-        rep.state.ds_dtheta[:, 0] = [1.0, 2.0]
+        rep.ds[:, 0] = [1.0, 2.0]
         _, blk = blank_interval(0.0, 2.0, 1, 2, dp_ds=np.array([[1 / 3.0, -1 / 3.0]]),
                                 G=np.array([[2.0, 1.5]]), GG=np.zeros((1, 2)))
         rep.interval_update(blk)
-        assert rep.state.dR_dtheta[:, 0, 0] == pytest.approx(
+        assert rep.dR[:, 0, 0] == pytest.approx(
             [-5.0 / 3.0 * 2.0 * 1.0, 5.0 / 3.0 * 1.5 * 2.0])
 
 
@@ -179,7 +177,7 @@ class TestHoldCheck:
         rep = self._rep(10)
         out = blank_interval(0.0, 1.0, 10, 1, in_range=np.zeros((10, 1), dtype=bool))
         rep.check_holds(*out)                  # freezes the reference copy
-        rep.state.dR_dw[0, :, 0] = 0.5
+        rep.dR[0, :, rep.P] = 0.5
         rep.check_holds(*out)
         assert rep.diags[0].hold_violations == 10
         assert rep.diags[0].notes == [
@@ -193,10 +191,10 @@ class TestHoldCheck:
                                 in_range=np.array([[True], [False]]))
         outside = blank_interval(1.0, 2.0, 2, 1, in_range=np.zeros((2, 1), dtype=bool))
         rep.check_holds(*inside)
-        rep.state.dR_dtheta[0, 0, 0] = 0.3     # target 0 was in range: refreshed
+        rep.dR[0, 0, 0] = 0.3     # target 0 was in range: refreshed
         rep.check_holds(*outside)
         assert rep.diags[0].hold_violations == 0
-        rep.state.dR_dtheta[0, 1, 0] = np.nan  # target 1 stayed out of range
+        rep.dR[0, 1, 0] = np.nan  # target 1 stayed out of range
         rep.check_holds(*outside)
         assert rep.diags[0].hold_violations == 1
         assert rep.diags[0].notes == ["target 1 derivative moved out of range in [1.0, 2.0]"]
@@ -208,7 +206,7 @@ class TestHoldCheck:
         rep = LockstepReplica(simulate(sc, [params([4.0], [1.0]), params([5.0], [1.0])]))
         held = blank_interval(0.0, 1.0, 1, 2, in_range=np.array([[True, False]]))
         rep.check_holds(*held)
-        rep.state.dR_dw[:, 0, 0] = 0.5
+        rep.dR[:, 0, rep.P] = 0.5
         rep.check_holds(*held)
         assert [d.hold_violations for d in rep.diags] == [0, 1]
         assert rep.diags[0].notes == []
@@ -224,20 +222,20 @@ class TestEventUpdates:
 
     def test_floor_hit_resets_all(self):
         rep = self._rep()
-        rep.state.dR_dtheta[0, 0] = [0.7, -0.2]
+        rep.dR[0, 0, :rep.P] = [0.7, -0.2]
         rep.apply_event(EventRecord(1.0, EventKind.R_HIT_ZERO, target=0,
                                     interval_index=0), slice(None))
-        assert np.array_equal(rep.state.dR_dtheta[0, 0], [0.0, 0.0])
+        assert np.array_equal(rep.dR[0, 0, :rep.P], [0.0, 0.0])
 
     def test_floor_hit_resets_only_the_agents_it_reaches(self):
         sc = make_scenario([(10.0, 1.0, 5.0, 6.0)] * 2,
                            [(2.0, 1, 3.0), (3.0, 1, 3.0), (4.0, 1, 3.0)], T=5.0)
         rep = Replica(simulate(sc, [params([4.0], [1.0])] * 3))
-        rep.state.dR_dw[:, :, 0] = 0.7
+        rep.dR[:, :, rep.P] = 0.7
         rep.apply_event(EventRecord(1.0, EventKind.R_HIT_ZERO, target=1,
                                     interval_index=0), np.array([0, 2]))
-        assert rep.state.dR_dw[:, 1, 0].tolist() == [0.0, 0.7, 0.0]
-        assert rep.state.dR_dw[:, 0, 0].tolist() == [0.7, 0.7, 0.7]
+        assert rep.dR[:, 1, rep.P].tolist() == [0.0, 0.7, 0.0]
+        assert rep.dR[:, 0, rep.P].tolist() == [0.7, 0.7, 0.7]
 
     def test_arrival_sets_unit_sensitivity(self):
         rep = self._rep()
@@ -245,7 +243,7 @@ class TestEventUpdates:
                                     payload={"transition": "arrival", "point": 1,
                                              "u_in": 1, "u_out": 0},
                                     interval_index=0), 0)
-        assert rep.state.ds_dtheta[0, 0] == 1.0 and rep.state.switch_index[0] == 1
+        assert rep.ds[0, 0] == 1.0 and rep.switch_index[0] == 1
 
     def test_departure_dwell_sensitivity(self):
         rep = self._rep()
@@ -257,32 +255,32 @@ class TestEventUpdates:
                                     payload={"transition": "departure", "point": 1,
                                              "u_in": 0, "u_out": 1},
                                     interval_index=0), 0)
-        assert rep.state.ds_dw[0, 0] == -1.0
+        assert rep.ds[0, rep.P] == -1.0
 
     def test_reversal_doubles_current_and_flips_past(self):
         rep = self._rep()
-        rep.state.switch_index[0] = 1
-        rep.state.ds_dtheta[0] = [0.4, 0.0]
+        rep.switch_index[0] = 1
+        rep.ds[0, :rep.P] = [0.4, 0.0]
         rep.apply_event(EventRecord(3.0, EventKind.U_UP_DOWN, agent=0,
                                     payload={"transition": "reversal", "point": 2,
                                              "u_in": 1, "u_out": -1},
                                     interval_index=0), 0)
-        assert rep.state.ds_dtheta[0, 1] == 2.0
-        assert rep.state.ds_dtheta[0, 0] == -0.4
+        assert rep.ds[0, 1] == 2.0
+        assert rep.ds[0, 0] == -0.4
 
     def test_other_agents_events_ignored(self):
         # a control switch moves only the switching agent's row
         sc = make_scenario([(10.0, 1.0, 5.0, 6.0)], [(2.0, 1, 3.0), (3.0, 1, 3.0)], T=5.0)
         rep = Replica(simulate(sc, [params([4.0, 8.0], [1.0, 1.0]),
                                         params([5.0], [1.0])]))
-        before = rep.state.ds.copy()
+        before = rep.ds.copy()
         rep.apply_event(EventRecord(2.0, EventKind.U_UP_STOP, agent=1,
                                     payload={"transition": "arrival", "point": 1,
                                              "u_in": 1, "u_out": 0},
                                     interval_index=0), 1)
-        assert np.array_equal(rep.state.ds[0], before[0])
-        assert rep.state.ds_dtheta[1].tolist() == [1.0, 0.0]
-        assert rep.state.switch_index.tolist() == [0, 1]
+        assert np.array_equal(rep.ds[0], before[0])
+        assert rep.ds[1, :rep.P].tolist() == [1.0, 0.0]
+        assert rep.switch_index.tolist() == [0, 1]
 
     def test_inert_kinds_are_not_scheduled(self):
         rng = np.random.default_rng(3)
@@ -334,7 +332,7 @@ def _full_state_history(record, agent):
     rep = Replica(record)
     hist = []
     walk(rep, lambda iv, _: hist.append(
-        (iv.t0, iv.t1, rep.state.ds_dtheta[agent].copy(), rep.state.ds_dw[agent].copy())))
+        (iv.t0, iv.t1, rep.ds[agent, :rep.P].copy(), rep.ds[agent, rep.P:].copy())))
     return hist
 
 
@@ -357,7 +355,7 @@ class TestGradientAccumulation:
         sc = make_scenario([(10.0, 1.0, 5.0, 6.0)], [(2.0, 1, 3.0)], T=5.0)
         rec = simulate(sc, [params([4.0], [1.0])])
         rep = Replica(rec)
-        rep.state.dR_dtheta[0, 0, 0] = 0.3
+        rep.dR[0, 0, 0] = 0.3
         acc = np.zeros(1)
         for iv, blk in zip(rec.intervals, interval_blocks(rec)):
             if iv.dt > 0:
@@ -395,7 +393,7 @@ class TestGradientAccumulation:
         sc = make_scenario([(10.0, 1.0, 5.0, 6.0)], [(2.0, 1, 3.0)], T=5.0)
         rec = simulate(sc, [params([4.0], [1.0])])
         rep = Replica(rec)
-        rep.state.dR_dtheta[0, 0, 0] = np.nan
+        rep.dR[0, 0, 0] = np.nan
         with pytest.raises(RuntimeError, match="agent 0: non-finite gradient"):
             rep.run()
 
@@ -416,8 +414,8 @@ class TestGradientAccumulation:
         rep = Replica(rec)
         padded = []
         walk(rep, lambda iv, _: padded.append(
-            (rep.state.ds_dtheta[0, 1:].any() or rep.state.ds_dw[0, 1:].any()
-             or rep.state.dR_dtheta[0, :, 1:].any() or rep.state.dR_dw[0, :, 1:].any())))
+            (rep.ds[0, 1:rep.P].any() or rep.ds[0, rep.P + 1:].any()
+             or rep.dR[0, :, 1:rep.P].any() or rep.dR[0, :, rep.P + 1:].any())))
         assert padded and not any(padded)
         g = full_gradient(rec)
         assert g[0].theta.shape == (1,) and g[1].w.shape == (3,)

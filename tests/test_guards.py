@@ -84,7 +84,7 @@ class TestBenchmarkHooks:
             return step(self, *args)
 
         monkeypatch.setattr(Replica, "interval_update", counting)
-        mode_gradients(rec)
+        mode_gradients(rec, sc.mode)
         assert len(rec.intervals) == 738
         assert calls == list(range(0, len(rec.intervals), CHUNK))
         assert len(calls) == math.ceil(len(rec.intervals) / CHUNK) == 24

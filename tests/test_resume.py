@@ -126,7 +126,7 @@ def assert_probes_exact(sc, ps, coords=None, deltas=DELTAS):
 def checkpoint_fields(cp):
     """A checkpoint's state, counters and pending kernel entries, with every
     float as its bytes."""
-    st_ = cp.state
+    st_ = cp
 
     def raw(v):
         return np.asarray(v).tobytes()
@@ -140,7 +140,7 @@ def checkpoint_fields(cp):
     return [raw(st_.t), raw(st_.s), raw(st_.R), st_.phases, raw(st_.on_floor), raw(st_.u),
             raw(st_.last_dir), st_.bounds,
             raw([np.inf if b is None else b.time for b in st_.bounds]), pending, blocks,
-            cp.n_intervals, cp.n_events, cp.stuck]
+            len(cp.intervals), len(cp.events), cp.stuck]
 
 
 def assert_fresh_probe_passes_checkpoint(sc, ps, coords=None):
@@ -154,7 +154,7 @@ def assert_fresh_probe_passes_checkpoint(sc, ps, coords=None):
         if start is None:
             continue
         _, own = base_run(sc, q)
-        same = [cp for cp in own if cp.n_intervals == start.n_intervals]
+        same = [cp for cp in own if len(cp.intervals) == len(start.intervals)]
         assert len(same) == 1, (j, kind, idx)
         assert checkpoint_fields(same[0]) == checkpoint_fields(start), (j, kind, idx)
         resumed += 1
@@ -172,9 +172,9 @@ class TestFirstReadRule:
         ps = (params([7.0, 12.0, 9.0, 14.0], [1.0, 1.0, 1.0, 1.0]),)
         _, base = base_run(sc, ps)
         # one checkpoint per arrival and per departure, before it
-        assert [cp.state.bounds[0].time for cp in base] == [2.0, 3.0, 8.0, 9.0, 12.0, 13.0,
+        assert [cp.bounds[0].time for cp in base] == [2.0, 3.0, 8.0, 9.0, 12.0, 13.0,
                                                              18.0, 19.0]
-        assert [cp.state.phases[0].point for cp in base] == [1, 1, 2, 2, 3, 3, 4, 4]
+        assert [cp.phases[0].point for cp in base] == [1, 1, 2, 2, 3, 3, 4, 4]
         starts = {(kind, idx): _resume_point(base, 0, kind, idx)
                   for _, kind, idx in coordinates(ps)}
         assert [key for key, cp in starts.items() if cp is None] == [
@@ -212,19 +212,39 @@ class TestResumedRecord:
         cp = base[len(base) // 2]
         again = Simulator(sc, ps).run(cp)
         assert record_fields(again) == record_fields(record)
-        assert all(a is b for a, b in zip(again.intervals[:cp.n_intervals], record.intervals))
-        assert all(a is b for a, b in zip(again.events[:cp.n_events], record.events))
-        assert len(cp.state.blocks) == cp.n_intervals // sim_module.BLOCK
-        assert all(a is b for a, b in zip(again.blocks, record.blocks[:len(cp.state.blocks)]))
+        assert all(a is b for a, b in zip(again.intervals[:len(cp.intervals)], record.intervals))
+        assert all(a is b for a, b in zip(again.events[:len(cp.events)], record.events))
+        assert len(cp.blocks) == len(cp.intervals) // sim_module.BLOCK
+        assert all(a is b for a, b in zip(again.blocks, record.blocks[:len(cp.blocks)]))
         # a resume leaves the checkpoint as it was
         assert checkpoint_fields(cp) == checkpoint_fields(base[len(base) // 2])
+
+    def test_checkpoint_holds_only_the_run_up_to_its_instant(self):
+        # each checkpoint owns the prefix of the run it copied: the base run
+        # going on, and two probes resumed from it, leave it as it was
+        sc, ps, _ = load_scenario(DATA / "smoke.scenario")
+        ps = tuple(ps)
+        record, base = base_run(sc, ps)
+        sizes = [(len(cp.intervals), len(cp.events)) for cp in base]
+
+        def holds_its_prefix():
+            assert [(len(cp.intervals), len(cp.events)) for cp in base] == sizes
+            for cp in base:
+                assert all(iv.t1 <= cp.t for iv in cp.intervals)
+                assert record.intervals[len(cp.intervals)].t0 == cp.t
+                assert all(ev.interval_index < len(cp.intervals) for ev in cp.events)
+
+        holds_its_prefix()
+        Simulator(sc, ps).run(base[len(base) // 2])
+        Simulator(sc, _perturbed(ps, 0, "w", 1, 1e-3)).run(_resume_point(base, 0, "w", 1))
+        holds_its_prefix()
 
     def test_stuck_counts_the_zero_length_intervals_before_a_checkpoint(self):
         sc = make_scenario([(10.0, 1.0, 5.0, 2.0)], [(5.0, 1, 3.0)], T=10.0)
         ps = (params([7.0, 7.0, 7.0, 7.0, 12.0], [0.0, 0.0, 0.0, 0.0, 1.0]),)
         record, base = base_run(sc, ps)
         for cp in base:
-            ivs = record.intervals[:cp.n_intervals]
+            ivs = record.intervals[:len(cp.intervals)]
             trailing = next((k for k, iv in enumerate(reversed(ivs)) if iv.t1 != iv.t0),
                             len(ivs))
             assert cp.stuck == trailing
@@ -256,7 +276,7 @@ class TestChatterAfterResume:
         ps = (params([7.0, 12.0, 9.0, 14.0], [1.0, 1.0, 1.0, 1.0]),)
         _, base = base_run(sc, ps)
         start = _resume_point(base, 0, "theta", 3)
-        assert start is not None and 8.0 <= start.state.t < 10.0
+        assert start is not None and 8.0 <= start.t < 10.0
         apply = Simulator.apply_events
         monkeypatch.setattr(Simulator, "apply_events", lambda self, state, det: (
             apply(self, state, det) if state.t < 10.0 else det.records))
@@ -275,7 +295,7 @@ class TestChatterAfterResume:
         ps = (params([7.0, 7.0, 7.0, 7.0, 12.0], [0.0, 0.0, 0.0, 0.0, 1.0]),)
         _, base = base_run(sc, ps)
         start = _resume_point(base, 0, "w", 3)
-        assert start.state.t == 2.0 and start.stuck > 0
+        assert start.t == 2.0 and start.stuck > 0
         apply, advance = Simulator.apply_events, Simulator.advance
         monkeypatch.setattr(Simulator, "apply_events", lambda self, state, det: (
             det.records if any(b.next_phase.point >= 4 for b in det.bounds.values())
@@ -291,7 +311,7 @@ class TestChatterAfterResume:
         with pytest.raises(SimulationError, match=r"stuck at t=2\.0") as resumed:
             Simulator(sc, q).run(start)
         assert str(resumed.value) == str(fresh.value)
-        assert start.n_intervals + len(steps) == fresh_steps
+        assert len(start.intervals) + len(steps) == fresh_steps
 
 
 THETAS = (1.0, 4.0, 6.5, 9.0, 9.0, 12.0, 17.0)

@@ -68,7 +68,7 @@ class TestAgainstOracle:
         sc, ps = zero_dwell_scenario(seed, n_agents, n_targets)
         assert_matches_oracles(simulate(sc, ps))
 
-    @pytest.mark.parametrize("name", ["smoke", "example1", "example2"])
+    @pytest.mark.parametrize("name", ["smoke", "example1"])
     def test_bundled_examples(self, name):
         sc, ps, _ = load_scenario(DATA / f"{name}.scenario")
         assert_matches_oracles(simulate(sc, ps))
