@@ -2,13 +2,14 @@
 
 Between events, the derivative of an agent's position with respect to its
 own switching points and dwell times is constant, and each target's
-uncertainty derivative drifts by the sensing gradient times a co-observer
-collaboration integral. At events the derivatives jump by closed-form
-rules: reaching the floor resets a target's derivatives for every agent,
-control switches rewrite the position derivatives, and sensing or
-observer-set changes leave everything continuous. Integrating the
-uncertainty derivatives over time and dividing by the horizon gives the
-exact gradient of the time-averaged cost.
+uncertainty derivative drifts by the block kernel's ``c``: the decay times
+the sensing gradient times a co-observer collaboration integral. At events
+the derivatives jump by closed-form rules: reaching the floor resets a
+target's derivatives for every agent, control switches rewrite the
+position derivatives, and sensing or observer-set changes leave
+everything continuous. Integrating the uncertainty derivatives over time
+and dividing by the horizon gives the exact gradient of the time-averaged
+cost.
 
 Each agent keeps its own derivative ledger and moves it only on the
 events delivered to it, so its gradient follows from its own event stream.
@@ -22,16 +23,16 @@ Between events the recursion is affine, so one pass scans the record
 step (``Replica.interval_update``) reading the block kernel's arrays of
 its intervals as one ``sim.Block``: at the kernel's default ``sim.BLOCK``
 a kernel call's block, read in place, else a slice of the blocks' joined
-arrays (``chunks``). An agent's position
-derivatives change only at its own control switches: they form a table
-with one row per stretch between switches. A target's uncertainty
-derivatives drift by the decay times the sensing gradient times G times
-those rows and jump only at resets, so each target's row is brought up
-to date only where a reset reads it and at the step's end. The cost
-integral follows from each agent's sum over targets, exact at the step's
-start and moved by the drift and by the values the resets remove. The
-steps are cut at fixed interval indices, so the gradients do not depend,
-to the last bit, on where the kernel cut its blocks.
+arrays (``chunks``). An agent's position derivatives change only at its
+own control switches: they form a table with one row per stretch between
+switches. A target's uncertainty derivatives drift by ``c`` times those
+rows and jump only at resets, so each target's row is brought up to date
+only where a reset reads it and at the step's end. The cost integral
+follows from each agent's sum over targets, exact at the step's start and
+moved by the drift, the kernel's cost weight ``g`` and the values the
+resets remove. The steps are cut at fixed interval indices, so the
+gradients do not depend, to the last bit, on where the kernel cut its
+blocks.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ CHUNK = BLOCK
 
 # kinds that move a derivative; observer-set changes, target crossings,
 # lost sensing and the horizon leave every ledger as it is (a crossing's
-# sign flip of the sensing gradient is in the next interval's dp_ds), and
+# sign flip of the sensing gradient is in the next interval's drift), and
 # sensing gained moves one only as LOCAL's re-entry inference
 _CONTROL = kind_table(CONTROL_KINDS)
 _RESET = kind_table({EventKind.R_HIT_ZERO, EventKind.R_LEFT_ZERO, EventKind.SENSE_ON})
@@ -100,7 +101,8 @@ class Replica:
     the last axis holds the switching-point block, then the dwell block,
     each padded to the longest program ``P``; padded entries and those of
     points not yet reached stay zero. ``switch_index[j]`` is the 1-based
-    index of agent ``j``'s most recently reached switching point.
+    index of agent ``j``'s most recently reached switching point. Every
+    mode moves them between events by the kernel's ``c`` and ``g``.
 
     ``run`` takes the record ``CHUNK`` intervals at a time (``chunks``,
     ``interval_update``), applying each step's control switches and then its
@@ -118,7 +120,6 @@ class Replica:
         N, M = sc.n_agents, sc.n_targets
         self.n_points = [p.n_points for p in record.params]
         self.P = P = max(self.n_points, default=0)
-        self.B = sc.B[:, None]        # (M, 1)
         # travel direction into each switching point
         self.steps = np.zeros((N, P))
         for j, (spec, p) in enumerate(zip(sc.agents, record.params)):
@@ -183,16 +184,15 @@ class Replica:
 
     # -- interval update -------------------------------------------------
 
-    def interval_update(self, blk: Block, switches=(), resets=()) -> np.ndarray:
+    def interval_update(self, blk: Block, switches, resets) -> np.ndarray:
         """Advance every ledger across the intervals of ``blk``, applying
         their scheduled events (as ``(interval, event, agents)``), and check
         the hold rule; return their gradient integrals (undivided by T),
         (N, 2P).
 
-        On a floor arc the uncertainty derivatives hold; otherwise each
-        in-range pair drifts by decay * dp/ds * G with the sensing gradient
-        and position derivatives frozen at their start-of-interval values.
-        Over interval ``k`` pair (i, j) drifts by ``-c[k, i, j]`` times
+        The drift and cost weight are the kernel's (``sim.Block``), with
+        the position derivatives frozen at their start-of-interval values:
+        over interval ``k`` pair (i, j) drifts by ``-c[k, i, j]`` times
         agent ``j``'s position derivatives ``ds``, with ``c = B dp/ds G``
         (zero on a floor arc and on a zero-length interval), and agent
         ``j``'s cost integral takes ``dt[k] T[k] - g[k, j] ds``, where
@@ -220,10 +220,6 @@ class Replica:
                 ds[j, stretch[k - a + 1, j]] = self.ds[j]
         member = (stretch.T[:, :, None] == np.arange(ds.shape[1])).astype(float)   # (N, n, S)
 
-        idle = blk.on_floor | (blk.dt == 0.0)[:, None]              # (n, M)
-        coef = np.where(idle[:, :, None], 0.0, self.B * blk.dp_ds)   # (n, M, N)
-        c = coef * blk.G
-        g = (coef * blk.GG).sum(axis=1)                              # (n, N)
         # the drift of each row up to each of its resets, then to the block's
         # end (one segment per row, in row order), per stretch
         dR = self.dR
@@ -238,7 +234,7 @@ class Replica:
         hi += [n] * M
         span = np.arange(n)[:, None]
         inside = (span >= np.array(lo)) & (span < np.array(hi))      # (n, rows)
-        weight = c.transpose(2, 1, 0)[:, rows]                       # (N, rows, n)
+        weight = blk.c.transpose(2, 1, 0)[:, rows]                   # (N, rows, n)
         weight *= inside.T
         weight = np.matmul(weight, member)                            # (N, rows, S)
         drift = np.matmul(weight[:, :len(resets)], ds)               # (N, resets, 2P)
@@ -267,9 +263,9 @@ class Replica:
                     self._moved_at = k
         self._mark_holds(blk, checks, n - 1, marks)
         dR -= np.matmul(weight[:, len(resets):], ds)
-        w = np.matmul((after[:, None] * c.sum(axis=1) + g).T[:, None, :], member)   # (N, 1, S)
+        w = np.matmul((after[:, None] * blk.c.sum(axis=1) + blk.g).T[:, None, :], member)
         acc -= np.matmul(w, ds)[:, 0]
-        self._check_holds(blk, checks, c, ds, stretch, marks)
+        self._check_holds(blk, checks, ds, stretch, marks)
         return acc
 
     # -- event updates -----------------------------------------------------
@@ -345,7 +341,7 @@ class Replica:
             marks.append((q, self._moved))
             self._moved = set()
 
-    def _check_holds(self, blk: Block, checks: np.ndarray, c: np.ndarray, ds: np.ndarray,
+    def _check_holds(self, blk: Block, checks: np.ndarray, ds: np.ndarray,
                      stretch: np.ndarray, marks: list) -> None:
         """Out of sensing range a target's derivative may not move.
 
@@ -357,17 +353,21 @@ class Replica:
         reset moved it since the previous check (``marks``, as (check,
         pairs)). Comparing the ledger bit for bit, one interval at a time,
         would differ only where a nonzero drift is lost to rounding against
-        a far larger derivative, which this test counts.
+        a far larger derivative, which this test counts. The kernel makes
+        ``c`` 0 wherever a pair is out of range, so on its own blocks only
+        events move a held pair: the drift half fires only where
+        ``in_range`` was changed after the kernel ran, and stays as the
+        guard of that invariant.
         """
         if not checks.size:
             return
         outside = ~blk.in_range[checks]                               # (C, M, N)
         held = outside & np.concatenate([self._outside[None], outside[:-1]])
         self._outside = outside[-1]
-        q, i, j = np.nonzero(held & (c != 0.0)[checks])
+        q, i, j = np.nonzero(held & (blk.c != 0.0)[checks])
         k = checks[q]
         moved = np.zeros_like(held)
-        moved[q, i, j] = (c[k, i, j, None] * ds[j, stretch[k, j]] != 0.0).any(axis=1)
+        moved[q, i, j] = (blk.c[k, i, j, None] * ds[j, stretch[k, j]] != 0.0).any(axis=1)
         for q, pairs in marks:
             for i, j in pairs:
                 moved[q, i, j] = True

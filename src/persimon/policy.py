@@ -157,6 +157,21 @@ def _after_departure(params: AgentParams, point: int) -> int:
     return _sign(float(params.theta[point]) - float(params.theta[point - 1]))
 
 
+def _leave(params: AgentParams, point: int,
+           last_dir: int) -> tuple[tuple[Transition, ...], PhaseState]:
+    """The transitions and next phase of leaving switching point ``point``
+    with ``last_dir`` the agent's last direction: parking at the last point,
+    a cascade to a coincident next point (it re-arrives at the same instant)
+    or a departure towards the next point."""
+    if point == params.n_points:
+        return (), PhaseState(point, PhaseMode.EXHAUSTED, 0, last_dir=last_dir)
+    u_next = _after_departure(params, point)
+    if u_next == 0:
+        return (), PhaseState(point + 1, PhaseMode.TRANSIT, 0, last_dir=last_dir)
+    return ((Transition("departure", point, 0, u_next),),
+            PhaseState(point + 1, PhaseMode.TRANSIT, u_next, last_dir=u_next))
+
+
 def resolve_boundary(phase: PhaseState, s: float, t: float,
                      params: AgentParams, horizon: float) -> Boundary | None:
     """Locate the next phase boundary at or after ``t``, or None past the horizon.
@@ -168,7 +183,6 @@ def resolve_boundary(phase: PhaseState, s: float, t: float,
     switching points) emits the arrival alone, leaving the cascaded arrival
     to the next call at the same instant.
     """
-    n = params.n_points
     if phase.mode is PhaseMode.EXHAUSTED:
         return None
 
@@ -185,34 +199,16 @@ def resolve_boundary(phase: PhaseState, s: float, t: float,
             nxt = PhaseState(point, PhaseMode.DWELL, 0, dwell_until=tau + dwell,
                              last_dir=last_dir)
             return Boundary(tau, (arrival,), nxt)
-        if point == n:
-            nxt = PhaseState(point, PhaseMode.EXHAUSTED, 0, last_dir=last_dir)
-            return Boundary(tau, (arrival,), nxt)
-        u_next = _after_departure(params, point)
-        if u_next == 0:
-            # coincident next point: cascade re-arrives at the same instant
-            nxt = PhaseState(point + 1, PhaseMode.TRANSIT, 0, last_dir=last_dir)
-            return Boundary(tau, (arrival,), nxt)
-        nxt = PhaseState(point + 1, PhaseMode.TRANSIT, u_next, last_dir=u_next)
-        if u_in != 0 and u_next == -u_in:
-            return Boundary(tau, (Transition("reversal", point, u_in, u_next),), nxt)
-        departure = Transition("departure", point, 0, u_next)
-        return Boundary(tau, (arrival, departure), nxt)
+        leave, nxt = _leave(params, point, last_dir)
+        if u_in != 0 and nxt.u == -u_in:
+            return Boundary(tau, (Transition("reversal", point, u_in, nxt.u),), nxt)
+        return Boundary(tau, (arrival,) + leave, nxt)
 
     # DWELL
     tau = phase.dwell_until
     if tau > horizon:
         return None
-    point = phase.point
-    if point == n:
-        nxt = PhaseState(point, PhaseMode.EXHAUSTED, 0, last_dir=phase.last_dir)
-        return Boundary(tau, (), nxt)
-    u_next = _after_departure(params, point)
-    if u_next == 0:
-        nxt = PhaseState(point + 1, PhaseMode.TRANSIT, 0, last_dir=phase.last_dir)
-        return Boundary(tau, (), nxt)
-    nxt = PhaseState(point + 1, PhaseMode.TRANSIT, u_next, last_dir=u_next)
-    return Boundary(tau, (Transition("departure", point, 0, u_next),), nxt)
+    return Boundary(tau, *_leave(params, phase.point, phase.last_dir))
 
 
 def first_reading_point(kind: str, index: int) -> int:

@@ -18,13 +18,13 @@ bisection on each agent's sorted range edges and on the targets sorted by
 x finds the next motion event and the (target, agent) pairs in range, and
 each target's miss product, rate bounds and floor roots come from those
 pairs alone. The quantities only the gradient estimators read (range
-membership, the sensing gradients and the collaboration integrals G and
-GG) come from one vectorised kernel over a table of the live pairs' miss
-factors, run on each block of ``BLOCK`` finished intervals and at the
-horizon. The record keeps each call's arrays as a ``Block``, their only
-holder, which the derivative scan reads one block at a time; an
-``Interval`` holds what the event loop makes. The output samples come from
-the finished record, when they are first read (``sample_table``).
+membership, the drift ``c`` and the cost weight ``g``) come from one
+vectorised kernel over a table of the live pairs' miss factors, run on
+each block of ``BLOCK`` finished intervals and at the horizon. The record
+keeps each call's arrays as a ``Block``, their only holder, which the
+derivative scan reads one block at a time; an ``Interval`` holds what the
+event loop makes. The output samples come from the finished record, when
+they are first read (``sample_table``).
 
 Motion is open-loop, so a run whose parameters differ from an earlier run's
 only in what the agents' phases read late repeats that run until then. A
@@ -114,22 +114,22 @@ class Interval:
 
 @dataclass
 class Block:
-    """One block kernel call: the ``n`` intervals from ``start``, their spans
-    and floor flags, and the kernel's output as (n, M, N) arrays. Row ``k``
-    is interval ``start + k``: ``in_range`` is (target, agent) range
-    membership at the interval's midpoint, ``dp_ds`` the sensing-probability
-    gradient of each pair, constant inside the interval, ``G`` integrates
-    each pair's co-observer miss product over the interval and ``GG`` the
-    running value of G (for time integrals of the uncertainty derivatives).
-    """
+    """One block kernel call: the ``n`` intervals from ``start``, their
+    spans and the kernel's output. Row ``k`` is interval ``start + k``:
+    ``in_range`` is (target, agent) range membership at its midpoint.
+    There pair (i, j)'s uncertainty derivative drifts by ``-c[k, i, j]``
+    times agent ``j``'s position derivatives, ``c = B dp/ds G`` being the
+    decay, the pair's sensing gradient (constant inside the interval) and
+    the integral G of its co-observer miss product; agent ``j``'s cost
+    integral takes ``-g[k, j]`` times them, ``g = sum_i B dp/ds GG`` with
+    GG the integral of G's running value. Both are zero on a floor arc and
+    on a zero-length interval."""
 
     start: int
     dt: np.ndarray                # (n,)
-    on_floor: np.ndarray          # (n, M) bool: uncertainty held at 0
     in_range: np.ndarray          # (n, M, N) bool
-    dp_ds: np.ndarray             # (n, M, N)
-    G: np.ndarray                 # (n, M, N)
-    GG: np.ndarray                # (n, M, N)
+    c: np.ndarray                 # (n, M, N)
+    g: np.ndarray                 # (n, N)
 
     @property
     def stop(self) -> int:
@@ -524,16 +524,15 @@ class Simulator:
         return iv
 
     def flush(self, state: SimState) -> None:
-        """The block kernel: ``in_range``, ``dp_ds``, ``G`` and ``GG`` of
-        every pending interval, kept with their spans and floor flags as the
-        state's next ``Block``; drops the pending polynomials. A pair
-        integrates its target's miss product, the product of one row of
-        ``_factor_table``; a live pair, that of the other slots of its row."""
+        """The block kernel: ``in_range``, ``c`` and ``g`` of every pending
+        interval, kept with their spans as the state's next ``Block``; drops
+        the pending polynomials. A pair's G and GG integrate its target's
+        miss product, the product of one row of ``_factor_table``; a live
+        pair's, that of the other slots of its row."""
         ivs, dets, last_dir, on_floor = zip(*state.pending)
         state.pending = []
         M, N = self.scenario.n_targets, self.scenario.n_agents
         dt = np.array([iv.dt for iv in ivs])
-        on_floor = np.array(on_floor)
         u = np.array([iv.u for iv in ivs])
         d0 = self.x[:, None] - np.array([iv.s0 for iv in ivs])[:, None, :]
         mid = d0 - u[:, None] * (0.5 * dt)[:, None, None]
@@ -548,8 +547,10 @@ class Simulator:
             loo = _products(C0[:, :, others], C1[:, :, others])    # (n, M, D, D)
             G[k, i, j] = (loo @ W1[:, None, :D, None])[k, i, slot, 0]
             GG[k, i, j] = (loo @ W2[:, None, :D, None])[k, i, slot, 0]
+        idle = np.array(on_floor) | (dt == 0.0)[:, None]              # (n, M)
+        coef = np.where(idle[:, :, None], 0.0, self.B[:, None] * dp_ds)
         start = state.blocks[-1].stop if state.blocks else 0
-        state.blocks.append(Block(start, dt, on_floor, in_range, dp_ds, G, GG))
+        state.blocks.append(Block(start, dt, in_range, coef * G, (coef * GG).sum(axis=1)))
 
     # -- event application ---------------------------------------------------
 

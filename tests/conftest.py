@@ -5,10 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from persimon.events import EventKind
 from persimon.gradient import GradientVector, Replica
 from persimon.model import AgentSpec, InfoMode, Numerics, Scenario, Target
 from persimon.policy import AgentParams
-from persimon.sim import Block
+from persimon.sim import Block, Simulator
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -57,6 +58,41 @@ def interval_blocks(record):
     arrays = [f.name for f in fields(Block)][1:]
     return [Block(blk.start + k, *(getattr(blk, f)[k:k + 1] for f in arrays))
             for blk in record.blocks for k in range(blk.dt.size)]
+
+
+def floor_flags(record):
+    """Each target's floor flag while each interval of ``record`` runs,
+    (K, M) bool: the flags at t = 0, then as each interval's events leave
+    them. A floor hit sets a flag and a floor-leave clears it; a grazing
+    touch logs both."""
+    flags = Simulator(record.scenario, record.params).initial_state().on_floor
+    out = np.empty((len(record.intervals), flags.size), dtype=bool)
+    events = iter(record.events)
+    ev = next(events, None)
+    for k in range(out.shape[0]):
+        out[k] = flags
+        while ev is not None and ev.interval_index == k:
+            if ev.kind in (EventKind.R_HIT_ZERO, EventKind.R_LEFT_ZERO):
+                flags[ev.target] = ev.kind is EventKind.R_HIT_ZERO
+            ev = next(events, None)
+    return out
+
+
+def assert_drift_vanishes(record):
+    """The block kernel's invariant under the scan's hold check: ``c`` is 0
+    at every (interval, target, agent) out of range, and ``c``'s rows are 0
+    on every floor arc and on every zero-length interval, as are ``g``'s on
+    an interval where every target is on its floor or that has zero
+    length. Returns the number of idle (interval, target) rows with a pair
+    in range, whose drift only the idleness stops."""
+    dt, in_range, c, g = (np.concatenate([getattr(b, f) for b in record.blocks])
+                          for f in ("dt", "in_range", "c", "g"))
+    assert dt.size == len(record.intervals)
+    assert not c[~in_range].any()
+    idle = floor_flags(record) | (dt == 0.0)[:, None]
+    assert not c[idle].any()
+    assert not g[idle.all(axis=1)].any()
+    return int((idle & in_range.any(axis=2)).sum())
 
 
 def scale_gradient(monkeypatch, factor):

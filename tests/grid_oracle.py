@@ -7,7 +7,8 @@ before it integrated each interval's polynomials exactly. Control switches,
 motion events, batching and event application are the simulator's own.
 Its ``advance`` returns complete intervals and queues nothing, so the
 simulator's block kernel never runs on them: a grid record has no blocks,
-and its intervals (``GridInterval``) carry their own G and GG. They carry
+and its intervals (``GridInterval``) carry their own drift ``c`` and cost
+weight ``g``, made from G and GG as the kernel makes them. They carry
 no rate polynomial (``rate=None``), so a grid record has no sample table
 either: ``GridSimulator(scenario, params, h).run()`` is read for its
 intervals, events and J.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from persimon.events import EventKind, EventRecord, order_batch
-from persimon.model import detection
+from persimon.model import detection, offset_membership
 from persimon.sim import Interval, SimulationError, Simulator
 
 
@@ -37,10 +38,11 @@ class GridDetection:
 
 @dataclass
 class GridInterval(Interval):
-    """An interval with its trapezoid-rule collaboration integrals."""
+    """An interval with the block kernel's ``c`` and ``g`` (``sim.Block``)
+    from its trapezoid-rule collaboration integrals."""
 
-    G: np.ndarray                 # (M, N)
-    GG: np.ndarray                # (M, N)
+    c: np.ndarray                 # (M, N)
+    g: np.ndarray                 # (N,)
 
 
 def _cumtrapz(y, ts):
@@ -142,7 +144,7 @@ class GridSimulator(Simulator):
         if t1 <= t0:
             return GridInterval(t0=t0, t1=t0, u=u, s0=state.s.copy(), s1=state.s.copy(),
                                 R0=state.R.copy(), R1=state.R.copy(), int_R=np.zeros(M),
-                                rate=None, G=np.zeros((M, N)), GG=np.zeros((M, N)))
+                                rate=None, c=np.zeros((M, N)), g=np.zeros(N))
         k = int(np.searchsorted(det.ts, t1, side="right")) - 1
         k = min(k, det.ts.size - 2)
         q1, _, rate1, R1 = self._row(state, det.ts, det.R, det.rate, k, t1)
@@ -163,10 +165,13 @@ class GridSimulator(Simulator):
             G[:, j] = cum[-1]
             lower = np.concatenate([np.zeros((1, M)), cum[:-1]])
             GG[:, j] = (0.5 * (cum + lower) * dts).sum(axis=0)
+        mid = self.x[:, None] - (state.s + u * (0.5 * (t1 - t0)))[None, :]
+        _, dp_ds = offset_membership(mid, self.r, state.last_dir)
+        coef = np.where(state.on_floor[:, None], 0.0, self.B[:, None] * dp_ds)
 
         iv = GridInterval(t0=t0, t1=t1, u=u, s0=state.s.copy(), s1=state.s + u * (t1 - t0),
                           R0=state.R.copy(), R1=np.maximum(R[-1], 0.0), int_R=int_R,
-                          rate=None, G=G, GG=GG)
+                          rate=None, c=coef * G, g=(coef * GG).sum(axis=0))
         state.t = t1
         state.s = iv.s1.copy()
         state.R = iv.R1.copy()

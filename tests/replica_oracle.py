@@ -44,7 +44,7 @@ def walk(rep: gradient.Replica, after_interval=None) -> np.ndarray:
     acc = np.zeros_like(rep.ds)
     for idx, (iv, blk) in enumerate(zip(rep.record.intervals, interval_blocks(rep.record))):
         if iv.dt > 0:
-            acc += rep.interval_update(blk)
+            acc += rep.interval_update(blk, (), ())
             if after_interval is not None:
                 after_interval(iv, blk)
         for ev, agents in by_interval.get(idx, ()):
@@ -181,7 +181,6 @@ class Replica:
         self.reentry_reset = reentry_reset
         sc = record.scenario
         self.M = sc.n_targets
-        self.B = sc.B
         self.params = record.params[agent]
         self.s0 = sc.agents[agent].s0
         ext = np.concatenate([[self.s0], self.params.theta])
@@ -203,21 +202,20 @@ class Replica:
         """Advance derivatives across the one interval of ``blk``; return
         its gradient integrals.
 
-        On a floor arc the uncertainty derivatives hold; otherwise each
-        in-range pair drifts by decay * dp/ds * G with the sensing gradient
-        and position derivatives frozen at their start-of-interval values.
-        The returned vectors are the time integrals of the uncertainty
-        derivatives over the interval (undivided by T).
+        Each pair drifts by the kernel's ``c`` (decay * dp/ds * G, zero on
+        a floor arc) times the position derivatives frozen at their
+        start-of-interval values. The returned vectors are the time
+        integrals of the uncertainty derivatives over the interval
+        (undivided by T), which the kernel's ``g`` corrects for the drift.
         """
         st, j = self.state, self.agent
         dt = blk.dt[0]
         acc_t = dt * st.dR_dtheta.sum(axis=0)
         acc_w = dt * st.dR_dw.sum(axis=0)
-        coef = np.where(blk.on_floor[0], 0.0, self.B * blk.dp_ds[0, :, j])
-        gg = float((coef * blk.GG[0, :, j]).sum())
+        gg = float(blk.g[0, j])
         acc_t -= gg * st.ds_dtheta
         acc_w -= gg * st.ds_dw
-        drift = coef * blk.G[0, :, j]
+        drift = blk.c[0, :, j]
         st.dR_dtheta -= drift[:, None] * st.ds_dtheta[None, :]
         st.dR_dw -= drift[:, None] * st.ds_dw[None, :]
         return acc_t, acc_w

@@ -22,7 +22,7 @@ from persimon.model import detection
 from persimon.sim import (Simulator, _factor_table, _first_crossing, _miss_product,
                           _products)
 
-from conftest import make_scenario, params, random_scenario
+from conftest import assert_drift_vanishes, make_scenario, params, random_scenario
 from oracles import dense_detection, first_crossings, miss_factors
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "persimon" / "data"
@@ -130,6 +130,15 @@ class TestSparseDetection:
         leave = events[k + 1]
         assert leave.kind is EventKind.R_LEFT_ZERO and leave.payload == {"grazing": 1}
         assert leave.time == events[k].time and 1.0 < leave.time <= 1.0 + sc.numerics.eps_event
+
+
+class TestKernelDrift:
+    @settings(max_examples=60, deadline=None)
+    @given(degenerate_scenarios())
+    def test_drift_vanishes_on_degenerate_scenarios(self, case):
+        # agents on range edges and targets, shared targets and zero dwells
+        # keep the kernel's drift at 0 out of range and on idle rows
+        assert_drift_vanishes(Simulator(*case).run())
 
 
 class TestMissProduct:

@@ -9,7 +9,7 @@ from persimon.model import InfoMode
 from persimon.sim import simulate
 from persimon.visibility import mode_gradients
 
-from conftest import interval_blocks, make_scenario, params, random_scenario
+from conftest import floor_flags, make_scenario, params, random_scenario
 
 
 class TestDegeneratePrograms:
@@ -89,11 +89,11 @@ class TestIntervalSoundness:
         rng = np.random.default_rng(seed)
         sc, ps = random_scenario(rng, n_agents=2, n_targets=3, T=15.0)
         rec = simulate(sc, ps)
-        for iv, blk in zip(rec.intervals, interval_blocks(rec)):
+        for iv, on_floor in zip(rec.intervals, floor_flags(rec)):
             if iv.dt <= 1e-9:
                 continue
             for i in range(sc.n_targets):
-                if blk.on_floor[0, i]:
+                if on_floor[i]:
                     assert iv.R0[i] == 0.0 and iv.R1[i] == 0.0
                 else:
                     # interior arcs keep uncertainty nonnegative up to

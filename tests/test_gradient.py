@@ -20,13 +20,12 @@ EXAMPLE1 = Path(__file__).resolve().parents[1] / "src" / "persimon" / "data" / "
 
 
 def blank_interval(t0, t1, M, N, **kw):
-    """An interval and its one-interval ``Block``: off the floor, every pair
-    in range and nothing drifting, except for the kernel arrays in ``kw``,
-    each given as one interval's row."""
+    """An interval and its one-interval ``Block``: every pair in range and
+    nothing drifting, except for the kernel arrays in ``kw``, each given as
+    one interval's row."""
     iv = Interval(t0=t0, t1=t1, u=np.zeros(N), s0=np.zeros(N), s1=np.zeros(N),
                   R0=np.ones(M), R1=np.ones(M), int_R=np.zeros(M), rate=np.zeros((M, 1)))
-    rows = dict(on_floor=np.zeros(M, dtype=bool), in_range=np.ones((M, N), dtype=bool),
-                dp_ds=np.zeros((M, N)), G=np.zeros((M, N)), GG=np.zeros((M, N)))
+    rows = dict(in_range=np.ones((M, N), dtype=bool), c=np.zeros((M, N)), g=np.zeros(N))
     rows.update(kw)
     return iv, Block(0, np.array([iv.dt]), **{f: a[None] for f, a in rows.items()})
 
@@ -78,42 +77,44 @@ class TestIntervalUpdate:
         rep.dR[0, 0, 0] = 0.7
         _, blk = blank_interval(0.0, 2.0, 1, 1,
                                 in_range=np.zeros((1, 1), dtype=bool))
-        rep.interval_update(blk)
+        rep.interval_update(blk, (), ())
         assert rep.dR[0, 0, 0] == 0.7
 
     def test_floor_arc_holds_at_zero(self):
-        sc = make_scenario([(10.0, 1.0, 5.0, 6.0)], [(2.0, 1, 3.0)], T=5.0)
-        rec = simulate(sc, [params([4.0], [1.0])])
+        # a parked observer at distance 1 (dp/ds = -1/r) holds the target
+        # on its floor from t = 3/7: on that arc the pair is in range with a
+        # nonzero sensing gradient and G, and the kernel stops its drift
+        sc = make_scenario([(10.0, 1.0, 5.0, 1.0)], [(11.0, 0, 3.0)], T=5.0)
+        rec = simulate(sc, [params([11.0], [9.0])])
+        hit = next(ev for ev in rec.events if ev.kind is EventKind.R_HIT_ZERO)
+        k = next(k for k in range(hit.interval_index + 1, len(rec.intervals))
+                 if rec.intervals[k].dt > 0.0)
+        blk = interval_blocks(rec)[k]
+        assert blk.in_range[0, 0, 0] and rec.intervals[k].R0[0] == 0.0
         rep = Replica(rec)
-        _, blk = blank_interval(0.0, 2.0, 1, 1,
-                                on_floor=np.ones(1, dtype=bool),
-                                dp_ds=np.full((1, 1), 1 / 3.0),
-                                G=np.full((1, 1), 2.0), GG=np.full((1, 1), 2.0))
         rep.ds[0, 0] = 1.0
-        rep.interval_update(blk)
+        rep.interval_update(blk, (), ())
         assert rep.dR[0, 0, 0] == 0.0
 
     def test_lone_observer_drift(self):
-        # dp/ds=+1/r, ds/dtheta=1, dt=2, empty co-observer set: G = dt
-        sc = make_scenario([(10.0, 1.0, 5.0, 6.0)], [(2.0, 1, 3.0)], T=5.0)
-        rec = simulate(sc, [params([4.0], [1.0])])
+        # dp/ds=+1/r, ds/dtheta=1, dt=1, empty co-observer set: G = dt
+        sc = make_scenario([(10.0, 1.0, 5.0, 5.0)], [(9.0, 1, 3.0)], T=40.0)
+        rec = simulate(sc, [params([10.0], [1.0])])
+        assert rec.intervals[0].dt == pytest.approx(1.0)
         rep = Replica(rec)
         rep.ds[0, 0] = 1.0
-        _, blk = blank_interval(0.0, 2.0, 1, 1,
-                                dp_ds=np.full((1, 1), 1 / 3.0),
-                                G=np.full((1, 1), 2.0), GG=np.full((1, 1), 2.0))
-        rep.interval_update(blk)
-        assert rep.dR[0, 0, 0] == pytest.approx(-5.0 * (1 / 3.0) * 2.0)
+        rep.interval_update(interval_blocks(rec)[0], (), ())
+        assert rep.dR[0, 0, 0] == pytest.approx(-5.0 * (1 / 3.0) * 1.0)
 
     def test_agents_drift_by_their_own_columns(self):
-        # two agents on one target: each row drifts by its own dp/ds and G
+        # two agents on one target: each row drifts by its own column of c,
+        # B dp/ds G with dp/ds = +-1/3 and G = 2 and 1.5
         sc = make_scenario([(10.0, 1.0, 5.0, 6.0)], [(2.0, 1, 3.0), (3.0, 1, 3.0)], T=5.0)
         rec = simulate(sc, [params([4.0], [1.0]), params([5.0], [1.0])])
         rep = Replica(rec)
         rep.ds[:, 0] = [1.0, 2.0]
-        _, blk = blank_interval(0.0, 2.0, 1, 2, dp_ds=np.array([[1 / 3.0, -1 / 3.0]]),
-                                G=np.array([[2.0, 1.5]]), GG=np.zeros((1, 2)))
-        rep.interval_update(blk)
+        _, blk = blank_interval(0.0, 2.0, 1, 2, c=np.array([[5.0 / 3.0 * 2.0, -5.0 / 3.0 * 1.5]]))
+        rep.interval_update(blk, (), ())
         assert rep.dR[:, 0, 0] == pytest.approx(
             [-5.0 / 3.0 * 2.0 * 1.0, 5.0 / 3.0 * 1.5 * 2.0])
 
@@ -125,7 +126,7 @@ def kernel_blocks(cuts, M=2, N=3):
     for n in cuts:
         k = np.arange(start, start + n, dtype=float)
         grid = np.broadcast_to(k[:, None, None], (n, M, N)).copy()
-        out.append(Block(start, k, grid[:, :, 0] > -1, grid > -1, grid, 2 * grid, 3 * grid))
+        out.append(Block(start, k, grid > -1, grid, 2 * grid[:, 0]))
         start += n
     return out
 
@@ -144,10 +145,9 @@ class TestChunks:
         for s in steps:
             k = np.arange(s.start, min(s.start + CHUNK, K), dtype=float)
             assert np.array_equal(s.dt, k)
-            assert s.on_floor.shape == (k.size, 2) and s.in_range.all()
-            for f, scale in (("dp_ds", 1), ("G", 2), ("GG", 3)):
-                assert np.array_equal(getattr(s, f), scale * np.broadcast_to(
-                    k[:, None, None], (k.size, 2, 3)))
+            assert s.in_range.shape == (k.size, 2, 3) and s.in_range.all()
+            assert np.array_equal(s.c, np.broadcast_to(k[:, None, None], (k.size, 2, 3)))
+            assert np.array_equal(s.g, 2 * np.broadcast_to(k[:, None], (k.size, 3)))
 
     def test_default_kernel_blocks_are_the_steps(self, tmp_path):
         # at the default block size the scan reads the kernel's arrays in place:
@@ -359,7 +359,7 @@ class TestGradientAccumulation:
         acc = np.zeros(1)
         for iv, blk in zip(rec.intervals, interval_blocks(rec)):
             if iv.dt > 0:
-                acc += rep.interval_update(blk)[0, :1]
+                acc += rep.interval_update(blk, (), ())[0, :1]
         # the target is never reached, so the hold persists end to end
         assert acc[0] / sc.T == pytest.approx(0.3, rel=1e-9)
 

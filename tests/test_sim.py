@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +16,8 @@ from persimon.model import InfoMode, Numerics, detection
 from persimon.sim import SimulationError, Simulator, simulate
 from persimon.visibility import mode_gradients
 
-from conftest import interval_blocks, make_scenario, params, random_scenario
+from conftest import (REFERENCE, assert_drift_vanishes, interval_blocks, make_scenario,
+                      params, pool_scenario, random_scenario)
 from grid_oracle import GridSimulator
 from oracles import position_at, position_schedule
 from replica_oracle import assert_matches_oracle
@@ -44,7 +46,7 @@ def zero_length_transits():
 
 
 INTERVAL_FIELDS = ("t0", "t1", "u", "s0", "s1", "R0", "R1", "int_R")
-BLOCK_FIELDS = ("on_floor", "in_range", "dp_ds", "G", "GG")
+BLOCK_FIELDS = ("in_range", "c", "g")
 SAMPLE_FIELDS = ("sample_t", "sample_s", "sample_u", "sample_R", "sample_P")
 
 
@@ -68,19 +70,17 @@ def assert_same_record(a, b):
 
 
 def assert_same_gradients(a, b):
-    """All three modes' gradients bit for bit, and G and GG wherever the
-    gradient reads them, at a nonzero ``dp_ds``; on both records the scan
-    as the lockstep oracle."""
+    """All three modes' gradients bit for bit, and the drift ``c`` and cost
+    weight ``g`` the gradient reads; on both records the scan as the
+    lockstep oracle."""
     for mode in InfoMode:
         for x, y in zip(mode_gradients(a, mode), mode_gradients(b, mode)):
             assert x.concat().tobytes() == y.concat().tobytes()
     for rec in (a, b):
         assert_matches_oracle(rec)
     for p, q in zip(interval_blocks(a), interval_blocks(b)):
-        assert p.dp_ds.tobytes() == q.dp_ds.tobytes()
-        live = p.dp_ds != 0.0
-        assert p.G[live].tobytes() == q.G[live].tobytes()
-        assert p.GG[live].tobytes() == q.GG[live].tobytes()
+        assert p.c.tobytes() == q.c.tobytes()
+        assert p.g.tobytes() == q.g.tobytes()
 
 
 class TestBlockKernel:
@@ -111,11 +111,11 @@ class TestBlockKernel:
         assert_same_gradients(ref, rec)
 
     def test_one_block_on_example(self, monkeypatch):
-        # the whole run in one block, whose intervals have 0 to 3 live
-        # factors on their widest target
+        # the whole run in one block, whose intervals have 0 to 3 pairs in
+        # range on their widest target
         sc, ps, _ = load_scenario(SMOKE.with_name("example1.scenario"))
         ref = simulate(sc, ps)
-        assert ({int((blk.dp_ds != 0.0).sum(axis=2).max()) for blk in interval_blocks(ref)}
+        assert ({int(blk.in_range.sum(axis=2).max()) for blk in interval_blocks(ref)}
                 == {0, 1, 2, 3})
         monkeypatch.setattr(sim_module, "BLOCK", len(ref.intervals) + 1)
         rec = simulate(sc, ps)
@@ -293,16 +293,19 @@ class TestDetection:
 
     def test_two_observer_integrals_closed_form(self):
         # up to the floor hit, G of the parked observer integrates the
-        # mover's miss 1 - t/3 and the mover's G the constant 1/2
+        # mover's miss 1 - t/3 and the mover's G the constant 1/2; the
+        # drift c and cost weight g scale G and GG by B dp/ds, dp/ds being
+        # -1/3 for the parked observer above the target and 1/3 for the
+        # mover below it
         _, rec = two_observers()
         k, iv = next((k, iv) for k, iv in enumerate(rec.intervals) if iv.dt > 0.0)
         blk = interval_blocks(rec)[k]
-        G, GG = blk.G[0], blk.GG[0]
-        d = iv.dt
-        assert G[0, 0] == pytest.approx(d - d * d / 6.0, rel=1e-13)
-        assert GG[0, 0] == pytest.approx(d * d / 2.0 - d ** 3 / 18.0, rel=1e-13)
-        assert G[0, 1] == pytest.approx(0.5 * d, rel=1e-13)
-        assert GG[0, 1] == pytest.approx(0.25 * d * d, rel=1e-13)
+        c, g = blk.c[0], blk.g[0]
+        d, Bdp = iv.dt, 5.0 / 3.0
+        assert c[0, 0] == pytest.approx(-Bdp * (d - d * d / 6.0), rel=1e-13)
+        assert g[0] == pytest.approx(-Bdp * (d * d / 2.0 - d ** 3 / 18.0), rel=1e-13)
+        assert c[0, 1] == pytest.approx(Bdp * 0.5 * d, rel=1e-13)
+        assert g[1] == pytest.approx(Bdp * 0.25 * d * d, rel=1e-13)
         assert iv.int_R[0] == pytest.approx(2.0 * d - 0.75 * d * d - 5.0 * d ** 3 / 36.0,
                                             rel=1e-13)
 
@@ -334,11 +337,31 @@ class TestIntervalIntegration:
         assert state.R[0] == pytest.approx(2.0 + 1.5 * 2.0, rel=1e-12)
 
     def test_lone_observer_collaboration_is_dt(self):
+        # G = dt, so the drift c = B dp/ds G is B dt / r
         sc = make_scenario([(10.0, 1.0, 5.0, 5.0)], [(9.0, 1, 3.0)], T=40.0)
         rec = simulate(sc, [params([10.0], [1.0])])
         iv = rec.intervals[0]
         assert iv.dt == pytest.approx(1.0)
-        assert rec.blocks[0].G[0, 0, 0] == pytest.approx(iv.dt, rel=1e-12)
+        assert rec.blocks[0].c[0, 0, 0] == pytest.approx(5.0 * iv.dt / 3.0, rel=1e-12)
+
+
+class TestDriftInvariant:
+    """The block kernel's drift is 0 out of range, on floor arcs and on
+    zero-length intervals (``conftest.assert_drift_vanishes``): the reason
+    the drift half of the scan's hold check fires only on doctored blocks."""
+
+    @pytest.mark.parametrize("name", ["smoke", "example1"])
+    def test_bundled(self, name):
+        sc, ps, _ = load_scenario(SMOKE.with_name(f"{name}.scenario"))
+        assert assert_drift_vanishes(simulate(sc, ps)) > 0
+
+    @pytest.mark.parametrize("workload", ["crowd-modes", "fd-check"])
+    def test_benchmark_pool(self, tmp_path, workload):
+        idle = 0
+        for k in range(len(json.loads(REFERENCE.read_text())[workload]["pool"])):
+            sc, ps, _ = load_scenario(pool_scenario(tmp_path, workload, k))
+            idle += assert_drift_vanishes(simulate(sc, ps))
+        assert idle > 0
 
 
 class TestRecordInvariants:
@@ -436,7 +459,7 @@ class TestRecordInvariants:
             assert a.t1 == pytest.approx(b.t1, abs=1e-6)
             for name in ("R1", "int_R"):
                 assert np.allclose(getattr(a, name), getattr(b, name), rtol=0, atol=1e-6)
-            for name in ("G", "GG"):
+            for name in ("c", "g"):
                 assert np.allclose(getattr(blk, name)[0], getattr(b, name), rtol=0, atol=1e-6)
 
     def test_all_zero_dwell_only_reversal_or_passthrough(self):
