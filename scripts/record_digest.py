@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""One SHA-256 over what the simulator and the gradient passes produce.
+"""Two SHA-256 digests over what the simulator and the gradient passes produce.
 
 Simulates the bundled ``smoke`` and ``example1`` scenarios and the 80 pool
 entries of ``perfbench/reference.json`` (crowd-modes and fd-check; the file
-is only read), and hashes, record by record, J, every event with its
-``interval_index`` and payload, and, in each of the three information
-modes, every agent's gradient and diagnostics, notes included. Example1's
-own mode is ALMOST and experiment 2 runs it in LOCAL; both are among the
-three, and the simulation does not read the mode.
+is only read). The full digest hashes, record by record, J, every event with
+its time, ``interval_index`` and payload, and, in each of the three
+information modes, every agent's gradient and diagnostics, notes included.
+Example1's own mode is ALMOST and experiment 2 runs it in LOCAL; both are
+among the three, and the simulation does not read the mode. The skeleton
+digest hashes only each event's kind, agent, target, ``interval_index`` and
+payload: the event structure, without times.
 
-Two trees that print the same digest agree bit for bit on all of these, so
-a refactor that must not change a result checks it with one command in
-each tree:
+Two trees that print the same full digest agree bit for bit on all of
+these, so a refactor that must not change a result checks it with one
+command in each tree; a change that may move results at rounding level,
+but no event, keeps the skeleton digest:
 
     PYTHONPATH=src python scripts/record_digest.py
 """
@@ -44,11 +47,9 @@ def scenario_files(tmp: Path) -> list[Path]:
     return paths
 
 
-def record_items(path: Path):
-    """What one record contributes to the digest, item by item; floats by
-    ``repr``, which round-trips, and arrays by their bytes."""
-    scenario, params, _ = load_scenario(path)
-    record = simulate(scenario, params)
+def record_items(record):
+    """What one record contributes to the full digest, item by item; floats
+    by ``repr``, which round-trips, and arrays by their bytes."""
     yield repr(float(record.J))
     for ev in record.events:
         yield repr((ev.time, ev.kind.value, ev.agent, ev.target, ev.interval_index,
@@ -61,15 +62,26 @@ def record_items(path: Path):
                         d.reentry_resets, d.notes))
 
 
+def skeleton_items(record):
+    """What one record contributes to the skeleton digest: its events without times."""
+    for ev in record.events:
+        yield repr((ev.kind.value, ev.agent, ev.target, ev.interval_index,
+                    sorted(ev.payload.items())))
+
+
 def main() -> None:
     logging.disable(logging.WARNING)   # the pools' u0 conflicts, one per agent
-    digest = hashlib.sha256()
+    full, skeleton = hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         paths = scenario_files(Path(tmp))
         for path in paths:
-            for item in record_items(path):
-                digest.update(item if isinstance(item, bytes) else item.encode())
-    print(f"{digest.hexdigest()}  ({len(paths)} records)")
+            scenario, params, _ = load_scenario(path)
+            record = simulate(scenario, params)
+            for digest, items in ((full, record_items), (skeleton, skeleton_items)):
+                for item in items(record):
+                    digest.update(item if isinstance(item, bytes) else item.encode())
+    print(f"{full.hexdigest()}  ({len(paths)} records)")
+    print(f"{skeleton.hexdigest()}  (event skeleton)")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .gradient import full_gradient
 from .model import Scenario
-from .policy import AgentParams, first_reading_point
+from .policy import AgentParams, first_reading_point, phase_order
 from .sim import SimState, Simulator
 
 REL_FLOOR = 1e-8        # denominator floor for relative errors
@@ -129,14 +129,16 @@ def _check_step(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
-def _resume_point(base: list[SimState], agent: int, kind: str,
-                  index: int) -> SimState | None:
+def _resume_point(base: list[SimState], params: tuple[AgentParams, ...], agent: int,
+                  kind: str, index: int) -> SimState | None:
     """The checkpoint of ``base`` (a copy of the base run's state) whose batch
-    enters ``agent``'s first phase that reads the parameter: the last one
-    before that phase, as an agent's phases never lower their point. None to
-    run from the start, where the initial phase reads the parameter."""
-    point = first_reading_point(kind, index)
-    return next((cp for cp in reversed(base) if cp.phases[agent].point < point), None)
+    enters ``agent``'s first phase that reads the parameter of ``params``:
+    the last one before that phase, as an agent's phases never go back
+    (``policy.phase_order``). None to run from the start, where the initial
+    phase reads the parameter."""
+    first = phase_order(*first_reading_point(params[agent], kind, index))
+    return next((cp for cp in reversed(base)
+                 if phase_order(cp.phases[agent].point, cp.phases[agent].mode) < first), None)
 
 
 def fd_gradient(scenario: Scenario, params, agent: int, kind: str, index: int,
@@ -149,7 +151,7 @@ def fd_gradient(scenario: Scenario, params, agent: int, kind: str, index: int,
     params = tuple(params)
     if not _feasible(scenario, params, agent, kind, index, delta):
         return None
-    start = _resume_point(base or [], agent, kind, index)
+    start = _resume_point(base or [], params, agent, kind, index)
     J = [Simulator(scenario, _perturbed(params, agent, kind, index, d)).run(start).J
          for d in (+delta, -delta)]
     return (J[0] - J[1]) / (2.0 * delta)

@@ -211,16 +211,32 @@ def resolve_boundary(phase: PhaseState, s: float, t: float,
     return Boundary(tau, *_leave(params, phase.point, phase.last_dir))
 
 
-def first_reading_point(kind: str, index: int) -> int:
-    """The smallest ``point`` of a phase whose boundary reads parameter
+# an agent's phases at one switching point come in this order: in transit
+# towards it, dwelling on it, parked after it (the last point only)
+_MODE_ORDER = (PhaseMode.TRANSIT, PhaseMode.DWELL, PhaseMode.EXHAUSTED)
+
+
+def phase_order(point: int, mode: PhaseMode) -> tuple[int, int]:
+    """Where the phase of ``point`` in ``mode`` comes in an agent's program;
+    an agent's phases never go back in this order."""
+    return point, _MODE_ORDER.index(mode)
+
+
+def first_reading_point(params: AgentParams, kind: str, index: int) -> tuple[int, PhaseMode]:
+    """The first phase, as ``(point, mode)``, whose boundary reads parameter
     ``theta[index]`` (``kind`` "theta") or ``w[index]`` ("w"), 0-based.
 
-    A phase of point ``p`` reads ``theta[p - 1]`` (its arrival, also the
+    A transit to point ``p`` reads ``theta[p - 1]`` (its arrival, also the
     arrival snap in ``Simulator.apply_events``), ``w[p - 1]`` (its dwell)
-    and ``theta[p]`` (``_after_departure``), and nothing else; the initial
-    phase is of point 1 at t = 0 and also reads ``theta[0]``. An agent's
-    phases never lower their point, so its first phase of at least this
-    point is the first to read the parameter: ``theta[0]``, ``theta[1]``
-    and ``w[0]`` are read from the start.
+    and, when that dwell is 0, ``theta[p]`` (the departure it fuses,
+    ``_after_departure``); a dwell on point ``p`` reads ``theta[p]`` (its
+    departure); nothing else reads a parameter. The initial phase is the
+    transit to point 1 at t = 0, which also reads ``theta[0]``. So
+    ``theta[k]`` is first read by the transit to point ``k`` if ``w[k - 1]``
+    is 0, else by the dwell on it, and ``w[k]`` by the transit to point
+    ``k + 1``; ``theta[0]``, ``w[0]`` and, with ``w[0]`` 0, ``theta[1]`` are
+    read from the start.
     """
-    return index if kind == "theta" else index + 1
+    if kind == "w" or index == 0:
+        return index + 1, PhaseMode.TRANSIT
+    return index, PhaseMode.TRANSIT if params.w[index - 1] == 0.0 else PhaseMode.DWELL

@@ -12,25 +12,32 @@ the root; events within ``eps_event`` of the earliest one share its
 instant. Within an interval no guard changes sign, so derivative
 propagation can treat sensing gradients and observer sets as constants.
 
-The event loop keeps only what the next event depends on: positions, the
-uncertainties and the cost integral. Its detection is sparse and scalar:
-bisection on each agent's sorted range edges and on the targets sorted by
-x finds the next motion event and the (target, agent) pairs in range, and
-each target's miss product, rate bounds and floor roots come from those
-pairs alone. The quantities only the gradient estimators read (range
-membership, the drift ``c`` and the cost weight ``g``) come from one
-vectorised kernel over a table of the live pairs' miss factors, run on
-each block of ``BLOCK`` finished intervals and at the horizon. The record
-keeps each call's arrays as a ``Block``, their only holder, which the
-derivative scan reads one block at a time; an ``Interval`` holds what the
-event loop makes. The output samples come from the finished record, when
-they are first read (``sample_table``).
+Motion is open-loop, and target ``i``'s uncertainty is driven only by the
+agents in its range and by its own floor events. So each target keeps a
+``Segment``: its live factors, the lines of the agents in its range, and
+its rate and uncertainty polynomials, all from the instant the segment
+began, and its next floor hit or leave, found once on that polynomial. The
+event loop rebuilds a target's segment only when an event touches the
+target: a range edge or crossing of it, a control switch of an agent in its
+range, or its own floor hit or leave. Its detection is sparse and scalar:
+bisection on each agent's sorted range edges finds the next motion event,
+and the batch time is the earliest of that and the targets' floor times.
+The loop keeps only the positions and the segments, and queues each
+finished span (``Span``) for the kernel. The interval quantities (the
+uncertainty at both ends, the cost integral and the rate polynomial) and
+the ones only the gradient estimators read (range membership, the drift
+``c`` and the cost weight ``g``) come from one vectorised kernel over each
+block of ``BLOCK`` finished spans and at the horizon, which evaluates the
+spans' segments and appends the complete ``Interval``s to the run. The record keeps the
+kernel's gradient arrays as a ``Block``, their only holder, which the
+derivative scan reads one block at a time. The output samples come from the
+finished record, when they are first read (``sample_table``).
 
-Motion is open-loop, so a run whose parameters differ from an earlier run's
-only in what the agents' phases read late repeats that run until then. A
-run can record a checkpoint, a copy of its ``SimState``, at each batch that
-enters a new phase, and another run can resume from one: the
-finite-difference probes of ``fdcheck`` do.
+A run whose parameters differ from an earlier run's only in what the
+agents' phases read late repeats that run until then. A run can record a
+checkpoint, a copy of its ``SimState``, at each batch that enters a new
+phase, and another run can resume from one: the finite-difference probes
+of ``fdcheck`` do.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from .policy import (AgentParams, Boundary, PhaseMode, PhaseState,
                      control_value, initial_phase, resolve_boundary)
 
 
-# finished intervals per block-kernel call; bounds the buffered polynomials
+# finished intervals per block-kernel call; bounds the buffered intervals
 BLOCK = 32
 # sample rows per evaluation step of ``sample_table``; bounds its temporaries
 SAMPLE_CHUNK = 1024
@@ -59,57 +66,95 @@ class SimulationError(RuntimeError):
     pass
 
 
+@dataclass(slots=True)
+class Segment:
+    """Target dynamics from ``t0`` until an event touches the target: the
+    live factors, one line ``c0 + c1 tau`` (``tau = t - t0``) per agent in
+    range, in agent order; the raw rate ``A - B P`` and the uncertainty
+    ``R(t0) + int rate``, held at 0 on the floor, as ascending coefficients
+    in ``tau``. The event loop never changes a segment."""
+
+    i: int                        # the target
+    t0: float
+    on_floor: bool
+    agents: list[int]
+    c0: list[float]
+    c1: list[float]
+    gro: list[float]              # (D + 1,) raw rate, D live factors
+    unc: list[float]              # (D + 2,) uncertainty
+
+    def uncertainty(self, t: float) -> float:
+        """The uncertainty at ``t``, by the same Horner steps as the kernel's."""
+        return max(_value(self.unc, t - self.t0), 0.0)
+
+
 @dataclass
 class SimState:
-    """The event loop's state between events: the integration state, the
-    run so far and the chatter counter. ``u``, ``last_dir`` and ``bounds``
-    cache ``phases`` per agent, kept by ``Simulator._enter_phase``."""
+    """The event loop's state between events: the positions, each target's
+    segment and its floor search, the run so far and the chatter counter.
+    ``u``, ``last_dir`` and ``bounds`` cache ``phases`` per agent, kept by
+    ``Simulator._enter_phase``. ``floor_t[i]`` is target ``i``'s next floor
+    hit or leave on its segment, searched up to ``until[i]`` (inf once
+    found); ``floors[i]`` counts its floor records since its last motion
+    event (a range edge or crossing of it, or a control switch of an agent
+    in its range)."""
 
     t: float
     s: np.ndarray                 # (N,) agent positions
-    R: np.ndarray                 # (M,) target uncertainties
     phases: list[PhaseState]
-    on_floor: np.ndarray          # (M,) bool: uncertainty held at 0
     u: np.ndarray                 # (N,) controls
     last_dir: np.ndarray          # (N,) int
     bounds: list[Boundary | None]
-    # finished intervals awaiting the block kernel, with their detections,
-    # the agents' last directions and the targets' floor flags while they ran
-    pending: list[tuple[Interval, _Detection, np.ndarray, np.ndarray]] = field(
-        default_factory=list)
+    segments: list[Segment]       # (M,)
+    floor_t: list[float]          # (M,)
+    until: list[float]            # (M,)
+    floors: list[int]             # (M,)
+    # finished spans awaiting the block kernel, with the agents' last
+    # directions and the segments begun at their start (every target's for
+    # the first one)
+    pending: list[tuple[Span, np.ndarray, list[Segment]]] = field(default_factory=list)
+    fresh: list[Segment] = field(default_factory=list)   # begun since the last span
     blocks: list[Block] = field(default_factory=list)
-    intervals: list[Interval] = field(default_factory=list)
+    intervals: list[Interval] = field(default_factory=list)   # the kernel's
     events: list[EventRecord] = field(default_factory=list)
     stuck: int = 0                # consecutive zero-length intervals
 
     def copy(self) -> SimState:
         """A copy that shares nothing the event loop changes with this state."""
-        return SimState(self.t, self.s.copy(), self.R.copy(), list(self.phases),
-                        self.on_floor.copy(), self.u.copy(), self.last_dir.copy(),
-                        list(self.bounds), list(self.pending), list(self.blocks),
+        return SimState(self.t, self.s.copy(), list(self.phases), self.u.copy(),
+                        self.last_dir.copy(), list(self.bounds), list(self.segments),
+                        list(self.floor_t), list(self.until), list(self.floors),
+                        list(self.pending), list(self.fresh), list(self.blocks),
                         list(self.intervals), list(self.events), self.stuck)
 
 
 @dataclass
-class Interval:
-    """One inter-event interval as the event loop makes it: its span, the
-    agents' controls and positions and the targets' uncertainties at both
-    ends, the cost integral over it and the rate polynomials. The kernel's
-    arrays of the interval are rows of its ``Block``."""
+class Span:
+    """One inter-event interval as the event loop makes it: its span and the
+    agents' controls and positions at both ends."""
 
     t0: float
     t1: float
     u: np.ndarray                 # (N,)
     s0: np.ndarray                # (N,)
     s1: np.ndarray                # (N,)
-    R0: np.ndarray                # (M,)
-    R1: np.ndarray                # (M,)
-    int_R: np.ndarray             # (M,) integral of R over the interval
-    rate: np.ndarray              # (M, D + 1) floor-aware rate, ascending in t - t0
 
     @property
     def dt(self) -> float:
         return self.t1 - self.t0
+
+
+@dataclass
+class Interval(Span):
+    """A ``Span`` with what the block kernel adds: the targets'
+    uncertainties at both ends, the cost integral over it and the rate
+    polynomials. The kernel's gradient arrays of the interval are rows of
+    its ``Block``."""
+
+    R0: np.ndarray                # (M,)
+    R1: np.ndarray                # (M,)
+    int_R: np.ndarray             # (M,) integral of R over the interval
+    rate: np.ndarray              # (M, D + 1) floor-aware rate, ascending in t - t0
 
 
 @dataclass
@@ -181,22 +226,12 @@ class SimRecord:
 
 @dataclass
 class _Detection:
-    """The next event batch and the polynomials of the interval up to it.
-
-    ``pairs`` lists the live pairs, the (target, agent) pairs whose miss
-    factor over the interval is not identically 1, as ``(i, j, slot, c0,
-    c1)`` for the line ``c0 + c1 tau``, in agent order; ``slot`` is the
-    pair's rank among target ``i``'s live pairs. ``rate`` holds each
-    target's floor-aware rate as ascending coefficients, (M, D + 1), with
-    ``D`` the largest number of live pairs of one target.
-    """
+    """The next event batch."""
 
     tau: float
     records: list[EventRecord]
     bounds: dict[int, Boundary]
     done: bool
-    pairs: list[tuple[int, int, int, float, float]]
-    rate: np.ndarray              # (M, D + 1)
 
 
 def _products(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
@@ -209,6 +244,23 @@ def _products(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
     return out
 
 
+def _value(coef: list[float], tau: float) -> float:
+    """The polynomial ``coef`` (ascending) at ``tau``, by ``_horner``'s steps."""
+    v = 0.0
+    for c in reversed(coef):
+        v = v * tau + c
+    return v
+
+
+def _horner(coef: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The polynomials ``coef`` (ascending, (..., n)) at ``tau`` (...);
+    zero high coefficients leave the value's bits as they are."""
+    v = np.zeros(coef.shape[:-1])
+    for k in range(coef.shape[-1] - 1, -1, -1):
+        v = v * tau + coef[..., k]
+    return v
+
+
 def _integrals(dt, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Weights mapping ascending coefficients ``p_0 .. p_{n-1}`` to
     ``int_0^dt p`` and ``int_0^dt (dt - tau) p``; ``dt`` may be an array
@@ -218,42 +270,39 @@ def _integrals(dt, n: int) -> tuple[np.ndarray, np.ndarray]:
     return w1, w1 * (np.asarray(dt)[..., None] / (k + 1))
 
 
-def _miss_product(factors: list[tuple[float, float]], span: float,
-                  D: int) -> tuple[list[float], float, float]:
-    """One target's miss product ``prod (c0 + c1 tau)`` over its live
-    factors: ascending coefficients padded to ``D + 1`` entries exactly as
-    the block kernel's (1, 0) padding factors leave them, and the products
-    of each factor's smaller and of its larger end value on ``[0, span]``."""
-    Q, lo, hi = [1.0], 1.0, 1.0
-    for c0, c1 in factors:
+def _miss_product(c0: list[float], c1: list[float]) -> list[float]:
+    """Ascending coefficients of ``prod_k (c0[k] + c1[k] tau)``."""
+    Q = [1.0]
+    for a, b in zip(c0, c1):
         Q.append(0.0)
         for k in range(len(Q) - 1, 0, -1):
-            Q[k] = Q[k] * c0 + Q[k - 1] * c1
-        Q[0] *= c0
-        end = c0 + c1 * span
-        lo *= min(c0, end)
-        hi *= max(c0, end)
-    pad = D + 1 - len(Q)
-    replay = pad and 0.0 in Q
-    Q += [0.0] * pad
-    if replay:   # a padding factor turns a -0.0 into 0.0 unless its left neighbour is negative
-        for _ in range(pad):
-            for k in range(D, 0, -1):
-                Q[k] = Q[k] * 1.0 + Q[k - 1] * 0.0
-    return Q, lo, hi
+            Q[k] = Q[k] * a + Q[k - 1] * b
+        Q[0] *= a
+    return Q
+
+
+def _miss_bounds(c0: list[float], c1: list[float], span: float) -> tuple[float, float]:
+    """Lower and upper bounds on ``prod_k (c0[k] + c1[k] tau)`` over
+    ``[0, span]``: the products of each factor's smaller and larger end."""
+    lo = hi = 1.0
+    for a, b in zip(c0, c1):
+        e = a + b * span
+        lo *= min(a, e)
+        hi *= max(a, e)
+    return lo, hi
 
 
 def _first_crossing(coef: list[float], span: float, rising: bool, eps: float) -> float:
-    """First entry of the polynomial ``coef`` (ascending, zero-padded to one
-    width for every target of an event) into its hit side, ``f > 0`` if
-    ``rising`` and ``f <= 0`` otherwise, from the other side in ``(0, span]``.
+    """First entry of the polynomial ``coef`` (ascending, possibly with zero
+    high coefficients) into its hit side, ``f > 0`` if ``rising`` and
+    ``f <= 0`` otherwise, from the other side in ``(0, span]``.
     Between 0, ``span``, the roots' real parts and their neighbours at
     ``eps / 2`` the sign changes at most once, so the first hit point after a
     miss point brackets the crossing; bisection narrows a wider bracket to
     ``eps``. The roots are companion-matrix eigenvalues (a degree-1 root in
-    closed form), and a polynomial of less than the padded degree also has
-    the padding's root 0. A (subnormal) leading coefficient whose root
-    overflows counts as zero. Returns the bracket's hit end, or inf."""
+    closed form), and a polynomial with zero high coefficients also has
+    their root 0. A (subnormal) leading coefficient whose root overflows
+    counts as zero. Returns the bracket's hit end, or inf."""
     d = len(coef) - 1
     while d and (coef[d] == 0.0 or max(map(abs, coef[:d])) / abs(coef[d]) == math.inf):
         d -= 1
@@ -292,20 +341,6 @@ def _first_crossing(coef: list[float], span: float, rising: bool, eps: float) ->
     return math.inf
 
 
-def _factor_table(dets: list[_Detection], M: int) -> tuple[np.ndarray, ...]:
-    """The factor table of a block of detections: each target's live
-    factors at their slots, padded to the block's widest target with (1, 0).
-    Returns ``C0`` and ``C1`` (n, M, D) and the live pairs' indices
-    ``(k, i, j, slot)``, one array each."""
-    D = max(det.rate.shape[1] for det in dets) - 1
-    C0, C1 = np.ones((len(dets), M, D)), np.zeros((len(dets), M, D))
-    live = np.array([(k,) + pair for k, det in enumerate(dets)
-                     for pair in det.pairs]).reshape(-1, 6).T
-    k, i, j, slot = live[:4].astype(int)
-    C0[k, i, slot], C1[k, i, slot] = live[4:]
-    return C0, C1, (k, i, j, slot)
-
-
 class Simulator:
     """Runs one scenario with one parameter set. Strictly sequential."""
 
@@ -323,10 +358,15 @@ class Simulator:
         # (N, M, 3) motion event positions: lower and upper range edges, target
         edges = self.x[None, :, None] + self.r[:, None, None] * np.array([-1.0, 1.0, 0.0])
         # plain-float tables for the per-event path: the targets sorted by x,
-        # and each agent's motion event positions sorted, with (target, edge)
+        # each agent's motion event positions per target, and sorted, with
+        # (target, edge)
         self._x, self._A, self._B, self._r = (a.tolist() for a in (self.x, self.A, self.B, self.r))
         self._by_x = sorted(range(scenario.n_targets), key=self._x.__getitem__)
         self._xs = [self._x[i] for i in self._by_x]
+        self._marks = edges.tolist()
+        # an agent this far outside a range is more than eps away from it in
+        # time and rounding (positions lie in [0, L])
+        self._far = [2.0 * self.eps + 1e-9 * (1.0 + scenario.L + r) for r in self._r]
         self._edges = []
         for e in edges.reshape(scenario.n_agents, 3 * scenario.n_targets).tolist():
             k = sorted(range(len(e)), key=e.__getitem__)
@@ -347,25 +387,18 @@ class Simulator:
 
     def initial_state(self) -> SimState:
         sc = self.scenario
-        N = sc.n_agents
+        N, M = sc.n_agents, sc.n_targets
         s = np.array([a.s0 for a in sc.agents], dtype=float)
-        R = np.array([t.r0 for t in sc.targets], dtype=float)
-        on_floor = np.array([r == 0.0 and self._floor_holds(i, s.tolist())
-                             for i, r in enumerate(R.tolist())], dtype=bool)
-        state = SimState(t=0.0, s=s, R=R, phases=[None] * N, on_floor=on_floor,
-                         u=np.zeros(N), last_dir=np.zeros(N, dtype=int),
-                         bounds=[None] * N)
+        state = SimState(t=0.0, s=s, phases=[None] * N, u=np.zeros(N),
+                         last_dir=np.zeros(N, dtype=int), bounds=[None] * N,
+                         segments=[None] * M, floor_t=[math.inf] * M, until=[math.inf] * M,
+                         floors=[0] * M)
         for j, (spec, p) in enumerate(zip(sc.agents, self.params)):
             self._enter_phase(state, j, initial_phase(spec, p))
+        where = self._where(state)
+        for i, tg in enumerate(sc.targets):
+            self._rebuild(state, where, i, float(tg.r0), None if tg.r0 == 0.0 else False)
         return state
-
-    def _floor_holds(self, i: int, s: list[float]) -> bool:
-        """Whether target ``i``'s floor holds with the agents at ``s``: its rate
-        ``A - B P`` is not positive (``P`` as ``model.detection``, by agent)."""
-        miss = 1.0
-        for sj, rj in zip(s, self._r):
-            miss *= min(abs(self._x[i] - sj) / rj, 1.0)
-        return self._A[i] - self._B[i] * (1.0 - miss) <= 0.0
 
     def _enter_phase(self, state: SimState, j: int, phase: PhaseState) -> None:
         """Put agent ``j`` into ``phase`` at the state's time and position,
@@ -376,12 +409,120 @@ class Simulator:
         state.bounds[j] = resolve_boundary(phase, float(state.s[j]), state.t,
                                            self.params[j], self.scenario.T)
 
+    # -- target segments -----------------------------------------------------
+
+    @staticmethod
+    def _where(state: SimState) -> tuple[list[float], list[float], list[float]]:
+        """The agents' positions, controls and next switch times as plain floats."""
+        return (state.s.tolist(), state.u.tolist(),
+                [math.inf if b is None else b.time for b in state.bounds])
+
+    def _scan(self, t: float, where, i: int) -> tuple[float, list[tuple[int, float, float]]]:
+        """Target ``i``'s live factors from ``t`` on, the agents being
+        ``where`` (``_where``), as ``(j, c0, c1)`` in agent order, and a time
+        before which no agent can change them.
+
+        A pair's factor is its line over the stretch up to the agent's next
+        range edge or crossing of the target more than ``eps`` ahead (closer
+        ones are logged already), its next switch or T: in range at that
+        stretch's midpoint, ``|x - s| / r`` and the slope of ``model.detection``,
+        else 1 (not live). An agent changes the factors no earlier than that
+        stretch's end, and no earlier than it can enter the range after its
+        switch, at unit speed."""
+        eps, T, x = self.eps, self.scenario.T, self._x[i]
+        reach, live = T, []
+        for j, (sj, uj, bj, rj, far, marks) in enumerate(zip(*where, self._r, self._far,
+                                                             self._marks)):
+            d0 = x - sj
+            gap = abs(d0) - rj
+            if gap > far:
+                # out of range by more than eps and rounding blur, so not
+                # live; at unit speed it enters no earlier than t + gap
+                if t + gap >= reach:
+                    continue
+                # (moving towards it, it enters at its near range edge)
+                nxt = t + (marks[i][d0 < 0.0] - sj) * uj if uj * d0 > 0.0 else math.inf
+            else:
+                nxt = math.inf
+                if uj != 0.0:
+                    for e in marks[i]:
+                        tau = t + (e - sj) * uj
+                        if t + eps < tau < nxt:
+                            nxt = tau
+                mid = d0 - uj * (0.5 * (min(nxt, bj, T) - t))
+                if abs(mid) < rj:
+                    c0 = abs(d0) / rj
+                    # + 0.0 clears the sign of a zero slope, which follows u's sign
+                    c1 = -((mid > 0.0) - (mid < 0.0)) * uj / rj + 0.0
+                    if c0 != 1.0 or c1 != 0.0:
+                        live.append((j, c0, c1))
+            if bj < nxt:
+                nxt = min(nxt, bj + max(abs(x - (sj + uj * (bj - t))) - rj, 0.0))
+            if nxt < reach:
+                reach = nxt
+        return reach, live
+
+    def _rising(self, gro: list[float]) -> bool:
+        """The floor rule: a target at R = 0 with raw rate ``gro`` leaves its
+        floor if the rate is positive ``eps`` later, the time resolution of
+        floor events. At the instant itself a rate that turns negative may
+        still read a rounding error above 0, and R would then fall below 0
+        unseen."""
+        return _value(gro, self.eps) > 0.0
+
+    def _rebuild(self, state: SimState, where, i: int, R: float,
+                 on_floor: bool | None) -> Segment:
+        """Start target ``i``'s segment at the state's time with uncertainty
+        ``R`` and floor flag ``on_floor``, and search its next floor event.
+        ``on_floor`` None, at R = 0, takes the flag from the floor rule
+        (``_rising``)."""
+        reach, live = self._scan(state.t, where, i)
+        agents = [j for j, _, _ in live]
+        c0, c1 = [a for _, a, _ in live], [b for _, _, b in live]
+        Q = _miss_product(c0, c1)
+        A, B = self._A[i], self._B[i]
+        gro = [A - B * (1.0 - Q[0])] + [B * q for q in Q[1:]]
+        if on_floor is None:
+            on_floor = not self._rising(gro)
+        unc = ([0.0] * (len(Q) + 1) if on_floor
+               else [R] + [g / k for k, g in enumerate(gro, 1)])
+        seg = state.segments[i] = Segment(i, state.t, on_floor, agents, c0, c1, gro, unc)
+        state.fresh.append(seg)
+        self._search(state, i, reach)
+        return seg
+
+    def _search(self, state: SimState, i: int, end: float) -> None:
+        """Target ``i``'s first floor hit or leave on its segment up to ``end``.
+
+        A hit needs R to reach 0, which a lower bound on the rate rules out
+        for most segments; a leave needs the raw rate above 0, which an
+        upper bound on the miss product rules out. A root on the segment's
+        start is decided by the floor rule (``_rising``): a segment that
+        starts on the floor with a rising rate leaves at once, and one that
+        starts off it at R = 0 (R reached 0 on the instant of the event that
+        began it) with a rate not rising hits at once; a target just
+        released at 0 rises, so it is not re-triggered. Without live factors
+        the rate is ``A > 0``: no floor event until a factor joins."""
+        seg = state.segments[i]
+        span = end - seg.t0
+        A, B = self._A[i], self._B[i]
+        lo, hi = _miss_bounds(seg.c0, seg.c1, span)
+        if seg.on_floor and A - B + B * hi > 0.0:
+            tau = (0.0 if self._rising(seg.gro)
+                   else _first_crossing(seg.gro + [0.0], span, True, self.eps))
+        elif not seg.on_floor and seg.unc[0] + min(A - B + B * lo, 0.0) * span <= 0.0:
+            tau = (0.0 if seg.unc[0] == 0.0 and not self._rising(seg.gro)
+                   else _first_crossing(seg.unc, span, False, self.eps))
+        else:
+            tau = math.inf
+        state.floor_t[i] = seg.t0 + tau
+        state.until[i] = math.inf if tau < math.inf or not seg.c0 else end
+
     # -- event detection -----------------------------------------------------
 
     def next_event(self, state: SimState) -> _Detection:
         sc, t0, eps = self.scenario, state.t, self.eps
-        s, u, R = state.s.tolist(), state.u.tolist(), state.R.tolist()
-        bound_t = [math.inf if b is None else b.time for b in state.bounds]
+        where = s, u, bound_t = self._where(state)
         tau_sched = min(sc.T, min(bound_t, default=math.inf))
 
         # motion guards in closed form while controls stay constant: each
@@ -403,53 +544,15 @@ class Simulator:
                     break
                 k += step
 
-        # the pairs in range at the window's midpoint, whose miss factors are
-        # lines (model.detection's clip does not bind inside the window);
-        # bisect on the sorted targets only narrows the candidates
-        span = win_end - t0
-        M = sc.n_targets
-        factors: list[list[tuple[float, float]]] = [[] for _ in range(M)]
-        pairs = []
-        for j, (sj, uj, rj) in enumerate(zip(s, u, self._r)):
-            shift = uj * (0.5 * span)
-            c, pad = sj + shift, rj + 1e-9 * (1.0 + abs(sj) + abs(shift) + rj)
-            for i in self._by_x[bisect_left(self._xs, c - pad):bisect_right(self._xs, c + pad)]:
-                d0 = self._x[i] - sj
-                mid = d0 - shift
-                if abs(mid) < rj:
-                    c0 = abs(d0) / rj
-                    # + 0.0 clears the sign of a zero slope, which follows u's sign
-                    c1 = -((mid > 0.0) - (mid < 0.0)) * uj / rj + 0.0
-                    if c0 != 1.0 or c1 != 0.0:
-                        pairs.append((i, j, len(factors[i]), c0, c1))
-                        factors[i].append((c0, c1))
-        D = max(map(len, factors), default=0)
+        # a segment whose floor search ended before the window is searched
+        # on: no event can touch its target before the window ends
+        until, floor_t = state.until, state.floor_t
+        if min(until, default=math.inf) < win_end:
+            for i, end in enumerate(until):
+                if end < win_end:
+                    self._search(state, i, max(self._scan(t0, where, i)[0], win_end))
 
-        # each target's miss product Q and rates; the floor guards: a hit
-        # needs R to reach 0, which a lower bound on the rate rules out for
-        # most targets; a leave needs the raw rate above 0, which an upper
-        # bound on the miss product rules out. A hit needs R > 0 first, so a
-        # target just released at 0 is not re-triggered.
-        rate, floors = [], []
-        zeros = [0.0] * (D + 1)
-        for i, (f, on, A, B) in enumerate(zip(factors, state.on_floor.tolist(),
-                                               self._A, self._B)):
-            if f:
-                Q, q_lo, q_hi = _miss_product(f, span, D)
-                gro = [A - B * (1.0 - Q[0])] + [B * q for q in Q[1:]]
-            else:   # the same values for Q = 1
-                gro, q_lo, q_hi = [A] + zeros[1:], 1.0, 1.0
-            rate.append(zeros if on else gro)
-            if on and A - B + B * q_hi > 0.0:
-                tau = _first_crossing(gro + [0.0], span, True, eps)
-            elif not on and R[i] + min(A - B + B * q_lo, 0.0) * span <= 0.0:
-                tau = _first_crossing([R[i]] + [g / k for k, g in enumerate(gro, 1)],
-                                      span, False, eps)
-            else:
-                continue
-            floors.append((t0 + tau, i, on))
-
-        tau_next = max(min([win_end] + [f[0] for f in floors]), t0)
+        tau_next = max(min(win_end, min(floor_t, default=math.inf)), t0)
         limit = tau_next + eps
         records: list[EventRecord] = []
         in_batch: dict[int, Boundary] = {}
@@ -469,16 +572,17 @@ class Simulator:
             for i, kind in sorted(hits):
                 records.extend(self._motion_records(tau_next, kind, u[j] > 0.0, i, j,
                                                     sc.n_agents))
-        for tau, i, on in floors:
-            if tau <= limit:
-                kind = EventKind.R_LEFT_ZERO if on else EventKind.R_HIT_ZERO
-                records.append(EventRecord(tau_next, kind, target=i))
+        if min(floor_t, default=math.inf) <= limit:
+            for i, tau in enumerate(floor_t):
+                if tau <= limit:
+                    kind = (EventKind.R_LEFT_ZERO if state.segments[i].on_floor
+                            else EventKind.R_HIT_ZERO)
+                    records.append(EventRecord(tau_next, kind, target=i))
         done = sc.T <= limit
         if done:
             records.append(EventRecord(tau_next, EventKind.HORIZON))
         return _Detection(tau=tau_next, records=order_batch(records), bounds=in_batch,
-                          done=done, pairs=pairs,
-                          rate=np.array(rate).reshape(M, D + 1))
+                          done=done)
 
     def _control_record(self, tau: float, j: int, tr, phase: PhaseState) -> EventRecord:
         payload = {"transition": tr.kind, "point": tr.point,
@@ -508,46 +612,80 @@ class Simulator:
 
     # -- interval integration ------------------------------------------------
 
-    def advance(self, state: SimState, det: _Detection) -> Interval:
-        """Move the state to the detected event and queue the finished
-        interval for the block kernel (``flush``)."""
+    def advance(self, state: SimState, det: _Detection) -> Span:
+        """Move the agents to the detected event and queue the finished span
+        with the segments it ran on for the block kernel (``flush``)."""
         t0, t1, u = state.t, det.tau, state.u.copy()
-        dt = t1 - t0
-        w1, w2 = _integrals(dt, det.rate.shape[1])
-        iv = Interval(t0, t1, u, state.s, state.s + u * dt, state.R,
-                      np.maximum(state.R + det.rate @ w1, 0.0),
-                      state.R * dt + det.rate @ w2, det.rate)
-        state.pending.append((iv, det, state.last_dir.copy(), state.on_floor.copy()))
+        span = Span(t0, t1, u, state.s, state.s + u * (t1 - t0))
+        state.pending.append((span, state.last_dir.copy(),
+                              state.fresh if state.pending else list(state.segments)))
+        state.fresh = []
         state.t = t1
-        state.s = iv.s1.copy()
-        state.R = iv.R1.copy()
-        return iv
+        state.s = span.s1.copy()
+        return span
 
     def flush(self, state: SimState) -> None:
-        """The block kernel: ``in_range``, ``c`` and ``g`` of every pending
-        interval, kept with their spans as the state's next ``Block``; drops
-        the pending polynomials. A pair's G and GG integrate its target's
-        miss product, the product of one row of ``_factor_table``; a live
-        pair's, that of the other slots of its row."""
-        ivs, dets, last_dir, on_floor = zip(*state.pending)
+        """The block kernel: the pending spans as intervals, appended to the
+        run, with their uncertainties, cost integrals and rates from their
+        targets' segments, and their ``in_range``, ``c`` and ``g``, kept with
+        their lengths as the state's next ``Block``.
+
+        Each (interval, target) row evaluates the segment's uncertainty
+        polynomial at the interval's ends, with the event loop's Horner steps,
+        and multiplies the segment's factors moved to the interval's start,
+        padded to the block's widest segment with factors (1, 0): the row's
+        miss product, whose integrals are each pair's G and GG; a live pair's
+        are those of the other slots of its row."""
+        spans, last_dir, begun = zip(*state.pending)
         state.pending = []
-        M, N = self.scenario.n_targets, self.scenario.n_agents
-        dt = np.array([iv.dt for iv in ivs])
-        u = np.array([iv.u for iv in ivs])
-        d0 = self.x[:, None] - np.array([iv.s0 for iv in ivs])[:, None, :]
+        n, M, N = len(spans), self.scenario.n_targets, self.scenario.n_agents
+        # the block's segments in the order they began, and each row's index
+        # among them: the latest begun at or before its interval
+        segs = [seg for group in begun for seg in group]
+        sel = np.full((n, M), -1)
+        sel[np.repeat(np.arange(n), [len(group) for group in begun]),
+            [seg.i for seg in segs]] = np.arange(len(segs))
+        sel = np.maximum.accumulate(sel, axis=0)
+        # each row's segment as start, floor flag, uncertainty (D + 2
+        # coefficients) and the factors' c0, c1 and agents (D each)
+        D = max(len(seg.c0) for seg in segs)
+        zero, one, none = [0.0] * D, [1.0] * D, [-1] * D
+        table = np.array([[seg.t0, seg.on_floor, *seg.unc, *zero[len(seg.c0):],
+                           *seg.c0, *one[len(seg.c0):], *seg.c1, *zero[len(seg.c0):],
+                           *seg.agents, *none[len(seg.c0):]] for seg in segs])[sel]
+        floor = table[..., 1] != 0.0                                        # (n, M)
+        C1 = table[..., 2 * D + 4:3 * D + 4]                                # (n, M, D)
+
+        t0, t1 = np.array([sp.t0 for sp in spans]), np.array([sp.t1 for sp in spans])
+        dt = t1 - t0
+        tau = np.array((t0, t1))[:, :, None] - table[..., 0]               # (2, n, M)
+        R0, R1 = np.maximum(_horner(table[..., 2:D + 4], tau), 0.0)
+        C0 = table[..., D + 4:2 * D + 4] + C1 * tau[0, ..., None]
+        Q = _products(C0, C1)                                               # (n, M, D + 1)
+        rate = self.B[:, None] * Q
+        rate[..., 0] = self.A - self.B * (1.0 - Q[..., 0])
+        rate[floor] = 0.0
+        k = np.arange(1, D + 2)
+        step = dt[:, None]
+        int_R = R0 * step + _horner(rate / (k * (k + 1)), step) * step * step
+        state.intervals.extend(Interval(sp.t0, sp.t1, sp.u, sp.s0, sp.s1, *row)
+                               for sp, *row in zip(spans, R0, R1, int_R, rate))
+
+        u = np.array([sp.u for sp in spans])
+        d0 = self.x[:, None] - np.array([sp.s0 for sp in spans])[:, None, :]
         mid = d0 - u[:, None] * (0.5 * dt)[:, None, None]
         in_range, dp_ds = offset_membership(mid, self.r, np.array(last_dir)[:, None])
-        C0, C1, (k, i, j, slot) = _factor_table(dets, M)
-        D = C0.shape[2]
         W1, W2 = _integrals(dt, D + 1)
-        Q = _products(C0, C1)
         G, GG = (np.repeat(Q @ w[:, :, None], N, axis=2) for w in (W1, W2))
         if D:
+            agents = table[..., 3 * D + 4:]
+            k, i, slot = np.nonzero(agents >= 0.0)
+            j = agents[k, i, slot].astype(int)
             others = np.array([[c for c in range(D) if c != d] for d in range(D)], dtype=int)
             loo = _products(C0[:, :, others], C1[:, :, others])    # (n, M, D, D)
             G[k, i, j] = (loo @ W1[:, None, :D, None])[k, i, slot, 0]
             GG[k, i, j] = (loo @ W2[:, None, :D, None])[k, i, slot, 0]
-        idle = np.array(on_floor) | (dt == 0.0)[:, None]              # (n, M)
+        idle = floor | (dt == 0.0)[:, None]                                 # (n, M)
         coef = np.where(idle[:, :, None], 0.0, self.B[:, None] * dp_ds)
         start = state.blocks[-1].stop if state.blocks else 0
         state.blocks.append(Block(start, dt, in_range, coef * G, (coef * GG).sum(axis=1)))
@@ -555,31 +693,67 @@ class Simulator:
     # -- event application ---------------------------------------------------
 
     def apply_events(self, state: SimState, det: _Detection) -> list[EventRecord]:
+        """Apply the batch: enter the agents' next phases, set the floor flags
+        of its floor events, and rebuild the segment of every target it
+        touches (``_touched``)."""
         for j in sorted(det.bounds):
             ph = state.phases[j]
             if ph.mode is PhaseMode.TRANSIT:
                 state.s[j] = float(self.params[j].theta[ph.point - 1])
             self._enter_phase(state, j, det.bounds[j].next_phase)
+        where = self._where(state)
+        moved = self._touched(where[0], det)
+        floor = {rec.target: rec.kind for rec in det.records
+                 if rec.kind in (EventKind.R_HIT_ZERO, EventKind.R_LEFT_ZERO)}
+        for i in sorted(moved | floor.keys()):
+            if i in moved:
+                state.floors[i] = 0
+            if i in floor:
+                # a hit holds unless the floor rule releases it at once: a
+                # grazing touch, logged as a hit and a leave
+                hit = floor[i] is EventKind.R_HIT_ZERO
+                seg = self._rebuild(state, where, i, 0.0, None if hit else False)
+                state.floors[i] += 2 if hit and not seg.on_floor else 1
+            else:
+                old = state.segments[i]
+                seg = self._rebuild(state, where, i, old.uncertainty(state.t), old.on_floor)
+            # Zeno bound. Between two motion events of a target its raw rate
+            # is one polynomial of degree D, its live factors' count, so it
+            # changes sign at most D times. Each floor record after the
+            # first needs a sign change since the one before: after a
+            # holding hit (rate <= 0) a leave needs the rate above 0; after
+            # a leave (rate > 0) R must fall back to 0, so the rate turns
+            # negative; a grazing leave shares its hit's instant, where the
+            # rate went from falling R to positive. So at most D + 1 floor
+            # records; twice that allows each root to be logged on either
+            # side within eps. More is a cascade of ever shorter intervals.
+            bound = 2 * (len(seg.c0) + 1)
+            if state.floors[i] > bound:
+                raise SimulationError(
+                    f"floor events cascade at t={state.t!r}: target {i} logged "
+                    f"{state.floors[i]} floor hits and leaves since its last motion event, "
+                    f"beyond the {bound} its rate's sign changes allow")
         out: list[EventRecord] = []
         for rec in det.records:
-            if rec.kind is EventKind.R_HIT_ZERO:
-                i = rec.target
-                state.R[i] = 0.0
-                out.append(rec)
-                if self._floor_holds(i, state.s.tolist()):
-                    state.on_floor[i] = True
-                else:
-                    # grazing touch: the floor cannot hold, leaves 0 at once
-                    state.on_floor[i] = False
-                    out.append(EventRecord(rec.time, EventKind.R_LEFT_ZERO, target=i,
-                                           payload={"grazing": 1}))
-            elif rec.kind is EventKind.R_LEFT_ZERO:
-                state.R[rec.target] = 0.0
-                state.on_floor[rec.target] = False
-                out.append(rec)
-            else:
-                out.append(rec)
+            out.append(rec)
+            if rec.kind is EventKind.R_HIT_ZERO and not state.segments[rec.target].on_floor:
+                out.append(EventRecord(rec.time, EventKind.R_LEFT_ZERO, target=rec.target,
+                                       payload={"grazing": 1}))
         return out
+
+    def _touched(self, s: list[float], det: _Detection) -> set[int]:
+        """The targets whose factors the batch's motion may change: those its
+        range edges and crossings name, and those in range, or at most
+        ``eps`` (and rounding) outside it, of an agent that switches to or
+        from ``s``."""
+        moved = {rec.target for rec in det.records
+                 if rec.target is not None and rec.agent is not None}
+        for j in det.bounds:
+            sj, rj = s[j], self._r[j]
+            pad = rj + self.eps + 1e-9 * (1.0 + abs(sj) + rj)
+            moved.update(self._by_x[bisect_left(self._xs, sj - pad):
+                                    bisect_right(self._xs, sj + pad)])
+        return moved
 
     # -- full run -------------------------------------------------------------
 
@@ -598,34 +772,32 @@ class Simulator:
         """
         sc = self.scenario
         state = self.initial_state() if start is None else start.copy()
-        intervals, events = state.intervals, state.events
         while True:
             det = self.next_event(state)
             if checkpoints is not None and det.bounds:
                 checkpoints.append(state.copy())
-            iv = self.advance(state, det)
-            idx = len(intervals)
-            intervals.append(iv)
+            span = self.advance(state, det)
+            idx = len(state.intervals) + len(state.pending) - 1
             if det.done or len(state.pending) == BLOCK:
                 self.flush(state)
             recs = self.apply_events(state, det)
             for r in recs:
                 r.interval_index = idx
-            events.extend(recs)
+            state.events.extend(recs)
             if det.done:
                 break
-            state.stuck = state.stuck + 1 if iv.t1 == iv.t0 else 0
+            state.stuck = state.stuck + 1 if span.t1 == span.t0 else 0
             if state.stuck > self._chatter:
                 agents = sorted({r.agent for r in recs if r.agent is not None})
                 targets = sorted({r.target for r in recs if r.target is not None})
                 raise SimulationError(
-                    f"event detection stuck at t={iv.t1!r}: {state.stuck} zero-length "
+                    f"event detection stuck at t={span.t1!r}: {state.stuck} zero-length "
                     f"intervals in a row, the last one ending in events of agents {agents} "
                     f"and targets {targets}")
 
-        total = sum(float(iv.int_R.sum()) for iv in intervals)
-        return SimRecord(scenario=sc, params=self.params, intervals=intervals,
-                         events=events, J=total / sc.T, blocks=state.blocks)
+        total = sum(float(iv.int_R.sum()) for iv in state.intervals)
+        return SimRecord(scenario=sc, params=self.params, intervals=state.intervals,
+                         events=state.events, J=total / sc.T, blocks=state.blocks)
 
 
 def sample_table(scenario: Scenario, intervals: list[Interval]) -> tuple[np.ndarray, ...]:

@@ -65,7 +65,8 @@ def floor_flags(record):
     (K, M) bool: the flags at t = 0, then as each interval's events leave
     them. A floor hit sets a flag and a floor-leave clears it; a grazing
     touch logs both."""
-    flags = Simulator(record.scenario, record.params).initial_state().on_floor
+    flags = np.array([seg.on_floor for seg in
+                      Simulator(record.scenario, record.params).initial_state().segments])
     out = np.empty((len(record.intervals), flags.size), dtype=bool)
     events = iter(record.events)
     ev = next(events, None)

@@ -4,9 +4,10 @@
 bisects them, and integrates the cost, R and the collaboration integrals G
 and GG with the trapezoid rule on the same grid, as the simulator did
 before it integrated each interval's polynomials exactly. Control switches,
-motion events, batching and event application are the simulator's own.
-Its ``advance`` returns complete intervals and queues nothing, so the
-simulator's block kernel never runs on them: a grid record has no blocks,
+motion events, batching and event application are those of the interval
+loop the simulator ran then (``loop_oracle.IntervalLoop``). Its ``advance``
+returns complete intervals and queues nothing, so no block kernel runs on
+them: a grid record has no blocks,
 and its intervals (``GridInterval``) carry their own drift ``c`` and cost
 weight ``g``, made from G and GG as the kernel makes them. They carry
 no rate polynomial (``rate=None``), so a grid record has no sample table
@@ -20,7 +21,9 @@ import numpy as np
 
 from persimon.events import EventKind, EventRecord, order_batch
 from persimon.model import detection, offset_membership
-from persimon.sim import Interval, SimulationError, Simulator
+from persimon.sim import Interval, SimulationError
+
+from loop_oracle import IntervalLoop
 
 
 @dataclass
@@ -52,7 +55,7 @@ def _cumtrapz(y, ts):
     return out
 
 
-class GridSimulator(Simulator):
+class GridSimulator(IntervalLoop):
     def __init__(self, scenario, params, h):
         super().__init__(scenario, params)
         self.h = h

@@ -254,6 +254,11 @@ def dense_detection(sim: Simulator, state: SimState) -> DenseDetection:
         coef[~up, 1:] = g[~up] / np.arange(1, D + 2)
         coef[up, :-1] = g[up]
         tau_g = t0 + first_crossings(coef, span, up, eps)
+        # on the floor with a positive rate eps later: leaves at once; off it
+        # at R = 0 with a rate not positive eps later: hits at once
+        later = polyval(eps, g.T) > 0.0
+        tau_g[up & later] = t0
+        tau_g[~up & (state.R[cand] == 0.0) & ~later] = t0
 
     tau_next = max(min(win_end, float(tau_g.min(initial=np.inf))), t0)
     limit = tau_next + eps

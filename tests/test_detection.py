@@ -1,12 +1,15 @@
-"""The simulator's sparse per-event detection against the dense oracle.
+"""The interval-by-interval event loop's sparse detection against the dense
+oracle, and the pieces the simulator shares with both.
 
-``Simulator.next_event`` finds each agent's targets and next motion edge by
-bisection on sorted positions and multiplies only the (target, agent)
-factors that are not identically 1, the live pairs, each with its slot
-among its target's factors; ``oracles.dense_detection`` builds the factors,
-slot layout and miss products of every pair at once. The two must agree
-bit for bit on every event: batch time, records, rates, and the factor
-table and miss products the block kernel builds from the live pairs.
+``loop_oracle.IntervalLoop.next_event`` finds each agent's targets and next
+motion edge by bisection on sorted positions and multiplies only the
+(target, agent) factors that are not identically 1, the live pairs, each
+with its slot among its target's factors; ``oracles.dense_detection``
+builds the factors, slot layout and miss products of every pair at once.
+The two must agree bit for bit on every event: batch time, records, rates,
+and the factor table and miss products its block kernel builds from the
+live pairs. The simulator's per-target segments are checked against that
+loop in ``test_segments.py``.
 """
 
 from pathlib import Path
@@ -19,10 +22,10 @@ from numpy.polynomial.polynomial import polyfromroots
 from persimon.cli import load_scenario
 from persimon.events import EventKind
 from persimon.model import detection
-from persimon.sim import (Simulator, _factor_table, _first_crossing, _miss_product,
-                          _products)
+from persimon.sim import Simulator, _first_crossing, _miss_bounds, _miss_product, _products
 
 from conftest import assert_drift_vanishes, make_scenario, params, random_scenario
+from loop_oracle import IntervalLoop, factor_table, padded_miss_product
 from oracles import dense_detection, first_crossings, miss_factors
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "persimon" / "data"
@@ -36,13 +39,14 @@ def bits(a) -> bytes:
 
 
 def lockstep(sc, ps, max_events=20_000) -> int:
-    """Simulate, checking every detection against the dense oracle and the
-    floor flags at t = 0 and every floor hit's hold decision against
-    ``detection``; returns the number of events checked."""
-    sim = Simulator(sc, ps)
+    """Run the interval loop, checking every detection against the dense
+    oracle and the floor flags at t = 0 and every floor hit's hold decision
+    against ``detection`` eps_event later; returns the number of events
+    checked."""
+    sim = IntervalLoop(sc, ps)
     state = sim.initial_state()
-    x, r, A, B = sc.x, sc.r, sc.A, sc.B
-    P0 = detection(x, state.s, r)[1]
+    x, r, A, B, eps = sc.x, sc.r, sc.A, sc.B, sc.numerics.eps_event
+    P0 = detection(x, state.s + state.u * eps, r)[1]
     assert state.on_floor.tolist() == ((state.R == 0.0) & (A - B * P0 <= 0.0)).tolist()
     for n in range(max_events):
         det = sim.next_event(state)
@@ -52,14 +56,14 @@ def lockstep(sc, ps, max_events=20_000) -> int:
                 == [(e.time, e.kind, e.agent, e.target, e.payload) for e in ref.records])
         assert list(det.bounds) == list(ref.bounds)
         assert det.rate.shape == ref.rate.shape and bits(det.rate) == bits(ref.rate)
-        C0, C1, _ = _factor_table([det], sc.n_targets)
+        C0, C1, _ = factor_table([det], sc.n_targets)
         for a, b in ((C0[0], ref.C0), (C1[0], ref.C1), (_products(C0, C1)[0], ref.Q)):
             assert a.shape == b.shape and bits(a) == bits(b)
         assert all(ref.slots[i, slot] == j for i, j, slot, _, _ in det.pairs)
         sim.advance(state, det)
         state.pending.clear()
         sim.apply_events(state, det)
-        P = detection(x, state.s, r)[1]
+        P = detection(x, state.s + state.u * eps, r)[1]
         for e in det.records:
             if e.kind is EventKind.R_HIT_ZERO:
                 assert state.on_floor[e.target] == (A[e.target] - B[e.target] * P[e.target] <= 0.0)
@@ -126,6 +130,7 @@ class TestSparseDetection:
         ps = [params([4.0], [0.0])]
         assert lockstep(sc, ps) > 2
         events = Simulator(sc, ps).run().events
+        assert [e.kind for e in events] == [e.kind for e in IntervalLoop(sc, ps).run().events]
         k = next(k for k, e in enumerate(events) if e.kind is EventKind.R_HIT_ZERO)
         leave = events[k + 1]
         assert leave.kind is EventKind.R_LEFT_ZERO and leave.payload == {"grazing": 1}
@@ -146,7 +151,8 @@ class TestMissProduct:
     @given(st.data())
     def test_matches_padded_dense_product(self, data):
         # zero offsets and parked agents give zero coefficients, whose signs
-        # the dense product's (1, 0) padding factors may change
+        # the dense product's (1, 0) padding factors may change: the loop
+        # oracle's padded product replays them
         line = st.tuples(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.2),
                          st.sampled_from([0.0, -0.25, 0.25]) | st.floats(-1.0, 1.0))
         factors = data.draw(st.lists(line, max_size=5))
@@ -154,8 +160,11 @@ class TestMissProduct:
         span = data.draw(st.floats(0.0, 3.0))
         C0 = np.array([[c0 for c0, _ in factors] + [1.0] * (D - len(factors))])
         C1 = np.array([[c1 for _, c1 in factors] + [0.0] * (D - len(factors))])
-        Q, lo, hi = _miss_product(factors, span, D)
-        assert bits(Q) == bits(_products(C0, C1)[0])
+        c0, c1 = [c0 for c0, _ in factors], [c1 for _, c1 in factors]
+        Q = _miss_product(c0, c1)
+        assert bits(Q) == bits(_products(C0[:, :len(factors)], C1[:, :len(factors)])[0])
+        assert bits(padded_miss_product(factors, D)) == bits(_products(C0, C1)[0])
+        lo, hi = _miss_bounds(c0, c1, span)
         ends = C0 + C1 * span
         assert lo == np.minimum(C0, ends).prod() and hi == np.maximum(C0, ends).prod()
 

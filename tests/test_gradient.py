@@ -158,7 +158,7 @@ class TestChunks:
         rec = Simulator(sc, ps).run(checkpoints=base)
         assert len(rec.blocks) > 1
         probe = Simulator(sc, _perturbed(tuple(ps), 1, "theta", 3, 1e-4)).run(
-            _resume_point(base, 1, "theta", 3))
+            _resume_point(base, tuple(ps), 1, "theta", 3))
         crowd = simulate(*load_scenario(pool_scenario(tmp_path, "crowd-modes"))[:2])
         for r in (rec, probe, crowd):
             assert chunks(r.blocks) is r.blocks

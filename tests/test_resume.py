@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 from persimon import sim as sim_module
 from persimon.cli import load_scenario
 from persimon.fdcheck import _feasible, _perturbed, _resume_point, grad_check
-from persimon.policy import first_reading_point
-from persimon.sim import Block, Interval, SimulationError, Simulator, simulate
+from persimon.policy import PhaseMode, first_reading_point
+from persimon.sim import Block, Interval, Segment, SimulationError, Simulator, Span, simulate
 
 from conftest import make_scenario, params
 from oracles import fd_report
@@ -117,29 +117,38 @@ def assert_probes_exact(sc, ps, coords=None, deltas=DELTAS):
     record, base = base_run(sc, ps)
     resumed = 0
     for j, kind, idx, q in probes(sc, ps, coords, deltas):
-        start = _resume_point(base, j, kind, idx)
+        start = _resume_point(base, ps, j, kind, idx)
         assert record_fields(Simulator(sc, q).run(start)) == record_fields(simulate(sc, q))
         resumed += start is not None
     return resumed
 
 
+def run_length(cp) -> int:
+    """The number of intervals the run had finished at checkpoint ``cp``:
+    the block kernel's and the spans pending for it."""
+    return len(cp.intervals) + len(cp.pending)
+
+
 def checkpoint_fields(cp):
-    """A checkpoint's state, counters and pending kernel entries, with every
-    float as its bytes."""
+    """A checkpoint's state, its targets' segments and floor searches,
+    counters and pending kernel entries, with every float as its bytes."""
     st_ = cp
 
     def raw(v):
         return np.asarray(v).tobytes()
 
-    pending = [([raw(getattr(iv, f.name)) for f in fields(Interval)],
-                raw(det.tau), [(r.kind, r.agent, r.target, raw(r.time)) for r in det.records],
-                det.bounds, det.done, raw(np.array(det.pairs, dtype=float)), raw(det.rate),
-                raw(last_dir), raw(on_floor))
-               for iv, det, last_dir, on_floor in st_.pending]
+    def segment(seg):
+        return [raw(getattr(seg, f.name)) for f in fields(Segment)]
+
+    pending = [([raw(getattr(sp, f.name)) for f in fields(Span)], raw(last_dir),
+                [segment(seg) for seg in begun])
+               for sp, last_dir, begun in st_.pending]
     blocks = [[raw(getattr(blk, f.name)) for f in fields(Block)] for blk in st_.blocks]
-    return [raw(st_.t), raw(st_.s), raw(st_.R), st_.phases, raw(st_.on_floor), raw(st_.u),
-            raw(st_.last_dir), st_.bounds,
-            raw([np.inf if b is None else b.time for b in st_.bounds]), pending, blocks,
+    return [raw(st_.t), raw(st_.s), st_.phases, raw(st_.u), raw(st_.last_dir), st_.bounds,
+            raw([np.inf if b is None else b.time for b in st_.bounds]),
+            [segment(seg) for seg in st_.segments], raw(st_.floor_t), raw(st_.until),
+            st_.floors,
+            pending, [segment(seg) for seg in st_.fresh], blocks,
             len(cp.intervals), len(cp.events), cp.stuck]
 
 
@@ -150,11 +159,11 @@ def assert_fresh_probe_passes_checkpoint(sc, ps, coords=None):
     _, base = base_run(sc, ps)
     resumed = 0
     for j, kind, idx, q in probes(sc, ps, coords, deltas=(1e-4,)):
-        start = _resume_point(base, j, kind, idx)
+        start = _resume_point(base, ps, j, kind, idx)
         if start is None:
             continue
         _, own = base_run(sc, q)
-        same = [cp for cp in own if len(cp.intervals) == len(start.intervals)]
+        same = [cp for cp in own if run_length(cp) == run_length(start)]
         assert len(same) == 1, (j, kind, idx)
         assert checkpoint_fields(same[0]) == checkpoint_fields(start), (j, kind, idx)
         resumed += 1
@@ -163,11 +172,17 @@ def assert_fresh_probe_passes_checkpoint(sc, ps, coords=None):
 
 class TestFirstReadRule:
     def test_points(self):
-        assert [first_reading_point("theta", k) for k in range(4)] == [0, 1, 2, 3]
-        assert [first_reading_point("w", k) for k in range(4)] == [1, 2, 3, 4]
+        # a transit reads the next point only through a zero dwell it fuses
+        T, D = PhaseMode.TRANSIT, PhaseMode.DWELL
+        p = params([1.0, 2.0, 3.0, 4.0], [0.5, 0.0, 2.0, 0.0])
+        assert [first_reading_point(p, "theta", k) for k in range(4)] == [
+            (1, T), (1, D), (2, T), (3, D)]
+        assert [first_reading_point(p, "w", k) for k in range(4)] == [
+            (1, T), (2, T), (3, T), (4, T)]
 
     def test_start_of_run_for_the_first_leg(self):
-        # theta[0], theta[1] and w[0] are read by the initial phase
+        # theta[0] and w[0] are read by the initial phase, theta[1] by the
+        # dwell on point 1
         sc = make_scenario([(10.0, 1.0, 5.0, 2.0)], [(5.0, 1, 3.0)], T=20.0)
         ps = (params([7.0, 12.0, 9.0, 14.0], [1.0, 1.0, 1.0, 1.0]),)
         _, base = base_run(sc, ps)
@@ -175,20 +190,38 @@ class TestFirstReadRule:
         assert [cp.bounds[0].time for cp in base] == [2.0, 3.0, 8.0, 9.0, 12.0, 13.0,
                                                              18.0, 19.0]
         assert [cp.phases[0].point for cp in base] == [1, 1, 2, 2, 3, 3, 4, 4]
-        starts = {(kind, idx): _resume_point(base, 0, kind, idx)
+        starts = {(kind, idx): _resume_point(base, ps, 0, kind, idx)
                   for _, kind, idx in coordinates(ps)}
-        assert [key for key, cp in starts.items() if cp is None] == [
-            ("theta", 0), ("theta", 1), ("w", 0)]
-        # theta[2] from the departure from point 1 at t = 3, w[3] from the
-        # departure from point 3 at t = 13
-        assert starts["theta", 2] is base[1] and starts["w", 3] is base[5]
+        assert [key for key, cp in starts.items() if cp is None] == [("theta", 0), ("w", 0)]
+        # theta[1] from the arrival at point 1 at t = 2, theta[2] from the
+        # arrival at point 2 at t = 8, w[3] from the departure from point 3
+        # at t = 13
+        assert starts["theta", 1] is base[0] and starts["theta", 2] is base[2]
+        assert starts["w", 3] is base[5]
+        assert assert_probes_exact(sc, ps) > 0
+
+    def test_zero_dwell_transit_reads_the_next_point(self):
+        # with w[0] = 0 the transit to point 1 fuses its departure, reading
+        # theta[1] from the start; w[1] > 0 leaves theta[2] to the dwell
+        sc = make_scenario([(10.0, 1.0, 5.0, 2.0)], [(5.0, 1, 3.0)], T=20.0)
+        ps = (params([7.0, 12.0, 9.0, 14.0], [0.0, 1.0, 0.0, 1.0]),)
+        _, base = base_run(sc, ps)
+        starts = {(kind, idx): _resume_point(base, ps, 0, kind, idx)
+                  for _, kind, idx in coordinates(ps)}
+        assert starts["theta", 1] is None
+        assert starts["theta", 2].phases[0] == base[1].phases[0]
+        assert (starts["theta", 2].phases[0].point, starts["theta", 2].phases[0].mode) == (
+            2, PhaseMode.TRANSIT)
+        assert (starts["theta", 3].phases[0].point, starts["theta", 3].phases[0].mode) == (
+            2, PhaseMode.DWELL)
+        assert assert_probes_exact(sc, ps) > 0
 
     def test_unread_parameter_resumes_from_the_last_checkpoint(self):
         # the first dwell outlasts the horizon: nothing reads theta[2]
         sc = make_scenario([(10.0, 1.0, 5.0, 2.0)], [(5.0, 1, 3.0)], T=10.0)
         ps = (params([7.0, 12.0, 9.0], [50.0, 1.0, 1.0]),)
         _, base = base_run(sc, ps)
-        assert _resume_point(base, 0, "theta", 2) is base[-1]
+        assert _resume_point(base, ps, 0, "theta", 2) is base[-1]
         assert assert_probes_exact(sc, ps) > 0
 
     def test_fresh_probe_passes_through_the_checkpoint(self, tmp_path):
@@ -225,18 +258,19 @@ class TestResumedRecord:
         sc, ps, _ = load_scenario(DATA / "smoke.scenario")
         ps = tuple(ps)
         record, base = base_run(sc, ps)
-        sizes = [(len(cp.intervals), len(cp.events)) for cp in base]
+        sizes = [(len(cp.intervals), len(cp.pending), len(cp.events)) for cp in base]
 
         def holds_its_prefix():
-            assert [(len(cp.intervals), len(cp.events)) for cp in base] == sizes
+            assert [(len(cp.intervals), len(cp.pending), len(cp.events)) for cp in base] == sizes
             for cp in base:
                 assert all(iv.t1 <= cp.t for iv in cp.intervals)
-                assert record.intervals[len(cp.intervals)].t0 == cp.t
-                assert all(ev.interval_index < len(cp.intervals) for ev in cp.events)
+                assert all(sp.t1 <= cp.t for sp, _, _ in cp.pending)
+                assert record.intervals[run_length(cp)].t0 == cp.t
+                assert all(ev.interval_index < run_length(cp) for ev in cp.events)
 
         holds_its_prefix()
         Simulator(sc, ps).run(base[len(base) // 2])
-        Simulator(sc, _perturbed(ps, 0, "w", 1, 1e-3)).run(_resume_point(base, 0, "w", 1))
+        Simulator(sc, _perturbed(ps, 0, "w", 1, 1e-3)).run(_resume_point(base, ps, 0, "w", 1))
         holds_its_prefix()
 
     def test_stuck_counts_the_zero_length_intervals_before_a_checkpoint(self):
@@ -244,7 +278,7 @@ class TestResumedRecord:
         ps = (params([7.0, 7.0, 7.0, 7.0, 12.0], [0.0, 0.0, 0.0, 0.0, 1.0]),)
         record, base = base_run(sc, ps)
         for cp in base:
-            ivs = record.intervals[:len(cp.intervals)]
+            ivs = record.intervals[:run_length(cp)]
             trailing = next((k for k, iv in enumerate(reversed(ivs)) if iv.t1 != iv.t0),
                             len(ivs))
             assert cp.stuck == trailing
@@ -271,16 +305,17 @@ class TestResumedRecord:
 class TestChatterAfterResume:
     def test_resumed_probe_raises_like_a_fresh_one(self, monkeypatch):
         # events from t = 10 on are logged but never applied, so the arrival
-        # at point 3 at t = 12 stays due forever
+        # at point 3 at t = 12 stays due forever; the probe of w[2] resumes
+        # before the departure from point 2 at t = 9
         sc = make_scenario([(10.0, 1.0, 5.0, 2.0)], [(5.0, 1, 3.0)], T=20.0)
         ps = (params([7.0, 12.0, 9.0, 14.0], [1.0, 1.0, 1.0, 1.0]),)
         _, base = base_run(sc, ps)
-        start = _resume_point(base, 0, "theta", 3)
+        start = _resume_point(base, ps, 0, "w", 2)
         assert start is not None and 8.0 <= start.t < 10.0
         apply = Simulator.apply_events
         monkeypatch.setattr(Simulator, "apply_events", lambda self, state, det: (
             apply(self, state, det) if state.t < 10.0 else det.records))
-        q = _perturbed(ps, 0, "theta", 3, 1e-4)
+        q = _perturbed(ps, 0, "w", 2, 1e-4)
         with pytest.raises(SimulationError) as fresh:
             simulate(sc, q)
         with pytest.raises(SimulationError, match=r"stuck at t=12\.0") as resumed:
@@ -294,7 +329,7 @@ class TestChatterAfterResume:
         sc = make_scenario([(10.0, 1.0, 5.0, 2.0)], [(5.0, 1, 3.0)], T=10.0)
         ps = (params([7.0, 7.0, 7.0, 7.0, 12.0], [0.0, 0.0, 0.0, 0.0, 1.0]),)
         _, base = base_run(sc, ps)
-        start = _resume_point(base, 0, "w", 3)
+        start = _resume_point(base, ps, 0, "w", 3)
         assert start.t == 2.0 and start.stuck > 0
         apply, advance = Simulator.apply_events, Simulator.advance
         monkeypatch.setattr(Simulator, "apply_events", lambda self, state, det: (
@@ -311,7 +346,7 @@ class TestChatterAfterResume:
         with pytest.raises(SimulationError, match=r"stuck at t=2\.0") as resumed:
             Simulator(sc, q).run(start)
         assert str(resumed.value) == str(fresh.value)
-        assert len(start.intervals) + len(steps) == fresh_steps
+        assert run_length(start) + len(steps) == fresh_steps
 
 
 THETAS = (1.0, 4.0, 6.5, 9.0, 9.0, 12.0, 17.0)

@@ -334,7 +334,8 @@ class TestIntervalIntegration:
         det = sim.next_event(state)
         iv = sim.advance(state, det)
         assert iv.t1 == 2.0
-        assert state.R[0] == pytest.approx(2.0 + 1.5 * 2.0, rel=1e-12)
+        sim.flush(state)
+        assert state.intervals[0].R1[0] == pytest.approx(2.0 + 1.5 * 2.0, rel=1e-12)
 
     def test_lone_observer_collaboration_is_dt(self):
         # G = dt, so the drift c = B dp/ds G is B dt / r
