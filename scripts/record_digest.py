@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Two SHA-256 digests over what the simulator and the gradient passes produce.
+"""Three SHA-256 digests over what the simulator and the gradient passes produce.
 
 Simulates the bundled ``smoke`` and ``example1`` scenarios and the 80 pool
 entries of ``perfbench/reference.json`` (crowd-modes and fd-check; the file
@@ -9,7 +9,9 @@ information modes, every agent's gradient and diagnostics, notes included.
 Example1's own mode is ALMOST and experiment 2 runs it in LOCAL; both are
 among the three, and the simulation does not read the mode. The skeleton
 digest hashes only each event's kind, agent, target, ``interval_index`` and
-payload: the event structure, without times.
+payload: the event structure, without times. The sample digest hashes
+each record's output sample table, the bytes of ``sample_t``, ``sample_s``,
+``sample_u``, ``sample_R`` and ``sample_P``.
 
 Two trees that print the same full digest agree bit for bit on all of
 these, so a refactor that must not change a result checks it with one
@@ -69,19 +71,27 @@ def skeleton_items(record):
                     sorted(ev.payload.items())))
 
 
+def sample_items(record):
+    """What one record contributes to the sample digest: its sample table."""
+    for name in ("sample_t", "sample_s", "sample_u", "sample_R", "sample_P"):
+        yield getattr(record, name).tobytes()
+
+
 def main() -> None:
     logging.disable(logging.WARNING)   # the pools' u0 conflicts, one per agent
-    full, skeleton = hashlib.sha256(), hashlib.sha256()
+    full, skeleton, samples = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         paths = scenario_files(Path(tmp))
         for path in paths:
             scenario, params, _ = load_scenario(path)
             record = simulate(scenario, params)
-            for digest, items in ((full, record_items), (skeleton, skeleton_items)):
+            for digest, items in ((full, record_items), (skeleton, skeleton_items),
+                                  (samples, sample_items)):
                 for item in items(record):
                     digest.update(item if isinstance(item, bytes) else item.encode())
     print(f"{full.hexdigest()}  ({len(paths)} records)")
     print(f"{skeleton.hexdigest()}  (event skeleton)")
+    print(f"{samples.hexdigest()}  (samples)")
 
 
 if __name__ == "__main__":

@@ -20,36 +20,32 @@ centralized gradient.
 
 Between events the recursion is affine, so one pass scans the record
 ``CHUNK`` intervals at a time rather than interval by interval, each
-step (``Replica.interval_update``) reading the block kernel's arrays of
-its intervals as one ``sim.Block``: at the kernel's default ``sim.BLOCK``
-a kernel call's block, read in place, else a slice of the blocks' joined
-arrays (``chunks``). An agent's position derivatives change only at its
-own control switches: they form a table with one row per stretch between
-switches. A target's uncertainty derivatives drift by ``c`` times those
-rows and jump only at resets, so each target's row is brought up to date
-only where a reset reads it and at the step's end. The cost integral
-follows from each agent's sum over targets, exact at the step's start and
-moved by the drift, the kernel's cost weight ``g`` and the values the
-resets remove. The steps are cut at fixed interval indices, so the
-gradients do not depend, to the last bit, on where the kernel cut its
-blocks.
+step (``Replica.interval_update``) reading the columns of its rows of the
+record's ``sim.Intervals`` table, a slice of views. An agent's position
+derivatives change only at its own control switches: they form a table
+with one row per stretch between switches. A target's uncertainty
+derivatives drift by ``c`` times those rows and jump only at resets, so
+each target's row is brought up to date only where a reset reads it and
+at the step's end. The cost integral follows from each agent's sum over
+targets, exact at the step's start and moved by the drift, the kernel's
+cost weight ``g`` and the values the resets remove. The steps are cut at
+fixed interval indices, so the gradients do not depend, to the last bit,
+on where the kernel cut its blocks.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .events import CONTROL_KINDS, KINDS, EventKind, EventRecord, kind_table
-from .sim import BLOCK, Block, SimRecord
+from .sim import Intervals, SimRecord
 
 FLOOR_RESET_TOL = 1e-9   # a floor-leave event must find derivatives already zero
-# intervals per scan step: the kernel's default block, so that each step
-# reads one ``sim.Block`` in place; taken once, so that the steps stay where
-# they are when the kernel's block size is changed
-CHUNK = BLOCK
+# intervals per scan step; bounds the step's temporaries, (CHUNK, M, N) each
+CHUNK = 32
 
 # kinds that move a derivative; observer-set changes, target crossings,
 # lost sensing and the horizon leave every ledger as it is (a crossing's
@@ -104,8 +100,8 @@ class Replica:
     index of agent ``j``'s most recently reached switching point. Every
     mode moves them between events by the kernel's ``c`` and ``g``.
 
-    ``run`` takes the record ``CHUNK`` intervals at a time (``chunks``,
-    ``interval_update``), applying each step's control switches and then its
+    ``run`` takes the record ``CHUNK`` intervals at a time
+    (``interval_update``), applying each step's control switches and then its
     resets, all through ``apply_event``. The hold rule is checked once per
     step: a (target, agent) pair out of range at two successive
     positive-length intervals may not move between them, except by a floor
@@ -164,7 +160,7 @@ class Replica:
         keep = kind != _SENSE_ON
         if self.local and rec.scenario.local_reentry_reset:
             on = np.flatnonzero(~keep)
-            R1 = np.array([rec.intervals[k].R1[i] for k, i in zip(row[on], target[on])])
+            R1 = rec.intervals.R1[row[on], target[on]]
             agent = cols.agent[idx[on]]
             keep[on] = (R1 == 0.0) & sel[on, agent]
         whole = sel.all(axis=1)
@@ -184,13 +180,13 @@ class Replica:
 
     # -- interval update -------------------------------------------------
 
-    def interval_update(self, blk: Block, switches, resets) -> np.ndarray:
-        """Advance every ledger across the intervals of ``blk``, applying
-        their scheduled events (as ``(interval, event, agents)``), and check
-        the hold rule; return their gradient integrals (undivided by T),
-        (N, 2P).
+    def interval_update(self, ivs: Intervals, a: int, switches, resets) -> np.ndarray:
+        """Advance every ledger across the intervals ``ivs``, which are the
+        record's from interval ``a`` on, applying their scheduled events (as
+        ``(interval, event, agents)``), and check the hold rule; return their
+        gradient integrals (undivided by T), (N, 2P).
 
-        The drift and cost weight are the kernel's (``sim.Block``), with
+        The drift and cost weight are the kernel's (``sim.Intervals``), with
         the position derivatives frozen at their start-of-interval values:
         over interval ``k`` pair (i, j) drifts by ``-c[k, i, j]`` times
         agent ``j``'s position derivatives ``ds``, with ``c = B dp/ds G``
@@ -200,11 +196,11 @@ class Replica:
         ``g = sum_i B dp/ds GG``. Control switches set the ``ds`` table
         and read no uncertainty derivative. A target's row is brought up to
         date just before each of its resets, whose removed value moves
-        ``T`` from then on, and at the block's end; the drifts of all these
+        ``T`` from then on, and at the step's end; the drifts of all these
         segments come from one batched product.
         """
-        a = blk.start
-        n, N = blk.dt.size, self.ds.shape[0]
+        dt = ivs.dt
+        n, N = dt.size, self.ds.shape[0]
         # each agent's position derivatives, one row per stretch of intervals
         # between its own control switches; interval k has row stretch[k, j]
         opens = np.zeros((n, N), dtype=int)
@@ -220,7 +216,7 @@ class Replica:
                 ds[j, stretch[k - a + 1, j]] = self.ds[j]
         member = (stretch.T[:, :, None] == np.arange(ds.shape[1])).astype(float)   # (N, n, S)
 
-        # the drift of each row up to each of its resets, then to the block's
+        # the drift of each row up to each of its resets, then to the step's
         # end (one segment per row, in row order), per stretch
         dR = self.dR
         M = dR.shape[1]
@@ -234,21 +230,21 @@ class Replica:
         hi += [n] * M
         span = np.arange(n)[:, None]
         inside = (span >= np.array(lo)) & (span < np.array(hi))      # (n, rows)
-        weight = blk.c.transpose(2, 1, 0)[:, rows]                   # (N, rows, n)
+        weight = ivs.c.transpose(2, 1, 0)[:, rows]                   # (N, rows, n)
         weight *= inside.T
         weight = np.matmul(weight, member)                            # (N, rows, S)
         drift = np.matmul(weight[:, :len(resets)], ds)               # (N, resets, 2P)
         # sum_k dt[k] T[k] = rest[0] T[0] - sum_k after[k] (T[k] - T[k + 1]),
-        # with ``after[k]`` the time from the end of interval k to the block's
-        # end and ``rest[0]`` the block's span
-        rest = np.cumsum(blk.dt[::-1])[::-1]
+        # with ``after[k]`` the time from the end of interval k to the step's
+        # end and ``rest[0]`` the step's span
+        rest = np.cumsum(dt[::-1])[::-1]
         after = np.append(rest[1:], 0.0)
         acc = rest[0] * dR.sum(axis=1)
-        checks = np.flatnonzero(blk.dt > 0.0)
+        checks = np.flatnonzero(dt > 0.0)
         marks = []
         for r, (k, ev, agents) in enumerate(resets):
             kk, i = k - a, ev.target
-            self._mark_holds(blk, checks, kk, marks)
+            self._mark_holds(a, checks, kk, marks)
             dR[:, i] -= drift[:, r]
             before = dR[:, i].copy()
             self.apply_event(ev, agents)
@@ -261,11 +257,11 @@ class Replica:
                 if not rebases:
                     self._moved |= {(i, j) for j in np.flatnonzero(removed.any(axis=1)).tolist()}
                     self._moved_at = k
-        self._mark_holds(blk, checks, n - 1, marks)
+        self._mark_holds(a, checks, n - 1, marks)
         dR -= np.matmul(weight[:, len(resets):], ds)
-        w = np.matmul((after[:, None] * blk.c.sum(axis=1) + blk.g).T[:, None, :], member)
+        w = np.matmul((after[:, None] * ivs.c.sum(axis=1) + ivs.g).T[:, None, :], member)
         acc -= np.matmul(w, ds)[:, 0]
-        self._check_holds(blk, checks, ds, stretch, marks)
+        self._check_holds(ivs, checks, ds, stretch, marks)
         return acc
 
     # -- event updates -----------------------------------------------------
@@ -329,19 +325,19 @@ class Replica:
 
     # -- hold checker ------------------------------------------------------
 
-    def _mark_holds(self, blk: Block, checks: np.ndarray, upto: int, marks: list) -> None:
+    def _mark_holds(self, a: int, checks: np.ndarray, upto: int, marks: list) -> None:
         """Hand the pairs moved by events to the check that sees them, the
         first positive-length interval after the latest of those events, if
-        that check is one of the block's ``checks`` at or before its
-        interval ``upto``."""
+        that check is one of the step's ``checks`` at or before its
+        interval ``upto`` (the step's intervals counted from ``a``)."""
         if not self._moved:
             return
-        q = int(np.searchsorted(checks, self._moved_at - blk.start, side="right"))
+        q = int(np.searchsorted(checks, self._moved_at - a, side="right"))
         if q < checks.size and checks[q] <= upto:
             marks.append((q, self._moved))
             self._moved = set()
 
-    def _check_holds(self, blk: Block, checks: np.ndarray, ds: np.ndarray,
+    def _check_holds(self, ivs: Intervals, checks: np.ndarray, ds: np.ndarray,
                      stretch: np.ndarray, marks: list) -> None:
         """Out of sensing range a target's derivative may not move.
 
@@ -354,20 +350,20 @@ class Replica:
         pairs)). Comparing the ledger bit for bit, one interval at a time,
         would differ only where a nonzero drift is lost to rounding against
         a far larger derivative, which this test counts. The kernel makes
-        ``c`` 0 wherever a pair is out of range, so on its own blocks only
+        ``c`` 0 wherever a pair is out of range, so on its own tables only
         events move a held pair: the drift half fires only where
         ``in_range`` was changed after the kernel ran, and stays as the
         guard of that invariant.
         """
         if not checks.size:
             return
-        outside = ~blk.in_range[checks]                               # (C, M, N)
+        outside = ~ivs.in_range[checks]                               # (C, M, N)
         held = outside & np.concatenate([self._outside[None], outside[:-1]])
         self._outside = outside[-1]
-        q, i, j = np.nonzero(held & (blk.c != 0.0)[checks])
+        q, i, j = np.nonzero(held & (ivs.c != 0.0)[checks])
         k = checks[q]
         moved = np.zeros_like(held)
-        moved[q, i, j] = (blk.c[k, i, j, None] * ds[j, stretch[k, j]] != 0.0).any(axis=1)
+        moved[q, i, j] = (ivs.c[k, i, j, None] * ds[j, stretch[k, j]] != 0.0).any(axis=1)
         for q, pairs in marks:
             for i, j in pairs:
                 moved[q, i, j] = True
@@ -376,25 +372,24 @@ class Replica:
             diag = self.diags[j]
             diag.hold_violations += 1
             if len(diag.notes) < 8:
-                iv = self.record.intervals[blk.start + checks[q]]
-                diag.notes.append(
-                    f"target {i} derivative moved out of range in [{iv.t0}, {iv.t1}]")
+                k = checks[q]
+                diag.notes.append(f"target {i} derivative moved out of range in "
+                                  f"[{float(ivs.t0[k])}, {float(ivs.t1[k])}]")
 
     # -- full pass ----------------------------------------------------------
 
     def run(self) -> GradientVector:
         """One pass over the record, ``CHUNK`` intervals at a time; the
         gradients as (N, P) blocks."""
-        rec = self.record
-        if (rec.blocks[-1].stop if rec.blocks else 0) != len(rec.intervals):
-            raise RuntimeError("the record's kernel blocks do not cover its intervals")
+        ivs = self.record.intervals
         acc = np.zeros_like(self.ds)
         sw_keys = [k for k, _, _ in self._switches]
         rs_keys = [k for k, _, _ in self._resets]
         s0 = r0 = 0
-        for blk in chunks(rec.blocks):
-            s1, r1 = bisect_left(sw_keys, blk.stop), bisect_left(rs_keys, blk.stop)
-            acc += self.interval_update(blk, self._switches[s0:s1], self._resets[r0:r1])
+        for a in range(0, len(ivs), CHUNK):
+            s1, r1 = bisect_left(sw_keys, a + CHUNK), bisect_left(rs_keys, a + CHUNK)
+            acc += self.interval_update(ivs[a:a + CHUNK], a, self._switches[s0:s1],
+                                        self._resets[r0:r1])
             s0, r0 = s1, r1
         return self._finish(acc)
 
@@ -407,21 +402,6 @@ class Replica:
         if bad.size:
             raise RuntimeError(f"agent {bad[0]}: non-finite gradient")
         return GradientVector(theta=acc[:, :self.P], w=acc[:, self.P:])
-
-
-_ARRAYS = [f.name for f in fields(Block)][1:]
-
-
-def chunks(blocks: list[Block]) -> list[Block]:
-    """The intervals that ``blocks`` tile from 0, as ``Block``s of ``CHUNK``
-    (the last one shorter): ``blocks`` itself when the kernel cut them so,
-    as it does at its default block size, else slices of their joined
-    arrays."""
-    if (all(b.dt.size == CHUNK for b in blocks[:-1])
-            and all(b.dt.size <= CHUNK for b in blocks[-1:])):
-        return blocks
-    whole = [np.concatenate([getattr(b, f) for b in blocks]) for f in _ARRAYS]
-    return [Block(a, *(x[a:a + CHUNK] for x in whole)) for a in range(0, whole[0].size, CHUNK)]
 
 
 def sweep(record: SimRecord, deliver: np.ndarray | None = None,

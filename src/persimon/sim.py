@@ -23,15 +23,16 @@ range, or its own floor hit or leave. Its detection is sparse and scalar:
 bisection on each agent's sorted range edges finds the next motion event,
 and the batch time is the earliest of that and the targets' floor times.
 The loop keeps only the positions and the segments, and queues each
-finished span (``Span``) for the kernel. The interval quantities (the
-uncertainty at both ends, the cost integral and the rate polynomial) and
-the ones only the gradient estimators read (range membership, the drift
-``c`` and the cost weight ``g``) come from one vectorised kernel over each
-block of ``BLOCK`` finished spans and at the horizon, which evaluates the
-spans' segments and appends the complete ``Interval``s to the run. The record keeps the
-kernel's gradient arrays as a ``Block``, their only holder, which the
-derivative scan reads one block at a time. The output samples come from the
-finished record, when they are first read (``sample_table``).
+finished span (``Span``) for the kernel. Everything else the run records
+comes from one vectorised kernel over each block of ``BLOCK`` finished spans
+and at the horizon, which evaluates the spans' segments: the interval
+quantities (the uncertainty at both ends, the cost integral and the rate
+polynomial) and the ones only the gradient estimators read (range
+membership, the drift ``c`` and the cost weight ``g``). Each kernel call
+makes one ``Intervals`` table, a row per interval and a column per
+quantity, and the run joins them at the horizon into the record's one
+table, from which J, the derivative scan and the output samples
+(``sample_table``, evaluated when first read) all read their columns.
 
 A run whose parameters differ from an earlier run's only in what the
 agents' phases read late repeats that run until then. A run can record a
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -114,8 +115,7 @@ class SimState:
     # the first one)
     pending: list[tuple[Span, np.ndarray, list[Segment]]] = field(default_factory=list)
     fresh: list[Segment] = field(default_factory=list)   # begun since the last span
-    blocks: list[Block] = field(default_factory=list)
-    intervals: list[Interval] = field(default_factory=list)   # the kernel's
+    blocks: list[Intervals] = field(default_factory=list)   # the kernel's, in order
     events: list[EventRecord] = field(default_factory=list)
     stuck: int = 0                # consecutive zero-length intervals
 
@@ -125,7 +125,7 @@ class SimState:
                         self.last_dir.copy(), list(self.bounds), list(self.segments),
                         list(self.floor_t), list(self.until), list(self.floors),
                         list(self.pending), list(self.fresh), list(self.blocks),
-                        list(self.intervals), list(self.events), self.stuck)
+                        list(self.events), self.stuck)
 
 
 @dataclass
@@ -139,62 +139,72 @@ class Span:
     s0: np.ndarray                # (N,)
     s1: np.ndarray                # (N,)
 
+
+@dataclass
+class Intervals:
+    """Inter-event intervals as columns, one row per interval: its span, and
+    what the block kernel makes of it. Row ``k`` runs from ``t0[k]`` to
+    ``t1[k]`` with the controls ``u[k]`` and the positions moving from
+    ``s0[k]`` to ``s1[k]``. ``R0`` and ``R1`` are the targets' uncertainties
+    at its ends, ``int_R`` their integrals over it, and ``rate`` their
+    floor-aware rate polynomials, ascending in ``t - t0[k]`` and zero-padded
+    to the table's widest. ``in_range`` is (target, agent) range membership
+    at its midpoint. There pair (i, j)'s uncertainty derivative drifts by
+    ``-c[k, i, j]`` times agent ``j``'s position derivatives, ``c = B dp/ds
+    G`` being the decay, the pair's sensing gradient (constant inside the
+    interval) and the integral G of its co-observer miss product; agent
+    ``j``'s cost integral takes ``-g[k, j]`` times them, ``g = sum_i B dp/ds
+    GG`` with GG the integral of G's running value. Both are zero on a floor
+    arc and on a zero-length interval."""
+
+    t0: np.ndarray                # (K,)
+    t1: np.ndarray                # (K,)
+    u: np.ndarray                 # (K, N)
+    s0: np.ndarray                # (K, N)
+    s1: np.ndarray                # (K, N)
+    R0: np.ndarray                # (K, M)
+    R1: np.ndarray                # (K, M)
+    int_R: np.ndarray             # (K, M)
+    rate: np.ndarray              # (K, M, D + 1)
+    in_range: np.ndarray          # (K, M, N) bool
+    c: np.ndarray                 # (K, M, N)
+    g: np.ndarray                 # (K, N)
+
     @property
-    def dt(self) -> float:
+    def dt(self) -> np.ndarray:
         return self.t1 - self.t0
 
+    def __len__(self) -> int:
+        return len(self.t0)
 
-@dataclass
-class Interval(Span):
-    """A ``Span`` with what the block kernel adds: the targets'
-    uncertainties at both ends, the cost integral over it and the rate
-    polynomials. The kernel's gradient arrays of the interval are rows of
-    its ``Block``."""
+    def __getitem__(self, rows) -> Intervals:
+        """The rows ``rows`` (a slice, or an index for one row's values), as views."""
+        return Intervals(*(getattr(self, f.name)[rows] for f in fields(self)))
 
-    R0: np.ndarray                # (M,)
-    R1: np.ndarray                # (M,)
-    int_R: np.ndarray             # (M,) integral of R over the interval
-    rate: np.ndarray              # (M, D + 1) floor-aware rate, ascending in t - t0
-
-
-@dataclass
-class Block:
-    """One block kernel call: the ``n`` intervals from ``start``, their
-    spans and the kernel's output. Row ``k`` is interval ``start + k``:
-    ``in_range`` is (target, agent) range membership at its midpoint.
-    There pair (i, j)'s uncertainty derivative drifts by ``-c[k, i, j]``
-    times agent ``j``'s position derivatives, ``c = B dp/ds G`` being the
-    decay, the pair's sensing gradient (constant inside the interval) and
-    the integral G of its co-observer miss product; agent ``j``'s cost
-    integral takes ``-g[k, j]`` times them, ``g = sum_i B dp/ds GG`` with
-    GG the integral of G's running value. Both are zero on a floor arc and
-    on a zero-length interval."""
-
-    start: int
-    dt: np.ndarray                # (n,)
-    in_range: np.ndarray          # (n, M, N) bool
-    c: np.ndarray                 # (n, M, N)
-    g: np.ndarray                 # (n, N)
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.dt.size
+    @staticmethod
+    def join(tables: list[Intervals]) -> Intervals:
+        """The rows of ``tables`` in order, as one table."""
+        width = max(t.rate.shape[2] for t in tables)
+        rates = [t.rate if t.rate.shape[2] == width
+                 else np.pad(t.rate, ((0, 0), (0, 0), (0, width - t.rate.shape[2])))
+                 for t in tables]
+        return Intervals(*(np.concatenate(rates if f.name == "rate"
+                                          else [getattr(t, f.name) for t in tables])
+                           for f in fields(Intervals)))
 
 
 @dataclass
 class SimRecord:
-    """Complete, immutable simulation output. ``blocks`` tile ``intervals``
-    in order and hold the block kernel's arrays. The first read of a sample
+    """Complete, immutable simulation output. The first read of a sample
     column, ``sample_t`` (n,), ``sample_s`` or ``sample_u`` (n, N), or
     ``sample_R`` or ``sample_P`` (n, M), evaluates all five
     (``sample_table``)."""
 
     scenario: Scenario
     params: tuple[AgentParams, ...]
-    intervals: list[Interval]
+    intervals: Intervals
     events: list[EventRecord]
     J: float
-    blocks: list[Block] = field(default_factory=list)
 
     @cached_property
     def _samples(self) -> tuple[np.ndarray, ...]:
@@ -214,9 +224,8 @@ class SimRecord:
         """Sensing-range membership at every event instant, (K, M, N): row
         ``k`` at the positions at the end of interval ``k``, where the events
         with ``interval_index == k`` happen."""
-        S = np.array([iv.s1 for iv in self.intervals])
         sc = self.scenario
-        return membership(sc.x, S, sc.r)[0]
+        return membership(sc.x, self.intervals.s1, sc.r)[0]
 
     @cached_property
     def event_columns(self) -> EventColumns:
@@ -625,10 +634,10 @@ class Simulator:
         return span
 
     def flush(self, state: SimState) -> None:
-        """The block kernel: the pending spans as intervals, appended to the
-        run, with their uncertainties, cost integrals and rates from their
-        targets' segments, and their ``in_range``, ``c`` and ``g``, kept with
-        their lengths as the state's next ``Block``.
+        """The block kernel: the pending spans as the state's next
+        ``Intervals`` table, with their uncertainties, cost integrals and
+        rates from their targets' segments, and their ``in_range``, ``c`` and
+        ``g``.
 
         Each (interval, target) row evaluates the segment's uncertainty
         polynomial at the interval's ends, with the event loop's Horner steps,
@@ -648,11 +657,12 @@ class Simulator:
         sel = np.maximum.accumulate(sel, axis=0)
         # each row's segment as start, floor flag, uncertainty (D + 2
         # coefficients) and the factors' c0, c1 and agents (D each)
-        D = max(len(seg.c0) for seg in segs)
+        D = max((len(seg.c0) for seg in segs), default=0)
         zero, one, none = [0.0] * D, [1.0] * D, [-1] * D
         table = np.array([[seg.t0, seg.on_floor, *seg.unc, *zero[len(seg.c0):],
                            *seg.c0, *one[len(seg.c0):], *seg.c1, *zero[len(seg.c0):],
-                           *seg.agents, *none[len(seg.c0):]] for seg in segs])[sel]
+                           *seg.agents, *none[len(seg.c0):]] for seg in segs]
+                         ).reshape(len(segs), 4 * D + 4)[sel]
         floor = table[..., 1] != 0.0                                        # (n, M)
         C1 = table[..., 2 * D + 4:3 * D + 4]                                # (n, M, D)
 
@@ -668,11 +678,9 @@ class Simulator:
         k = np.arange(1, D + 2)
         step = dt[:, None]
         int_R = R0 * step + _horner(rate / (k * (k + 1)), step) * step * step
-        state.intervals.extend(Interval(sp.t0, sp.t1, sp.u, sp.s0, sp.s1, *row)
-                               for sp, *row in zip(spans, R0, R1, int_R, rate))
 
-        u = np.array([sp.u for sp in spans])
-        d0 = self.x[:, None] - np.array([sp.s0 for sp in spans])[:, None, :]
+        u, s0, s1 = (np.array([getattr(sp, f) for sp in spans]) for f in ("u", "s0", "s1"))
+        d0 = self.x[:, None] - s0[:, None, :]
         mid = d0 - u[:, None] * (0.5 * dt)[:, None, None]
         in_range, dp_ds = offset_membership(mid, self.r, np.array(last_dir)[:, None])
         W1, W2 = _integrals(dt, D + 1)
@@ -687,8 +695,8 @@ class Simulator:
             GG[k, i, j] = (loo @ W2[:, None, :D, None])[k, i, slot, 0]
         idle = floor | (dt == 0.0)[:, None]                                 # (n, M)
         coef = np.where(idle[:, :, None], 0.0, self.B[:, None] * dp_ds)
-        start = state.blocks[-1].stop if state.blocks else 0
-        state.blocks.append(Block(start, dt, in_range, coef * G, (coef * GG).sum(axis=1)))
+        state.blocks.append(Intervals(t0, t1, u, s0, s1, R0, R1, int_R, rate, in_range,
+                                      coef * G, (coef * GG).sum(axis=1)))
 
     # -- event application ---------------------------------------------------
 
@@ -764,25 +772,27 @@ class Simulator:
         With ``checkpoints``, append a copy of the state to it at the start of
         every event batch that enters a new phase for some agent. With
         ``start``, such a checkpoint of a run of the same scenario, resume from
-        a copy of it: the record's intervals, events and blocks before it are
-        that run's own objects. The result equals a fresh run's bit for bit
+        a copy of it: the events and kernel tables before it are that run's
+        own objects. The result equals a fresh run's bit for bit
         when the two runs' parameters agree on everything the agents' phases
         read before ``start``: motion is open-loop, and a phase's boundary
         reads only its own switching points and dwell (``first_reading_point``).
         """
         sc = self.scenario
         state = self.initial_state() if start is None else start.copy()
+        # the index of the next interval: the number finished so far
+        idx = sum(map(len, state.blocks)) + len(state.pending)
         while True:
             det = self.next_event(state)
             if checkpoints is not None and det.bounds:
                 checkpoints.append(state.copy())
             span = self.advance(state, det)
-            idx = len(state.intervals) + len(state.pending) - 1
             if det.done or len(state.pending) == BLOCK:
                 self.flush(state)
             recs = self.apply_events(state, det)
             for r in recs:
                 r.interval_index = idx
+            idx += 1
             state.events.extend(recs)
             if det.done:
                 break
@@ -795,12 +805,13 @@ class Simulator:
                     f"intervals in a row, the last one ending in events of agents {agents} "
                     f"and targets {targets}")
 
-        total = sum(float(iv.int_R.sum()) for iv in state.intervals)
-        return SimRecord(scenario=sc, params=self.params, intervals=state.intervals,
-                         events=state.events, J=total / sc.T, blocks=state.blocks)
+        intervals = Intervals.join(state.blocks)
+        total = sum(intervals.int_R.sum(axis=1).tolist())
+        return SimRecord(scenario=sc, params=self.params, intervals=intervals,
+                         events=state.events, J=total / sc.T)
 
 
-def sample_table(scenario: Scenario, intervals: list[Interval]) -> tuple[np.ndarray, ...]:
+def sample_table(scenario: Scenario, intervals: Intervals) -> tuple[np.ndarray, ...]:
     """The output sample table ``(t, s, u, R, P)`` of a finished run, one row
     every ``sample_dt`` from 0 to T, ``SAMPLE_CHUNK`` rows at a time. A row is
     evaluated on the first positive-length interval that ends at or after its
@@ -810,27 +821,17 @@ def sample_table(scenario: Scenario, intervals: list[Interval]) -> tuple[np.ndar
     t = np.minimum(sc.numerics.sample_dt * np.arange(sc.n_samples), sc.T)
     s, u = np.empty((t.size, sc.n_agents)), np.empty((t.size, sc.n_agents))
     R, P = np.empty((t.size, sc.n_targets)), np.empty((t.size, sc.n_targets))
-    t0, t1, S0, U, R0 = (np.array([getattr(iv, f) for iv in intervals])
-                         for f in ("t0", "t1", "s0", "u", "R0"))
+    t0, t1, U = intervals.t0, intervals.t1, intervals.u
     owners = np.union1d(0, np.flatnonzero(t1 > t0))
-    # the rate polynomials, stacked by their width D + 1
-    width = np.array([iv.rate.shape[1] for iv in intervals])
-    groups = {n: np.flatnonzero(width == n) for n in set(width.tolist())}
-    rates = {n: np.array([intervals[i].rate for i in g]) for n, g in groups.items()}
     for a in range(0, t.size, SAMPLE_CHUNK):
         rows = slice(a, a + SAMPLE_CHUNK)
         k = owners[np.minimum(np.searchsorted(t1[owners], t[rows]), owners.size - 1)]
         tau = np.minimum(t[rows], t1[k]) - t0[k]
         u[rows] = U[k]
-        s[rows] = S0[k] + U[k] * tau[:, None]
+        s[rows] = intervals.s0[k] + U[k] * tau[:, None]
         P[rows] = detection(sc.x, s[rows], sc.r)[1]
-        Rk = R0[k]
-        for n, g in groups.items():
-            at = np.flatnonzero(width[k] == n)
-            if at.size:
-                w1, _ = _integrals(tau[at], n)
-                Rk[at] += (rates[n][np.searchsorted(g, k[at])] @ w1[:, :, None])[..., 0]
-        R[rows] = np.maximum(Rk, 0.0)
+        w1, _ = _integrals(tau, intervals.rate.shape[2])
+        R[rows] = np.maximum(intervals.R0[k] + (intervals.rate[k] @ w1[:, :, None])[..., 0], 0.0)
     return t, s, u, R, P
 
 

@@ -1,17 +1,23 @@
 import json
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from persimon.events import EventKind
 from persimon.gradient import GradientVector, Replica
 from persimon.model import AgentSpec, InfoMode, Numerics, Scenario, Target
 from persimon.policy import AgentParams
-from persimon.sim import Block, Simulator
+from persimon.sim import Simulator
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+# the same examples on every run, so that a run's verdict is the code's: each
+# test draws its examples from a seed fixed by the test, and no example
+# database carries failures from one run into the next
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def pool_scenario(tmp_path, workload, k=0):
@@ -52,12 +58,11 @@ def random_scenario(rng, n_agents=2, n_targets=3, T=20.0, n_points=4,
 
 
 def interval_blocks(record):
-    """Every interval of ``record`` as a one-interval ``Block`` sliced from
-    ``record.blocks``, entry ``k`` for interval ``k``; its arrays are views,
-    so a write reaches the record."""
-    arrays = [f.name for f in fields(Block)][1:]
-    return [Block(blk.start + k, *(getattr(blk, f)[k:k + 1] for f in arrays))
-            for blk in record.blocks for k in range(blk.dt.size)]
+    """Every interval of ``record`` as a one-row slice of its table, entry
+    ``k`` for interval ``k``; its columns are views, so a write reaches the
+    record."""
+    ivs = record.intervals
+    return [ivs[k:k + 1] for k in range(len(ivs))]
 
 
 def floor_flags(record):
@@ -86,9 +91,8 @@ def assert_drift_vanishes(record):
     an interval where every target is on its floor or that has zero
     length. Returns the number of idle (interval, target) rows with a pair
     in range, whose drift only the idleness stops."""
-    dt, in_range, c, g = (np.concatenate([getattr(b, f) for b in record.blocks])
-                          for f in ("dt", "in_range", "c", "g"))
-    assert dt.size == len(record.intervals)
+    ivs = record.intervals
+    dt, in_range, c, g = ivs.dt, ivs.in_range, ivs.c, ivs.g
     assert not c[~in_range].any()
     idle = floor_flags(record) | (dt == 0.0)[:, None]
     assert not c[idle].any()

@@ -6,13 +6,12 @@ and GG with the trapezoid rule on the same grid, as the simulator did
 before it integrated each interval's polynomials exactly. Control switches,
 motion events, batching and event application are those of the interval
 loop the simulator ran then (``loop_oracle.IntervalLoop``). Its ``advance``
-returns complete intervals and queues nothing, so no block kernel runs on
-them: a grid record has no blocks,
-and its intervals (``GridInterval``) carry their own drift ``c`` and cost
-weight ``g``, made from G and GG as the kernel makes them. They carry
-no rate polynomial (``rate=None``), so a grid record has no sample table
-either: ``GridSimulator(scenario, params, h).run()`` is read for its
-intervals, events and J.
+appends each interval to the run complete, as a one-row ``sim.Intervals``
+table, and queues nothing, so no block kernel runs on them: each carries its
+own drift ``c`` and cost weight ``g``, made from G and GG as the kernel
+makes them. They carry no rate polynomial (a NaN ``rate``), so a grid
+record's samples read NaN: ``GridSimulator(scenario, params, h).run()`` is
+read for its intervals, events and J.
 """
 
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ import numpy as np
 
 from persimon.events import EventKind, EventRecord, order_batch
 from persimon.model import detection, offset_membership
-from persimon.sim import Interval, SimulationError
+from persimon.sim import Intervals, SimulationError
 
 from loop_oracle import IntervalLoop
 
@@ -37,15 +36,6 @@ class GridDetection:
     q: np.ndarray                 # (K, M, N) per-pair miss factors
     R: np.ndarray                 # (K, M)
     rate: np.ndarray              # (K, M) floor-aware rate
-
-
-@dataclass
-class GridInterval(Interval):
-    """An interval with the block kernel's ``c`` and ``g`` (``sim.Block``)
-    from its trapezoid-rule collaboration integrals."""
-
-    c: np.ndarray                 # (M, N)
-    g: np.ndarray                 # (N,)
 
 
 def _cumtrapz(y, ts):
@@ -141,13 +131,25 @@ class GridSimulator(IntervalLoop):
     def flush(self, state):
         pass
 
+    @staticmethod
+    def _append(state, t0, t1, u, s1, R1, int_R, in_range, c, g):
+        """The interval from the state's time, position and uncertainty, as a
+        one-row table appended to the run."""
+        iv = Intervals(t0=np.array([t0]), t1=np.array([t1]), u=u[None], s0=state.s[None].copy(),
+                       s1=s1[None], R0=state.R[None].copy(), R1=R1[None], int_R=int_R[None],
+                       rate=np.full((1, R1.size, 1), np.nan), in_range=in_range[None],
+                       c=c[None], g=g[None])
+        state.blocks.append(iv)
+        return iv
+
     def advance(self, state, det):
         t0, t1, u = state.t, det.tau, det.u
         M, N = self.scenario.n_targets, self.scenario.n_agents
         if t1 <= t0:
-            return GridInterval(t0=t0, t1=t0, u=u, s0=state.s.copy(), s1=state.s.copy(),
-                                R0=state.R.copy(), R1=state.R.copy(), int_R=np.zeros(M),
-                                rate=None, c=np.zeros((M, N)), g=np.zeros(N))
+            in_range, _ = offset_membership(self.x[:, None] - state.s[None, :], self.r,
+                                            state.last_dir)
+            return self._append(state, t0, t0, u, state.s.copy(), state.R.copy(), np.zeros(M),
+                                in_range, np.zeros((M, N)), np.zeros(N))
         k = int(np.searchsorted(det.ts, t1, side="right")) - 1
         k = min(k, det.ts.size - 2)
         q1, _, rate1, R1 = self._row(state, det.ts, det.R, det.rate, k, t1)
@@ -169,13 +171,13 @@ class GridSimulator(IntervalLoop):
             lower = np.concatenate([np.zeros((1, M)), cum[:-1]])
             GG[:, j] = (0.5 * (cum + lower) * dts).sum(axis=0)
         mid = self.x[:, None] - (state.s + u * (0.5 * (t1 - t0)))[None, :]
-        _, dp_ds = offset_membership(mid, self.r, state.last_dir)
+        in_range, dp_ds = offset_membership(mid, self.r, state.last_dir)
         coef = np.where(state.on_floor[:, None], 0.0, self.B[:, None] * dp_ds)
 
-        iv = GridInterval(t0=t0, t1=t1, u=u, s0=state.s.copy(), s1=state.s + u * (t1 - t0),
-                          R0=state.R.copy(), R1=np.maximum(R[-1], 0.0), int_R=int_R,
-                          rate=None, c=coef * G, g=(coef * GG).sum(axis=0))
+        s1, R1 = state.s + u * (t1 - t0), np.maximum(R[-1], 0.0)
+        iv = self._append(state, t0, t1, u, s1, R1, int_R, in_range, coef * G,
+                          (coef * GG).sum(axis=0))
         state.t = t1
-        state.s = iv.s1.copy()
-        state.R = iv.R1.copy()
+        state.s = s1.copy()
+        state.R = R1.copy()
         return iv

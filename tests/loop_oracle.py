@@ -37,7 +37,7 @@ import numpy as np
 from persimon.events import EventKind, EventRecord, order_batch
 from persimon.model import offset_membership
 from persimon.policy import Boundary, PhaseMode, PhaseState, initial_phase
-from persimon.sim import (BLOCK, Block, Interval, SimRecord, SimulationError, Simulator,
+from persimon.sim import (BLOCK, Intervals, SimRecord, SimulationError, Simulator, Span,
                           _first_crossing, _integrals, _miss_bounds, _miss_product, _products,
                           _value)
 
@@ -55,11 +55,11 @@ class LoopState:
     u: np.ndarray                 # (N,) controls
     last_dir: np.ndarray          # (N,) int
     bounds: list[Boundary | None]
-    # finished intervals awaiting the block kernel, with their detections,
-    # the agents' last directions and the targets' floor flags while they ran
+    # finished spans awaiting the block kernel, with their uncertainties at
+    # both ends, cost integrals and rates, their detections, the agents' last
+    # directions and the targets' floor flags while they ran
     pending: list = field(default_factory=list)
-    blocks: list[Block] = field(default_factory=list)
-    intervals: list[Interval] = field(default_factory=list)
+    blocks: list[Intervals] = field(default_factory=list)
     events: list[EventRecord] = field(default_factory=list)
     stuck: int = 0
 
@@ -239,30 +239,34 @@ class IntervalLoop(Simulator):
         return LoopDetection(tau=tau_next, records=order_batch(records), bounds=in_batch,
                              done=done, pairs=pairs, rate=np.array(rate).reshape(M, D + 1))
 
-    def advance(self, state: LoopState, det: LoopDetection) -> Interval:
+    def advance(self, state: LoopState, det: LoopDetection) -> Span:
         t0, t1, u = state.t, det.tau, state.u.copy()
         dt = t1 - t0
         w1, w2 = _integrals(dt, det.rate.shape[1])
-        iv = Interval(t0, t1, u, state.s, state.s + u * dt, state.R,
-                      np.maximum(state.R + det.rate @ w1, 0.0),
-                      state.R * dt + det.rate @ w2, det.rate)
-        state.pending.append((iv, det, state.last_dir.copy(), state.on_floor.copy()))
+        span = Span(t0, t1, u, state.s, state.s + u * dt)
+        R1 = np.maximum(state.R + det.rate @ w1, 0.0)
+        state.pending.append((span, state.R, R1, state.R * dt + det.rate @ w2, det,
+                              state.last_dir.copy(), state.on_floor.copy()))
         state.t = t1
-        state.s = iv.s1.copy()
-        state.R = iv.R1.copy()
-        return iv
+        state.s = span.s1.copy()
+        state.R = R1.copy()
+        return span
 
     def flush(self, state: LoopState) -> None:
-        ivs, dets, last_dir, on_floor = zip(*state.pending)
+        spans, R0, R1, int_R, dets, last_dir, on_floor = zip(*state.pending)
         state.pending = []
         M, N = self.scenario.n_targets, self.scenario.n_agents
-        dt = np.array([iv.dt for iv in ivs])
-        u = np.array([iv.u for iv in ivs])
-        d0 = self.x[:, None] - np.array([iv.s0 for iv in ivs])[:, None, :]
+        t0, t1 = np.array([sp.t0 for sp in spans]), np.array([sp.t1 for sp in spans])
+        dt = t1 - t0
+        u, s0, s1 = (np.array([getattr(sp, f) for sp in spans]) for f in ("u", "s0", "s1"))
+        d0 = self.x[:, None] - s0[:, None, :]
         mid = d0 - u[:, None] * (0.5 * dt)[:, None, None]
         in_range, dp_ds = offset_membership(mid, self.r, np.array(last_dir)[:, None])
         C0, C1, (k, i, j, slot) = factor_table(dets, M)
         D = C0.shape[2]
+        rate = np.zeros((len(spans), M, D + 1))
+        for row, det in zip(rate, dets):
+            row[:, :det.rate.shape[1]] = det.rate
         W1, W2 = _integrals(dt, D + 1)
         Q = _products(C0, C1)
         G, GG = (np.repeat(Q @ w[:, :, None], N, axis=2) for w in (W1, W2))
@@ -273,8 +277,9 @@ class IntervalLoop(Simulator):
             GG[k, i, j] = (loo @ W2[:, None, :D, None])[k, i, slot, 0]
         idle = np.array(on_floor) | (dt == 0.0)[:, None]
         coef = np.where(idle[:, :, None], 0.0, self.B[:, None] * dp_ds)
-        start = state.blocks[-1].stop if state.blocks else 0
-        state.blocks.append(Block(start, dt, in_range, coef * G, (coef * GG).sum(axis=1)))
+        state.blocks.append(Intervals(t0, t1, u, s0, s1, np.array(R0), np.array(R1),
+                                      np.array(int_R), rate, in_range, coef * G,
+                                      (coef * GG).sum(axis=1)))
 
     def apply_events(self, state: LoopState, det: LoopDetection) -> list[EventRecord]:
         for j in sorted(det.bounds):
@@ -305,23 +310,24 @@ class IntervalLoop(Simulator):
     def run(self) -> SimRecord:
         sc = self.scenario
         state = self.initial_state()
-        intervals, events = state.intervals, state.events
+        idx = 0
         while True:
             det = self.next_event(state)
-            iv = self.advance(state, det)
-            idx = len(intervals)
-            intervals.append(iv)
+            t0 = state.t
+            self.advance(state, det)
             if det.done or len(state.pending) == BLOCK:
                 self.flush(state)
             recs = self.apply_events(state, det)
             for r in recs:
                 r.interval_index = idx
-            events.extend(recs)
+            idx += 1
+            state.events.extend(recs)
             if det.done:
                 break
-            state.stuck = state.stuck + 1 if iv.t1 == iv.t0 else 0
+            state.stuck = state.stuck + 1 if state.t == t0 else 0
             if state.stuck > self._chatter:
-                raise SimulationError(f"event detection stuck at t={iv.t1!r}")
-        total = sum(float(iv.int_R.sum()) for iv in intervals)
+                raise SimulationError(f"event detection stuck at t={state.t!r}")
+        intervals = Intervals.join(state.blocks)
+        total = sum(intervals.int_R.sum(axis=1).tolist())
         return SimRecord(scenario=sc, params=self.params, intervals=intervals,
-                         events=events, J=total / sc.T, blocks=state.blocks)
+                         events=state.events, J=total / sc.T)

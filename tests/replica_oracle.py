@@ -4,7 +4,7 @@
 as ``persimon.gradient.Replica.run`` did before it scanned the record
 ``gradient.CHUNK`` intervals at a time: ``walk`` runs the scan's step
 (``Replica.interval_update``) on each positive-length interval alone, a
-one-interval block sliced from the record's blocks, then the hold check,
+one-row slice of the record's ``Intervals`` table, then the hold check,
 then the interval's events.
 ``lockstep_gradients`` runs it under an information mode, and
 ``assert_matches_oracle`` compares the scan with it.
@@ -27,26 +27,26 @@ from persimon import gradient, visibility
 from persimon.events import CONTROL_KINDS, EventKind, EventRecord
 from persimon.gradient import FLOOR_RESET_TOL, GradientVector, ReplicaDiagnostics
 from persimon.model import InfoMode
-from persimon.sim import Block, Interval, SimRecord
+from persimon.sim import Intervals, SimRecord
 from persimon.visibility import check_floor_hits_observed, delivery
-
-from conftest import interval_blocks
 
 
 def walk(rep: gradient.Replica, after_interval=None) -> np.ndarray:
     """Drive a lockstep replica interval by interval: ``interval_update`` on
-    each positive-length interval's block, without events, then
-    ``after_interval(iv, blk)``, then the interval's scheduled events.
-    Returns the summed interval integrals."""
+    each positive-length interval ``iv``, a one-row slice of the record's
+    table, without events, then ``after_interval(iv)``, then the interval's
+    scheduled events. Returns the summed interval integrals."""
     by_interval: dict[int, list] = {}
     for k, ev, agents in sorted(rep._switches + rep._resets, key=lambda e: e[0]):
         by_interval.setdefault(k, []).append((ev, agents))
     acc = np.zeros_like(rep.ds)
-    for idx, (iv, blk) in enumerate(zip(rep.record.intervals, interval_blocks(rep.record))):
-        if iv.dt > 0:
-            acc += rep.interval_update(blk, (), ())
+    ivs = rep.record.intervals
+    for idx in range(len(ivs)):
+        iv = ivs[idx:idx + 1]
+        if iv.dt[0] > 0:
+            acc += rep.interval_update(iv, idx, (), ())
             if after_interval is not None:
-                after_interval(iv, blk)
+                after_interval(iv)
         for ev, agents in by_interval.get(idx, ()):
             rep.apply_event(ev, agents)
     return acc
@@ -70,17 +70,16 @@ class LockstepReplica(gradient.Replica):
     def _check_holds(self, *args) -> None:
         pass
 
-    def check_holds(self, iv: Interval, blk: Block) -> None:
+    def check_holds(self, iv: Intervals) -> None:
         """Out of sensing range a target's derivative may not move.
 
         Verified bitwise per (agent, target) pair against a copy taken at the
         previous check; delivered floor-hit events legitimately reset the
         copy to zero. A pair out of range at both checks whose derivative
-        moved counts one violation. ``blk`` holds the kernel arrays of ``iv``
-        alone.
+        moved counts one violation. ``iv`` is one interval's row.
         """
         dR = self.dR
-        outside_now = ~blk.in_range[0].T
+        outside_now = ~iv.in_range[0].T
         moved = self._outside.T & outside_now
         if moved.any():
             # != also flags NaN, as np.array_equal did
@@ -89,8 +88,8 @@ class LockstepReplica(gradient.Replica):
                 diag = self.diags[j]
                 diag.hold_violations += 1
                 if len(diag.notes) < 8:
-                    diag.notes.append(
-                        f"target {i} derivative moved out of range in [{iv.t0}, {iv.t1}]")
+                    diag.notes.append(f"target {i} derivative moved out of range in "
+                                      f"[{float(iv.t0[0])}, {float(iv.t1[0])}]")
         np.copyto(self._frozen, dR)
         self._outside = outside_now.T
 
@@ -198,9 +197,9 @@ class Replica:
 
     # -- interval update -------------------------------------------------
 
-    def interval_update(self, blk: Block) -> tuple[np.ndarray, np.ndarray]:
-        """Advance derivatives across the one interval of ``blk``; return
-        its gradient integrals.
+    def interval_update(self, iv: Intervals) -> tuple[np.ndarray, np.ndarray]:
+        """Advance derivatives across the one interval ``iv``, a row of the
+        record's table; return its gradient integrals.
 
         Each pair drifts by the kernel's ``c`` (decay * dp/ds * G, zero on
         a floor arc) times the position derivatives frozen at their
@@ -209,13 +208,13 @@ class Replica:
         (undivided by T), which the kernel's ``g`` corrects for the drift.
         """
         st, j = self.state, self.agent
-        dt = blk.dt[0]
+        dt = iv.dt[0]
         acc_t = dt * st.dR_dtheta.sum(axis=0)
         acc_w = dt * st.dR_dw.sum(axis=0)
-        gg = float(blk.g[0, j])
+        gg = float(iv.g[0, j])
         acc_t -= gg * st.ds_dtheta
         acc_w -= gg * st.ds_dw
-        drift = blk.c[0, :, j]
+        drift = iv.c[0, :, j]
         st.dR_dtheta -= drift[:, None] * st.ds_dtheta[None, :]
         st.dR_dw -= drift[:, None] * st.ds_dw[None, :]
         return acc_t, acc_w
@@ -297,8 +296,7 @@ class Replica:
             # nothing: stale values hold by the independence rule
         elif ev.kind is EventKind.SENSE_ON and ev.agent == self.agent:
             if self.reentry_reset and ev.interval_index >= 0:
-                iv = self.record.intervals[ev.interval_index]
-                if iv.R1[ev.target] == 0.0:
+                if self.record.intervals.R1[ev.interval_index, ev.target] == 0.0:
                     # the target re-enters with zero uncertainty, so a floor
                     # hit provably happened while it was out of sight
                     i = ev.target
@@ -310,7 +308,7 @@ class Replica:
 
     # -- hold checker ------------------------------------------------------
 
-    def _check_holds(self, iv: Interval, blk: Block) -> None:
+    def _check_holds(self, iv: Intervals) -> None:
         """Out of sensing range a target's derivative may not move.
 
         Verified bitwise between consecutive intervals; delivered floor-hit
@@ -319,7 +317,7 @@ class Replica:
         refreshes its frozen copy; a target in range before refreshes it too.
         """
         st = self.state
-        outside_now = ~blk.in_range[0, :, self.agent]
+        outside_now = ~iv.in_range[0, :, self.agent]
         if self._frozen_t is None:
             self._frozen_t = st.dR_dtheta.copy()
             self._frozen_w = st.dR_dw.copy()
@@ -331,8 +329,8 @@ class Replica:
             bad = np.flatnonzero(moved)
             self.diag.hold_violations += bad.size
             for i in bad[:max(0, 8 - len(self.diag.notes))]:
-                self.diag.notes.append(
-                    f"target {i} derivative moved out of range in [{iv.t0}, {iv.t1}]")
+                self.diag.notes.append(f"target {i} derivative moved out of range in "
+                                       f"[{float(iv.t0[0])}, {float(iv.t1[0])}]")
             refresh = moved | ~self._outside
             self._frozen_t[refresh] = st.dR_dtheta[refresh]
             self._frozen_w[refresh] = st.dR_dw[refresh]
@@ -344,13 +342,14 @@ class Replica:
         n = self.params.n_points
         acc_t = np.zeros(n)
         acc_w = np.zeros(n)
-        for idx, (iv, blk) in enumerate(zip(self.record.intervals,
-                                            interval_blocks(self.record))):
-            if iv.dt > 0.0:
-                at, aw = self.interval_update(blk)
+        ivs = self.record.intervals
+        for idx in range(len(ivs)):
+            iv = ivs[idx:idx + 1]
+            if iv.dt[0] > 0.0:
+                at, aw = self.interval_update(iv)
                 acc_t += at
                 acc_w += aw
-                self._check_holds(iv, blk)
+                self._check_holds(iv)
             for ev in self._by_interval.get(idx, ()):
                 self.apply_event(ev)
         T = self.record.scenario.T

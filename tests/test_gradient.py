@@ -1,3 +1,4 @@
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +8,9 @@ from persimon.events import EventKind, EventRecord
 from persimon import sim as sim_module
 from persimon.cli import load_scenario
 from persimon.fdcheck import _perturbed, _resume_point
-from persimon.gradient import CHUNK, Replica, chunks, full_gradient
+from persimon.gradient import CHUNK, Replica, full_gradient
 from persimon.policy import AgentParams
-from persimon.sim import Block, Interval, Simulator, simulate
+from persimon.sim import Intervals, Simulator, simulate
 
 from conftest import interval_blocks, make_scenario, params, pool_scenario, random_scenario
 from oracles import position_at, position_schedule
@@ -20,14 +21,14 @@ EXAMPLE1 = Path(__file__).resolve().parents[1] / "src" / "persimon" / "data" / "
 
 
 def blank_interval(t0, t1, M, N, **kw):
-    """An interval and its one-interval ``Block``: every pair in range and
-    nothing drifting, except for the kernel arrays in ``kw``, each given as
-    one interval's row."""
-    iv = Interval(t0=t0, t1=t1, u=np.zeros(N), s0=np.zeros(N), s1=np.zeros(N),
-                  R0=np.ones(M), R1=np.ones(M), int_R=np.zeros(M), rate=np.zeros((M, 1)))
-    rows = dict(in_range=np.ones((M, N), dtype=bool), c=np.zeros((M, N)), g=np.zeros(N))
-    rows.update(kw)
-    return iv, Block(0, np.array([iv.dt]), **{f: a[None] for f, a in rows.items()})
+    """One interval as a one-row table: every pair in range and nothing
+    drifting, except for the columns in ``kw``, each given as the interval's
+    row."""
+    row = dict(t0=t0, t1=t1, u=np.zeros(N), s0=np.zeros(N), s1=np.zeros(N), R0=np.ones(M),
+               R1=np.ones(M), int_R=np.zeros(M), rate=np.zeros((M, 1)),
+               in_range=np.ones((M, N), dtype=bool), c=np.zeros((M, N)), g=np.zeros(N))
+    row.update(kw)
+    return Intervals(**{f: np.asarray(a)[None] for f, a in row.items()})
 
 
 class TestInit:
@@ -65,7 +66,7 @@ class TestInit:
 def _ds_history(record, agent):
     rep = Replica(record)
     out = []
-    walk(rep, lambda iv, _: out.append((iv.t1, rep.ds[agent, :rep.P].copy())))
+    walk(rep, lambda iv: out.append((iv.t1[0], rep.ds[agent, :rep.P].copy())))
     return out
 
 
@@ -75,9 +76,8 @@ class TestIntervalUpdate:
         rec = simulate(sc, [params([4.0], [1.0])])
         rep = Replica(rec)
         rep.dR[0, 0, 0] = 0.7
-        _, blk = blank_interval(0.0, 2.0, 1, 1,
-                                in_range=np.zeros((1, 1), dtype=bool))
-        rep.interval_update(blk, (), ())
+        blk = blank_interval(0.0, 2.0, 1, 1, in_range=np.zeros((1, 1), dtype=bool))
+        rep.interval_update(blk, 0, (), ())
         assert rep.dR[0, 0, 0] == 0.7
 
     def test_floor_arc_holds_at_zero(self):
@@ -93,7 +93,7 @@ class TestIntervalUpdate:
         assert blk.in_range[0, 0, 0] and rec.intervals[k].R0[0] == 0.0
         rep = Replica(rec)
         rep.ds[0, 0] = 1.0
-        rep.interval_update(blk, (), ())
+        rep.interval_update(blk, k, (), ())
         assert rep.dR[0, 0, 0] == 0.0
 
     def test_lone_observer_drift(self):
@@ -103,7 +103,7 @@ class TestIntervalUpdate:
         assert rec.intervals[0].dt == pytest.approx(1.0)
         rep = Replica(rec)
         rep.ds[0, 0] = 1.0
-        rep.interval_update(interval_blocks(rec)[0], (), ())
+        rep.interval_update(interval_blocks(rec)[0], 0, (), ())
         assert rep.dR[0, 0, 0] == pytest.approx(-5.0 * (1 / 3.0) * 1.0)
 
     def test_agents_drift_by_their_own_columns(self):
@@ -113,21 +113,24 @@ class TestIntervalUpdate:
         rec = simulate(sc, [params([4.0], [1.0]), params([5.0], [1.0])])
         rep = Replica(rec)
         rep.ds[:, 0] = [1.0, 2.0]
-        _, blk = blank_interval(0.0, 2.0, 1, 2, c=np.array([[5.0 / 3.0 * 2.0, -5.0 / 3.0 * 1.5]]))
-        rep.interval_update(blk, (), ())
+        blk = blank_interval(0.0, 2.0, 1, 2, c=np.array([[5.0 / 3.0 * 2.0, -5.0 / 3.0 * 1.5]]))
+        rep.interval_update(blk, 0, (), ())
         assert rep.dR[:, 0, 0] == pytest.approx(
             [-5.0 / 3.0 * 2.0 * 1.0, 5.0 / 3.0 * 1.5 * 2.0])
 
 
-def kernel_blocks(cuts, M=2, N=3):
-    """Blocks of the given sizes over intervals numbered from 0, each array
-    holding its interval's number."""
-    out, start = [], 0
-    for n in cuts:
-        k = np.arange(start, start + n, dtype=float)
-        grid = np.broadcast_to(k[:, None, None], (n, M, N)).copy()
-        out.append(Block(start, k, grid > -1, grid, 2 * grid[:, 0]))
-        start += n
+def kernel_tables(cuts, M=2, N=3):
+    """Tables of the given sizes with random columns, as the block kernel
+    makes them one per call; their ``rate`` widths cycle through 1, 3 and 2."""
+    rng = np.random.default_rng(len(cuts))
+    shapes = dict(t0=(), t1=(), u=(N,), s0=(N,), s1=(N,), R0=(M,), R1=(M,), int_R=(M,),
+                  in_range=(M, N), c=(M, N), g=(N,))
+    out = []
+    for k, n in enumerate(cuts):
+        cols = {f: rng.random((n,) + shape) for f, shape in shapes.items()}
+        cols["in_range"] = cols["in_range"] > 0.5
+        cols["rate"] = rng.random((n, M, (1, 3, 2)[k % 3]))
+        out.append(Intervals(**cols))
     return out
 
 
@@ -136,32 +139,74 @@ RANDOM_CUTS = [np.random.default_rng(seed).integers(1, 2 * CHUNK, size=n).tolist
 
 
 class TestChunks:
+    """The scan's steps are the ``CHUNK``-row slices of the record's one
+    table, whatever the kernel's cuts."""
+
     @pytest.mark.parametrize("cuts", [[1] * 70, [7] * 10, [5, 40, 3, 1, 30], [100], [32, 32, 6]]
                              + RANDOM_CUTS)
     def test_fixed_grid_whatever_the_kernel_cuts(self, cuts):
-        steps = list(chunks(kernel_blocks(cuts)))
+        tables = kernel_tables(cuts)
+        whole = Intervals.join(tables)
         K = sum(cuts)
-        assert [s.start for s in steps] == list(range(0, K, CHUNK))
-        for s in steps:
-            k = np.arange(s.start, min(s.start + CHUNK, K), dtype=float)
-            assert np.array_equal(s.dt, k)
-            assert s.in_range.shape == (k.size, 2, 3) and s.in_range.all()
-            assert np.array_equal(s.c, np.broadcast_to(k[:, None, None], (k.size, 2, 3)))
-            assert np.array_equal(s.g, 2 * np.broadcast_to(k[:, None], (k.size, 3)))
+        assert len(whole) == K
+        # the join is the tables' rows in order, column by column, with
+        # each rate zero-padded to the widest
+        width = max(t.rate.shape[2] for t in tables)
+        assert whole.rate.shape == (K, 2, width)
+        rows = np.cumsum([0] + cuts)
+        for t, a, b in zip(tables, rows, rows[1:]):
+            part = whole[a:b]
+            for f in fields(Intervals):
+                col = getattr(t, f.name)
+                if f.name == "rate":
+                    assert not part.rate[..., col.shape[2]:].any()
+                    col = np.pad(col, ((0, 0), (0, 0), (0, width - col.shape[2])))
+                assert getattr(part, f.name).dtype == col.dtype
+                assert getattr(part, f.name).tobytes() == col.tobytes()
+            assert np.array_equal(part.dt, t.t1 - t.t0)
+        # the steps are views of it
+        for a in range(0, K, CHUNK):
+            step = whole[a:a + CHUNK]
+            assert len(step) == min(CHUNK, K - a)
+            for f in fields(Intervals):
+                col = getattr(step, f.name)
+                assert col.base is not None and np.shares_memory(col, getattr(whole, f.name))
+                assert col.tobytes() == getattr(whole, f.name)[a:a + CHUNK].tobytes()
 
-    def test_default_kernel_blocks_are_the_steps(self, tmp_path):
-        # at the default block size the scan reads the kernel's arrays in place:
-        # on a fresh run, on a probe resumed from a checkpoint and on a pool entry
-        assert CHUNK == sim_module.BLOCK
+    @pytest.mark.parametrize("block", [1, 7, sim_module.BLOCK, None])
+    def test_steps_are_slices_of_the_record_at_any_block_size(self, monkeypatch, tmp_path,
+                                                              block):
+        # the scan reads ``CHUNK`` rows at a time of the record's one table,
+        # in place, whether the kernel cut it into blocks of 1, 7, its
+        # default or one block (None): on a fresh run, a probe resumed from
+        # a checkpoint and a pool entry the gradients are those of the
+        # default blocks, bit for bit
         sc, ps, _ = load_scenario(EXAMPLE1)
+        ps = tuple(ps)
+        q = _perturbed(ps, 1, "theta", 3, 1e-4)
+        crowd = load_scenario(pool_scenario(tmp_path, "crowd-modes"))[:2]
+        want = [full_gradient(simulate(*case)) for case in ((sc, ps), (sc, q), crowd)]
+        monkeypatch.setattr(sim_module, "BLOCK", block or len(simulate(sc, ps).intervals) + 1)
         base = []
-        rec = Simulator(sc, ps).run(checkpoints=base)
-        assert len(rec.blocks) > 1
-        probe = Simulator(sc, _perturbed(tuple(ps), 1, "theta", 3, 1e-4)).run(
-            _resume_point(base, tuple(ps), 1, "theta", 3))
-        crowd = simulate(*load_scenario(pool_scenario(tmp_path, "crowd-modes"))[:2])
-        for r in (rec, probe, crowd):
-            assert chunks(r.blocks) is r.blocks
+        records = [Simulator(sc, ps).run(checkpoints=base)]
+        records += [Simulator(sc, q).run(_resume_point(base, ps, 1, "theta", 3)),
+                    simulate(*crowd)]
+        steps = []
+        update = Replica.interval_update
+
+        def recording(self, ivs, a, *args):
+            steps.append((ivs, a))
+            return update(self, ivs, a, *args)
+
+        monkeypatch.setattr(Replica, "interval_update", recording)
+        for rec, grads in zip(records, want):
+            steps.clear()
+            got = full_gradient(rec)
+            assert [a for _, a in steps] == list(range(0, len(rec.intervals), CHUNK))
+            for ivs, a in steps:
+                assert np.shares_memory(ivs.c, rec.intervals.c)
+                assert ivs.c.tobytes() == rec.intervals.c[a:a + CHUNK].tobytes()
+            assert [g.concat().tobytes() for g in got] == [g.concat().tobytes() for g in grads]
 
 
 class TestHoldCheck:
@@ -176,13 +221,13 @@ class TestHoldCheck:
     def test_moved_derivative_counts_once_and_notes_cap(self):
         rep = self._rep(10)
         out = blank_interval(0.0, 1.0, 10, 1, in_range=np.zeros((10, 1), dtype=bool))
-        rep.check_holds(*out)                  # freezes the reference copy
+        rep.check_holds(out)                   # freezes the reference copy
         rep.dR[0, :, rep.P] = 0.5
-        rep.check_holds(*out)
+        rep.check_holds(out)
         assert rep.diags[0].hold_violations == 10
         assert rep.diags[0].notes == [
             f"target {i} derivative moved out of range in [0.0, 1.0]" for i in range(8)]
-        rep.check_holds(*out)                  # the frozen copy was refreshed
+        rep.check_holds(out)                   # the frozen copy was refreshed
         assert rep.diags[0].hold_violations == 10
 
     def test_moves_while_in_range_are_allowed(self):
@@ -190,12 +235,12 @@ class TestHoldCheck:
         inside = blank_interval(0.0, 1.0, 2, 1,
                                 in_range=np.array([[True], [False]]))
         outside = blank_interval(1.0, 2.0, 2, 1, in_range=np.zeros((2, 1), dtype=bool))
-        rep.check_holds(*inside)
+        rep.check_holds(inside)
         rep.dR[0, 0, 0] = 0.3     # target 0 was in range: refreshed
-        rep.check_holds(*outside)
+        rep.check_holds(outside)
         assert rep.diags[0].hold_violations == 0
         rep.dR[0, 1, 0] = np.nan  # target 1 stayed out of range
-        rep.check_holds(*outside)
+        rep.check_holds(outside)
         assert rep.diags[0].hold_violations == 1
         assert rep.diags[0].notes == ["target 1 derivative moved out of range in [1.0, 2.0]"]
 
@@ -205,9 +250,9 @@ class TestHoldCheck:
         sc = make_scenario([(10.0, 1.0, 5.0, 6.0)], [(2.0, 1, 3.0), (3.0, 1, 3.0)], T=5.0)
         rep = LockstepReplica(simulate(sc, [params([4.0], [1.0]), params([5.0], [1.0])]))
         held = blank_interval(0.0, 1.0, 1, 2, in_range=np.array([[True, False]]))
-        rep.check_holds(*held)
+        rep.check_holds(held)
         rep.dR[:, 0, rep.P] = 0.5
-        rep.check_holds(*held)
+        rep.check_holds(held)
         assert [d.hold_violations for d in rep.diags] == [0, 1]
         assert rep.diags[0].notes == []
         assert rep.diags[1].notes == ["target 0 derivative moved out of range in [0.0, 1.0]"]
@@ -331,8 +376,8 @@ def _position_fd(spec, p, which, idx, tq, delta):
 def _full_state_history(record, agent):
     rep = Replica(record)
     hist = []
-    walk(rep, lambda iv, _: hist.append(
-        (iv.t0, iv.t1, rep.ds[agent, :rep.P].copy(), rep.ds[agent, rep.P:].copy())))
+    walk(rep, lambda iv: hist.append(
+        (iv.t0[0], iv.t1[0], rep.ds[agent, :rep.P].copy(), rep.ds[agent, rep.P:].copy())))
     return hist
 
 
@@ -357,9 +402,9 @@ class TestGradientAccumulation:
         rep = Replica(rec)
         rep.dR[0, 0, 0] = 0.3
         acc = np.zeros(1)
-        for iv, blk in zip(rec.intervals, interval_blocks(rec)):
-            if iv.dt > 0:
-                acc += rep.interval_update(blk, (), ())[0, :1]
+        for k, iv in enumerate(interval_blocks(rec)):
+            if iv.dt[0] > 0:
+                acc += rep.interval_update(iv, k, (), ())[0, :1]
         # the target is never reached, so the hold persists end to end
         assert acc[0] / sc.T == pytest.approx(0.3, rel=1e-9)
 
@@ -384,7 +429,7 @@ class TestGradientAccumulation:
               params([12.5, 16.0], [2.0, 1.0])]
         rec = simulate(sc, ps)
         # the trio really does co-observe: some interval has a 3-strong set
-        assert any((blk.in_range.sum(axis=2) == 3).any() for blk in rec.blocks)
+        assert (rec.intervals.in_range.sum(axis=2) == 3).any()
         report = grad_check(sc, ps, tol=1e-2)
         assert report.pass_rate() >= 0.95
         assert len(report.checked()) >= 8
@@ -397,14 +442,6 @@ class TestGradientAccumulation:
         with pytest.raises(RuntimeError, match="agent 0: non-finite gradient"):
             rep.run()
 
-    def test_blocks_must_cover_the_intervals(self):
-        sc, ps, _ = load_scenario(EXAMPLE1)
-        rec = simulate(sc, ps)
-        assert len(rec.blocks) > 1
-        rec.blocks.pop()
-        with pytest.raises(RuntimeError, match="kernel blocks do not cover its intervals"):
-            Replica(rec).run()
-
     def test_padded_entries_stay_zero(self):
         # programs of 1 and 3 points: agent 0's padding never moves
         rng = np.random.default_rng(8)
@@ -413,7 +450,7 @@ class TestGradientAccumulation:
         rec = simulate(sc, ps)
         rep = Replica(rec)
         padded = []
-        walk(rep, lambda iv, _: padded.append(
+        walk(rep, lambda iv: padded.append(
             (rep.ds[0, 1:rep.P].any() or rep.ds[0, rep.P + 1:].any()
              or rep.dR[0, :, 1:rep.P].any() or rep.dR[0, :, rep.P + 1:].any())))
         assert padded and not any(padded)

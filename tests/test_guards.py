@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 
 from persimon.cli import load_scenario
-from persimon.fdcheck import grad_check
+from persimon.fdcheck import _perturbed, _resume_point, grad_check
 from persimon.gradient import CHUNK, Replica, full_gradient
 from persimon.model import InfoMode
-from persimon.sim import simulate
+from persimon.sim import Simulator, simulate
 from persimon.visibility import mode_gradients
 
 from conftest import random_scenario, scale_gradient
@@ -79,15 +79,37 @@ class TestBenchmarkHooks:
         calls = []
         step = Replica.interval_update
 
-        def counting(self, *args):
-            calls.append(args[0].start)
-            return step(self, *args)
+        def counting(self, ivs, a, *args):
+            calls.append((a, len(ivs)))
+            return step(self, ivs, a, *args)
 
         monkeypatch.setattr(Replica, "interval_update", counting)
         mode_gradients(rec, sc.mode)
         assert len(rec.intervals) == 738
-        assert calls == list(range(0, len(rec.intervals), CHUNK))
+        assert [a for a, _ in calls] == list(range(0, len(rec.intervals), CHUNK))
+        assert sum(n for _, n in calls) == len(rec.intervals)
         assert len(calls) == math.ceil(len(rec.intervals) / CHUNK) == 24
+
+    def test_traced_interval_count_is_the_last_interval_index_plus_one(self):
+        # the tracer's ``sim.intervals`` count reads ``len(record.intervals)``:
+        # on a fresh run, a probe resumed from a checkpoint and a random
+        # scenario it is the interval index of the horizon's batch plus one
+        tracer = _bench_module("tracing").Tracer()
+        sc, ps, _ = load_scenario(SRC / "data" / "example1.scenario")
+        ps = tuple(ps)
+        base = []
+        tracer.install()
+        try:
+            records = [Simulator(sc, ps).run(checkpoints=base)]
+            start = _resume_point(base, ps, 0, "w", 5)
+            records.append(Simulator(sc, _perturbed(ps, 0, "w", 5, 1e-4)).run(start))
+            records.append(simulate(*random_scenario(np.random.default_rng(6), T=16.0)))
+        finally:
+            tracer.restore()
+        assert start is not None and start.blocks and start.pending
+        for rec in records:
+            assert len(rec.intervals) == rec.events[-1].interval_index + 1
+        assert tracer.counts["sim.intervals"] == sum(len(rec.intervals) for rec in records)
 
     def test_scaled_replica_run_reaches_every_gradient(self, monkeypatch):
         # the benchmark's negative control scales ``Replica.run``: every

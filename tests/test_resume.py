@@ -19,7 +19,7 @@ from persimon import sim as sim_module
 from persimon.cli import load_scenario
 from persimon.fdcheck import _feasible, _perturbed, _resume_point, grad_check
 from persimon.policy import PhaseMode, first_reading_point
-from persimon.sim import Block, Interval, Segment, SimulationError, Simulator, Span, simulate
+from persimon.sim import Intervals, Segment, SimulationError, Simulator, Span, simulate
 
 from conftest import make_scenario, params
 from oracles import fd_report
@@ -39,9 +39,9 @@ def load_entry(tmp_path, entry):
 
 def record_fields(record):
     """Every field of ``record`` that a simulation makes, as ``(name, bytes)``
-    pairs: J, each event with its ``interval_index``, every ``Interval`` field
-    and every ``Block`` array with its shape. Two records are bit-identical
-    when their lists are equal."""
+    pairs: J, each event with its ``interval_index`` and every column of the
+    intervals with its shape. Two records are bit-identical when their lists
+    are equal."""
     def raw(v):
         a = np.asarray(v)
         return (a.dtype.str, a.shape, a.tobytes())
@@ -50,10 +50,8 @@ def record_fields(record):
     out += [(f"events[{k}]", (ev.kind, ev.agent, ev.target, raw(ev.time), ev.interval_index,
                               sorted(ev.payload.items()) if ev.payload else None))
             for k, ev in enumerate(record.events)]
-    out += [(f"intervals[{k}].{f.name}", raw(getattr(iv, f.name)))
-            for k, iv in enumerate(record.intervals) for f in fields(Interval)]
-    out += [(f"blocks[{k}].{f.name}", raw(getattr(blk, f.name)))
-            for k, blk in enumerate(record.blocks) for f in fields(Block)]
+    out += [(f"intervals.{f.name}", raw(getattr(record.intervals, f.name)))
+            for f in fields(Intervals)]
     return out
 
 
@@ -125,8 +123,8 @@ def assert_probes_exact(sc, ps, coords=None, deltas=DELTAS):
 
 def run_length(cp) -> int:
     """The number of intervals the run had finished at checkpoint ``cp``:
-    the block kernel's and the spans pending for it."""
-    return len(cp.intervals) + len(cp.pending)
+    the rows of the block kernel's tables and the spans pending for it."""
+    return sum(len(table) for table in cp.blocks) + len(cp.pending)
 
 
 def checkpoint_fields(cp):
@@ -143,13 +141,12 @@ def checkpoint_fields(cp):
     pending = [([raw(getattr(sp, f.name)) for f in fields(Span)], raw(last_dir),
                 [segment(seg) for seg in begun])
                for sp, last_dir, begun in st_.pending]
-    blocks = [[raw(getattr(blk, f.name)) for f in fields(Block)] for blk in st_.blocks]
+    blocks = [[raw(getattr(table, f.name)) for f in fields(Intervals)] for table in st_.blocks]
     return [raw(st_.t), raw(st_.s), st_.phases, raw(st_.u), raw(st_.last_dir), st_.bounds,
             raw([np.inf if b is None else b.time for b in st_.bounds]),
             [segment(seg) for seg in st_.segments], raw(st_.floor_t), raw(st_.until),
             st_.floors,
-            pending, [segment(seg) for seg in st_.fresh], blocks,
-            len(cp.intervals), len(cp.events), cp.stuck]
+            pending, [segment(seg) for seg in st_.fresh], blocks, len(cp.events), cp.stuck]
 
 
 def assert_fresh_probe_passes_checkpoint(sc, ps, coords=None):
@@ -237,18 +234,28 @@ class TestFirstReadRule:
 
 
 class TestResumedRecord:
-    def test_resume_shares_the_prefix_and_leaves_the_checkpoint(self):
+    def test_resume_shares_the_prefix_and_leaves_the_checkpoint(self, monkeypatch):
+        # blocks of 3, so that the checkpoint holds kernel tables on smoke
+        monkeypatch.setattr(sim_module, "BLOCK", 3)
         sc, ps, _ = load_scenario(DATA / "smoke.scenario")
         ps = tuple(ps)
         record, base = base_run(sc, ps)
         assert base and record_fields(record) == record_fields(simulate(sc, ps))
         cp = base[len(base) // 2]
-        again = Simulator(sc, ps).run(cp)
+        later = []
+        again = Simulator(sc, ps).run(cp, checkpoints=later)
         assert record_fields(again) == record_fields(record)
-        assert all(a is b for a, b in zip(again.intervals[:len(cp.intervals)], record.intervals))
         assert all(a is b for a, b in zip(again.events[:len(cp.events)], record.events))
-        assert len(cp.blocks) == len(cp.intervals) // sim_module.BLOCK
-        assert all(a is b for a, b in zip(again.blocks, record.blocks[:len(cp.blocks)]))
+        # the prefix rows are the base run's bits, from the base run's own
+        # kernel tables, which the checkpoint and the resumed run share
+        n = run_length(cp) - len(cp.pending)
+        assert cp.blocks and all(len(table) == sim_module.BLOCK for table in cp.blocks)
+        for f in fields(Intervals):
+            assert (getattr(again.intervals[:n], f.name).tobytes()
+                    == getattr(record.intervals[:n], f.name).tobytes())
+        assert all(a is b for a, b in zip(cp.blocks, base[-1].blocks, strict=False))
+        assert len(base[-1].blocks) >= len(cp.blocks)
+        assert later and all(a is b for a, b in zip(cp.blocks, later[-1].blocks, strict=False))
         # a resume leaves the checkpoint as it was
         assert checkpoint_fields(cp) == checkpoint_fields(base[len(base) // 2])
 
@@ -258,12 +265,12 @@ class TestResumedRecord:
         sc, ps, _ = load_scenario(DATA / "smoke.scenario")
         ps = tuple(ps)
         record, base = base_run(sc, ps)
-        sizes = [(len(cp.intervals), len(cp.pending), len(cp.events)) for cp in base]
+        sizes = [(len(cp.blocks), len(cp.pending), len(cp.events)) for cp in base]
 
         def holds_its_prefix():
-            assert [(len(cp.intervals), len(cp.pending), len(cp.events)) for cp in base] == sizes
+            assert [(len(cp.blocks), len(cp.pending), len(cp.events)) for cp in base] == sizes
             for cp in base:
-                assert all(iv.t1 <= cp.t for iv in cp.intervals)
+                assert all((table.t1 <= cp.t).all() for table in cp.blocks)
                 assert all(sp.t1 <= cp.t for sp, _, _ in cp.pending)
                 assert record.intervals[run_length(cp)].t0 == cp.t
                 assert all(ev.interval_index < run_length(cp) for ev in cp.events)

@@ -45,23 +45,19 @@ def zero_length_transits():
                 params([22.0, 22.0, 18.0], [0.5, 0.0, 1.0])]
 
 
-INTERVAL_FIELDS = ("t0", "t1", "u", "s0", "s1", "R0", "R1", "int_R")
-BLOCK_FIELDS = ("in_range", "c", "g")
+INTERVAL_FIELDS = ("t0", "t1", "u", "s0", "s1", "R0", "R1", "int_R", "rate", "in_range", "c",
+                   "g")
 SAMPLE_FIELDS = ("sample_t", "sample_s", "sample_u", "sample_R", "sample_P")
 
 
 def assert_same_record(a, b):
-    """The event log and J bit for bit, every other field and every kernel
-    array, per interval, within 1e-14."""
+    """The event log and J bit for bit, every column of the intervals and
+    every sample within 1e-14."""
     assert ([(e.kind, e.agent, e.target, e.time, e.interval_index) for e in a.events]
             == [(e.kind, e.agent, e.target, e.time, e.interval_index) for e in b.events])
     assert a.J == b.J
     assert len(a.intervals) == len(b.intervals)
-    pairs = [(np.array([getattr(iv, f) for iv in a.intervals]),
-              np.array([getattr(iv, f) for iv in b.intervals])) for f in INTERVAL_FIELDS]
-    pairs += [(np.concatenate([getattr(blk, f) for blk in interval_blocks(a)]),
-               np.concatenate([getattr(blk, f) for blk in interval_blocks(b)]))
-              for f in BLOCK_FIELDS]
+    pairs = [(getattr(a.intervals, f), getattr(b.intervals, f)) for f in INTERVAL_FIELDS]
     pairs += [(getattr(a, f), getattr(b, f)) for f in SAMPLE_FIELDS]
     for x, y in pairs:
         assert x.shape == y.shape
@@ -78,9 +74,8 @@ def assert_same_gradients(a, b):
             assert x.concat().tobytes() == y.concat().tobytes()
     for rec in (a, b):
         assert_matches_oracle(rec)
-    for p, q in zip(interval_blocks(a), interval_blocks(b)):
-        assert p.c.tobytes() == q.c.tobytes()
-        assert p.g.tobytes() == q.g.tobytes()
+    assert a.intervals.c.tobytes() == b.intervals.c.tobytes()
+    assert a.intervals.g.tobytes() == b.intervals.g.tobytes()
 
 
 class TestBlockKernel:
@@ -335,7 +330,7 @@ class TestIntervalIntegration:
         iv = sim.advance(state, det)
         assert iv.t1 == 2.0
         sim.flush(state)
-        assert state.intervals[0].R1[0] == pytest.approx(2.0 + 1.5 * 2.0, rel=1e-12)
+        assert state.blocks[0].R1[0, 0] == pytest.approx(2.0 + 1.5 * 2.0, rel=1e-12)
 
     def test_lone_observer_collaboration_is_dt(self):
         # G = dt, so the drift c = B dp/ds G is B dt / r
@@ -343,7 +338,7 @@ class TestIntervalIntegration:
         rec = simulate(sc, [params([10.0], [1.0])])
         iv = rec.intervals[0]
         assert iv.dt == pytest.approx(1.0)
-        assert rec.blocks[0].c[0, 0, 0] == pytest.approx(5.0 * iv.dt / 3.0, rel=1e-12)
+        assert rec.intervals.c[0, 0, 0] == pytest.approx(5.0 * iv.dt / 3.0, rel=1e-12)
 
 
 class TestDriftInvariant:
@@ -380,6 +375,17 @@ class TestRecordInvariants:
         assert all(t2 >= t1 for t1, t2 in zip(times, times[1:]))
         # J is the time average of the integrated uncertainty
         assert rec.J == sum(float(iv.int_R.sum()) for iv in rec.intervals) / sc.T
+
+    def test_no_targets(self):
+        # the kernel's factor table has no rows: J, the uncertainty columns
+        # and every gradient are empty or zero
+        sc = make_scenario([], [(8.0, 1, 3.0), (22.0, -1, 3.0)], T=8.0)
+        rec = simulate(sc, [params([11.0, 7.0], [1.0, 1.0]), params([19.0, 23.0], [1.0, 1.0])])
+        assert rec.J == 0.0 and len(rec.intervals) > 2
+        assert rec.intervals.R1.shape == (len(rec.intervals), 0)
+        assert rec.sample_R.shape == (sc.n_samples, 0)
+        for mode in InfoMode:
+            assert not any(g.concat().any() for g in mode_gradients(rec, mode))
 
     def test_event_membership_matches_distance_loop(self):
         rng = np.random.default_rng(4)

@@ -151,8 +151,7 @@ class TestHoldRule:
         sc, ps, _ = load_scenario(DATA / "example1.scenario")
         rec = simulate(sc, ps)
         rng = np.random.default_rng(5)
-        for blk in rec.blocks:
-            blk.in_range &= rng.random(blk.in_range.shape) > 0.2
+        rec.intervals.in_range &= rng.random(rec.intervals.in_range.shape) > 0.2
         for mode in InfoMode:
             _, got = mode_gradients(rec, mode, with_diagnostics=True)
             _, want = oracle.lockstep_gradients(rec, mode)
