@@ -8,20 +8,31 @@ its uncertainty rate ``A - B P`` and its uncertainty are then polynomials
 with closed-form integrals. The floor guards (a target's uncertainty
 reaching zero, or its rate turning positive on the floor) are first roots
 of these polynomials, logged on the hit side at most ``eps_event`` after
-the root; events within ``eps_event`` of the earliest one share its
-instant. Within an interval no guard changes sign, so derivative
-propagation can treat sensing gradients and observer sets as constants.
+the root; floor events within ``eps_event`` after a batch's instant share
+it. Within an interval no guard changes sign, so derivative propagation can
+treat sensing gradients and observer sets as constants.
 
-Motion is open-loop, and target ``i``'s uncertainty is driven only by the
-agents in its range and by its own floor events. So each target keeps a
-``Segment``: its live factors, the lines of the agents in its range, and
-its rate and uncertainty polynomials, all from the instant the segment
-began, and its next floor hit or leave, found once on that polynomial. The
+Motion is open-loop: an agent's phases read only its own switching points
+and dwells. So a run first resolves each agent's ``Program``, chaining
+``policy.resolve_boundary`` at the exact times of its phase boundaries,
+and from the programs, in one vectorised pass over phases and targets,
+every range-edge and crossing instant of every (agent, target) pair and
+the targets each control switch touches (those in the agent's range or
+within ``eps_event`` of it). The ``Timeline`` merges them into one sorted
+list of motion instants, which the event loop walks with a cursor, and
+gives each target its sorted touch instants. Motion events happen at their
+own exact times.
+
+Target ``i``'s uncertainty is driven only by the agents in its range and by
+its own floor events. So each target keeps a ``Segment``: its live factors,
+the lines of the agents in its range, and its rate and uncertainty
+polynomials, all from the instant the segment began, and its next floor hit
+or leave, found once on that polynomial up to the target's next touch. The
 event loop rebuilds a target's segment only when an event touches the
-target: a range edge or crossing of it, a control switch of an agent in its
-range, or its own floor hit or leave. Its detection is sparse and scalar:
-bisection on each agent's sorted range edges finds the next motion event,
-and the batch time is the earliest of that and the targets' floor times.
+target, at a touch instant or at its own floor hit or leave, and checks
+only the agents that were live or on a range edge at its last rebuild or
+have touched it since; the batch time is the earlier of the next motion
+instant and the targets' floor times.
 The loop keeps only the positions and the segments, and queues each
 finished span (``Span``) for the kernel. Everything else the run records
 comes from one vectorised kernel over each block of ``BLOCK`` finished spans
@@ -36,16 +47,16 @@ table, from which J, the derivative scan and the output samples
 
 A run whose parameters differ from an earlier run's only in what the
 agents' phases read late repeats that run until then. A run can record a
-checkpoint, a copy of its ``SimState``, at each batch that enters a new
-phase, and another run can resume from one: the finite-difference probes
-of ``fdcheck`` do.
+checkpoint, a copy of its ``SimState`` with its cursors into the timeline,
+at each batch that enters a new phase, and another run can resume from
+one, rebuilding only the programs of the agents whose parameters differ:
+the finite-difference probes of ``fdcheck`` do.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -61,6 +72,11 @@ from .policy import (AgentParams, Boundary, PhaseMode, PhaseState,
 BLOCK = 32
 # sample rows per evaluation step of ``sample_table``; bounds its temporaries
 SAMPLE_CHUNK = 1024
+# a target's motion event positions, as multiples of a range: its lower and
+# upper range edges and itself
+EDGES = np.array([-1.0, 1.0, 0.0])
+# timeline item kinds
+BOUNDARY, EDGE, HORIZON = 0, 1, 2
 
 
 class SimulationError(RuntimeError):
@@ -89,26 +105,82 @@ class Segment:
         return max(_value(self.unc, t - self.t0), 0.0)
 
 
+@dataclass(frozen=True)
+class Program:
+    """One agent's phases in order, chained by ``policy.resolve_boundary`` at
+    the exact times of their boundaries. Phase ``k`` starts at ``t[k]`` at
+    position ``s[k]`` with control ``u[k]`` and ends at ``end[k]``, the time
+    of its boundary ``bounds[k]``, or T for the last phase, whose boundary
+    is None.
+
+    ``items`` are the agent's motion instants, as ``(time, rank, kind,
+    agent, phase, target, edge, touched)``: the boundaries of phases 0 to
+    P - 2 (``BOUNDARY``, the ``rank``-th of the agent's at that instant),
+    which touch the targets in the agent's range at the switch or within
+    ``eps_event`` of it, and each range edge or crossing that a moving phase
+    reaches strictly ahead of its start (``EDGE``, ``edge`` indexing
+    ``EDGES``), which touches its target."""
+
+    phases: list[PhaseState]
+    bounds: list[Boundary | None]
+    t: list[float]
+    s: list[float]
+    u: list[float]
+    end: list[float]
+    items: list[tuple]
+
+
+@dataclass(frozen=True)
+class Timeline:
+    """The agents' programs and their motion instants, merged. Item ``n`` is
+    ``items[n] = (kind, agent, phase, target, edge)`` at ``time[n]``: a
+    phase boundary, a range edge or crossing (``Program.items``) or the
+    horizon, at T. Items sort by time, then by rank, so that an agent's
+    boundaries at one instant come one per event batch; a batch takes the
+    items from its first to ``group[n]``, those with its time and rank.
+    Item ``n`` touches the targets of the ``(target, agent)`` pairs
+    ``touched[touch_ptr[n]:touch_ptr[n + 1]]``, its agent each time, and
+    ``touch_t[i]`` lists target ``i``'s touch instants in order, closed by
+    T."""
+
+    params: tuple[AgentParams, ...]
+    programs: tuple[Program, ...]
+    time: list[float]
+    group: list[int]
+    items: list[tuple[int, int, int, int, int]]
+    touch_ptr: list[int]
+    touched: list[tuple[int, int]]
+    horizon: int                  # the horizon's item
+    touch_t: list[list[float]]    # (M,)
+
+
 @dataclass
 class SimState:
-    """The event loop's state between events: the positions, each target's
-    segment and its floor search, the run so far and the chatter counter.
-    ``u``, ``last_dir`` and ``bounds`` cache ``phases`` per agent, kept by
-    ``Simulator._enter_phase``. ``floor_t[i]`` is target ``i``'s next floor
-    hit or leave on its segment, searched up to ``until[i]`` (inf once
-    found); ``floors[i]`` counts its floor records since its last motion
-    event (a range edge or crossing of it, or a control switch of an agent
-    in its range)."""
+    """The event loop's state between events: its timeline and its cursors
+    into it, the positions, each target's segment and its floor search, the
+    run so far and the chatter counter. ``k[j]`` is agent ``j``'s phase,
+    which began at ``t_phase[j]`` at ``s_phase[j]``; ``u`` and ``last_dir``
+    cache it. ``item`` is the timeline's next item. ``touches[i]`` counts
+    target ``i``'s touch instants passed, and ``near[i]`` lists, in order,
+    the agents that may be live for it: those live or on a range edge at
+    its last rebuild (``_live``) and those that have touched it since.
+    ``floor_t[i]`` is target ``i``'s next floor hit or leave on its segment,
+    searched up to its next touch; ``floors[i]`` counts its floor records
+    since its last touch."""
 
+    timeline: Timeline
     t: float
+    k: list[int]                  # (N,)
+    t_phase: np.ndarray           # (N,)
+    s_phase: np.ndarray           # (N,)
     s: np.ndarray                 # (N,) agent positions
-    phases: list[PhaseState]
     u: np.ndarray                 # (N,) controls
     last_dir: np.ndarray          # (N,) int
-    bounds: list[Boundary | None]
+    item: int
+    touches: list[int]            # (M,)
+    near: list[list[int]]         # (M,)
     segments: list[Segment]       # (M,)
     floor_t: list[float]          # (M,)
-    until: list[float]            # (M,)
     floors: list[int]             # (M,)
     # finished spans awaiting the block kernel, with the agents' last
     # directions and the segments begun at their start (every target's for
@@ -119,13 +191,19 @@ class SimState:
     events: list[EventRecord] = field(default_factory=list)
     stuck: int = 0                # consecutive zero-length intervals
 
+    @property
+    def phases(self) -> list[PhaseState]:
+        return [p.phases[k] for p, k in zip(self.timeline.programs, self.k)]
+
     def copy(self) -> SimState:
         """A copy that shares nothing the event loop changes with this state."""
-        return SimState(self.t, self.s.copy(), list(self.phases), self.u.copy(),
-                        self.last_dir.copy(), list(self.bounds), list(self.segments),
-                        list(self.floor_t), list(self.until), list(self.floors),
-                        list(self.pending), list(self.fresh), list(self.blocks),
-                        list(self.events), self.stuck)
+        return replace(self, k=list(self.k), t_phase=self.t_phase.copy(),
+                       s_phase=self.s_phase.copy(), s=self.s.copy(), u=self.u.copy(),
+                       last_dir=self.last_dir.copy(), touches=list(self.touches),
+                       near=list(self.near), segments=list(self.segments),
+                       floor_t=list(self.floor_t), floors=list(self.floors),
+                       pending=list(self.pending), fresh=list(self.fresh),
+                       blocks=list(self.blocks), events=list(self.events))
 
 
 @dataclass
@@ -235,12 +313,13 @@ class SimRecord:
 
 @dataclass
 class _Detection:
-    """The next event batch."""
+    """The next event batch: the timeline's items up to ``end``, and floor events."""
 
     tau: float
     records: list[EventRecord]
     bounds: dict[int, Boundary]
     done: bool
+    end: int
 
 
 def _products(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
@@ -301,10 +380,47 @@ def _miss_bounds(c0: list[float], c1: list[float], span: float) -> tuple[float, 
     return lo, hi
 
 
+def _stays_missed(coef: list[float], span: float, rising: bool) -> bool:
+    """Whether the polynomial ``coef`` (ascending) provably stays on the
+    miss side of ``_first_crossing`` over ``(0, span]``, ``f <= 0`` if
+    ``rising`` and ``f > 0`` otherwise, as evaluated there: its roots at 0
+    divided out, the Bernstein coefficients of the rest on ``[0, span]``
+    bound it, and they all clear the rounding of Horner's rule and of their
+    own computation."""
+    k = 0
+    while k < len(coef) - 1 and coef[k] == 0.0:
+        k += 1
+    b, scale = [], 1.0
+    for c in coef[k:]:
+        b.append(c * scale)
+        scale *= span
+    n = len(b) - 1
+    # Horner's rule of degree d errs by at most about 2 d u S anywhere on the
+    # span (u the unit roundoff, S the sum of |coefficient| span^k), and the
+    # conversion below by about d u S; 1e-300 covers subnormal rounding
+    margin = 8.0 * (len(coef) + 2) * 2.0 ** -53 * sum(map(abs, b)) + 1e-300
+    # power to Bernstein basis: b_i = sum_m C(i, m) / C(n, m) a_m
+    w = 1.0
+    for m in range(1, n + 1):
+        w = w * m / (n - m + 1)
+        b[m] *= w
+    for m in range(1, n + 1):
+        for i in range(n, m - 1, -1):
+            b[i] += b[i - 1]
+    return max(b) < -margin if rising else min(b) > margin
+
+
 def _first_crossing(coef: list[float], span: float, rising: bool, eps: float) -> float:
     """First entry of the polynomial ``coef`` (ascending, possibly with zero
     high coefficients) into its hit side, ``f > 0`` if ``rising`` and
-    ``f <= 0`` otherwise, from the other side in ``(0, span]``.
+    ``f <= 0`` otherwise, from the other side in ``(0, span]``; inf at once
+    where it provably stays on the miss side (``_stays_missed``)."""
+    return math.inf if _stays_missed(coef, span, rising) else _root_search(coef, span,
+                                                                          rising, eps)
+
+
+def _root_search(coef: list[float], span: float, rising: bool, eps: float) -> float:
+    """``_first_crossing`` by its roots.
     Between 0, ``span``, the roots' real parts and their neighbours at
     ``eps / 2`` the sign changes at most once, so the first hit point after a
     miss point brackets the crossing; bisection narrows a wider bracket to
@@ -364,25 +480,10 @@ class Simulator:
         self.params = tuple(params)
         self.x, self.A, self.B, self.r = scenario.x, scenario.A, scenario.B, scenario.r
         self.eps = scenario.numerics.eps_event
-        # (N, M, 3) motion event positions: lower and upper range edges, target
-        edges = self.x[None, :, None] + self.r[:, None, None] * np.array([-1.0, 1.0, 0.0])
-        # plain-float tables for the per-event path: the targets sorted by x,
-        # each agent's motion event positions per target, and sorted, with
-        # (target, edge)
+        # plain floats for the per-event path
         self._x, self._A, self._B, self._r = (a.tolist() for a in (self.x, self.A, self.B, self.r))
-        self._by_x = sorted(range(scenario.n_targets), key=self._x.__getitem__)
-        self._xs = [self._x[i] for i in self._by_x]
-        self._marks = edges.tolist()
-        # an agent this far outside a range is more than eps away from it in
-        # time and rounding (positions lie in [0, L])
-        self._far = [2.0 * self.eps + 1e-9 * (1.0 + scenario.L + r) for r in self._r]
-        self._edges = []
-        for e in edges.reshape(scenario.n_agents, 3 * scenario.n_targets).tolist():
-            k = sorted(range(len(e)), key=e.__getitem__)
-            self._edges.append(([e[c] for c in k], [divmod(c, 3) for c in k]))
         # the most consecutive zero-length intervals one instant can hold. A
-        # zero-length interval ends in a batch at its own start, which no
-        # motion guard joins (those lie more than eps ahead), so the batch
+        # zero-length interval ends in a batch at its own start, so the batch
         # passes an agent's phase boundary or moves a target's floor flag.
         # An agent passes at most two boundaries per switching point in a
         # run (its arrival and the end of its dwell); between two boundaries
@@ -392,84 +493,170 @@ class Simulator:
         self._chatter = ((2 * sum(p.n_points for p in self.params) + 1)
                          * (2 * scenario.n_targets + 1))
 
+    # -- the motion timeline --------------------------------------------------
+
+    def _chain(self, j: int, start: tuple[Program, int] | None) -> tuple[list, ...]:
+        """Agent ``j``'s phases, boundaries, start times and positions from
+        t = 0, or, with ``start = (base, k)``, ``base``'s before phase ``k``
+        followed by the chain from its phase ``k``, resolved anew."""
+        params, T = self.params[j], self.scenario.T
+        if start is None:
+            spec = self.scenario.agents[j]
+            phases, bounds, ts, ss = [], [], [], []
+            phase, t, s = initial_phase(spec, params), 0.0, float(spec.s0)
+        else:
+            base, k = start
+            phases, bounds, ts, ss = base.phases[:k], base.bounds[:k], base.t[:k], base.s[:k]
+            phase, t, s = base.phases[k], base.t[k], base.s[k]
+        theta = params.theta.tolist()
+        while True:
+            b = resolve_boundary(phase, s, t, params, T)
+            phases.append(phase)
+            bounds.append(b)
+            ts.append(t)
+            ss.append(s)
+            if b is None:
+                return phases, bounds, ts, ss
+            if phase.mode is PhaseMode.TRANSIT:
+                s = theta[phase.point - 1]   # the arrival, exactly
+            phase, t = b.next_phase, b.time
+
+    def _programs(self, starts: dict[int, tuple[Program, int] | None]) -> dict[int, Program]:
+        """The programs of the agents ``starts`` names, each chained from its
+        start (``_chain``), and their motion instants with the targets, in one
+        vectorised pass over all their phases and the targets."""
+        T, eps = self.scenario.T, self.eps
+        chains, rows, owner = {}, [], []
+        for j, start in starts.items():
+            phases, bounds, ts, ss = self._chain(j, start)
+            us = [float(control_value(ph)) for ph in phases]
+            ends = [b.time for b in bounds[:-1]] + [T]
+            chains[j] = phases, bounds, ts, ss, us, ends
+            rank = 0
+            for k, row in enumerate(zip(ts, ss, us, ends, [self._r[j]] * len(ts))):
+                # a zero-length phase's boundary follows the one that began it
+                rank = rank + 1 if k and row[0] == row[3] else 0
+                rows.append(row)
+                owner.append((j, k, rank))
+        T0, S0, U, E, R = np.array(rows).reshape(-1, 5).T[:, :, None, None]
+        # range edges and crossings strictly ahead of each phase's start and
+        # reached by its end (u is -1, 0 or 1, so multiplying by it divides)
+        te = T0 + (self.x[:, None] + R * EDGES - S0) * U                    # (P, M, 3)
+        p, i, e = np.nonzero((te > T0) & (te <= E))
+        # the targets in range at each phase's start, or within eps (and
+        # rounding) of it: those that the boundary before it touches
+        s0, r = S0[:, :, 0], R[:, :, 0]
+        q, c = np.nonzero(np.abs(self.x - s0) <= r + eps + 1e-9 * (1.0 + np.abs(s0) + r))
+        near = [[] for _ in rows]
+        for a, b in zip(q.tolist(), c.tolist()):
+            near[a].append(b)
+        items = {j: [] for j in chains}
+        for row, (j, k, _) in enumerate(owner):
+            if k:
+                items[j].append((rows[row][0], owner[row - 1][2], BOUNDARY, j, k - 1, -1, -1,
+                                 tuple(near[row])))
+        for t, row, a, b in zip(te[p, i, e].tolist(), p.tolist(), i.tolist(), e.tolist()):
+            j, k, _ = owner[row]
+            items[j].append((t, 0, EDGE, j, k, a, b, (a,)))
+        return {j: Program(*chain, items[j]) for j, chain in chains.items()}
+
+    def _timeline(self, programs: list[Program]) -> Timeline:
+        """The programs' motion instants merged into one ``Timeline``."""
+        M, T = self.scenario.n_targets, self.scenario.T
+        merged = sorted([it for p in programs for it in p.items]
+                        + [(T, 0, HORIZON, -1, -1, -1, -1, ())])
+        time, rank, kind, agent, phase, target, edge, near = zip(*merged)
+        n = len(merged)
+        # each item's batch ends at the next item of another time or rank
+        group, end = [n] * n, n
+        for c in range(n - 1, 0, -1):
+            group[c] = end
+            if time[c] != time[c - 1] or rank[c] != rank[c - 1]:
+                end = c
+        group[0] = end
+        touch_t = [[] for _ in range(M)]
+        touched, touch_ptr = [], [0]
+        for t, j, targets in zip(time, agent, near):
+            for i in targets:
+                touched.append((i, j))
+                touch_t[i].append(t)
+            touch_ptr.append(len(touched))
+        for times in touch_t:
+            times.append(T)
+        return Timeline(params=self.params, programs=tuple(programs), time=list(time),
+                        group=group, items=list(zip(kind, agent, phase, target, edge)),
+                        touch_ptr=touch_ptr, touched=touched, horizon=kind.index(HORIZON),
+                        touch_t=touch_t)
+
     # -- state construction -------------------------------------------------
 
     def initial_state(self) -> SimState:
         sc = self.scenario
         N, M = sc.n_agents, sc.n_targets
-        s = np.array([a.s0 for a in sc.agents], dtype=float)
-        state = SimState(t=0.0, s=s, phases=[None] * N, u=np.zeros(N),
-                         last_dir=np.zeros(N, dtype=int), bounds=[None] * N,
-                         segments=[None] * M, floor_t=[math.inf] * M, until=[math.inf] * M,
-                         floors=[0] * M)
-        for j, (spec, p) in enumerate(zip(sc.agents, self.params)):
-            self._enter_phase(state, j, initial_phase(spec, p))
-        where = self._where(state)
+        programs = self._programs(dict.fromkeys(range(N)))
+        tl = self._timeline([programs[j] for j in range(N)])
+        s = np.array([p.s[0] for p in tl.programs], dtype=float)
+        state = SimState(timeline=tl, t=0.0, k=[0] * N, t_phase=np.zeros(N), s_phase=s,
+                         s=s.copy(), u=np.array([p.u[0] for p in tl.programs], dtype=float),
+                         last_dir=np.array([p.phases[0].last_dir for p in tl.programs],
+                                           dtype=int),
+                         item=0, touches=[0] * M, near=[list(range(N))] * M,
+                         segments=[None] * M, floor_t=[math.inf] * M, floors=[0] * M)
         for i, tg in enumerate(sc.targets):
-            self._rebuild(state, where, i, float(tg.r0), None if tg.r0 == 0.0 else False)
+            self._rebuild(state, i, float(tg.r0), None if tg.r0 == 0.0 else False)
         return state
 
-    def _enter_phase(self, state: SimState, j: int, phase: PhaseState) -> None:
-        """Put agent ``j`` into ``phase`` at the state's time and position,
-        and resolve the boundary that ends it."""
-        state.phases[j] = phase
-        state.u[j] = control_value(phase)
-        state.last_dir[j] = phase.last_dir
-        state.bounds[j] = resolve_boundary(phase, float(state.s[j]), state.t,
-                                           self.params[j], self.scenario.T)
+    def _resume(self, start: SimState) -> SimState:
+        """A copy of ``start``, a checkpoint of a run of the same scenario, on
+        this run's timeline: the agents' programs of that run where the
+        parameters are the same objects, else resolved anew from their
+        phase at the checkpoint."""
+        state = start.copy()
+        base = start.timeline
+        new = self._programs({j: (prog, k) for j, (prog, p, q, k) in enumerate(
+            zip(base.programs, base.params, self.params, start.k)) if p is not q})
+        if new:
+            state.timeline = self._timeline([new.get(j, prog)
+                                             for j, prog in enumerate(base.programs)])
+        return state
 
     # -- target segments -----------------------------------------------------
 
-    @staticmethod
-    def _where(state: SimState) -> tuple[list[float], list[float], list[float]]:
-        """The agents' positions, controls and next switch times as plain floats."""
-        return (state.s.tolist(), state.u.tolist(),
-                [math.inf if b is None else b.time for b in state.bounds])
+    def _live(self, state: SimState, i: int,
+              end: float) -> tuple[list[int], list[float], list[float]]:
+        """Target ``i``'s live factors from the state's time until its next
+        touch at ``end``: their agents, in order, and their lines' ``c0`` and
+        ``c1``.
 
-    def _scan(self, t: float, where, i: int) -> tuple[float, list[tuple[int, float, float]]]:
-        """Target ``i``'s live factors from ``t`` on, the agents being
-        ``where`` (``_where``), as ``(j, c0, c1)`` in agent order, and a time
-        before which no agent can change them.
-
-        A pair's factor is its line over the stretch up to the agent's next
-        range edge or crossing of the target more than ``eps`` ahead (closer
-        ones are logged already), its next switch or T: in range at that
-        stretch's midpoint, ``|x - s| / r`` and the slope of ``model.detection``,
-        else 1 (not live). An agent changes the factors no earlier than that
-        stretch's end, and no earlier than it can enter the range after its
-        switch, at unit speed."""
-        eps, T, x = self.eps, self.scenario.T, self._x[i]
-        reach, live = T, []
-        for j, (sj, uj, bj, rj, far, marks) in enumerate(zip(*where, self._r, self._far,
-                                                             self._marks)):
-            d0 = x - sj
-            gap = abs(d0) - rj
-            if gap > far:
-                # out of range by more than eps and rounding blur, so not
-                # live; at unit speed it enters no earlier than t + gap
-                if t + gap >= reach:
-                    continue
-                # (moving towards it, it enters at its near range edge)
-                nxt = t + (marks[i][d0 < 0.0] - sj) * uj if uj * d0 > 0.0 else math.inf
-            else:
-                nxt = math.inf
-                if uj != 0.0:
-                    for e in marks[i]:
-                        tau = t + (e - sj) * uj
-                        if t + eps < tau < nxt:
-                            nxt = tau
-                mid = d0 - uj * (0.5 * (min(nxt, bj, T) - t))
-                if abs(mid) < rj:
-                    c0 = abs(d0) / rj
-                    # + 0.0 clears the sign of a zero slope, which follows u's sign
-                    c1 = -((mid > 0.0) - (mid < 0.0)) * uj / rj + 0.0
-                    if c0 != 1.0 or c1 != 0.0:
-                        live.append((j, c0, c1))
-            if bj < nxt:
-                nxt = min(nxt, bj + max(abs(x - (sj + uj * (bj - t))) - rj, 0.0))
-            if nxt < reach:
-                reach = nxt
-        return reach, live
+        A pair's factor is its line up to ``end`` or the agent's next
+        boundary, whichever comes first, a stretch on which it stays on one
+        side of the range edges and of the target: in range at that
+        stretch's midpoint, ``|x - s| / r`` and the slope of
+        ``model.detection``, else 1 (not live). An agent out of range turns
+        live only after it touches the target, at a range edge strictly
+        ahead or at a switch, unless it is on an edge already: so the
+        target's ``near`` agents become the live ones and those at most
+        ``eps`` (and rounding) outside the range."""
+        tl, t, x = state.timeline, state.t, self._x[i]
+        near, agents, c0s, c1s = [], [], [], []
+        for j in state.near[i]:
+            prog, k, rj = tl.programs[j], state.k[j], self._r[j]
+            u = prog.u[k]
+            s = prog.s[k] + u * (t - prog.t[k])
+            d0 = x - s
+            mid = d0 - u * (0.5 * (min(end, prog.end[k]) - t))
+            c0 = abs(d0) / rj
+            # + 0.0 clears the sign of a zero slope, which follows u's sign
+            c1 = -((mid > 0.0) - (mid < 0.0)) * u / rj + 0.0
+            if abs(mid) < rj and (c0 != 1.0 or c1 != 0.0):
+                agents.append(j)
+                c0s.append(c0)
+                c1s.append(c1)
+                near.append(j)
+            elif abs(d0) <= rj + self.eps + 1e-9 * (1.0 + abs(s) + rj):
+                near.append(j)
+        state.near[i] = near
+        return agents, c0s, c1s
 
     def _rising(self, gro: list[float]) -> bool:
         """The floor rule: a target at R = 0 with raw rate ``gro`` leaves its
@@ -479,15 +666,13 @@ class Simulator:
         unseen."""
         return _value(gro, self.eps) > 0.0
 
-    def _rebuild(self, state: SimState, where, i: int, R: float,
-                 on_floor: bool | None) -> Segment:
+    def _rebuild(self, state: SimState, i: int, R: float, on_floor: bool | None) -> Segment:
         """Start target ``i``'s segment at the state's time with uncertainty
-        ``R`` and floor flag ``on_floor``, and search its next floor event.
-        ``on_floor`` None, at R = 0, takes the flag from the floor rule
-        (``_rising``)."""
-        reach, live = self._scan(state.t, where, i)
-        agents = [j for j, _, _ in live]
-        c0, c1 = [a for _, a, _ in live], [b for _, _, b in live]
+        ``R`` and floor flag ``on_floor``, and search its next floor event up
+        to the target's next touch. ``on_floor`` None, at R = 0, takes the flag
+        from the floor rule (``_rising``)."""
+        end = state.timeline.touch_t[i][state.touches[i]]
+        agents, c0, c1 = self._live(state, i, end)
         Q = _miss_product(c0, c1)
         A, B = self._A[i], self._B[i]
         gro = [A - B * (1.0 - Q[0])] + [B * q for q in Q[1:]]
@@ -497,7 +682,7 @@ class Simulator:
                else [R] + [g / k for k, g in enumerate(gro, 1)])
         seg = state.segments[i] = Segment(i, state.t, on_floor, agents, c0, c1, gro, unc)
         state.fresh.append(seg)
-        self._search(state, i, reach)
+        self._search(state, i, end)
         return seg
 
     def _search(self, state: SimState, i: int, end: float) -> None:
@@ -525,73 +710,39 @@ class Simulator:
         else:
             tau = math.inf
         state.floor_t[i] = seg.t0 + tau
-        state.until[i] = math.inf if tau < math.inf or not seg.c0 else end
 
     # -- event detection -----------------------------------------------------
 
     def next_event(self, state: SimState) -> _Detection:
-        sc, t0, eps = self.scenario, state.t, self.eps
-        where = s, u, bound_t = self._where(state)
-        tau_sched = min(sc.T, min(bound_t, default=math.inf))
-
-        # motion guards in closed form while controls stay constant: each
-        # moving agent's next edge ahead, from its sorted edges (u is -1, 0
-        # or 1, so multiplying by it divides by it; a parked agent has none)
-        ahead = []
-        win_end = tau_sched
-        for j, (sj, uj) in enumerate(zip(s, u)):
-            if uj == 0.0:
-                continue
-            pos, _ = self._edges[j]
-            k, step = (bisect_right(pos, sj), 1) if uj > 0.0 else (bisect_left(pos, sj) - 1, -1)
-            while 0 <= k < len(pos):
-                tau = t0 + (pos[k] - sj) * uj
-                if tau > t0 + eps:
-                    if tau <= tau_sched + eps:
-                        ahead.append((j, k, step))
-                        win_end = min(win_end, tau)
-                    break
-                k += step
-
-        # a segment whose floor search ended before the window is searched
-        # on: no event can touch its target before the window ends
-        until, floor_t = state.until, state.floor_t
-        if min(until, default=math.inf) < win_end:
-            for i, end in enumerate(until):
-                if end < win_end:
-                    self._search(state, i, max(self._scan(t0, where, i)[0], win_end))
-
-        tau_next = max(min(win_end, min(floor_t, default=math.inf)), t0)
-        limit = tau_next + eps
+        """The next batch: the earlier of the timeline's next motion instant
+        and the targets' floor times, with the floor events at most ``eps``
+        after it."""
+        tl, n, floor_t = state.timeline, state.item, state.floor_t
+        first = min(floor_t, default=math.inf)
+        tau = max(min(tl.time[n], first), state.t)
+        end = tl.group[n] if tl.time[n] == tau else n
         records: list[EventRecord] = []
         in_batch: dict[int, Boundary] = {}
-        for j, bt in enumerate(bound_t):
-            if bt <= limit:
-                b = state.bounds[j]
-                in_batch[j] = b
+        for kind, j, k, i, edge in tl.items[n:end]:
+            if kind == BOUNDARY:
+                prog = tl.programs[j]
+                b = in_batch[j] = prog.bounds[k]
                 for tr in b.transitions:
-                    records.append(self._control_record(tau_next, j, tr, state.phases[j]))
-        last = min(limit, tau_sched + eps)
-        for j, k, step in ahead:
-            pos, edge = self._edges[j]
-            hits = []
-            while 0 <= k < len(pos) and t0 + (pos[k] - s[j]) * u[j] <= last:
-                hits.append(edge[k])
-                k += step
-            for i, kind in sorted(hits):
-                records.extend(self._motion_records(tau_next, kind, u[j] > 0.0, i, j,
-                                                    sc.n_agents))
-        if min(floor_t, default=math.inf) <= limit:
-            for i, tau in enumerate(floor_t):
-                if tau <= limit:
+                    records.append(self._control_record(tau, j, tr, prog.phases[k]))
+            elif kind == EDGE:
+                records.extend(self._motion_records(tau, edge, tl.programs[j].u[k] > 0.0, i, j,
+                                                    self.scenario.n_agents))
+            else:
+                records.append(EventRecord(tau, EventKind.HORIZON))
+        limit = tau + self.eps
+        if first <= limit:
+            for i, tf in enumerate(floor_t):
+                if tf <= limit:
                     kind = (EventKind.R_LEFT_ZERO if state.segments[i].on_floor
                             else EventKind.R_HIT_ZERO)
-                    records.append(EventRecord(tau_next, kind, target=i))
-        done = sc.T <= limit
-        if done:
-            records.append(EventRecord(tau_next, EventKind.HORIZON))
-        return _Detection(tau=tau_next, records=order_batch(records), bounds=in_batch,
-                          done=done)
+                    records.append(EventRecord(tau, kind, target=i))
+        return _Detection(tau=tau, records=order_batch(records), bounds=in_batch,
+                          done=end > tl.horizon, end=end)
 
     def _control_record(self, tau: float, j: int, tr, phase: PhaseState) -> EventRecord:
         payload = {"transition": tr.kind, "point": tr.point,
@@ -622,10 +773,11 @@ class Simulator:
     # -- interval integration ------------------------------------------------
 
     def advance(self, state: SimState, det: _Detection) -> Span:
-        """Move the agents to the detected event and queue the finished span
-        with the segments it ran on for the block kernel (``flush``)."""
+        """Move the agents to the detected event along their phases and queue
+        the finished span with the segments it ran on for the block kernel
+        (``flush``)."""
         t0, t1, u = state.t, det.tau, state.u.copy()
-        span = Span(t0, t1, u, state.s, state.s + u * (t1 - t0))
+        span = Span(t0, t1, u, state.s, state.s_phase + u * (t1 - state.t_phase))
         state.pending.append((span, state.last_dir.copy(),
                               state.fresh if state.pending else list(state.segments)))
         state.fresh = []
@@ -701,16 +853,24 @@ class Simulator:
     # -- event application ---------------------------------------------------
 
     def apply_events(self, state: SimState, det: _Detection) -> list[EventRecord]:
-        """Apply the batch: enter the agents' next phases, set the floor flags
-        of its floor events, and rebuild the segment of every target it
-        touches (``_touched``)."""
+        """Apply the batch: enter the agents' next phases, pass its timeline
+        items, set the floor flags of its floor events, and rebuild the
+        segment of every target it touches, each touch making its agent one
+        of the target's ``near`` agents."""
+        tl = state.timeline
         for j in sorted(det.bounds):
-            ph = state.phases[j]
-            if ph.mode is PhaseMode.TRANSIT:
-                state.s[j] = float(self.params[j].theta[ph.point - 1])
-            self._enter_phase(state, j, det.bounds[j].next_phase)
-        where = self._where(state)
-        moved = self._touched(where[0], det)
+            prog = tl.programs[j]
+            k = state.k[j] = state.k[j] + 1
+            state.t_phase[j], state.s_phase[j] = prog.t[k], prog.s[k]
+            state.s[j], state.u[j] = prog.s[k], prog.u[k]
+            state.last_dir[j] = prog.phases[k].last_dir
+        moved = set()
+        for i, j in tl.touched[tl.touch_ptr[state.item]:tl.touch_ptr[det.end]]:
+            state.touches[i] += 1
+            if j not in state.near[i]:
+                state.near[i] = sorted(state.near[i] + [j])
+            moved.add(i)
+        state.item = det.end
         floor = {rec.target: rec.kind for rec in det.records
                  if rec.kind in (EventKind.R_HIT_ZERO, EventKind.R_LEFT_ZERO)}
         for i in sorted(moved | floor.keys()):
@@ -720,11 +880,11 @@ class Simulator:
                 # a hit holds unless the floor rule releases it at once: a
                 # grazing touch, logged as a hit and a leave
                 hit = floor[i] is EventKind.R_HIT_ZERO
-                seg = self._rebuild(state, where, i, 0.0, None if hit else False)
+                seg = self._rebuild(state, i, 0.0, None if hit else False)
                 state.floors[i] += 2 if hit and not seg.on_floor else 1
             else:
                 old = state.segments[i]
-                seg = self._rebuild(state, where, i, old.uncertainty(state.t), old.on_floor)
+                seg = self._rebuild(state, i, old.uncertainty(state.t), old.on_floor)
             # Zeno bound. Between two motion events of a target its raw rate
             # is one polynomial of degree D, its live factors' count, so it
             # changes sign at most D times. Each floor record after the
@@ -749,19 +909,6 @@ class Simulator:
                                        payload={"grazing": 1}))
         return out
 
-    def _touched(self, s: list[float], det: _Detection) -> set[int]:
-        """The targets whose factors the batch's motion may change: those its
-        range edges and crossings name, and those in range, or at most
-        ``eps`` (and rounding) outside it, of an agent that switches to or
-        from ``s``."""
-        moved = {rec.target for rec in det.records
-                 if rec.target is not None and rec.agent is not None}
-        for j in det.bounds:
-            sj, rj = s[j], self._r[j]
-            pad = rj + self.eps + 1e-9 * (1.0 + abs(sj) + rj)
-            moved.update(self._by_x[bisect_left(self._xs, sj - pad):
-                                    bisect_right(self._xs, sj + pad)])
-        return moved
 
     # -- full run -------------------------------------------------------------
 
@@ -779,7 +926,7 @@ class Simulator:
         reads only its own switching points and dwell (``first_reading_point``).
         """
         sc = self.scenario
-        state = self.initial_state() if start is None else start.copy()
+        state = self.initial_state() if start is None else self._resume(start)
         # the index of the next interval: the number finished so far
         idx = sum(map(len, state.blocks)) + len(state.pending)
         while True:
@@ -815,8 +962,7 @@ def sample_table(scenario: Scenario, intervals: Intervals) -> tuple[np.ndarray, 
     """The output sample table ``(t, s, u, R, P)`` of a finished run, one row
     every ``sample_dt`` from 0 to T, ``SAMPLE_CHUNK`` rows at a time. A row is
     evaluated on the first positive-length interval that ends at or after its
-    time (row 0 on interval 0, at its start); a time past the last interval,
-    which may end up to ``eps_event`` before T, gets the state at its end."""
+    time (row 0 on interval 0, at its start); the run ends at T."""
     sc = scenario
     t = np.minimum(sc.numerics.sample_dt * np.arange(sc.n_samples), sc.T)
     s, u = np.empty((t.size, sc.n_agents)), np.empty((t.size, sc.n_agents))
@@ -825,8 +971,8 @@ def sample_table(scenario: Scenario, intervals: Intervals) -> tuple[np.ndarray, 
     owners = np.union1d(0, np.flatnonzero(t1 > t0))
     for a in range(0, t.size, SAMPLE_CHUNK):
         rows = slice(a, a + SAMPLE_CHUNK)
-        k = owners[np.minimum(np.searchsorted(t1[owners], t[rows]), owners.size - 1)]
-        tau = np.minimum(t[rows], t1[k]) - t0[k]
+        k = owners[np.searchsorted(t1[owners], t[rows])]
+        tau = t[rows] - t0[k]
         u[rows] = U[k]
         s[rows] = intervals.s0[k] + U[k] * tau[:, None]
         P[rows] = detection(sc.x, s[rows], sc.r)[1]

@@ -19,6 +19,13 @@ on which R was rounded to 0 at a window's end was never found either, and R
 fell below 0 unseen, as it did where a rate that read a rounding error
 above 0 at a hit or at t = 0 was turning negative.
 
+Motion follows the simulator's timeline rules without its timeline: the
+loop resolves each agent's next boundary as it enters a phase, at the
+phase's exact start, moves the agents along their phases from their starts,
+and finds the next range edge or crossing strictly ahead of each moving
+agent's phase start by bisection on its sorted edges; motion events share a
+batch only when they fall on its instant exactly.
+
 ``test_detection.py`` checks it against ``oracles.dense_detection`` bit for
 bit, event by event, and ``test_segments.py`` checks the simulator against
 it: the same events per (kind, agent, target), their times within
@@ -36,7 +43,8 @@ import numpy as np
 
 from persimon.events import EventKind, EventRecord, order_batch
 from persimon.model import offset_membership
-from persimon.policy import Boundary, PhaseMode, PhaseState, initial_phase
+from persimon.policy import (Boundary, PhaseMode, PhaseState, control_value, initial_phase,
+                             resolve_boundary)
 from persimon.sim import (BLOCK, Intervals, SimRecord, SimulationError, Simulator, Span,
                           _first_crossing, _integrals, _miss_bounds, _miss_product, _products,
                           _value)
@@ -45,7 +53,8 @@ from persimon.sim import (BLOCK, Intervals, SimRecord, SimulationError, Simulato
 @dataclass
 class LoopState:
     """The loop's state between events: the integration state, the run so far
-    and the chatter counter."""
+    and the chatter counter. Agent ``j``'s phase began at ``t_phase[j]`` at
+    ``s_phase[j]``, and ``bounds[j]`` is its boundary."""
 
     t: float
     s: np.ndarray                 # (N,) agent positions
@@ -55,6 +64,8 @@ class LoopState:
     u: np.ndarray                 # (N,) controls
     last_dir: np.ndarray          # (N,) int
     bounds: list[Boundary | None]
+    t_phase: np.ndarray           # (N,)
+    s_phase: np.ndarray           # (N,)
     # finished spans awaiting the block kernel, with their uncertainties at
     # both ends, cost integrals and rates, their detections, the agents' last
     # directions and the targets' floor flags while they ran
@@ -114,7 +125,20 @@ def factor_table(dets: list[LoopDetection], M: int) -> tuple[np.ndarray, ...]:
 
 class IntervalLoop(Simulator):
     """``Simulator`` with the interval-by-interval loop: every target's
-    factors, rate and floor guards at every event."""
+    factors, rate and floor guards at every event, and each agent's phase
+    boundaries resolved as the loop reaches them."""
+
+    def __init__(self, scenario, params):
+        super().__init__(scenario, params)
+        # the targets sorted by x, and each agent's motion event positions
+        # sorted, with (target, edge)
+        self._by_x = sorted(range(scenario.n_targets), key=self._x.__getitem__)
+        self._xs = [self._x[i] for i in self._by_x]
+        self._edges = []
+        edges = self.x[None, :, None] + self.r[:, None, None] * np.array([-1.0, 1.0, 0.0])
+        for e in edges.reshape(scenario.n_agents, 3 * scenario.n_targets).tolist():
+            k = sorted(range(len(e)), key=e.__getitem__)
+            self._edges.append(([e[c] for c in k], [divmod(c, 3) for c in k]))
 
     def initial_state(self) -> LoopState:
         sc = self.scenario
@@ -123,12 +147,23 @@ class IntervalLoop(Simulator):
         R = np.array([t.r0 for t in sc.targets], dtype=float)
         state = LoopState(t=0.0, s=s, R=R, phases=[None] * N,
                           on_floor=np.zeros(sc.n_targets, dtype=bool), u=np.zeros(N),
-                          last_dir=np.zeros(N, dtype=int), bounds=[None] * N)
+                          last_dir=np.zeros(N, dtype=int), bounds=[None] * N,
+                          t_phase=np.zeros(N), s_phase=s.copy())
         for j, (spec, p) in enumerate(zip(sc.agents, self.params)):
             self._enter_phase(state, j, initial_phase(spec, p))
         state.on_floor[:] = [r == 0.0 and self._floor_holds(i, s.tolist(), state.u.tolist())
                              for i, r in enumerate(R.tolist())]
         return state
+
+    def _enter_phase(self, state: LoopState, j: int, phase: PhaseState) -> None:
+        """Put agent ``j`` into ``phase`` at the state's time and its position,
+        and resolve the boundary that ends it."""
+        state.phases[j] = phase
+        state.u[j] = control_value(phase)
+        state.last_dir[j] = phase.last_dir
+        state.t_phase[j], state.s_phase[j] = state.t, state.s[j]
+        state.bounds[j] = resolve_boundary(phase, float(state.s[j]), state.t,
+                                           self.params[j], self.scenario.T)
 
     def _floor_holds(self, i: int, s: list[float], u: list[float]) -> bool:
         """Whether target ``i``'s floor holds with the agents at ``s`` moving at
@@ -145,19 +180,21 @@ class IntervalLoop(Simulator):
         bound_t = [math.inf if b is None else b.time for b in state.bounds]
         tau_sched = min(sc.T, min(bound_t, default=math.inf))
 
-        # motion guards in closed form while controls stay constant: each
-        # moving agent's next edge ahead, from its sorted edges
+        # motion guards in closed form along each moving agent's phase: its
+        # next edge strictly ahead of the phase's start, not yet passed and
+        # reached by the phase's end, from its sorted edges
         ahead = []
         win_end = tau_sched
-        for j, (sj, uj) in enumerate(zip(s, u)):
+        for j, (tp, sp, uj, bt) in enumerate(zip(state.t_phase.tolist(),
+                                                 state.s_phase.tolist(), u, bound_t)):
             if uj == 0.0:
                 continue
             pos, _ = self._edges[j]
-            k, step = (bisect_right(pos, sj), 1) if uj > 0.0 else (bisect_left(pos, sj) - 1, -1)
+            k, step = (bisect_right(pos, sp), 1) if uj > 0.0 else (bisect_left(pos, sp) - 1, -1)
             while 0 <= k < len(pos):
-                tau = t0 + (pos[k] - sj) * uj
-                if tau > t0 + eps:
-                    if tau <= tau_sched + eps:
+                tau = tp + (pos[k] - sp) * uj
+                if tau > t0 and tau > tp:
+                    if tau <= min(bt, sc.T):
                         ahead.append((j, k, step))
                         win_end = min(win_end, tau)
                     break
@@ -214,16 +251,16 @@ class IntervalLoop(Simulator):
         records: list[EventRecord] = []
         in_batch: dict[int, Boundary] = {}
         for j, bt in enumerate(bound_t):
-            if bt <= limit:
+            if bt == tau_next:
                 b = state.bounds[j]
                 in_batch[j] = b
                 for tr in b.transitions:
                     records.append(self._control_record(tau_next, j, tr, state.phases[j]))
-        last = min(limit, tau_sched + eps)
         for j, k, step in ahead:
             pos, edge = self._edges[j]
+            tp, sp = float(state.t_phase[j]), float(state.s_phase[j])
             hits = []
-            while 0 <= k < len(pos) and t0 + (pos[k] - s[j]) * u[j] <= last:
+            while 0 <= k < len(pos) and tp + (pos[k] - sp) * u[j] == tau_next:
                 hits.append(edge[k])
                 k += step
             for i, kind in sorted(hits):
@@ -233,7 +270,7 @@ class IntervalLoop(Simulator):
             if tau <= limit:
                 kind = EventKind.R_LEFT_ZERO if on else EventKind.R_HIT_ZERO
                 records.append(EventRecord(tau_next, kind, target=i))
-        done = sc.T <= limit
+        done = tau_next == sc.T
         if done:
             records.append(EventRecord(tau_next, EventKind.HORIZON))
         return LoopDetection(tau=tau_next, records=order_batch(records), bounds=in_batch,
@@ -243,7 +280,7 @@ class IntervalLoop(Simulator):
         t0, t1, u = state.t, det.tau, state.u.copy()
         dt = t1 - t0
         w1, w2 = _integrals(dt, det.rate.shape[1])
-        span = Span(t0, t1, u, state.s, state.s + u * dt)
+        span = Span(t0, t1, u, state.s, state.s_phase + u * (t1 - state.t_phase))
         R1 = np.maximum(state.R + det.rate @ w1, 0.0)
         state.pending.append((span, state.R, R1, state.R * dt + det.rate @ w2, det,
                               state.last_dir.copy(), state.on_floor.copy()))

@@ -5,12 +5,13 @@ these are the one-pair, one-target and one-instant forms the tests check
 those kernels and the simulator against: the sensing probability and its
 gradient, joint detection, the uncertainty rate, a position oracle built
 from the policy's phase boundaries alone, and neighborhood sets by
-distance thresholds. ``dense_detection`` is the opposite: the simulator's
-event detection over every (target, agent) pair at once, with the miss
-factors of all pairs (``miss_factors``), their slot layout by ``argsort``
-and a vectorised root finder (``first_crossings``), against which the
-simulator's sparse per-event path, its live pairs' slots and the block
-kernel's factor table are checked bit for bit. ``fd_report`` is
+distance thresholds. ``dense_detection`` is the opposite: the interval
+loop's event detection (``loop_oracle.IntervalLoop``) over every (target,
+agent) pair at once, with the miss factors of all pairs (``miss_factors``),
+their slot layout by ``argsort`` and a vectorised root finder
+(``first_crossings``), against which the loop's sparse per-event path, its
+live pairs' slots and the block kernel's factor table are checked bit for
+bit. ``fd_report`` is
 ``fdcheck.grad_check`` with one fresh simulation per finite-difference
 probe, the report its resumed probes must reproduce byte for byte.
 """
@@ -28,7 +29,9 @@ from persimon.gradient import full_gradient
 from persimon.model import AgentSpec, Scenario, detection, membership
 from persimon.policy import (AgentParams, Boundary, PhaseMode, control_value, initial_phase,
                              resolve_boundary)
-from persimon.sim import SimState, Simulator, _products, simulate
+from persimon.sim import _products, simulate
+
+from loop_oracle import IntervalLoop, LoopState
 
 
 def sensing_prob(x: float, s: float, r: float) -> float:
@@ -215,15 +218,17 @@ class DenseDetection:
     rate: np.ndarray              # (M, D + 1)
 
 
-def dense_detection(sim: Simulator, state: SimState) -> DenseDetection:
-    """``Simulator.next_event`` over every (target, agent) pair at once."""
+def dense_detection(sim: IntervalLoop, state: LoopState) -> DenseDetection:
+    """``loop_oracle.IntervalLoop.next_event`` over every (target, agent) pair at once."""
     sc, t0, eps, u = sim.scenario, state.t, sim.eps, state.u
     bound_t = np.array([np.inf if b is None else b.time for b in state.bounds])
     tau_sched = min(sc.T, float(bound_t.min(initial=np.inf)))
 
     edges = sim.x[None, :, None] + sim.r[:, None, None] * np.array([-1.0, 1.0, 0.0])
-    tau_m = t0 + (edges - state.s[:, None, None]) * u[:, None, None]
-    motion = (tau_m > t0 + eps) & (tau_m <= tau_sched + eps)
+    tp, d = state.t_phase[:, None, None], (edges - state.s_phase[:, None, None]) * u[:, None, None]
+    tau_m = tp + d
+    end = np.minimum(bound_t, sc.T)[:, None, None]
+    motion = (d > 0.0) & (tau_m > tp) & (tau_m > t0) & (tau_m <= end)
     win_end = min(tau_sched, float(tau_m[motion].min(initial=np.inf)))
 
     span = win_end - t0
@@ -264,17 +269,17 @@ def dense_detection(sim: Simulator, state: SimState) -> DenseDetection:
     limit = tau_next + eps
     records: list[EventRecord] = []
     in_batch: dict[int, Boundary] = {}
-    for j in np.flatnonzero(bound_t <= limit).tolist():
+    for j in np.flatnonzero(bound_t == tau_next).tolist():
         b = state.bounds[j]
         in_batch[j] = b
         for tr in b.transitions:
             records.append(sim._control_record(tau_next, j, tr, state.phases[j]))
-    for j, i, k in zip(*(a.tolist() for a in np.nonzero(motion & (tau_m <= limit)))):
+    for j, i, k in zip(*(a.tolist() for a in np.nonzero(motion & (tau_m == tau_next)))):
         records.extend(sim._motion_records(tau_next, k, u[j] > 0.0, i, j, sc.n_agents))
     for i in cand[tau_g <= limit].tolist():
         kind = EventKind.R_HIT_ZERO if falling[i] else EventKind.R_LEFT_ZERO
         records.append(EventRecord(tau_next, kind, target=i))
-    done = sc.T <= limit
+    done = tau_next == sc.T
     if done:
         records.append(EventRecord(tau_next, EventKind.HORIZON))
     return DenseDetection(tau=tau_next, records=order_batch(records), bounds=in_batch,

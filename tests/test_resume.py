@@ -128,9 +128,11 @@ def run_length(cp) -> int:
 
 
 def checkpoint_fields(cp):
-    """A checkpoint's state, its targets' segments and floor searches,
-    counters and pending kernel entries, with every float as its bytes."""
-    st_ = cp
+    """A checkpoint's state, its cursors and the timeline items and touch
+    instants they have passed, its targets' near agents, segments and floor
+    searches, counters and pending kernel entries, with every float as its
+    bytes."""
+    st_, tl = cp, cp.timeline
 
     def raw(v):
         return np.asarray(v).tobytes()
@@ -142,10 +144,11 @@ def checkpoint_fields(cp):
                 [segment(seg) for seg in begun])
                for sp, last_dir, begun in st_.pending]
     blocks = [[raw(getattr(table, f.name)) for f in fields(Intervals)] for table in st_.blocks]
-    return [raw(st_.t), raw(st_.s), st_.phases, raw(st_.u), raw(st_.last_dir), st_.bounds,
-            raw([np.inf if b is None else b.time for b in st_.bounds]),
-            [segment(seg) for seg in st_.segments], raw(st_.floor_t), raw(st_.until),
-            st_.floors,
+    return [raw(st_.t), st_.k, raw(st_.t_phase), raw(st_.s_phase), raw(st_.s), st_.phases,
+            raw(st_.u), raw(st_.last_dir), st_.item, raw(tl.time[:st_.item]),
+            tl.items[:st_.item], st_.touches,
+            [raw(times[:n]) for times, n in zip(tl.touch_t, st_.touches)], st_.near,
+            [segment(seg) for seg in st_.segments], raw(st_.floor_t), st_.floors,
             pending, [segment(seg) for seg in st_.fresh], blocks, len(cp.events), cp.stuck]
 
 
@@ -184,8 +187,8 @@ class TestFirstReadRule:
         ps = (params([7.0, 12.0, 9.0, 14.0], [1.0, 1.0, 1.0, 1.0]),)
         _, base = base_run(sc, ps)
         # one checkpoint per arrival and per departure, before it
-        assert [cp.bounds[0].time for cp in base] == [2.0, 3.0, 8.0, 9.0, 12.0, 13.0,
-                                                             18.0, 19.0]
+        assert [cp.timeline.programs[0].end[cp.k[0]] for cp in base] == [
+            2.0, 3.0, 8.0, 9.0, 12.0, 13.0, 18.0, 19.0]
         assert [cp.phases[0].point for cp in base] == [1, 1, 2, 2, 3, 3, 4, 4]
         starts = {(kind, idx): _resume_point(base, ps, 0, kind, idx)
                   for _, kind, idx in coordinates(ps)}
@@ -311,9 +314,10 @@ class TestResumedRecord:
 
 class TestChatterAfterResume:
     def test_resumed_probe_raises_like_a_fresh_one(self, monkeypatch):
-        # events from t = 10 on are logged but never applied, so the arrival
-        # at point 3 at t = 12 stays due forever; the probe of w[2] resumes
-        # before the departure from point 2 at t = 9
+        # events from t = 10 on are logged but never applied, so the
+        # timeline's next instant, the crossing of the target on the way from
+        # point 2 to point 3 at t = 11, stays due forever; the probe of w[2]
+        # resumes before the departure from point 2 at t = 9
         sc = make_scenario([(10.0, 1.0, 5.0, 2.0)], [(5.0, 1, 3.0)], T=20.0)
         ps = (params([7.0, 12.0, 9.0, 14.0], [1.0, 1.0, 1.0, 1.0]),)
         _, base = base_run(sc, ps)
@@ -325,7 +329,7 @@ class TestChatterAfterResume:
         q = _perturbed(ps, 0, "w", 2, 1e-4)
         with pytest.raises(SimulationError) as fresh:
             simulate(sc, q)
-        with pytest.raises(SimulationError, match=r"stuck at t=12\.0") as resumed:
+        with pytest.raises(SimulationError, match=r"stuck at t=11\.0") as resumed:
             Simulator(sc, q).run(start)
         assert str(resumed.value) == str(fresh.value)
 

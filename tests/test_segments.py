@@ -40,17 +40,19 @@ is checked with a forced cascade and with a legitimate dense sequence.
 """
 
 import json
+import math
 from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, note, settings, strategies as st
+from numpy.polynomial.polynomial import polyfromroots
 
 from persimon import sim as sim_module
 from persimon.cli import load_scenario
 from persimon.events import EventKind
 from persimon.model import InfoMode
-from persimon.sim import SimulationError, Simulator, simulate
+from persimon.sim import SimulationError, Simulator, _root_search, _stays_missed, simulate
 from persimon.visibility import mode_gradients
 
 from conftest import REFERENCE, make_scenario, params, pool_scenario, random_scenario
@@ -188,11 +190,10 @@ class TestFloorRule:
                            T=5.0)
         sim = Simulator(sc, [params([10.0], [9.0])])
         state = sim.initial_state()
-        where = sim._where(state)
         for i, on_floor, hit_or_leave_at_once in [(0, None, False), (0, True, False),
                                                   (0, False, True), (1, None, False),
                                                   (1, True, True), (1, False, False)]:
-            seg = sim._rebuild(state, where, i, 0.0, on_floor)
+            seg = sim._rebuild(state, i, 0.0, on_floor)
             assert seg.on_floor == (i == 0 if on_floor is None else on_floor)
             assert (state.floor_t[i] == state.t) == hit_or_leave_at_once, (i, on_floor)
 
@@ -232,3 +233,50 @@ class TestZenoBound:
                                                   r"logged 5 floor hits and leaves .* 4 "):
             Simulator(sc, [params([20.0], [0.0])]).run()
         assert len(calls) < 30
+
+
+class TestRootlessSkip:
+    """``_first_crossing`` returns inf without a root search where the
+    polynomial's Bernstein coefficients prove it on the miss side over the
+    span; the search would find nothing there."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_skip_fires_only_where_the_search_finds_nothing(self, data):
+        deg = data.draw(st.integers(1, 6))
+        span = data.draw(st.sampled_from([0.0, 1e-10, 0.5, 3.0, 300.0]) | st.floats(0.0, 40.0))
+        if data.draw(st.booleans()):
+            # roots near the span and its ends, where the skip is tightest
+            near = st.sampled_from([0.0, span, -1e-12, span * (1.0 + 1e-12) + 1e-300])
+            roots = [data.draw(near | st.floats(-0.5 * span - 1.0, 1.5 * span + 1.0))
+                     for _ in range(deg)]
+            coef = (data.draw(st.sampled_from([1.0, -1.0]) | st.floats(-4.0, 4.0))
+                    * polyfromroots(roots)).tolist()
+        else:
+            c = st.floats(-4.0, 4.0, allow_subnormal=False) | st.just(0.0)
+            coef = [data.draw(c) for _ in range(deg + 1)]
+        if data.draw(st.booleans()):
+            coef[0] = 0.0                     # a segment starting at R = 0
+        coef += [0.0] * data.draw(st.integers(0, 2))
+        rising = data.draw(st.booleans())
+        eps = data.draw(st.sampled_from([1e-9, 1e-3]))
+        skipped = _stays_missed(coef, span, rising)
+        note(f"skipped {skipped}")
+        if skipped:
+            assert _root_search(coef, span, rising, eps) == math.inf
+
+    @pytest.mark.parametrize("coef,span,rising,skipped", [
+        ([1.0, 1.0], 2.0, False, True),             # R rises from 1
+        ([1.0, -1.0], 2.0, False, False),           # R reaches 0 at 1
+        ([1.0, -1.0], 0.5, False, True),            # ... after the span
+        ([0.0, 1.0, -1.0], 0.5, False, True),       # from R = 0: its root at 0 divided out
+        ([0.0, 1.0, -1.0], 2.0, False, False),
+        ([-1.0, 0.5], 1.5, True, True),             # the rate stays below 0
+        ([-1.0, 0.5], 2.5, True, False),
+        ([0.0, -1.0, 0.25], 3.0, True, True),       # on the floor from a rate of 0
+        ([0.0, 0.0], 2.0, True, False),             # identically 0: no proof
+    ])
+    def test_cases(self, coef, span, rising, skipped):
+        assert _stays_missed(coef, span, rising) == skipped
+        if skipped:
+            assert _root_search(coef, span, rising, 1e-9) == math.inf

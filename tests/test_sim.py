@@ -214,12 +214,13 @@ class TestSampleTable:
             assert peak - sum(c.nbytes for c in cols) < 1 << 19
 
     def test_rows_after_the_last_interval_hold_its_end(self):
-        # with a wide batching tolerance the horizon batch ends the run
-        # before T, and the rows after it show the final state
+        # even with a wide batching tolerance the horizon is never pulled to
+        # an earlier event: the run ends at T, and the last row shows the
+        # state at the end of its last interval
         sc, ps, _ = load_scenario(SMOKE)
         rec = simulate(dataclasses.replace(sc, numerics=Numerics(eps_event=0.3)), ps)
         last = rec.intervals[-1]
-        assert last.t1 < rec.sample_t[-1] == sc.T
+        assert last.t1 == rec.sample_t[-1] == sc.T
         assert np.array_equal(rec.sample_s[-1], last.s1)
         assert np.array_equal(rec.sample_u[-1], last.u)
         assert np.allclose(rec.sample_R[-1], last.R1, rtol=1e-14, atol=0.0)
@@ -498,11 +499,12 @@ class TestSimulateValidation:
 class TestChatter:
     def test_stuck_detection_names_instant_and_agent(self, monkeypatch):
         # events that are logged but never applied leave agent 0's arrival
-        # at t=2 due forever: zero-length intervals at one instant
+        # at t=2, on target 0's lower range edge, due forever: zero-length
+        # intervals at one instant
         monkeypatch.setattr(Simulator, "apply_events", lambda self, state, det: det.records)
         sc = make_scenario([(10.0, 1.0, 5.0, 2.0)], [(5.0, 1, 3.0)], T=10.0)
         with pytest.raises(SimulationError, match=r"stuck at t=2\.0: 10 zero-length .* "
-                                                  r"agents \[0\] and targets \[\]"):
+                                                  r"agents \[0\] and targets \[0\]"):
             simulate(sc, [params([7.0], [1.0])])
 
     def test_zero_dwell_cascades_stay_below_the_bound(self):
