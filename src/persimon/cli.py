@@ -218,7 +218,7 @@ def _event_row(ev) -> list[str]:
     return [_fnum(ev.time), ev.kind.value,
             "" if ev.agent is None else str(ev.agent),
             "" if ev.target is None else str(ev.target),
-            ev.payload_str()]
+            ";".join(f"{k}={ev.payload[k]}" for k in sorted(ev.payload))]
 
 
 def write_events_csv(record: SimRecord, path: Path) -> None:
@@ -278,11 +278,11 @@ def cmd_simulate(args) -> int:
         "J": float(record.J) + 0.0,
         "mode": scenario.mode.value,
         "n_intervals": len(record.intervals),
-        "event_counts": record.event_counts(),
+        "event_counts": record.log.counts(),
         "gradient": _gradient_block(record, scenario.mode),
     }
     write_summary(out / "summary.json", summary)
-    print(f"J = {record.J:.6f}  ({len(record.events)} events, "
+    print(f"J = {record.J:.6f}  ({len(record.log)} events, "
           f"{len(record.intervals)} intervals, {wall:.2f}s)")
     return 0
 

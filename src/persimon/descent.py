@@ -98,7 +98,7 @@ def optimize(scenario: Scenario, initial: list[AgentParams] | tuple[AgentParams,
 
     def evaluate(record):
         run.costs.append(record.J)
-        run.n_events.append(len(record.events))
+        run.n_events.append(len(record.log))
         run.n_intervals.append(len(record.intervals))
         grads, diags = mode_gradients(record, scenario.mode, with_diagnostics=True)
         for d in diags:

@@ -1,16 +1,17 @@
-"""Typed events of the agent-target hybrid system.
+"""Typed events of the agent-target hybrid system and the event log.
 
 Twelve physical event kinds (uncertainty hitting/leaving zero, sensing
 gained/lost, the six control switches, observer-set joins/leaves) plus two
 plumbing kinds: an agent crossing a target position (the sensing gradient
-flips sign there) and the horizon marker.
+flips sign there) and the horizon marker. A run's events are the columns of
+one ``EventLog``, kinds as codes into ``KINDS``, ordered by interval and the
+tie-break ``RANK``; ``EventRecord`` rows are made only for readers of rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,77 +33,17 @@ class EventKind(Enum):
     HORIZON = "horizon"
 
 
-CONTROL_KINDS = frozenset({
-    EventKind.U_UP_STOP, EventKind.U_DOWN_STOP, EventKind.U_GO_UP,
-    EventKind.U_GO_DOWN, EventKind.U_UP_DOWN, EventKind.U_DOWN_UP,
-})
-
-_CTRL_BY_SWITCH = {
-    (1, 0): EventKind.U_UP_STOP,
-    (-1, 0): EventKind.U_DOWN_STOP,
-    (0, 1): EventKind.U_GO_UP,
-    (0, -1): EventKind.U_GO_DOWN,
-    (1, -1): EventKind.U_UP_DOWN,
-    (-1, 1): EventKind.U_DOWN_UP,
-}
+CONTROL_KINDS = frozenset(kind for kind in EventKind if kind.value.startswith("u("))
 
 
 def control_kind(u_before: int, u_after: int) -> EventKind:
-    """Event kind for a control switch; (0, 0) and same-sign pairs have none."""
-    try:
-        return _CTRL_BY_SWITCH[(u_before, u_after)]
-    except KeyError:
-        raise ValueError(f"no control event kind for switch {u_before} -> {u_after}")
-
-
-# Simultaneous events are processed in this fixed kind order, then by
-# ascending target index, then ascending agent index. The order is purely
-# for determinism; jump updates of distinct pairs commute.
-_RANK = {
-    EventKind.R_HIT_ZERO: 0, EventKind.R_LEFT_ZERO: 0,
-    EventKind.SENSE_ON: 1, EventKind.SENSE_OFF: 1,
-    EventKind.CROSS: 2,
-    EventKind.OBS_JOIN: 3, EventKind.OBS_LEAVE: 3,
-    EventKind.U_UP_STOP: 4, EventKind.U_DOWN_STOP: 4, EventKind.U_GO_UP: 4,
-    EventKind.U_GO_DOWN: 4, EventKind.U_UP_DOWN: 4, EventKind.U_DOWN_UP: 4,
-    EventKind.HORIZON: 9,
-}
-
-
-@dataclass
-class EventRecord:
-    """One localized event.
-
-    ``payload`` carries kind-specific details: the switching point index and
-    control values for control switches (``point``, ``u_in``, ``u_out``,
-    ``transition``), the joining/leaving agent for observer-set changes
-    (``partner``). ``interval_index`` is the index of the inter-event
-    interval this event terminates (-1 until the simulator logs the event).
-    """
-
-    time: float
-    kind: EventKind
-    agent: int | None = None
-    target: int | None = None
-    payload: dict = field(default_factory=dict)
-    interval_index: int = -1
-
-    def sort_key(self):
-        return (_RANK[self.kind],
-                -1 if self.target is None else self.target,
-                -1 if self.agent is None else self.agent)
-
-    def payload_str(self) -> str:
-        return ";".join(f"{k}={self.payload[k]}" for k in sorted(self.payload))
-
-
-def order_batch(records: list[EventRecord]) -> list[EventRecord]:
-    """Deterministic processing order for simultaneous events (stable)."""
-    return sorted(records, key=EventRecord.sort_key)
+    """Event kind of a switch from ``u_before`` to ``u_after``, the one named
+    ``u(u_before,u_after)``; (0, 0) and same-sign pairs have none (ValueError)."""
+    return EventKind(f"u({u_before},{u_after})")
 
 
 KINDS = tuple(EventKind)                 # kind codes index this tuple
-_CODE = {kind: code for code, kind in enumerate(KINDS)}
+CODE = {kind: code for code, kind in enumerate(KINDS)}
 
 
 def kind_table(kinds) -> np.ndarray:
@@ -110,25 +51,75 @@ def kind_table(kinds) -> np.ndarray:
     return np.array([kind in kinds for kind in KINDS])
 
 
-class EventColumns(NamedTuple):
-    """A time-ordered event log as arrays, one per event; ``row`` is the interval it ends."""
+# The tie-break rank of each kind code. Simultaneous events are processed in
+# rank order, then by ascending target index, then ascending agent index
+# (none first; ``sim.event_log`` sorts by them). The order is purely for
+# determinism; jump updates of distinct pairs commute.
+RANK = np.array([4 if kind in CONTROL_KINDS else {
+    EventKind.R_HIT_ZERO: 0, EventKind.R_LEFT_ZERO: 0,
+    EventKind.SENSE_ON: 1, EventKind.SENSE_OFF: 1,
+    EventKind.CROSS: 2,
+    EventKind.OBS_JOIN: 3, EventKind.OBS_LEAVE: 3,
+    EventKind.HORIZON: 9,
+}[kind] for kind in KINDS])
 
-    kind: np.ndarray              # (E,) index into KINDS
-    agent: np.ndarray             # (E,) -1 where the event has none
-    target: np.ndarray            # (E,) -1 where the event has none
-    row: np.ndarray               # (E,) interval_index
+
+@dataclass
+class EventRecord:
+    """One event of a log, as a row.
+
+    ``payload`` carries kind-specific details: the switching point index and
+    control values for control switches (``point``, ``u_in``, ``u_out``,
+    ``transition``), the joining/leaving agent for observer-set changes
+    (``partner``), and ``grazing`` for a floor-leave at its hit's instant.
+    ``interval_index`` is the index of the inter-event interval this event
+    terminates.
+    """
+
+    time: float
+    kind: EventKind
+    agent: int | None = None
+    target: int | None = None
+    payload: dict = field(default_factory=dict)
+    interval_index: int = field(kw_only=True)
 
 
-def event_columns(events: list[EventRecord]) -> EventColumns:
-    """The columns of ``events``; ValueError for an event that ends no interval."""
-    n = len(events)
-    row = np.fromiter((ev.interval_index for ev in events), np.intp, n)
-    if (row < 0).any():
-        raise ValueError(f"event ends no interval: {events[int(np.argmin(row))]}")
-    return EventColumns(
-        kind=np.fromiter((_CODE[ev.kind] for ev in events), np.intp, n),
-        agent=np.fromiter((-1 if ev.agent is None else ev.agent for ev in events),
-                          np.intp, n),
-        target=np.fromiter((-1 if ev.target is None else ev.target for ev in events),
-                           np.intp, n),
-        row=row)
+@dataclass(frozen=True)
+class EventLog:
+    """A run's events as columns, one entry per event, in processing order.
+
+    Event ``e`` happens at ``time[e]`` and ends interval ``row[e]``; its kind
+    is ``KINDS[kind[e]]``, its agent and target are ``agent[e]`` and
+    ``target[e]`` (-1 for none), and its payload is
+    ``payloads[payload[e]]``. A row is made when first read, then shared."""
+
+    time: np.ndarray              # (E,)
+    kind: np.ndarray              # (E,) codes into KINDS
+    agent: np.ndarray             # (E,)
+    target: np.ndarray            # (E,)
+    row: np.ndarray               # (E,) the interval the event ends
+    payload: np.ndarray           # (E,) indices into payloads
+    payloads: list[dict]
+    _rows: dict[int, EventRecord] = field(default_factory=dict, init=False, repr=False,
+                                          compare=False)
+
+    def __len__(self) -> int:
+        return self.kind.size
+
+    def counts(self) -> dict[str, int]:
+        """The number of events of each kind, by the kind's value."""
+        return dict(zip((kind.value for kind in KINDS),
+                        np.bincount(self.kind, minlength=len(KINDS)).tolist()))
+
+    def rows(self, index=None) -> list[EventRecord]:
+        """The events ``index`` (all by default) as rows, in order; a row is
+        made on its first read and kept, and shares its payload dict."""
+        index = range(len(self)) if index is None else np.asarray(index).tolist()
+        new = [e for e in index if e not in self._rows]
+        if new:
+            cols = (self.time, self.kind, self.agent, self.target, self.payload, self.row)
+            for e, t, k, a, i, p, r in zip(new, *(c[new].tolist() for c in cols)):
+                self._rows[e] = EventRecord(t, KINDS[k], None if a < 0 else a,
+                                            None if i < 0 else i, self.payloads[p],
+                                            interval_index=r)
+        return [self._rows[e] for e in index]

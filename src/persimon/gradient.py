@@ -83,7 +83,7 @@ class ReplicaDiagnostics:
 class Replica:
     """Gradient evaluation of every agent from its delivered event stream.
 
-    ``deliver`` is an (E, N) array over ``record.events``, nonzero where an
+    ``deliver`` is an (E, N) array over ``record.log``, nonzero where an
     event reaches an agent (``visibility.delivery``); an agent's own control
     switches reach it in every mode. ``None`` delivers every event to every
     agent, the centralized evaluation. ``local`` marks purely local
@@ -143,12 +143,11 @@ class Replica:
         floor hit and floor-leave, also one that reaches no agent, so that
         ALMOST and CENTRALIZED bring the same rows up to date at the same
         intervals, and LOCAL's re-entry inferences."""
-        rec, cols = self.record, self.record.event_columns
-        events, N = rec.events, rec.scenario.n_agents
-        switches = [(ev.interval_index, ev, ev.agent) for ev in
-                    map(events.__getitem__, np.flatnonzero(_CONTROL[cols.kind]).tolist())]
-        idx = np.flatnonzero(_RESET[cols.kind])
-        kind, row, target = cols.kind[idx], cols.row[idx], cols.target[idx]
+        rec, log = self.record, self.record.log
+        N = rec.scenario.n_agents
+        ctl = np.flatnonzero(_CONTROL[log.kind])
+        idx = np.flatnonzero(_RESET[log.kind])
+        kind, row, target = log.kind[idx], log.row[idx], log.target[idx]
         sel = np.ones((idx.size, N), dtype=bool) if deliver is None else deliver[idx] != 0
         if self.local:
             # only a locally observed floor-leave resets; a relayed one of an
@@ -161,16 +160,15 @@ class Replica:
         if self.local and rec.scenario.local_reentry_reset:
             on = np.flatnonzero(~keep)
             R1 = rec.intervals.R1[row[on], target[on]]
-            agent = cols.agent[idx[on]]
+            agent = log.agent[idx[on]]
             keep[on] = (R1 == 0.0) & sel[on, agent]
-        whole = sel.all(axis=1)
-        resets = []
-        for n in np.flatnonzero(keep).tolist():
-            ev = events[idx[n]]
-            agents = (ev.agent if kind[n] == _SENSE_ON
-                      else slice(None) if whole[n] else np.flatnonzero(sel[n]))
-            resets.append((ev.interval_index, ev, agents))
-        return switches, resets
+        whole, kept = sel.all(axis=1), np.flatnonzero(keep)
+        rows = log.rows(np.concatenate([ctl, idx[kept]]))
+        resets = [(ev.interval_index, ev,
+                   ev.agent if kind[n] == _SENSE_ON
+                   else slice(None) if whole[n] else np.flatnonzero(sel[n]))
+                  for n, ev in zip(kept.tolist(), rows[ctl.size:])]
+        return [(ev.interval_index, ev, ev.agent) for ev in rows[:ctl.size]], resets
 
     def _rebases(self, ev: EventRecord) -> bool:
         """Whether ``ev`` is a reset the hold rule allows: a floor hit, or a

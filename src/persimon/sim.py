@@ -22,6 +22,9 @@ within ``eps_event`` of it). The ``Timeline`` merges them into one sorted
 list of motion instants, which the event loop walks with a cursor, and
 gives each target its sorted touch instants. Motion events happen at their
 own exact times.
+The loop logs each event batch only as its range of timeline items and its
+floor events; the event log, an ``events.EventLog`` of columns, is built
+from them at the horizon (``event_log``).
 
 Target ``i``'s uncertainty is driven only by the agents in its range and by
 its own floor events. So each target keeps a ``Segment``: its live factors,
@@ -61,8 +64,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .events import (EventColumns, EventKind, EventRecord, control_kind, event_columns,
-                     order_batch)
+from .events import CODE, RANK, EventKind, EventLog, control_kind
 from .model import Scenario, detection, membership, offset_membership
 from .policy import (AgentParams, Boundary, PhaseMode, PhaseState,
                      control_value, initial_phase, resolve_boundary)
@@ -77,6 +79,12 @@ SAMPLE_CHUNK = 1024
 EDGES = np.array([-1.0, 1.0, 0.0])
 # timeline item kinds
 BOUNDARY, EDGE, HORIZON = 0, 1, 2
+# event kind codes (``events.KINDS``), and the payload codes of a grazing
+# floor-leave and of the first observer-set partner (``event_log``)
+_HIT, _LEAVE, _ON, _OFF, _CROSS, _END = (CODE[kind] for kind in (
+    EventKind.R_HIT_ZERO, EventKind.R_LEFT_ZERO, EventKind.SENSE_ON, EventKind.SENSE_OFF,
+    EventKind.CROSS, EventKind.HORIZON))
+_GRAZING, _PARTNER = 1, 2
 
 
 class SimulationError(RuntimeError):
@@ -166,7 +174,9 @@ class SimState:
     its last rebuild (``_live``) and those that have touched it since.
     ``floor_t[i]`` is target ``i``'s next floor hit or leave on its segment,
     searched up to its next touch; ``floors[i]`` counts its floor records
-    since its last touch."""
+    since its last touch. ``batches[k]`` is the item range ``(start, end)``
+    of the batch that ended interval ``k``; ``floor_events`` are the floor
+    events so far, in ``event_log``'s form of an item's own events."""
 
     timeline: Timeline
     t: float
@@ -188,7 +198,8 @@ class SimState:
     pending: list[tuple[Span, np.ndarray, list[Segment]]] = field(default_factory=list)
     fresh: list[Segment] = field(default_factory=list)   # begun since the last span
     blocks: list[Intervals] = field(default_factory=list)   # the kernel's, in order
-    events: list[EventRecord] = field(default_factory=list)
+    batches: list[tuple[int, int]] = field(default_factory=list)
+    floor_events: list[tuple[int, int, int, int, int]] = field(default_factory=list)
     stuck: int = 0                # consecutive zero-length intervals
 
     @property
@@ -203,7 +214,8 @@ class SimState:
                        near=list(self.near), segments=list(self.segments),
                        floor_t=list(self.floor_t), floors=list(self.floors),
                        pending=list(self.pending), fresh=list(self.fresh),
-                       blocks=list(self.blocks), events=list(self.events))
+                       blocks=list(self.blocks), batches=list(self.batches),
+                       floor_events=list(self.floor_events))
 
 
 @dataclass
@@ -281,8 +293,9 @@ class SimRecord:
     scenario: Scenario
     params: tuple[AgentParams, ...]
     intervals: Intervals
-    events: list[EventRecord]
+    log: EventLog
     J: float
+    events = cached_property(lambda self: self.log.rows())   # the log as rows
 
     @cached_property
     def _samples(self) -> tuple[np.ndarray, ...]:
@@ -291,35 +304,26 @@ class SimRecord:
     sample_t, sample_s, sample_u, sample_R, sample_P = (
         property(lambda self, k=k: self._samples[k]) for k in range(5))
 
-    def event_counts(self) -> dict[str, int]:
-        counts = {kind.value: 0 for kind in EventKind}
-        for ev in self.events:
-            counts[ev.kind.value] += 1
-        return counts
-
     @cached_property
     def event_membership(self) -> np.ndarray:
         """Sensing-range membership at every event instant, (K, M, N): row
         ``k`` at the positions at the end of interval ``k``, where the events
-        with ``interval_index == k`` happen."""
+        whose log ``row`` is ``k`` happen."""
         sc = self.scenario
         return membership(sc.x, self.intervals.s1, sc.r)[0]
-
-    @cached_property
-    def event_columns(self) -> EventColumns:
-        """The event log as arrays; ``row`` indexes ``event_membership``."""
-        return event_columns(self.events)
 
 
 @dataclass
 class _Detection:
-    """The next event batch: the timeline's items up to ``end``, and floor events."""
+    """The next event batch: the timeline's items from ``start`` to ``end``,
+    their boundaries by agent, and the floor events' kind codes by target."""
 
     tau: float
-    records: list[EventRecord]
-    bounds: dict[int, Boundary]
-    done: bool
+    start: int
     end: int
+    bounds: dict[int, Boundary]
+    floors: dict[int, int]
+    done: bool
 
 
 def _products(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
@@ -721,54 +725,15 @@ class Simulator:
         first = min(floor_t, default=math.inf)
         tau = max(min(tl.time[n], first), state.t)
         end = tl.group[n] if tl.time[n] == tau else n
-        records: list[EventRecord] = []
-        in_batch: dict[int, Boundary] = {}
-        for kind, j, k, i, edge in tl.items[n:end]:
-            if kind == BOUNDARY:
-                prog = tl.programs[j]
-                b = in_batch[j] = prog.bounds[k]
-                for tr in b.transitions:
-                    records.append(self._control_record(tau, j, tr, prog.phases[k]))
-            elif kind == EDGE:
-                records.extend(self._motion_records(tau, edge, tl.programs[j].u[k] > 0.0, i, j,
-                                                    self.scenario.n_agents))
-            else:
-                records.append(EventRecord(tau, EventKind.HORIZON))
+        bounds = {j: tl.programs[j].bounds[k]
+                  for kind, j, k, _, _ in tl.items[n:end] if kind == BOUNDARY}
+        floors = {}
         limit = tau + self.eps
         if first <= limit:
-            for i, tf in enumerate(floor_t):
-                if tf <= limit:
-                    kind = (EventKind.R_LEFT_ZERO if state.segments[i].on_floor
-                            else EventKind.R_HIT_ZERO)
-                    records.append(EventRecord(tau, kind, target=i))
-        return _Detection(tau=tau, records=order_batch(records), bounds=in_batch,
-                          done=end > tl.horizon, end=end)
-
-    def _control_record(self, tau: float, j: int, tr, phase: PhaseState) -> EventRecord:
-        payload = {"transition": tr.kind, "point": tr.point,
-                   "u_in": tr.u_before, "u_out": tr.u_after}
-        # only an arrival in a coincident-point cascade goes from rest to
-        # rest; it is logged as a stop from the agent's last direction
-        u_in = tr.u_before if tr.u_before or tr.u_after else phase.last_dir or 1
-        return EventRecord(tau, control_kind(u_in, tr.u_after), agent=j, payload=payload)
-
-    def _motion_records(self, tau: float, edge: int, moving_up: bool, i: int, j: int,
-                        n_agents: int) -> list[EventRecord]:
-        """Records of agent ``j`` reaching candidate ``edge`` of target ``i``:
-        its lower range edge (0), its upper range edge (1) or the target (2)."""
-        if edge == 2:
-            return [EventRecord(tau, EventKind.CROSS, agent=j, target=i)]
-        if moving_up == (edge == 0):
-            recs = [EventRecord(tau, EventKind.SENSE_ON, agent=j, target=i)]
-            join = EventKind.OBS_JOIN
-        else:
-            recs = [EventRecord(tau, EventKind.SENSE_OFF, agent=j, target=i)]
-            join = EventKind.OBS_LEAVE
-        for k in range(n_agents):
-            if k != j:
-                recs.append(EventRecord(tau, join, agent=k, target=i,
-                                        payload={"partner": j}))
-        return recs
+            floors = {i: _LEAVE if state.segments[i].on_floor else _HIT
+                      for i, tf in enumerate(floor_t) if tf <= limit}
+        return _Detection(tau=tau, start=n, end=end, bounds=bounds, floors=floors,
+                          done=end > tl.horizon)
 
     # -- interval integration ------------------------------------------------
 
@@ -852,11 +817,12 @@ class Simulator:
 
     # -- event application ---------------------------------------------------
 
-    def apply_events(self, state: SimState, det: _Detection) -> list[EventRecord]:
+    def apply_events(self, state: SimState, det: _Detection) -> list[int]:
         """Apply the batch: enter the agents' next phases, pass its timeline
         items, set the floor flags of its floor events, and rebuild the
         segment of every target it touches, each touch making its agent one
-        of the target's ``near`` agents."""
+        of the target's ``near`` agents. Returns the targets of grazing
+        touches, floor hits that the floor rule released at once."""
         tl = state.timeline
         for j in sorted(det.bounds):
             prog = tl.programs[j]
@@ -871,16 +837,16 @@ class Simulator:
                 state.near[i] = sorted(state.near[i] + [j])
             moved.add(i)
         state.item = det.end
-        floor = {rec.target: rec.kind for rec in det.records
-                 if rec.kind in (EventKind.R_HIT_ZERO, EventKind.R_LEFT_ZERO)}
+        floor, grazing = det.floors, []
         for i in sorted(moved | floor.keys()):
             if i in moved:
                 state.floors[i] = 0
             if i in floor:
-                # a hit holds unless the floor rule releases it at once: a
-                # grazing touch, logged as a hit and a leave
-                hit = floor[i] is EventKind.R_HIT_ZERO
+                # a hit holds unless the floor rule releases it at once
+                hit = floor[i] == _HIT
                 seg = self._rebuild(state, i, 0.0, None if hit else False)
+                if hit and not seg.on_floor:
+                    grazing.append(i)
                 state.floors[i] += 2 if hit and not seg.on_floor else 1
             else:
                 old = state.segments[i]
@@ -901,14 +867,7 @@ class Simulator:
                     f"floor events cascade at t={state.t!r}: target {i} logged "
                     f"{state.floors[i]} floor hits and leaves since its last motion event, "
                     f"beyond the {bound} its rate's sign changes allow")
-        out: list[EventRecord] = []
-        for rec in det.records:
-            out.append(rec)
-            if rec.kind is EventKind.R_HIT_ZERO and not state.segments[rec.target].on_floor:
-                out.append(EventRecord(rec.time, EventKind.R_LEFT_ZERO, target=rec.target,
-                                       payload={"grazing": 1}))
-        return out
-
+        return grazing
 
     # -- full run -------------------------------------------------------------
 
@@ -919,16 +878,14 @@ class Simulator:
         With ``checkpoints``, append a copy of the state to it at the start of
         every event batch that enters a new phase for some agent. With
         ``start``, such a checkpoint of a run of the same scenario, resume from
-        a copy of it: the events and kernel tables before it are that run's
-        own objects. The result equals a fresh run's bit for bit
+        a copy of it: the kernel tables before it are that run's own objects.
+        The result equals a fresh run's bit for bit
         when the two runs' parameters agree on everything the agents' phases
         read before ``start``: motion is open-loop, and a phase's boundary
         reads only its own switching points and dwell (``first_reading_point``).
         """
         sc = self.scenario
         state = self.initial_state() if start is None else self._resume(start)
-        # the index of the next interval: the number finished so far
-        idx = sum(map(len, state.blocks)) + len(state.pending)
         while True:
             det = self.next_event(state)
             if checkpoints is not None and det.bounds:
@@ -936,17 +893,22 @@ class Simulator:
             span = self.advance(state, det)
             if det.done or len(state.pending) == BLOCK:
                 self.flush(state)
-            recs = self.apply_events(state, det)
-            for r in recs:
-                r.interval_index = idx
-            idx += 1
-            state.events.extend(recs)
+            grazing = self.apply_events(state, det)
+            row = len(state.batches)
+            state.batches.append((det.start, det.end))
+            state.floor_events += [(row, kind, -1, i, 0) for i, kind in det.floors.items()]
+            state.floor_events += [(row, _LEAVE, -1, i, _GRAZING) for i in grazing]
             if det.done:
                 break
             state.stuck = state.stuck + 1 if span.t1 == span.t0 else 0
             if state.stuck > self._chatter:
-                agents = sorted({r.agent for r in recs if r.agent is not None})
-                targets = sorted({r.target for r in recs if r.target is not None})
+                if state.pending:
+                    self.flush(state)
+                log = event_log(state.timeline, state.batches, state.floor_events,
+                                Intervals.join(state.blocks).t1)
+                last = log.row == row
+                agents, targets = (sorted(set(c[last].tolist()) - {-1})
+                                   for c in (log.agent, log.target))
                 raise SimulationError(
                     f"event detection stuck at t={span.t1!r}: {state.stuck} zero-length "
                     f"intervals in a row, the last one ending in events of agents {agents} "
@@ -954,8 +916,55 @@ class Simulator:
 
         intervals = Intervals.join(state.blocks)
         total = sum(intervals.int_R.sum(axis=1).tolist())
-        return SimRecord(scenario=sc, params=self.params, intervals=intervals,
-                         events=state.events, J=total / sc.T)
+        log = event_log(state.timeline, state.batches, state.floor_events, intervals.t1)
+        return SimRecord(scenario=sc, params=self.params, intervals=intervals, log=log,
+                         J=total / sc.T)
+
+
+def event_log(tl: Timeline, batches: list[tuple[int, int]],
+              floor_events: list[tuple[int, int, int, int, int]], t1: np.ndarray) -> EventLog:
+    """A run's event log from its ``SimState``'s timeline, batches and floor
+    events, each event at ``t1`` of the interval it ends. One pass over the
+    batches' items makes each one's own events: a boundary's transitions as
+    control switches, a range edge's sensing change, a crossing, the
+    horizon. One vectorised step adds each sensing change's observer-set
+    changes, one per other agent in order with the mover as partner, and
+    one stable sort orders all of them (``events.RANK``)."""
+    N = len(tl.programs)
+    payloads = [{}, {"grazing": 1}] + [{"partner": j} for j in range(N)]
+    own = []                      # (interval, kind code, agent, target, payload code)
+    for row, (start, end) in enumerate(batches):
+        for kind, j, k, i, edge in tl.items[start:end]:
+            if kind == BOUNDARY:
+                prog = tl.programs[j]
+                for tr in prog.bounds[k].transitions:
+                    # an arrival from rest to rest, only in a coincident-point
+                    # cascade, is logged as a stop from the last direction
+                    u_in = (tr.u_before if tr.u_before or tr.u_after
+                            else prog.phases[k].last_dir or 1)
+                    own.append((row, CODE[control_kind(u_in, tr.u_after)], j, -1, len(payloads)))
+                    payloads.append({"transition": tr.kind, "point": tr.point,
+                                     "u_in": tr.u_before, "u_out": tr.u_after})
+            elif kind == EDGE:
+                # entered moving up to a lower edge or down to an upper one
+                entered = (tl.programs[j].u[k] > 0.0) == (edge == 0)
+                own.append((row, _CROSS if edge == 2 else _ON if entered else _OFF, j, i, 0))
+            else:
+                own.append((row, _END, -1, -1, 0))
+    row, kind, agent, target, payload = np.array(own + floor_events,
+                                                 dtype=np.intp).reshape(-1, 5).T
+    # each sensing change's observer-set changes: its index once per other agent
+    sense = np.flatnonzero((kind == _ON) | (kind == _OFF)).repeat(N)
+    other = np.arange(sense.size) % N
+    keep = other != agent[sense]
+    sense, other = sense[keep], other[keep]
+    row = np.concatenate([row, row[sense]])
+    kind = np.concatenate([kind, np.where(kind[sense] == _ON, CODE[EventKind.OBS_JOIN],
+                                          CODE[EventKind.OBS_LEAVE])])
+    payload = np.concatenate([payload, _PARTNER + agent[sense]])
+    agent, target = np.concatenate([agent, other]), np.concatenate([target, target[sense]])
+    o = np.lexsort((agent, target, RANK[kind], row))
+    return EventLog(t1[row[o]], kind[o], agent[o], target[o], row[o], payload[o], payloads)
 
 
 def sample_table(scenario: Scenario, intervals: Intervals) -> tuple[np.ndarray, ...]:

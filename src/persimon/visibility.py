@@ -52,8 +52,8 @@ def delivery(record: SimRecord, mode: InfoMode) -> np.ndarray:
     ``ALL`` (CENTRALIZED catch-all and plumbing). Neighborhoods are those
     at the event instant, rows of ``record.event_membership``.
     """
-    cols = record.event_columns
-    E, N = cols.kind.size, record.scenario.n_agents
+    log = record.log
+    E, N = len(log), record.scenario.n_agents
     if mode is InfoMode.CENTRALIZED:
         return np.full((E, N), ALL, dtype=np.int8)
     inr = record.event_membership                      # (K, M, N)
@@ -63,21 +63,21 @@ def delivery(record: SimRecord, mode: InfoMode) -> np.ndarray:
     collab = np.matmul(f.transpose(0, 2, 1), f) > 0.0   # (K, N, N)
     collab[:, np.arange(N), np.arange(N)] = False
     out = np.zeros((E, N), dtype=np.int8)
-    out[cols.kind == _HORIZON] = ALL
+    out[log.kind == _HORIZON] = ALL
 
-    ctl = np.flatnonzero(_CONTROL[cols.kind])
-    who = cols.agent[ctl]
-    out[ctl] = np.where(collab[cols.row[ctl], :, who], COLLAB, 0)
+    ctl = np.flatnonzero(_CONTROL[log.kind])
+    who = log.agent[ctl]
+    out[ctl] = np.where(collab[log.row[ctl], :, who], COLLAB, 0)
     out[ctl, who] = OWN
 
-    tgt = np.flatnonzero(_TARGET[cols.kind])
-    row = cols.row[tgt]
-    mine = inr[row, cols.target[tgt]]                  # (Et, N)
+    tgt = np.flatnonzero(_TARGET[log.kind])
+    row = log.row[tgt]
+    mine = inr[row, log.target[tgt]]                  # (Et, N)
     # the target is sensed by one of the agent's collaborators
     relayed = (collab[row] & mine[:, None, :]).any(axis=2)
     fallback = 0
     if mode is InfoMode.ALMOST:
-        fallback = np.where(cols.kind[tgt] == _HIT, GLOBAL, 0)[:, None]
+        fallback = np.where(log.kind[tgt] == _HIT, GLOBAL, 0)[:, None]
     out[tgt] = np.where(mine, TARGET, np.where(relayed, COLLAB, fallback))
     return out
 
@@ -92,13 +92,13 @@ def visible_events(record: SimRecord, agent: int,
 
 def check_floor_hits_observed(record: SimRecord) -> None:
     """Every floor hit must be witnessed by at least one sensing agent."""
-    cols = record.event_columns
-    hits = np.flatnonzero(cols.kind == _HIT)
-    seen = record.event_membership[cols.row[hits], cols.target[hits]].any(axis=1)
+    log = record.log
+    hits = np.flatnonzero(log.kind == _HIT)
+    seen = record.event_membership[log.row[hits], log.target[hits]].any(axis=1)
     if not seen.all():
-        ev = record.events[hits[np.argmin(seen)]]
-        raise RuntimeError(
-            f"floor hit of target {ev.target} at t={ev.time} observed by no agent")
+        e = hits[np.argmin(seen)]
+        raise RuntimeError(f"floor hit of target {log.target[e]} at t={float(log.time[e])} "
+                           "observed by no agent")
 
 
 def mode_gradients(record: SimRecord, mode: InfoMode, with_diagnostics: bool = False):

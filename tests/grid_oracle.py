@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from persimon.events import EventKind, EventRecord, order_batch
+from persimon.events import EventKind, EventRecord
 from persimon.model import detection, offset_membership
 from persimon.sim import Intervals, SimulationError
 
 from loop_oracle import IntervalLoop
+from oracles import control_row, loop_row, motion_rows, order_batch
 
 
 @dataclass
@@ -106,6 +107,7 @@ class GridSimulator(IntervalLoop):
                                 falling, i))
         tau_next = max(min([win_end] + [g[0] for g in rho]), t0)
 
+        row = loop_row(state)
         records = []
         in_batch = {}
         for j in range(sc.n_agents):
@@ -113,18 +115,17 @@ class GridSimulator(IntervalLoop):
             if b is not None and b.time <= tau_next + eps:
                 in_batch[j] = b
                 for tr in b.transitions:
-                    records.append(self._control_record(tau_next, j, tr, state.phases[j]))
+                    records.append(control_row(tau_next, j, tr, state.phases[j], row))
         for tau, k, i, j in motion:
             if tau <= tau_next + eps:
-                records.extend(self._motion_records(tau_next, k, u[j] > 0.0, i, j,
-                                                    sc.n_agents))
+                records.extend(motion_rows(tau_next, k, u[j] > 0.0, i, j, sc.n_agents, row))
         for tau, falling, i in rho:
             if tau <= tau_next + eps:
                 kind = EventKind.R_HIT_ZERO if falling else EventKind.R_LEFT_ZERO
-                records.append(EventRecord(tau_next, kind, target=i))
+                records.append(EventRecord(tau_next, kind, target=i, interval_index=row))
         done = sc.T <= tau_next + eps
         if done:
-            records.append(EventRecord(tau_next, EventKind.HORIZON))
+            records.append(EventRecord(tau_next, EventKind.HORIZON, interval_index=row))
         return GridDetection(tau=tau_next, records=order_batch(records), bounds=in_batch,
                              done=done, u=u.copy(), ts=ts, q=q, R=R, rate=rate)
 

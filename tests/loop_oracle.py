@@ -41,13 +41,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from persimon.events import EventKind, EventRecord, order_batch
+from persimon.events import EventKind, EventRecord
 from persimon.model import offset_membership
 from persimon.policy import (Boundary, PhaseMode, PhaseState, control_value, initial_phase,
                              resolve_boundary)
 from persimon.sim import (BLOCK, Intervals, SimRecord, SimulationError, Simulator, Span,
                           _first_crossing, _integrals, _miss_bounds, _miss_product, _products,
                           _value)
+
+from oracles import control_row, loop_row, motion_rows, order_batch, rows_log
 
 
 @dataclass
@@ -248,6 +250,7 @@ class IntervalLoop(Simulator):
 
         tau_next = max(min([win_end] + [f[0] for f in floors]), t0)
         limit = tau_next + eps
+        row = loop_row(state)
         records: list[EventRecord] = []
         in_batch: dict[int, Boundary] = {}
         for j, bt in enumerate(bound_t):
@@ -255,7 +258,7 @@ class IntervalLoop(Simulator):
                 b = state.bounds[j]
                 in_batch[j] = b
                 for tr in b.transitions:
-                    records.append(self._control_record(tau_next, j, tr, state.phases[j]))
+                    records.append(control_row(tau_next, j, tr, state.phases[j], row))
         for j, k, step in ahead:
             pos, edge = self._edges[j]
             tp, sp = float(state.t_phase[j]), float(state.s_phase[j])
@@ -264,15 +267,14 @@ class IntervalLoop(Simulator):
                 hits.append(edge[k])
                 k += step
             for i, kind in sorted(hits):
-                records.extend(self._motion_records(tau_next, kind, u[j] > 0.0, i, j,
-                                                    sc.n_agents))
+                records.extend(motion_rows(tau_next, kind, u[j] > 0.0, i, j, sc.n_agents, row))
         for tau, i, on in floors:
             if tau <= limit:
                 kind = EventKind.R_LEFT_ZERO if on else EventKind.R_HIT_ZERO
-                records.append(EventRecord(tau_next, kind, target=i))
+                records.append(EventRecord(tau_next, kind, target=i, interval_index=row))
         done = tau_next == sc.T
         if done:
-            records.append(EventRecord(tau_next, EventKind.HORIZON))
+            records.append(EventRecord(tau_next, EventKind.HORIZON, interval_index=row))
         return LoopDetection(tau=tau_next, records=order_batch(records), bounds=in_batch,
                              done=done, pairs=pairs, rate=np.array(rate).reshape(M, D + 1))
 
@@ -335,7 +337,8 @@ class IntervalLoop(Simulator):
                 else:
                     state.on_floor[i] = False
                     out.append(EventRecord(rec.time, EventKind.R_LEFT_ZERO, target=i,
-                                           payload={"grazing": 1}))
+                                           payload={"grazing": 1},
+                                           interval_index=rec.interval_index))
             elif rec.kind is EventKind.R_LEFT_ZERO:
                 state.R[rec.target] = 0.0
                 state.on_floor[rec.target] = False
@@ -347,18 +350,13 @@ class IntervalLoop(Simulator):
     def run(self) -> SimRecord:
         sc = self.scenario
         state = self.initial_state()
-        idx = 0
         while True:
             det = self.next_event(state)
             t0 = state.t
             self.advance(state, det)
             if det.done or len(state.pending) == BLOCK:
                 self.flush(state)
-            recs = self.apply_events(state, det)
-            for r in recs:
-                r.interval_index = idx
-            idx += 1
-            state.events.extend(recs)
+            state.events.extend(self.apply_events(state, det))
             if det.done:
                 break
             state.stuck = state.stuck + 1 if state.t == t0 else 0
@@ -367,4 +365,4 @@ class IntervalLoop(Simulator):
         intervals = Intervals.join(state.blocks)
         total = sum(intervals.int_R.sum(axis=1).tolist())
         return SimRecord(scenario=sc, params=self.params, intervals=intervals,
-                         events=state.events, J=total / sc.T)
+                         log=rows_log(state.events), J=total / sc.T)

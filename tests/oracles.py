@@ -14,24 +14,36 @@ live pairs' slots and the block kernel's factor table are checked bit for
 bit. ``fd_report`` is
 ``fdcheck.grad_check`` with one fresh simulation per finite-difference
 probe, the report its resumed probes must reproduce byte for byte.
+
+The row-wise event reference makes a log's rows batch by batch, one
+object per event: ``control_row`` and ``motion_rows`` make the rows of a
+control switch and of a motion event, ``order_batch`` puts a batch in
+processing order, and ``batch_rows`` makes all rows of one ``Simulator``
+batch, against which the log that the simulator builds at the horizon is
+checked. The oracle loops log their events with them, and ``rows_log``
+turns their rows into a log.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from persimon.events import EventKind, EventRecord, order_batch
+from persimon.events import (CODE, KINDS, RANK, EventKind, EventLog, EventRecord,
+                             control_kind)
 from persimon.fdcheck import (REL_FLOOR, SMOOTH_RTOL, ZERO_EPS, CoordCheck, FdReport,
                               _feasible, _perturbed)
 from persimon.gradient import full_gradient
 from persimon.model import AgentSpec, Scenario, detection, membership
-from persimon.policy import (AgentParams, Boundary, PhaseMode, control_value, initial_phase,
-                             resolve_boundary)
-from persimon.sim import _products, simulate
+from persimon.policy import (AgentParams, Boundary, PhaseMode, PhaseState, Transition,
+                             control_value, initial_phase, resolve_boundary)
+from persimon.sim import BOUNDARY, EDGE, SimState, _Detection, _products, simulate
 
-from loop_oracle import IntervalLoop, LoopState
+if TYPE_CHECKING:
+    from loop_oracle import IntervalLoop, LoopState
 
 
 def sensing_prob(x: float, s: float, r: float) -> float:
@@ -127,6 +139,93 @@ def neighborhoods(positions, scenario: Scenario, t: float = 0.0) -> NeighborSnap
     obs = tuple(frozenset(np.flatnonzero(inr[i]).tolist()) for i in range(M))
     return NeighborSnapshot(t=t, agent_neighbors=agent_nb,
                             target_neighbors=tgt_nb, observers=obs)
+
+
+def control_row(tau: float, j: int, tr: Transition, phase: PhaseState,
+                row: int) -> EventRecord:
+    """The row of agent ``j``'s control transition ``tr`` at ``tau``, leaving
+    ``phase``, in interval ``row``."""
+    payload = {"transition": tr.kind, "point": tr.point,
+               "u_in": tr.u_before, "u_out": tr.u_after}
+    # only an arrival in a coincident-point cascade goes from rest to
+    # rest; it is logged as a stop from the agent's last direction
+    u_in = tr.u_before if tr.u_before or tr.u_after else phase.last_dir or 1
+    return EventRecord(tau, control_kind(u_in, tr.u_after), agent=j, payload=payload,
+                       interval_index=row)
+
+
+def motion_rows(tau: float, edge: int, moving_up: bool, i: int, j: int, n_agents: int,
+                row: int) -> list[EventRecord]:
+    """The rows of agent ``j`` reaching candidate ``edge`` of target ``i`` in
+    interval ``row``: its lower range edge (0), its upper range edge (1) or
+    the target (2)."""
+    if edge == 2:
+        return [EventRecord(tau, EventKind.CROSS, agent=j, target=i, interval_index=row)]
+    if moving_up == (edge == 0):
+        recs = [EventRecord(tau, EventKind.SENSE_ON, agent=j, target=i, interval_index=row)]
+        join = EventKind.OBS_JOIN
+    else:
+        recs = [EventRecord(tau, EventKind.SENSE_OFF, agent=j, target=i, interval_index=row)]
+        join = EventKind.OBS_LEAVE
+    for k in range(n_agents):
+        if k != j:
+            recs.append(EventRecord(tau, join, agent=k, target=i, payload={"partner": j},
+                                    interval_index=row))
+    return recs
+
+
+def order_batch(records: list[EventRecord]) -> list[EventRecord]:
+    """Simultaneous events in processing order: by ``events.RANK``, then
+    ascending target, then ascending agent, none first (stable)."""
+    return sorted(records, key=lambda ev: (RANK[CODE[ev.kind]],
+                                           -1 if ev.target is None else ev.target,
+                                           -1 if ev.agent is None else ev.agent))
+
+
+def batch_rows(state: SimState, det: _Detection, row: int) -> list[EventRecord]:
+    """The rows of one ``Simulator`` batch, ``det``, in processing order, read
+    after ``apply_events`` applied it to ``state``: its timeline items' and
+    floor events' rows, each floor hit that the floor rule released at once
+    followed by its grazing leave."""
+    tl, tau = state.timeline, det.tau
+    records = []
+    for kind, j, k, i, edge in tl.items[det.start:det.end]:
+        if kind == BOUNDARY:
+            prog = tl.programs[j]
+            for tr in prog.bounds[k].transitions:
+                records.append(control_row(tau, j, tr, prog.phases[k], row))
+        elif kind == EDGE:
+            records += motion_rows(tau, edge, tl.programs[j].u[k] > 0.0, i, j,
+                                   len(tl.programs), row)
+        else:
+            records.append(EventRecord(tau, EventKind.HORIZON, interval_index=row))
+    records += [EventRecord(tau, KINDS[code], target=i, interval_index=row)
+                for i, code in det.floors.items()]
+    out = []
+    for rec in order_batch(records):
+        out.append(rec)
+        if rec.kind is EventKind.R_HIT_ZERO and not state.segments[rec.target].on_floor:
+            out.append(EventRecord(tau, EventKind.R_LEFT_ZERO, target=rec.target,
+                                   payload={"grazing": 1}, interval_index=row))
+    return out
+
+
+def loop_row(state: LoopState) -> int:
+    """The interval that an oracle loop's next batch ends: the number it has
+    finished."""
+    return sum(map(len, state.blocks)) + len(state.pending)
+
+
+def rows_log(rows: list[EventRecord]) -> EventLog:
+    """The log of ``rows``, which are in processing order."""
+    n = len(rows)
+    return EventLog(
+        time=np.fromiter((ev.time for ev in rows), float, n),
+        kind=np.fromiter((CODE[ev.kind] for ev in rows), np.intp, n),
+        agent=np.fromiter((-1 if ev.agent is None else ev.agent for ev in rows), np.intp, n),
+        target=np.fromiter((-1 if ev.target is None else ev.target for ev in rows), np.intp, n),
+        row=np.fromiter((ev.interval_index for ev in rows), np.intp, n),
+        payload=np.arange(n), payloads=[ev.payload for ev in rows])
 
 
 def miss_factors(d0: np.ndarray, u: np.ndarray, r: np.ndarray,
@@ -267,21 +366,22 @@ def dense_detection(sim: IntervalLoop, state: LoopState) -> DenseDetection:
 
     tau_next = max(min(win_end, float(tau_g.min(initial=np.inf))), t0)
     limit = tau_next + eps
+    row = loop_row(state)
     records: list[EventRecord] = []
     in_batch: dict[int, Boundary] = {}
     for j in np.flatnonzero(bound_t == tau_next).tolist():
         b = state.bounds[j]
         in_batch[j] = b
         for tr in b.transitions:
-            records.append(sim._control_record(tau_next, j, tr, state.phases[j]))
+            records.append(control_row(tau_next, j, tr, state.phases[j], row))
     for j, i, k in zip(*(a.tolist() for a in np.nonzero(motion & (tau_m == tau_next)))):
-        records.extend(sim._motion_records(tau_next, k, u[j] > 0.0, i, j, sc.n_agents))
+        records.extend(motion_rows(tau_next, k, u[j] > 0.0, i, j, sc.n_agents, row))
     for i in cand[tau_g <= limit].tolist():
         kind = EventKind.R_HIT_ZERO if falling[i] else EventKind.R_LEFT_ZERO
-        records.append(EventRecord(tau_next, kind, target=i))
+        records.append(EventRecord(tau_next, kind, target=i, interval_index=row))
     done = tau_next == sc.T
     if done:
-        records.append(EventRecord(tau_next, EventKind.HORIZON))
+        records.append(EventRecord(tau_next, EventKind.HORIZON, interval_index=row))
     return DenseDetection(tau=tau_next, records=order_batch(records), bounds=in_batch,
                           done=done, slots=slots, C0=C0, C1=C1, Q=Q, rate=rate)
 

@@ -1,16 +1,22 @@
 """Guards on the package as a whole: no environment hooks or thread pools in
-the source, and the entry points the benchmark in ``perfbench/`` patches by
+the source, the entry points the benchmark in ``perfbench/`` patches by
 name still there and still on the path of every gradient and every scan
-step."""
+step, no event rows on the hot path, and the event skeleton of
+``scripts/record_digest.py`` pinned."""
 
 import ast
+import dataclasses
+import hashlib
 import importlib.util
 import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from persimon.cli import load_scenario
+from persimon.descent import optimize
+from persimon.events import EventLog
 from persimon.fdcheck import _perturbed, _resume_point, grad_check
 from persimon.gradient import CHUNK, Replica, full_gradient
 from persimon.model import InfoMode
@@ -54,9 +60,9 @@ class TestNoHooks:
         assert not found
 
 
-def _bench_module(name: str):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  ROOT / "perfbench" / f"{name}.py")
+def _module(folder: str, name: str):
+    spec = importlib.util.spec_from_file_location(f"{folder}_{name}",
+                                                  ROOT / folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -65,7 +71,7 @@ def _bench_module(name: str):
 class TestBenchmarkHooks:
     def test_traced_names_resolve(self):
         # the tracer wraps each (owner, attribute) by name
-        tracing = _bench_module("tracing")
+        tracing = _module("perfbench", "tracing")
         hooks = tracing.TRACED + tracing.HELPERS
         assert len(hooks) >= 15
         for name, owner, attr in hooks:
@@ -94,7 +100,7 @@ class TestBenchmarkHooks:
         # the tracer's ``sim.intervals`` count reads ``len(record.intervals)``:
         # on a fresh run, a probe resumed from a checkpoint and a random
         # scenario it is the interval index of the horizon's batch plus one
-        tracer = _bench_module("tracing").Tracer()
+        tracer = _module("perfbench", "tracing").Tracer()
         sc, ps, _ = load_scenario(SRC / "data" / "example1.scenario")
         ps = tuple(ps)
         base = []
@@ -127,3 +133,49 @@ class TestBenchmarkHooks:
         for a, b in zip(clean, everything()):
             assert np.abs(a).max() > 0.0
             assert np.allclose(b, 1.05 * a, rtol=1e-12, atol=0.0)
+
+
+class TestEventRows:
+    def test_hot_path_makes_no_rows_of_the_whole_log(self, monkeypatch):
+        # a record's rows are for readers that want rows: simulate makes
+        # none, and the three modes' gradients, a descent iteration and
+        # grad_check make rows only for the events a gradient pass schedules
+        rows = EventLog.rows
+
+        def no_rows(self, index=None):
+            raise AssertionError("rows of an event log")
+
+        def some_rows(self, index=None):
+            if index is None:
+                raise AssertionError("rows of a whole event log")
+            return rows(self, index)
+
+        sc, ps, opt = load_scenario(SRC / "data" / "example1.scenario")
+        monkeypatch.setattr(EventLog, "rows", no_rows)
+        rec = simulate(sc, ps)
+        with pytest.raises(AssertionError, match="rows of an event log"):
+            rec.events
+        monkeypatch.setattr(EventLog, "rows", some_rows)
+        for mode in InfoMode:
+            mode_gradients(rec, mode)
+        run = optimize(sc, ps, dataclasses.replace(opt, max_iters=1))
+        assert run.iterations == 1 and run.n_events[0] == len(rec.log)
+        sc, ps, _ = load_scenario(SRC / "data" / "smoke.scenario")
+        assert grad_check(sc, ps).coords
+        assert "events" not in rec.__dict__
+
+
+class TestEventSkeleton:
+    def test_record_digest_skeleton_is_pinned(self, tmp_path):
+        # the event structure of every record that scripts/record_digest.py
+        # hashes: a change to it fails here until it is declared. The full
+        # and sample digests hash floats that depend on the BLAS build, so
+        # they are not pinned
+        digest = _module("scripts", "record_digest")
+        skeleton = hashlib.sha256()
+        for path in digest.scenario_files(tmp_path):
+            sc, ps, _ = load_scenario(path)
+            for item in digest.skeleton_items(simulate(sc, ps)):
+                skeleton.update(item.encode())
+        assert skeleton.hexdigest() == (
+            "b1779c567637b5ef5b3e5bff0832b5a40b909abeb3e9f80ea8713e3baf173171")

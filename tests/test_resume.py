@@ -149,7 +149,9 @@ def checkpoint_fields(cp):
             tl.items[:st_.item], st_.touches,
             [raw(times[:n]) for times, n in zip(tl.touch_t, st_.touches)], st_.near,
             [segment(seg) for seg in st_.segments], raw(st_.floor_t), st_.floors,
-            pending, [segment(seg) for seg in st_.fresh], blocks, len(cp.events), cp.stuck]
+            pending, [segment(seg) for seg in st_.fresh], blocks, cp.batches,
+            [(row, raw(t), i, kind, payload) for row, t, i, kind, payload in cp.floor_events],
+            cp.stuck]
 
 
 def assert_fresh_probe_passes_checkpoint(sc, ps, coords=None):
@@ -248,7 +250,6 @@ class TestResumedRecord:
         later = []
         again = Simulator(sc, ps).run(cp, checkpoints=later)
         assert record_fields(again) == record_fields(record)
-        assert all(a is b for a, b in zip(again.events[:len(cp.events)], record.events))
         # the prefix rows are the base run's bits, from the base run's own
         # kernel tables, which the checkpoint and the resumed run share
         n = run_length(cp) - len(cp.pending)
@@ -268,15 +269,18 @@ class TestResumedRecord:
         sc, ps, _ = load_scenario(DATA / "smoke.scenario")
         ps = tuple(ps)
         record, base = base_run(sc, ps)
-        sizes = [(len(cp.blocks), len(cp.pending), len(cp.events)) for cp in base]
+        sizes = [(len(cp.blocks), len(cp.pending), len(cp.batches), len(cp.floor_events))
+                 for cp in base]
 
         def holds_its_prefix():
-            assert [(len(cp.blocks), len(cp.pending), len(cp.events)) for cp in base] == sizes
+            assert [(len(cp.blocks), len(cp.pending), len(cp.batches), len(cp.floor_events))
+                    for cp in base] == sizes
             for cp in base:
                 assert all((table.t1 <= cp.t).all() for table in cp.blocks)
                 assert all(sp.t1 <= cp.t for sp, _, _ in cp.pending)
                 assert record.intervals[run_length(cp)].t0 == cp.t
-                assert all(ev.interval_index < run_length(cp) for ev in cp.events)
+                assert len(cp.batches) == run_length(cp)
+                assert all(row < run_length(cp) for row, *_ in cp.floor_events)
 
         holds_its_prefix()
         Simulator(sc, ps).run(base[len(base) // 2])
@@ -325,7 +329,7 @@ class TestChatterAfterResume:
         assert start is not None and 8.0 <= start.t < 10.0
         apply = Simulator.apply_events
         monkeypatch.setattr(Simulator, "apply_events", lambda self, state, det: (
-            apply(self, state, det) if state.t < 10.0 else det.records))
+            apply(self, state, det) if state.t < 10.0 else []))
         q = _perturbed(ps, 0, "w", 2, 1e-4)
         with pytest.raises(SimulationError) as fresh:
             simulate(sc, q)
@@ -344,7 +348,7 @@ class TestChatterAfterResume:
         assert start.t == 2.0 and start.stuck > 0
         apply, advance = Simulator.apply_events, Simulator.advance
         monkeypatch.setattr(Simulator, "apply_events", lambda self, state, det: (
-            det.records if any(b.next_phase.point >= 4 for b in det.bounds.values())
+            [] if any(b.next_phase.point >= 4 for b in det.bounds.values())
             else apply(self, state, det)))
         steps = []
         monkeypatch.setattr(Simulator, "advance", lambda self, state, det: (

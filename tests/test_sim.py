@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from persimon import sim as sim_module
 from persimon.cli import load_scenario
 from persimon.descent import optimize
-from persimon.events import EventKind, EventRecord, event_columns
+from persimon.events import KINDS, EventKind
 from persimon.fdcheck import grad_check
 from persimon.model import InfoMode, Numerics, detection
 from persimon.sim import SimulationError, Simulator, simulate
@@ -265,7 +265,7 @@ class TestDetection:
         state = sim.initial_state()
         det = sim.next_event(state)
         assert det.tau == 5.0
-        assert det.records[0].payload["transition"] == "arrival"
+        assert [tr.kind for tr in det.bounds[0].transitions] == ["arrival"]
 
     def test_floor_hit_linear_root(self):
         sc = make_scenario([(10.0, 1.0, 5.0, 1.0)], [(10.0, 0, 3.0)], T=5.0)
@@ -276,7 +276,7 @@ class TestDetection:
         sim.apply_events(state, sim.next_event(state))
         det = sim.next_event(state)
         assert det.tau == pytest.approx(0.25, abs=1e-7)
-        assert det.records[0].kind is EventKind.R_HIT_ZERO
+        assert {i: KINDS[kind] for i, kind in det.floors.items()} == {0: EventKind.R_HIT_ZERO}
 
     def test_two_observer_floor_hit_quadratic_root(self):
         sc, rec = two_observers()
@@ -310,7 +310,7 @@ class TestDetection:
         sim = Simulator(sc, [])
         det = sim.next_event(sim.initial_state())
         assert det.tau == 7.0
-        assert det.records[0].kind is EventKind.HORIZON
+        assert det.done and not det.bounds and not det.floors
 
 
 class TestIntervalIntegration:
@@ -400,11 +400,12 @@ class TestRecordInvariants:
                     assert row[i, j] == (abs(tg.x - s[j]) <= ag.r)
         assert inr.any() and not inr.all()
 
-    def test_event_columns_reject_an_event_that_ends_no_interval(self):
+    def test_every_event_ends_an_interval(self):
         rec = simulate(*random_scenario(np.random.default_rng(4), n_agents=2, T=6.0))
-        assert event_columns(rec.events).row.tolist() == [ev.interval_index for ev in rec.events]
-        with pytest.raises(ValueError, match="ends no interval"):
-            event_columns(rec.events + [EventRecord(0.0, EventKind.HORIZON)])
+        row = rec.log.row
+        assert row.tolist() == [ev.interval_index for ev in rec.events]
+        assert row.min() == 0 and row.max() == len(rec.intervals) - 1
+        assert (np.diff(row) >= 0).all()
 
     def test_determinism_bitwise(self):
         rng = np.random.default_rng(7)
@@ -501,7 +502,7 @@ class TestChatter:
         # events that are logged but never applied leave agent 0's arrival
         # at t=2, on target 0's lower range edge, due forever: zero-length
         # intervals at one instant
-        monkeypatch.setattr(Simulator, "apply_events", lambda self, state, det: det.records)
+        monkeypatch.setattr(Simulator, "apply_events", lambda self, state, det: [])
         sc = make_scenario([(10.0, 1.0, 5.0, 2.0)], [(5.0, 1, 3.0)], T=10.0)
         with pytest.raises(SimulationError, match=r"stuck at t=2\.0: 10 zero-length .* "
                                                   r"agents \[0\] and targets \[0\]"):

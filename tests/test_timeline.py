@@ -8,7 +8,9 @@ stretch: the agent reaches a point strictly ahead of a stretch's start at
 its start time plus the distance, if that is not after the stretch's end.
 The path must also stand at the point then. A probe resumed from a
 checkpoint must build the same timeline, bit for bit, as a fresh run of its
-parameters.
+parameters. The event log that a run builds from the timeline at the
+horizon must equal, row for row, the rows that ``oracles.batch_rows`` makes
+batch by batch.
 """
 
 import json
@@ -20,10 +22,11 @@ from hypothesis import given, settings
 
 from persimon.cli import load_scenario
 from persimon.fdcheck import _resume_point
-from persimon.sim import BOUNDARY, EDGE, EDGES, HORIZON, Simulator
+from persimon.events import EventKind
+from persimon.sim import BOUNDARY, EDGE, EDGES, HORIZON, SimulationError, Simulator, simulate
 
 from conftest import REFERENCE, make_scenario, params, pool_scenario
-from oracles import position_at, position_schedule
+from oracles import batch_rows, position_at, position_schedule
 from test_detection import DATA, degenerate_scenarios
 from test_resume import base_run, probes
 
@@ -162,3 +165,77 @@ class TestProbeTimelines:
         ps = (params([12.0, 12.0, 20.0, 12.0, 12.0], [1.0, 0.0, 0.5, 0.0, 1.0]),
               params([22.0, 22.0, 18.0], [0.5, 0.0, 1.0]))
         assert self.assert_probe_timelines_fresh(sc, ps) > 0
+
+
+def row_values(ev):
+    """An event row's fields and payload, each value with its type."""
+    return ([(type(v), v) for v in (ev.time, ev.kind, ev.agent, ev.target, ev.interval_index)]
+            + [(k, type(v), v) for k, v in sorted(ev.payload.items())])
+
+
+def assert_log_is_batch_rows(sc, ps) -> int:
+    """The rows of a run's log against those that ``oracles.batch_rows``
+    makes for each batch of a ``Simulator`` stepped batch by batch: time,
+    kind, agent, target, interval and payload, with their types, in order.
+    Returns the number of events; 0 for a run the simulator refuses."""
+    try:
+        record = simulate(sc, ps)
+    except SimulationError:
+        return 0
+    sim = Simulator(sc, ps)
+    state = sim.initial_state()
+    want, row, done = [], 0, False
+    while not done:
+        det = sim.next_event(state)
+        sim.advance(state, det)
+        state.pending.clear()
+        sim.apply_events(state, det)
+        want += batch_rows(state, det, row)
+        row, done = row + 1, det.done
+    assert [row_values(ev) for ev in record.events] == [row_values(ev) for ev in want]
+    return len(want)
+
+
+class TestLogInBatchOrder:
+    @pytest.mark.parametrize("name,least", [("smoke", 15), ("example1", 1600)])
+    def test_bundled_scenarios(self, name, least):
+        sc, ps, _ = load_scenario(DATA / f"{name}.scenario")
+        assert assert_log_is_batch_rows(sc, ps) > least
+
+    @pytest.mark.parametrize("workload,k", POOLS, ids=[f"{w}-{k}" for w, k in POOLS])
+    def test_benchmark_pools(self, tmp_path, workload, k):
+        sc, ps, _ = load_scenario(pool_scenario(tmp_path, workload, k))
+        assert assert_log_is_batch_rows(sc, ps) > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(degenerate_scenarios())
+    def test_degenerate_scenarios(self, case):
+        assert_log_is_batch_rows(*case)
+
+    def test_pinned_degenerate_cases(self):
+        # what the drawn scenarios may miss, pinned: a grazing hit and its
+        # leave (test_detection's), two targets at one x with an agent on
+        # their range edge and one parked on them, and a zero-dwell cascade
+        # over coincident points, whose arrivals from rest to rest log as
+        # stops from the last direction; and two agents entering one
+        # target's range at one instant, so that a third agent's two
+        # observer-set joins tie on every key but their partner
+        graze = make_scenario([(12.5, 1.5, 2.5, 0.5)], [(12.5, 1, 2.5)], L=24.0, T=6.0)
+        shared = make_scenario([(10.0, 1.0, 5.0, 2.0), (10.0, 1.0, 3.0, 0.0),
+                                (15.0, 1.0, 5.0, 1.0)], [(7.5, 1, 2.5), (10.0, 0, 2.0)],
+                               L=24.0, T=9.5)
+        cascade = make_scenario([(10.0, 1.0, 5.0, 2.0)], [(5.0, 1, 3.0)], T=10.0)
+        meet = make_scenario([(10.0, 1.0, 5.0, 2.0)], [(5.0, 1, 3.0), (15.0, -1, 3.0),
+                                                       (30.0, 0, 3.0)], T=6.0)
+        cases = [(graze, [params([4.0], [0.0])]),
+                 (shared, [params([15.0, 7.5], [0.0, 1.0]), params([], [])]),
+                 (cascade, [params([7.0, 7.0, 7.0, 7.0, 12.0], [0.0, 0.0, 0.0, 0.0, 1.0])]),
+                 (meet, [params([9.0], [1.0]), params([11.0], [1.0]), params([], [])])]
+        logs = [simulate(*case).events for case in cases]
+        assert any(ev.payload.get("grazing") for ev in logs[0])
+        assert sum(ev.payload.get("transition") == "arrival" and ev.payload["u_in"] == 0
+                   for ev in logs[2]) >= 3
+        assert [ev.payload["partner"] for ev in logs[3]
+                if ev.kind is EventKind.OBS_JOIN and ev.agent == 2] == [0, 1]
+        for case in cases:
+            assert assert_log_is_batch_rows(*case) > 3
